@@ -1,0 +1,311 @@
+"""Contraction diagnostics for the deformed box representations.
+
+The crossing combinatorics of a boundary-bound geodesic produce a
+nested sequence of boxes: if gamma_n labels the 2n-th crossed edge then
+the n-th box is the matrix image of the base box under the word image
+of gamma_n, and gamma_{n+1} = gamma_n w for one of the four two-crossing
+step words.  Everything here measures how fast those boxes shrink:
+
+- ``constant_C``: sampled minimal Hilbert distortion over the four
+  step words;
+- ``limit_point``: the nested-intersection point (with its dual line)
+  for a periodic word, the discrete analogue of the boundary map;
+- ``doubling_check``: crossing-counted norm doubling along sequences;
+- ``loxodromy_scan``: eigenvalue-gap survey of short words.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import dataclass
+
+import mpmath
+from mpmath import mpf
+
+from . import boxes as bx
+from . import hilbert as hb
+from . import modular as md
+from . import projective as pj
+from . import representation as rp
+from . import scalars as sc
+from .boxes import BoxModuli, Lambda
+from .errors import (
+    NoConvergence,
+    PappusLabError,
+    NonLoxodromic,
+    NotInRegionInterior,
+    NotInSubgroupO,
+)
+from .hilbert import (  # noqa: F401  (re-exported: same toolbox)
+    ConvexQuad,
+    distortion_estimate,
+    hilbert_distance,
+    hilbert_norm,
+)
+from .modular import GroupWord, W_STEPS
+from .projective import Line, Point
+
+
+def _base_box(m: BoxModuli) -> bx.OvermarkedBox:
+    return bx.from_moduli(m)
+
+
+def _quad(box: bx.OvermarkedBox) -> hb.ConvexQuad:
+    return bx.convex_interior(box)
+
+
+def constant_C(m: BoxModuli, lam: Lambda, resolution: int = 16, directions: int = 8):
+    """Sampled minimal distortion gained by crossing two edges.
+
+    Minimum over the four step words of the distortion of the step-word
+    box image inside the base box; raises NotNested when the nesting
+    fails (deformation outside the admissible region).
+    """
+    box = _base_box(m)
+    outer = _quad(box)
+    best = None
+    for w in W_STEPS:
+        g = rp.evaluate(m, lam, w)
+        inner = _quad(bx.apply_matrix(box, g))
+        c = hb.distortion_estimate(inner, outer, resolution=resolution, directions=directions)
+        best = c if best is None else min(best, c)
+    return best
+
+
+# ---------------------------------------------------------------------------
+# nested-intersection limit points
+
+
+@dataclass(frozen=True)
+class LimitSample:
+    """Limit of the nested boxes along the axis of a periodic word."""
+
+    word: GroupWord
+    point: Point
+    dual_point: Line
+    flag_residual: mpf
+    diameter_at_stop: mpf
+    depth: int
+
+
+LIMIT_TOL = mpf("1e-12")
+LIMIT_DEPTH_CAP = 10**4
+
+
+def _chart_diameter(box_points) -> mpf:
+    coords = [bx.chart_coords(p) for p in box_points]
+    best = mpf(0)
+    for i in range(len(coords)):
+        for j in range(i + 1, len(coords)):
+            dx = sc.to_mpf(coords[i][0] - coords[j][0])
+            dy = sc.to_mpf(coords[i][1] - coords[j][1])
+            best = max(best, mpmath.sqrt(dx * dx + dy * dy))
+    return best
+
+
+def loxodromic_eigen(m: BoxModuli, lam: Lambda, w: GroupWord) -> sc.EigenResult:
+    """Eigen data of the word image; raises for non-loxodromic images."""
+    mat = rp.evaluate(m, lam, w)
+    res = sc.eigen_real(sc.normalize_det_one(sc.mat_to_mpf(mat)))
+    if not res.loxodromic:
+        raise NonLoxodromic("word image has collapsing eigenvalue moduli")
+    return res
+
+
+def limit_point(
+    m: BoxModuli,
+    lam: Lambda,
+    w: GroupWord,
+    tol=LIMIT_TOL,
+    depth_cap: int = LIMIT_DEPTH_CAP,
+) -> LimitSample:
+    """Nested-intersection point of the boxes along the axis of w.
+
+    Follows the crossing sequence of the periodic word, accumulating
+    the matrix images of the partial products, until the image box has
+    chart diameter below tol.  Returns the limiting point (bottom
+    corners converge to it), the limiting dual line (bottom lines,
+    which are the tops of the reversed-orientation dual boxes) and the
+    incidence residual between the two.
+
+    The iteration uses the crossing normal form of w, a cyclic
+    conjugate; for words not already in that form the result is the
+    attracting flag of the conjugated word.
+    """
+    if not md.in_subgroup_o(w):
+        raise NotInSubgroupO("limit points need even-involution words")
+    if not bx.in_region(lam):
+        raise NotInRegionInterior("deformation outside the admissible region")
+    loxodromic_eigen(m, lam, w)
+
+    core = md.crossing_form(w)
+    blocks = []
+    letters = list(core.letters)
+    for k in range(0, len(letters), 4):
+        blocks.append(GroupWord(tuple(letters[k: k + 4])))
+    step_mats = [sc.mat_to_mpf(rp.evaluate(m, lam, blk)) for blk in blocks]
+
+    box = _base_box(m)
+    corners = [sc.vec_to_mpf(p.coords) for p in (box.p, box.q, box.r, box.s)]
+    bottom = sc.vec_to_mpf(box.b.coords)
+    bottom_line = sc.vec_to_mpf(box.line_B.coords)
+
+    g = sc.mat_to_mpf(sc.IDENTITY)
+    depth = 0
+    while True:
+        imgs = [sc.mat_vec(g, c) for c in corners]
+        diameter = _chart_diameter(imgs)
+        if diameter < tol:
+            break
+        if depth >= depth_cap:
+            raise NoConvergence("depth cap reached before the boxes collapsed")
+        g = sc.mat_mul(g, step_mats[depth % len(step_mats)])
+        depth += 1
+
+    point = Point(sc.mat_vec(g, bottom))
+    # lines transform by the inverse transpose, projectively the
+    # transposed adjugate (avoids dividing by the tiny determinant of a
+    # long contraction product)
+    dual = Line(sc.mat_vec(sc.mat_transpose(sc.adjugate(g)), bottom_line))
+    residual = pj.incidence_residual(dual.coords, point.coords)
+    return LimitSample(
+        word=w,
+        point=point,
+        dual_point=dual,
+        flag_residual=residual,
+        diameter_at_stop=diameter,
+        depth=depth,
+    )
+
+
+# ---------------------------------------------------------------------------
+# doubling diagnostic
+
+
+def doubling_check(
+    m: BoxModuli,
+    lam: Lambda,
+    budget: int = 24,
+    sequences: int = 20,
+    seed: int = 0,
+    resolution: int = 8,
+    fixed_sequence=None,
+    window: int = None,
+    direction=(1, 0.3),
+) -> dict:
+    """Crossing-counted doubling of the Hilbert norm along sequences.
+
+    For each crossing sequence (random step words, or a fixed one), the
+    norm of a fixed direction at a deep interior point is measured in
+    every box of the sequence; the report records the worst observed
+    growth over a window of N steps (2N crossings), where N is the
+    smallest integer with C^N > 2 for the sampled distortion constant
+    C, and whether that growth certifies doubling.
+    """
+    if not bx.in_region(lam):
+        raise NotInRegionInterior("deformation outside the admissible region")
+
+    if window is None:
+        c = constant_C(m, lam, resolution=resolution)
+        if c > 1:
+            window = int(mpmath.ceil(mpmath.log(2) / mpmath.log(c)))
+        else:
+            window = budget // 2
+    else:
+        c = None
+
+    box = _base_box(m)
+    corners = [sc.vec_to_mpf(p.coords) for p in (box.p, box.q, box.r, box.s)]
+    step_mats = {w: sc.mat_to_mpf(rp.evaluate(m, lam, w)) for w in W_STEPS}
+
+    rng = random.Random(seed)
+    runs = (
+        [tuple(fixed_sequence)]
+        if fixed_sequence is not None
+        else [
+            tuple(rng.choice(W_STEPS) for _ in range(budget))
+            for _ in range(sequences)
+        ]
+    )
+
+    worst = None
+    for steps in runs:
+        mats = [sc.mat_to_mpf(sc.IDENTITY)]
+        for w in steps:
+            mats.append(sc.mat_mul(mats[-1], step_mats[w]))
+        quads = []
+        for g in mats:
+            try:
+                quads.append(hb.ConvexQuad(tuple(Point(sc.mat_vec(g, cm)) for cm in corners)))
+            except PappusLabError:
+                # the box contracted below working precision; stop here
+                break
+        # base point and tangent: the chart center of the deepest usable
+        # box (interior to every box of the nested run) and a fixed
+        # nearby point defining one projective direction; each box's
+        # norm sees that same tangent through its own chart (secant
+        # pushforward)
+        t = mpf("1e-8")
+        center = offset = None
+        while quads:
+            try:
+                center = quads[-1].point_at((mpf(0), mpf(0)))
+                offset = quads[-1].point_at(
+                    (t * sc.to_mpf(direction[0]), t * sc.to_mpf(direction[1]))
+                )
+                break
+            except PappusLabError:
+                quads.pop()
+        if len(quads) <= window:
+            continue
+        norms = []
+        for quad in quads:
+            cc = tuple(sc.to_mpf(c) for c in quad.chart(center))
+            co = tuple(sc.to_mpf(c) for c in quad.chart(offset))
+            norms.append(hb.hilbert_norm(quad, center, (co[0] - cc[0], co[1] - cc[1])))
+        for n in range(len(norms) - window):
+            growth = norms[n + window] / norms[n]
+            worst = growth if worst is None else min(worst, growth)
+    return {
+        "constant": c,
+        "window": window,
+        "worst_growth": worst,
+        "certified": worst is not None and worst >= 2,
+    }
+
+
+# ---------------------------------------------------------------------------
+# loxodromy survey
+
+
+def loxodromy_scan(m: BoxModuli, lam: Lambda, max_len: int = 6) -> dict:
+    """Eigenvalue-gap survey of all short even-involution words.
+
+    Torsion words (trivial or finite order, whose cyclic core has no
+    involution letter) have no axis and are skipped.  Reports the
+    minimal gap between consecutive eigenvalue moduli and every
+    non-loxodromic word found.
+    """
+    min_gap = None
+    non_loxodromic = []
+    scanned = 0
+    for w in md.enumerate_words(max_len, subgroup_o_only=True):
+        _, core = w.cyclic_reduction()
+        if core.is_identity or all(let != "I" for let in core.letters):
+            continue
+        scanned += 1
+        mat = rp.evaluate(m, lam, w)
+        try:
+            res = sc.eigen_real(sc.normalize_det_one(sc.mat_to_mpf(mat)))
+        except Exception:
+            non_loxodromic.append(w)
+            continue
+        gap = min(res.gaps)
+        min_gap = gap if min_gap is None else min(min_gap, gap)
+        if not res.loxodromic:
+            non_loxodromic.append(w)
+    return {
+        "scanned": scanned,
+        "min_gap": min_gap,
+        "non_loxodromic": non_loxodromic,
+    }

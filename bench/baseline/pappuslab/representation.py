@@ -1,0 +1,443 @@
+"""Matrix realizations of the marked-box symmetry groups.
+
+All matrices are expressed in the normal-form basis adapted to a box
+with moduli (zeta_t, zeta_b); a box in general position conjugates them
+by its adapted-basis matrix.  The key families are:
+
+- ``matrix_A``: order-3 transformation cycling the box through its
+  Pappus descendants;
+- ``matrix_D``: the symmetric polarity matrix swapping a box with its
+  dual (positive definite exactly for convex moduli);
+- ``matrix_Sigma``: the two-parameter shear/scaling deformation;
+- ``matrix_B``: the deformed conjugate Sigma^-1 D^-1 tA^-1 D Sigma.
+
+Words of the modular group evaluate through these families, either as
+plain matrices on the even-involution subgroup or as point/duality
+symmetries on the whole group.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+import mpmath
+from mpmath import mpf
+
+from . import boxes as bx
+from . import modular as md
+from . import projective as pj
+from . import scalars as sc
+from .boxes import LAMBDA_ZERO, BoxModuli, Lambda, OvermarkedBox
+from .errors import (
+    AmbiguousS,
+    InternalInconsistency,
+    NoBracket,
+    NoSolution,
+    NotARotation,
+    NotInSubgroupO,
+    SpecialBox,
+)
+from .modular import GroupWord
+
+
+@dataclass(frozen=True)
+class RepresentationParams:
+    """Moduli of the underlying box together with a deformation."""
+
+    moduli: BoxModuli
+    lam: Lambda
+
+
+# ---------------------------------------------------------------------------
+# matrix families
+
+
+def matrix_A(m: BoxModuli) -> tuple:
+    """Order-3 transformation matrix in the box-adapted basis."""
+    zt, zb = m.zeta_t, m.zeta_b
+    return (
+        (zt * zb - 1, zt * (1 - zt * zb), zb - zt),
+        (zb - zt, 1 - zt * zb, zt * zb - 1),
+        (0, 1 - zt * zt, 0),
+    )
+
+
+def matrix_D(m: BoxModuli) -> tuple:
+    """Symmetric polarity matrix; positive definite iff the moduli are
+    convex."""
+    zt, zb = m.zeta_t, m.zeta_b
+    return (
+        (1, -zt, -zb),
+        (-zt, 1, zt * zb),
+        (-zb, zt * zb, 1),
+    )
+
+
+def matrix_Sigma(lam: Lambda) -> tuple:
+    """The deformation matrix (determinant one for every parameter)."""
+    return bx.sigma_matrix(lam)
+
+
+def matrix_B0(m: BoxModuli) -> tuple:
+    """Undeformed image of the conjugated generator: D^-1 tA^-1 D."""
+    a = matrix_A(m)
+    d = matrix_D(m)
+    return sc.mat_mul(
+        sc.mat_mul(sc.mat_inverse(d), sc.mat_inverse(sc.mat_transpose(a))), d
+    )
+
+
+def matrix_B(m: BoxModuli, lam: Lambda) -> tuple:
+    """Deformed generator image: Sigma^-1 D^-1 tA^-1 D Sigma."""
+    sig = matrix_Sigma(lam)
+    return sc.mat_mul(sc.mat_mul(sc.mat_inverse(sig), matrix_B0(m)), sig)
+
+
+# ---------------------------------------------------------------------------
+# word evaluation
+
+
+def _mat_pow(m: tuple, k: int) -> tuple:
+    out = sc.IDENTITY
+    for _ in range(k):
+        out = sc.mat_mul(out, m)
+    return out
+
+
+def evaluate(m: BoxModuli, lam: Lambda, w: GroupWord) -> tuple:
+    """Matrix image of an even-involution word.
+
+    The rotation generator maps to ``matrix_A`` and its involution
+    conjugate to ``matrix_B``; the involution letters only toggle which
+    of the two families the rotation letters use, so the result is a
+    plain matrix (no duality needed).
+    """
+    if not md.in_subgroup_o(w):
+        raise NotInSubgroupO("matrix evaluation needs an even-involution word")
+    a = matrix_A(m)
+    b = matrix_B(m, lam)
+    out = sc.IDENTITY
+    parity = 0
+    for let in w.letters:
+        if let == "I":
+            parity ^= 1
+        else:
+            k = 1 if let == "R" else 2
+            base = a if parity == 0 else b
+            out = sc.mat_mul(out, _mat_pow(base, k))
+    return out
+
+
+def evaluate_schwartz(m: BoxModuli, w: GroupWord) -> pj.ProjSymmetry:
+    """Image of any word as a symmetry (transformation or polarity).
+
+    The rotation letter maps to the transformation of ``matrix_A`` and
+    the involution letter to the polarity of ``matrix_D``; the kind of
+    the result matches the parity of involution letters in the word.
+    """
+    a = pj.transformation(matrix_A(m))
+    d = pj.duality(matrix_D(m))
+    out = pj.transformation(sc.IDENTITY)
+    for let in w.letters:
+        if let == "I":
+            g = d
+        elif let == "R":
+            g = a
+        else:
+            g = a.compose(a)
+        out = out.compose(g)
+    return out
+
+
+def xi_action(w: GroupWord, box: OvermarkedBox, lam: Lambda = LAMBDA_ZERO) -> OvermarkedBox:
+    """Marked-box action of a word: the involution letter acts by the
+    (deformed) box involution and the rotation letter by the order-3
+    composite of involution and first descendant (independent of the
+    deformation).  Rightmost letters act first."""
+
+    def rho1(b: OvermarkedBox) -> OvermarkedBox:
+        return bx.transform_i(bx.tau1(b))
+
+    for let in reversed(w.letters):
+        if let == "I":
+            box = bx.i_lambda(box, lam)
+        elif let == "R":
+            box = rho1(box)
+        else:
+            box = rho1(rho1(box))
+    return box
+
+
+# ---------------------------------------------------------------------------
+# failure of loxodromy for the undeformed representation
+
+
+def non_anosov_witness(m: BoxModuli) -> tuple:
+    """Pair (P, Q) with P the image of the squared translation and Q an
+    explicit conjugator taking P to a non-loxodromic normal form."""
+    a = matrix_A(m)
+    p = sc.mat_mul(matrix_B0(m), a)
+    zb = m.zeta_b
+    q = ((-zb, 0, 1), (0, 2, 0), (1, 0, -zb))
+    return p, q
+
+
+NON_LOXODROMIC_NORMAL_FORM = ((-1, 1, 0), (0, -1, 0), (0, 0, 1))
+
+
+# ---------------------------------------------------------------------------
+# the extension curve
+
+
+def _special_coefficient(m: BoxModuli):
+    zt, zb = m.zeta_t, m.zeta_b
+    return zt * zt + zb * zb - 2 * zt * zt * zb * zb
+
+
+def curve_h(m: BoxModuli, lam: Lambda):
+    """The obstruction curve value h(epsilon, delta)."""
+    zt, zb = m.zeta_t, m.zeta_b
+    exact = lam.exact and sc.is_exact(zt) and sc.is_exact(zb)
+    ce, se = lam.cosh_eps(), lam.sinh_eps()
+    ed, emd = lam.exp_delta(), lam.exp_minus_delta()
+    cd, sd = (ed + emd) / 2, (ed - emd) / 2
+    if not exact:
+        zt, zb = sc.to_mpf(zt), sc.to_mpf(zb)
+        ce, se = sc.to_mpf(ce), sc.to_mpf(se)
+        cd, sd = sc.to_mpf(cd), sc.to_mpf(sd)
+    return (zt * zt + zb * zb - 2 * zt * zt * zb * zb) * ce * sd * (
+        2 * ce * cd - se
+    ) - zt * zb * (zt * zt - zb * zb) * se * (ce * cd - se - 1)
+
+
+CURVE_TOL = mpf("1e-12")
+
+
+def solve_delta_h(m: BoxModuli, epsilon, tol=CURVE_TOL) -> mpf:
+    """delta with |h(epsilon, delta)| <= tol, found by bisection.
+
+    The starting bracket is [-1, 1]; if h does not change sign there,
+    the bracket is doubled twice before giving up.
+    """
+    if _special_coefficient(m) == 0:
+        raise SpecialBox("the curve is degenerate at vanishing moduli")
+    eps = sc.to_mpf(epsilon)
+
+    def h(delta):
+        return curve_h(m, Lambda(epsilon=eps, delta=delta))
+
+    lo, hi = mpf(-1), mpf(1)
+    flo, fhi = h(lo), h(hi)
+    expansions = 0
+    while flo * fhi > 0:
+        if expansions >= 2:
+            raise NoBracket("no sign change of h on the search interval")
+        lo, hi = 2 * lo, 2 * hi
+        flo, fhi = h(lo), h(hi)
+        expansions += 1
+    if flo == 0:
+        return lo
+    if fhi == 0:
+        return hi
+    for _ in range(mpmath.mp.prec + 60):
+        mid = (lo + hi) / 2
+        fmid = h(mid)
+        if abs(fmid) <= tol:
+            return mid
+        if flo * fmid < 0:
+            hi, fhi = mid, fmid
+        else:
+            lo, flo = mid, fmid
+    return (lo + hi) / 2
+
+
+# ---------------------------------------------------------------------------
+# the extension intertwiner
+
+
+_SYM_INDEX = {
+    (0, 0): 0, (0, 1): 1, (1, 0): 1, (0, 2): 2, (2, 0): 2,
+    (1, 1): 3, (1, 2): 4, (2, 1): 4, (2, 2): 5,
+}
+
+
+def _sym_from_vector(vec) -> tuple:
+    s = vec
+    return (
+        (s[0], s[1], s[2]),
+        (s[1], s[3], s[4]),
+        (s[2], s[4], s[5]),
+    )
+
+
+def _conjugation_system(c: tuple, b: tuple):
+    """Rows of the 9x6 linear system c S - S b = 0 over the six
+    independent entries of a symmetric matrix S."""
+    if not (sc.mat_is_exact(c) and sc.mat_is_exact(b)):
+        c, b = sc.mat_to_mpf(c), sc.mat_to_mpf(b)
+    rows = []
+    for i in range(3):
+        for j in range(3):
+            row = [0] * 6
+            for k in range(3):
+                row[_SYM_INDEX[(k, j)]] += c[i][k]
+                row[_SYM_INDEX[(i, k)]] -= b[k][j]
+            rows.append(row)
+    return rows
+
+
+def _nullspace_float(rows, rel_tol=mpf("1e-9")):
+    a = mpmath.matrix([[sc.to_mpf(x) for x in row] for row in rows])
+    u, svals, v = mpmath.svd_r(a)
+    smax = max(svals[i] for i in range(svals.rows)) if svals.rows else mpf(0)
+    cutoff = rel_tol * max(smax, mpf(1))
+    basis = []
+    for i in range(v.rows):
+        if i >= svals.rows or svals[i] <= cutoff:
+            basis.append(tuple(v[i, j] for j in range(v.cols)))
+    return basis
+
+
+def _residual(c, b, s) -> mpf:
+    num = sc.mat_max_abs(
+        sc.mat_sub(sc.mat_mul(sc.mat_to_mpf(c), sc.mat_to_mpf(s)),
+                   sc.mat_mul(sc.mat_to_mpf(s), sc.mat_to_mpf(b)))
+    )
+    den = sc.mat_max_abs(sc.mat_to_mpf(s))
+    return sc.to_mpf(num) / sc.to_mpf(den)
+
+
+OBSTRUCTION_REL_TOL = mpf("1e-10")
+
+
+def obstruction(m: BoxModuli, lam: Lambda):
+    """det(Id - A B) whose vanishing permits a symmetric intertwiner."""
+    ab = sc.mat_mul(matrix_A(m), matrix_B(m, lam))
+    return sc.det3(sc.mat_sub(sc.IDENTITY, ab)), ab
+
+
+def extension_intertwiner(m: BoxModuli, lam: Lambda) -> tuple:
+    """Symmetric S with tA^-1 S = S B, when one exists.
+
+    Returns (S, residual, invertible).  For vanishing moduli the
+    deformation matrix itself works; otherwise the obstruction
+    determinant must vanish (within a scale-aware tolerance in float
+    mode, exactly in rational mode) and S spans the nullspace of the
+    9x6 conjugation system.
+    """
+    a = matrix_A(m)
+    c = sc.mat_inverse(sc.mat_transpose(a))
+    b = matrix_B(m, lam)
+    if m.zeta_t == 0 and m.zeta_b == 0:
+        s = matrix_Sigma(lam)
+        return s, _residual(c, b, s), True
+
+    exact = sc.mat_is_exact(b)
+    obs = sc.det3(sc.mat_sub(sc.IDENTITY, sc.mat_mul(a, b)))
+    if exact:
+        if obs != 0:
+            raise NoSolution("obstruction determinant is nonzero: %s" % obs)
+    else:
+        scale = max(sc.to_mpf(sc.mat_max_abs(sc.mat_mul(a, b))) ** 3, mpf(1))
+        if abs(sc.to_mpf(obs)) > OBSTRUCTION_REL_TOL * scale:
+            raise NoSolution("obstruction determinant is nonzero: %s" % obs)
+
+    rows = _conjugation_system(c, b)
+    basis = sc.nullspace_exact(rows) if exact else _nullspace_float(rows)
+    if not basis:
+        raise InternalInconsistency(
+            "obstruction vanishes but the conjugation system has no kernel"
+        )
+    if len(basis) > 1:
+        raise AmbiguousS([_sym_from_vector(vec) for vec in basis])
+    s = _sym_from_vector(basis[0])
+    if exact:
+        invertible = sc.det3(s) != 0
+    else:
+        dets = abs(sc.to_mpf(sc.det3(s)))
+        invertible = dets > sc.float_epsilon() * max(
+            sc.to_mpf(sc.mat_max_abs(s)) ** 3, mpf(1)
+        )
+    return s, _residual(c, b, s), invertible
+
+
+# ---------------------------------------------------------------------------
+# rotation criterion
+
+
+ROTATION_TOL = mpf("1e-9")
+
+
+def rotation_angle(a: tuple) -> mpf:
+    """Angle theta in (0, pi) of a matrix conjugate to a scaled rotation.
+
+    The spectrum must be one real value mu and a complex pair of the
+    same modulus; raises otherwise.
+    """
+    a = sc.mat_to_mpf(a)
+    trace = a[0][0] + a[1][1] + a[2][2]
+    e2 = (
+        a[0][0] * a[1][1] + a[1][1] * a[2][2] + a[2][2] * a[0][0]
+        - a[0][1] * a[1][0] - a[1][2] * a[2][1] - a[0][2] * a[2][0]
+    )
+    det = sc.det3(a)
+    roots = mpmath.polyroots([mpf(1), -trace, e2, -det])
+    scale = max(abs(r) for r in roots) + mpf(1)
+    real = [r for r in roots if abs(mpmath.im(r)) <= ROTATION_TOL * scale]
+    cplx = [r for r in roots if abs(mpmath.im(r)) > ROTATION_TOL * scale]
+    if len(cplx) != 2 or len(real) != 1:
+        raise NotARotation("spectrum lacks a genuinely complex pair")
+    mu = mpmath.re(real[0])
+    z = cplx[0] if mpmath.im(cplx[0]) > 0 else cplx[1]
+    if abs(abs(z) - abs(mu)) > ROTATION_TOL * scale:
+        raise NotARotation("complex pair modulus differs from the real eigenvalue")
+    theta = abs(mpmath.arg(z / mu))
+    if not (0 < theta < mpmath.pi):
+        raise NotARotation("rotation angle outside (0, pi)")
+    return theta
+
+
+def appendix_criterion(a: tuple, g: tuple) -> tuple:
+    """Equivalence of the determinant and intertwiner criteria.
+
+    For a scaled rotation ``a`` of angle in (0, pi) and invertible
+    ``g``, with b = g^-1 ta^-1 g, checks that det(Id - a b) = 0 exactly
+    when a nonzero symmetric S with ta^-1 S = S b exists, and verifies
+    the antisymmetric factorization Id - a b = a S^-1 (S a^-1 - t(S a^-1))
+    whenever an invertible S is found.  Returns the two booleans.
+    """
+    rotation_angle(a)
+    af = sc.mat_to_mpf(a)
+    gf = sc.mat_to_mpf(g)
+    c = sc.mat_inverse(sc.mat_transpose(af))
+    b = sc.mat_mul(sc.mat_mul(sc.mat_inverse(gf), c), gf)
+
+    ab = sc.mat_mul(af, b)
+    scale = max(sc.to_mpf(sc.mat_max_abs(ab)) ** 3, mpf(1))
+    by_det = abs(sc.det3(sc.mat_sub(sc.IDENTITY, ab))) <= OBSTRUCTION_REL_TOL * scale
+
+    basis = _nullspace_float(_conjugation_system(c, b))
+    by_intertwiner = bool(basis)
+    if by_det != by_intertwiner:
+        raise InternalInconsistency(
+            "determinant and intertwiner criteria disagree"
+        )
+
+    for vec in basis:
+        s = _sym_from_vector(vec)
+        dets = abs(sc.to_mpf(sc.det3(s)))
+        if dets <= sc.float_epsilon() * max(sc.to_mpf(sc.mat_max_abs(s)) ** 3, mpf(1)):
+            continue
+        # converse route: Id - a b factors through an antisymmetric matrix
+        sa_inv = sc.mat_mul(s, sc.mat_inverse(af))
+        k = sc.mat_sub(sa_inv, sc.mat_transpose(sa_inv))
+        lhs = sc.mat_sub(sc.IDENTITY, ab)
+        rhs = sc.mat_mul(sc.mat_mul(af, sc.mat_inverse(s)), k)
+        gap = sc.mat_max_abs(sc.mat_sub(sc.mat_to_mpf(lhs), sc.mat_to_mpf(rhs)))
+        bound = mpf("1e-8") * max(sc.to_mpf(sc.mat_max_abs(lhs)), mpf(1))
+        if sc.to_mpf(gap) > bound:
+            raise InternalInconsistency(
+                "antisymmetric factorization of Id - a b failed"
+            )
+    return by_det, by_intertwiner
