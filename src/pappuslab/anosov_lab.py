@@ -28,45 +28,32 @@ from . import modular as md
 from . import projective as pj
 from . import representation as rp
 from . import scalars as sc
-from .boxes import BoxModuli, Lambda
 from .errors import (
+    ComplexSpectrum,
     NoConvergence,
     PappusLabError,
     NonLoxodromic,
     NotInRegionInterior,
     NotInSubgroupO,
-)
-from .hilbert import (  # noqa: F401  (re-exported: same toolbox)
-    ConvexQuad,
-    distortion_estimate,
-    hilbert_distance,
-    hilbert_norm,
+    SingularMatrix,
 )
 from .modular import GroupWord, W_STEPS
 from .projective import Line, Point
 
 
-def _base_box(m: BoxModuli) -> bx.OvermarkedBox:
-    return bx.from_moduli(m)
-
-
-def _quad(box: bx.OvermarkedBox) -> hb.ConvexQuad:
-    return bx.convex_interior(box)
-
-
-def constant_C(m: BoxModuli, lam: Lambda, resolution: int = 16, directions: int = 8):
+def constant_C(rep: rp.Representation, resolution: int = 16, directions: int = 8):
     """Sampled minimal distortion gained by crossing two edges.
 
     Minimum over the four step words of the distortion of the step-word
     box image inside the base box; raises NotNested when the nesting
     fails (deformation outside the admissible region).
     """
-    box = _base_box(m)
-    outer = _quad(box)
+    box = bx.from_moduli(rep.moduli)
+    outer = bx.convex_interior(box)
     best = None
     for w in W_STEPS:
-        g = rp.evaluate(m, lam, w)
-        inner = _quad(bx.apply_matrix(box, g))
+        g = rp.evaluate(rep, w)
+        inner = bx.convex_interior(bx.apply_matrix(box, g))
         c = hb.distortion_estimate(inner, outer, resolution=resolution, directions=directions)
         best = c if best is None else min(best, c)
     return best
@@ -103,18 +90,21 @@ def _chart_diameter(box_points) -> mpf:
     return best
 
 
-def loxodromic_eigen(m: BoxModuli, lam: Lambda, w: GroupWord) -> sc.EigenResult:
+def _spectrum(rep: rp.Representation, w: GroupWord) -> sc.EigenResult:
+    """Eigen data of the determinant-one normalization of the word image."""
+    return sc.eigen_real(sc.normalize_det_one(sc.mat_to_mpf(rp.evaluate(rep, w))))
+
+
+def loxodromic_eigen(rep: rp.Representation, w: GroupWord) -> sc.EigenResult:
     """Eigen data of the word image; raises for non-loxodromic images."""
-    mat = rp.evaluate(m, lam, w)
-    res = sc.eigen_real(sc.normalize_det_one(sc.mat_to_mpf(mat)))
+    res = _spectrum(rep, w)
     if not res.loxodromic:
         raise NonLoxodromic("word image has collapsing eigenvalue moduli")
     return res
 
 
 def limit_point(
-    m: BoxModuli,
-    lam: Lambda,
+    rep: rp.Representation,
     w: GroupWord,
     tol=LIMIT_TOL,
     depth_cap: int = LIMIT_DEPTH_CAP,
@@ -134,18 +124,18 @@ def limit_point(
     """
     if not md.in_subgroup_o(w):
         raise NotInSubgroupO("limit points need even-involution words")
-    if not bx.in_region(lam):
+    if not bx.in_region(rep.lam):
         raise NotInRegionInterior("deformation outside the admissible region")
-    loxodromic_eigen(m, lam, w)
+    loxodromic_eigen(rep, w)
 
     core = md.crossing_form(w)
     blocks = []
     letters = list(core.letters)
     for k in range(0, len(letters), 4):
         blocks.append(GroupWord(tuple(letters[k: k + 4])))
-    step_mats = [sc.mat_to_mpf(rp.evaluate(m, lam, blk)) for blk in blocks]
+    step_mats = [sc.mat_to_mpf(rp.evaluate(rep, blk)) for blk in blocks]
 
-    box = _base_box(m)
+    box = bx.from_moduli(rep.moduli)
     corners = [sc.vec_to_mpf(p.coords) for p in (box.p, box.q, box.r, box.s)]
     bottom = sc.vec_to_mpf(box.b.coords)
     bottom_line = sc.vec_to_mpf(box.line_B.coords)
@@ -183,8 +173,7 @@ def limit_point(
 
 
 def doubling_check(
-    m: BoxModuli,
-    lam: Lambda,
+    rep: rp.Representation,
     budget: int = 24,
     sequences: int = 20,
     seed: int = 0,
@@ -202,11 +191,11 @@ def doubling_check(
     smallest integer with C^N > 2 for the sampled distortion constant
     C, and whether that growth certifies doubling.
     """
-    if not bx.in_region(lam):
+    if not bx.in_region(rep.lam):
         raise NotInRegionInterior("deformation outside the admissible region")
 
     if window is None:
-        c = constant_C(m, lam, resolution=resolution)
+        c = constant_C(rep, resolution=resolution)
         if c > 1:
             window = int(mpmath.ceil(mpmath.log(2) / mpmath.log(c)))
         else:
@@ -214,9 +203,9 @@ def doubling_check(
     else:
         c = None
 
-    box = _base_box(m)
+    box = bx.from_moduli(rep.moduli)
     corners = [sc.vec_to_mpf(p.coords) for p in (box.p, box.q, box.r, box.s)]
-    step_mats = {w: sc.mat_to_mpf(rp.evaluate(m, lam, w)) for w in W_STEPS}
+    step_mats = {w: sc.mat_to_mpf(rp.evaluate(rep, w)) for w in W_STEPS}
 
     rng = random.Random(seed)
     runs = (
@@ -278,7 +267,7 @@ def doubling_check(
 # loxodromy survey
 
 
-def loxodromy_scan(m: BoxModuli, lam: Lambda, max_len: int = 6) -> dict:
+def loxodromy_scan(rep: rp.Representation, max_len: int = 6) -> dict:
     """Eigenvalue-gap survey of all short even-involution words.
 
     Torsion words (trivial or finite order, whose cyclic core has no
@@ -294,10 +283,9 @@ def loxodromy_scan(m: BoxModuli, lam: Lambda, max_len: int = 6) -> dict:
         if core.is_identity or all(let != "I" for let in core.letters):
             continue
         scanned += 1
-        mat = rp.evaluate(m, lam, w)
         try:
-            res = sc.eigen_real(sc.normalize_det_one(sc.mat_to_mpf(mat)))
-        except Exception:
+            res = _spectrum(rep, w)
+        except (ComplexSpectrum, SingularMatrix):
             non_loxodromic.append(w)
             continue
         gap = min(res.gaps)

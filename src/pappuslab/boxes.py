@@ -466,6 +466,13 @@ def chart_coords(coords):
     return (sc.to_mpf(x) / sc.to_mpf(w), sc.to_mpf(y - z) / sc.to_mpf(w))
 
 
+def chart_point(xy) -> tuple:
+    """Coordinate vector of the chart point (x, y); inverse of
+    ``chart_coords``."""
+    x, y = xy
+    return (x, (1 + y) / 2, (1 - y) / 2)
+
+
 def in_standard_interior(coords, strict: bool = True) -> bool:
     """Membership in the (closed or open) unit square of the chart."""
     x, y, z = coords
@@ -541,8 +548,7 @@ def _interior_grid(box: OvermarkedBox, resolution: int):
     ticks = [mpf(2 * k + 1) / resolution - 1 for k in range(resolution)]
     for cx in ticks:
         for cy in ticks:
-            h = (cx, (1 + cy) / 2, (1 - cy) / 2)
-            pts.append(Point(sc.mat_vec(inv, h)))
+            pts.append(Point(sc.mat_vec(inv, chart_point((cx, cy)))))
     return pts
 
 

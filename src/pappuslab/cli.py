@@ -10,7 +10,8 @@ Subcommands:
 - ``variety``: Jacobian certificates over a moduli grid.
 
 Exit codes: 0 all checks pass, 1 a check fails or a computation
-errors, 2 usage error.
+errors, 2 usage error (including invalid values: a precision below 53
+bits, a negative count, a zero grid or a non-finite float).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import random
 import sys
@@ -69,6 +71,36 @@ def _parse_fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError("not a rational number: %s" % text) from exc
+
+
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError("not an integer: %s" % text) from exc
+        if value < low:
+            raise argparse.ArgumentTypeError("must be at least %d: %s" % (low, text))
+        return value
+
+    return parse
+
+
+_count = _int_at_least(0)
+_positive = _int_at_least(1)
+_precision_bits = _int_at_least(53)
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError("not a number: %s" % text) from exc
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("not a finite number: %s" % text)
+    return value
 
 
 def _moduli_from_args(args) -> BoxModuli:
@@ -270,14 +302,15 @@ def cmd_certify(args) -> int:
         _emit(report, args.out)
         return 1
     report["checks"]["nesting"] = bx.containment_check(box, lam)
+    rep = rp.Representation(moduli, lam)
     try:
-        constant = al.constant_C(moduli, lam)
+        constant = al.constant_C(rep)
         report["checks"]["constant_C"] = constant
         report["checks"]["contraction"] = constant > 1
     except NotNested:
         report["checks"]["constant_C"] = None
         report["checks"]["contraction"] = False
-    scan = al.loxodromy_scan(moduli, lam, max_len=args.maxlen)
+    scan = al.loxodromy_scan(rep, max_len=args.maxlen)
     report["checks"]["loxodromy_scanned"] = scan["scanned"]
     report["checks"]["loxodromy_min_gap"] = scan["min_gap"]
     report["checks"]["non_loxodromic_words"] = [
@@ -321,8 +354,9 @@ def cmd_curve(args) -> int:
     delta = rp.solve_delta_h(moduli, eps, tol=mpf(args.tol))
     lam = Lambda(epsilon=eps, delta=delta)
     h_residual = abs(rp.curve_h(moduli, lam))
-    obstruction, _ = rp.obstruction(moduli, lam)
-    s, residual, invertible = rp.extension_intertwiner(moduli, lam)
+    rep = rp.Representation(moduli, lam)
+    obstruction, _ = rp.obstruction(rep)
+    s, residual, invertible = rp.extension_intertwiner(rep)
     sym = max(
         abs(sc.to_mpf(s[i][j]) - sc.to_mpf(s[j][i])) for i in range(3) for j in range(3)
     )
@@ -355,8 +389,7 @@ def cmd_curve(args) -> int:
 
 
 def cmd_limit(args) -> int:
-    moduli = _moduli_from_args(args)
-    lam = _lambda_from_args(args)
+    rep = rp.Representation(_moduli_from_args(args), _lambda_from_args(args))
     words = [md.GroupWord.identity()]
     for _ in range(args.depth):
         words = [w * step for w in words for step in md.W_STEPS]
@@ -364,7 +397,7 @@ def cmd_limit(args) -> int:
     skipped = []
     for w in words:
         try:
-            sample = al.limit_point(moduli, lam, w, tol=mpf(args.tol))
+            sample = al.limit_point(rep, w, tol=mpf(args.tol))
         except NonLoxodromic:
             skipped.append(" ".join(w.letters))
             continue
@@ -460,8 +493,8 @@ def _add_moduli_flags(sub, zt_default="1/2", zb_default="1/3"):
 
 
 def _add_lambda_flags(sub):
-    sub.add_argument("--eps", type=float, default=0.0)
-    sub.add_argument("--delta", type=float, default=0.0)
+    sub.add_argument("--eps", type=_finite_float, default=0.0)
+    sub.add_argument("--delta", type=_finite_float, default=0.0)
     sub.add_argument("--u", type=_parse_fraction, default=None)
     sub.add_argument("--v", type=_parse_fraction, default=None)
 
@@ -471,18 +504,20 @@ def build_parser() -> argparse.ArgumentParser:
         prog="pappuslab",
         description="marked-box dynamics, deformations and diagnostics",
     )
+    # a string default goes through the type check, so a bad environment
+    # value is a usage error too
     parser.add_argument(
         "--precision",
-        type=int,
-        default=int(os.environ.get(PRECISION_ENV, sc.DEFAULT_PRECISION_BITS)),
-        help="working precision in bits (env %s)" % PRECISION_ENV,
+        type=_precision_bits,
+        default=os.environ.get(PRECISION_ENV, str(sc.DEFAULT_PRECISION_BITS)),
+        help="working precision in bits, at least 53 (env %s)" % PRECISION_ENV,
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("relations", help="exact group-relation suite")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--trials", type=_count, default=100)
+    p.add_argument("--pairs", type=_count, default=10)
     p.add_argument("--mutate", action="store_true", help="negative control")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_relations)
@@ -490,34 +525,34 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("iterate", help="render the nested box orbit as SVG")
     _add_moduli_flags(p, "0", "0")
     _add_lambda_flags(p)
-    p.add_argument("--depth", type=int, default=6)
+    p.add_argument("--depth", type=_count, default=6)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_iterate)
 
     p = subs.add_parser("certify", help="contraction and loxodromy diagnostics")
     _add_moduli_flags(p)
     _add_lambda_flags(p)
-    p.add_argument("--maxlen", type=int, default=4)
+    p.add_argument("--maxlen", type=_count, default=4)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_certify)
 
     p = subs.add_parser("curve", help="extension locus delta(epsilon)")
     _add_moduli_flags(p)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--eps", type=_finite_float, required=True)
+    p.add_argument("--tol", type=_finite_float, default=1e-12)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_curve)
 
     p = subs.add_parser("limit", help="CSV of periodic-word limit points")
     _add_moduli_flags(p)
     _add_lambda_flags(p)
-    p.add_argument("--depth", type=int, default=2, help="word length in crossing pairs")
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--depth", type=_count, default=2, help="word length in crossing pairs")
+    p.add_argument("--tol", type=_finite_float, default=1e-12)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_limit)
 
     p = subs.add_parser("variety", help="Jacobian certificates over a moduli grid")
-    p.add_argument("--grid", type=int, default=4)
+    p.add_argument("--grid", type=_positive, default=4)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_variety)
 

@@ -15,32 +15,11 @@ import mpmath
 import numpy as np
 from mpmath import mpf
 
+from . import boxes as bx
 from . import projective as pj
 from . import scalars as sc
-from .errors import NotNested, OutsideDomain, PappusLabError
+from .errors import DegenerateConfiguration, NotNested, OutsideDomain, PappusLabError
 from .projective import Point
-
-SQUARE_CORNERS = (
-    Point((-1, 1, 0)),
-    Point((1, 1, 0)),
-    Point((1, 0, 1)),
-    Point((-1, 0, 1)),
-)
-
-
-def square_chart(coords):
-    """Chart (x/(y+z), (y-z)/(y+z)); the quad becomes the unit square."""
-    x, y, z = coords
-    w = y + z
-    if w == 0:
-        raise OutsideDomain("point at infinity of the adapted chart")
-    return (sc.to_mpf(x) / sc.to_mpf(w), sc.to_mpf(y - z) / sc.to_mpf(w))
-
-
-def embed_chart(xy):
-    """Homogeneous coordinates of a chart point (inverse of square_chart)."""
-    x, yy = xy
-    return (x, (1 + yy) / 2, (1 - yy) / 2)
 
 
 @dataclass(frozen=True)
@@ -48,7 +27,8 @@ class ConvexQuad:
     """An ordered projective quadrilateral with its adapted chart.
 
     vertices must be in cyclic order; the cached basis matrix maps them
-    to (-1,1), (1,1), (1,-1), (-1,-1) in the chart.
+    to the box normal-form corners, so that ``boxes.chart_coords`` sends
+    them to (-1,1), (1,1), (1,-1), (-1,-1).
     """
 
     vertices: tuple
@@ -58,13 +38,16 @@ class ConvexQuad:
         if len(self.vertices) != 4:
             raise PappusLabError("a quadrilateral needs four vertices")
         try:
-            m = pj.frame_map(self.vertices, SQUARE_CORNERS)
+            m = pj.frame_map(self.vertices, bx.STANDARD_CORNERS)
         except PappusLabError as exc:
             raise PappusLabError("quad vertices are not in general position") from exc
         object.__setattr__(self, "basis", m)
 
     def chart(self, x: Point):
-        return square_chart(sc.mat_vec(self.basis, x.coords))
+        try:
+            return bx.chart_coords(sc.mat_vec(self.basis, x.coords))
+        except DegenerateConfiguration as exc:
+            raise OutsideDomain(str(exc)) from exc
 
     def contains(self, x: Point, strict: bool = True) -> bool:
         cx, cy = (sc.to_mpf(c) for c in self.chart(x))
@@ -73,7 +56,7 @@ class ConvexQuad:
         return abs(cx) <= 1 and abs(cy) <= 1
 
     def point_at(self, chart_xy) -> Point:
-        v = sc.mat_vec(sc.mat_inverse(self.basis), embed_chart(chart_xy))
+        v = sc.mat_vec(sc.mat_inverse(self.basis), bx.chart_point(chart_xy))
         return Point(v)
 
 
@@ -171,8 +154,7 @@ def distortion_estimate(inner: ConvexQuad, outer: ConvexQuad, resolution: int = 
     # transition from inner chart to outer chart: affine in homogeneous form
     m = sc.mat_mul(sc.mat_to_mpf(outer.basis), sc.mat_inverse(sc.mat_to_mpf(inner.basis)))
     mf = np.array([[float(x) for x in row] for row in m])
-    # embed_chart is affine: h(X,Y) = col_x * X + col_y * Y/2 ... explicitly
-    # h = M @ (X, (1+Y)/2, (1-Y)/2)
+    # chart_point is affine: h = M @ (X, (1+Y)/2, (1-Y)/2)
     ax = mf[:, 0]
     ay = (mf[:, 1] - mf[:, 2]) / 2
     c0 = (mf[:, 1] + mf[:, 2]) / 2

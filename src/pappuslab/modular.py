@@ -141,10 +141,6 @@ T1_WORD = GroupWord(("I", "R"))
 T2_WORD = GroupWord(("I", "RR"))
 
 
-def normalize(w: GroupWord) -> GroupWord:
-    return GroupWord(w.letters)
-
-
 def enumerate_words(max_len: int, subgroup_o_only: bool = False):
     """All normal-form words with at most max_len letters."""
     frontier = [GroupWord.identity()]
@@ -285,7 +281,7 @@ def edge_matrix(e: FareyEdge):
     return ((-p, pp), (-q, qq))
 
 
-def _matrix_to_word_st(m) -> GroupWord:
+def matrix_to_word(m) -> GroupWord:
     """Decompose a determinant-one integer matrix into the normal form,
     via the continued-fraction (Euclidean) algorithm on the first
     column, writing T = R I and the inversion as I."""
@@ -316,10 +312,6 @@ def _matrix_to_word_st(m) -> GroupWord:
     return word
 
 
-def matrix_to_word(m) -> GroupWord:
-    return _matrix_to_word_st(m)
-
-
 def star_action(w: GroupWord, e: FareyEdge) -> FareyEdge:
     """The second simply transitive action, commuting with the Mobius one.
 
@@ -339,7 +331,7 @@ def star_action(w: GroupWord, e: FareyEdge) -> FareyEdge:
 
 def label_word(e: FareyEdge) -> GroupWord:
     """The unique word gamma with e = gamma * base edge (star action)."""
-    return _matrix_to_word_st(edge_matrix(e)).reversed()
+    return matrix_to_word(edge_matrix(e)).reversed()
 
 
 def half_plane_contains(e: FareyEdge, inner: FareyEdge) -> bool:
@@ -435,7 +427,6 @@ def crossing_sequence(target: GroupWord, n: int) -> CrossingSequence:
         # odd number of I letters per period is impossible in subgroup_o
         raise InternalInconsistency("odd block count in an even-I word")
     steps = []
-    m = len(blocks) // 2
     for k in range(n):
         a = blocks[(2 * k) % len(blocks)]
         b = blocks[(2 * k + 1) % len(blocks)]
@@ -443,5 +434,4 @@ def crossing_sequence(target: GroupWord, n: int) -> CrossingSequence:
             (("R" if a == 1 else "RR"), "I", ("R" if b == 1 else "RR"), "I")
         )
         steps.append(step)
-    del m
     return CrossingSequence(base=target, steps=tuple(steps))

@@ -8,18 +8,19 @@ by its adapted-basis matrix.  The key families are:
   Pappus descendants;
 - ``matrix_D``: the symmetric polarity matrix swapping a box with its
   dual (positive definite exactly for convex moduli);
-- ``matrix_Sigma``: the two-parameter shear/scaling deformation;
-- ``matrix_B``: the deformed conjugate Sigma^-1 D^-1 tA^-1 D Sigma.
+- ``matrix_B``: the deformed conjugate Sigma^-1 D^-1 tA^-1 D Sigma, with
+  Sigma = ``boxes.sigma_matrix`` the two-parameter deformation.
 
-Words of the modular group evaluate through these families, either as
-plain matrices on the even-involution subgroup or as point/duality
-symmetries on the whole group.
+A ``Representation`` is the representation rho^lambda of the
+even-involution subgroup at one parameter point (moduli, lambda): it
+builds A and B^lambda once, and ``evaluate(rep, w)`` maps words to plain
+matrices through it.  ``evaluate_schwartz`` maps words of the whole
+group to point/duality symmetries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 
 import mpmath
 from mpmath import mpf
@@ -39,14 +40,6 @@ from .errors import (
     SpecialBox,
 )
 from .modular import GroupWord
-
-
-@dataclass(frozen=True)
-class RepresentationParams:
-    """Moduli of the underlying box together with a deformation."""
-
-    moduli: BoxModuli
-    lam: Lambda
 
 
 # ---------------------------------------------------------------------------
@@ -74,11 +67,6 @@ def matrix_D(m: BoxModuli) -> tuple:
     )
 
 
-def matrix_Sigma(lam: Lambda) -> tuple:
-    """The deformation matrix (determinant one for every parameter)."""
-    return bx.sigma_matrix(lam)
-
-
 def matrix_B0(m: BoxModuli) -> tuple:
     """Undeformed image of the conjugated generator: D^-1 tA^-1 D."""
     a = matrix_A(m)
@@ -90,7 +78,7 @@ def matrix_B0(m: BoxModuli) -> tuple:
 
 def matrix_B(m: BoxModuli, lam: Lambda) -> tuple:
     """Deformed generator image: Sigma^-1 D^-1 tA^-1 D Sigma."""
-    sig = matrix_Sigma(lam)
+    sig = bx.sigma_matrix(lam)
     return sc.mat_mul(sc.mat_mul(sc.mat_inverse(sig), matrix_B0(m)), sig)
 
 
@@ -98,34 +86,51 @@ def matrix_B(m: BoxModuli, lam: Lambda) -> tuple:
 # word evaluation
 
 
-def _mat_pow(m: tuple, k: int) -> tuple:
-    out = sc.IDENTITY
-    for _ in range(k):
-        out = sc.mat_mul(out, m)
-    return out
+@dataclass(frozen=True)
+class Representation:
+    """The representation rho^lambda at one parameter point.
+
+    The rotation generator maps to A = ``matrix_A(moduli)`` and its
+    involution conjugate to B^lambda = ``matrix_B(moduli, lam)``.  A,
+    A^2, B^lambda and (B^lambda)^2 are built once, in the scalar mode of
+    the inputs (exact for rational moduli and an exact deformation).
+    """
+
+    moduli: BoxModuli
+    lam: Lambda
+    a: tuple = field(init=False, repr=False, compare=False)
+    b: tuple = field(init=False, repr=False, compare=False)
+    # images of the rotation letters, indexed [parity of I letters][letter]
+    letter_images: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        a = matrix_A(self.moduli)
+        b = matrix_B(self.moduli, self.lam)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(
+            self,
+            "letter_images",
+            ({"R": a, "RR": sc.mat_mul(a, a)}, {"R": b, "RR": sc.mat_mul(b, b)}),
+        )
 
 
-def evaluate(m: BoxModuli, lam: Lambda, w: GroupWord) -> tuple:
-    """Matrix image of an even-involution word.
+def evaluate(rep: Representation, w: GroupWord) -> tuple:
+    """Matrix image of an even-involution word under ``rep``.
 
-    The rotation generator maps to ``matrix_A`` and its involution
-    conjugate to ``matrix_B``; the involution letters only toggle which
-    of the two families the rotation letters use, so the result is a
-    plain matrix (no duality needed).
+    The involution letters only toggle which of A and B^lambda the
+    rotation letters use, so the result is a plain matrix (no duality
+    needed).
     """
     if not md.in_subgroup_o(w):
         raise NotInSubgroupO("matrix evaluation needs an even-involution word")
-    a = matrix_A(m)
-    b = matrix_B(m, lam)
     out = sc.IDENTITY
     parity = 0
     for let in w.letters:
         if let == "I":
             parity ^= 1
         else:
-            k = 1 if let == "R" else 2
-            base = a if parity == 0 else b
-            out = sc.mat_mul(out, _mat_pow(base, k))
+            out = sc.mat_mul(out, rep.letter_images[parity][let])
     return out
 
 
@@ -311,13 +316,23 @@ def _residual(c, b, s) -> mpf:
 OBSTRUCTION_REL_TOL = mpf("1e-10")
 
 
-def obstruction(m: BoxModuli, lam: Lambda):
-    """det(Id - A B) whose vanishing permits a symmetric intertwiner."""
-    ab = sc.mat_mul(matrix_A(m), matrix_B(m, lam))
+def obstruction(rep: Representation):
+    """det(Id - A B) whose vanishing permits a symmetric intertwiner,
+    together with the product A B."""
+    ab = sc.mat_mul(rep.a, rep.b)
     return sc.det3(sc.mat_sub(sc.IDENTITY, ab)), ab
 
 
-def extension_intertwiner(m: BoxModuli, lam: Lambda) -> tuple:
+def _obstruction_vanishes(obs, ab) -> bool:
+    """Exactly in exact mode; in float mode within OBSTRUCTION_REL_TOL
+    times max(max|A B|^3, 1)."""
+    if sc.is_exact(obs):
+        return obs == 0
+    scale = max(sc.to_mpf(sc.mat_max_abs(ab)) ** 3, mpf(1))
+    return abs(sc.to_mpf(obs)) <= OBSTRUCTION_REL_TOL * scale
+
+
+def extension_intertwiner(rep: Representation) -> tuple:
     """Symmetric S with tA^-1 S = S B, when one exists.
 
     Returns (S, residual, invertible).  For vanishing moduli the
@@ -326,22 +341,16 @@ def extension_intertwiner(m: BoxModuli, lam: Lambda) -> tuple:
     mode, exactly in rational mode) and S spans the nullspace of the
     9x6 conjugation system.
     """
-    a = matrix_A(m)
-    c = sc.mat_inverse(sc.mat_transpose(a))
-    b = matrix_B(m, lam)
+    m, b = rep.moduli, rep.b
+    c = sc.mat_inverse(sc.mat_transpose(rep.a))
     if m.zeta_t == 0 and m.zeta_b == 0:
-        s = matrix_Sigma(lam)
+        s = bx.sigma_matrix(rep.lam)
         return s, _residual(c, b, s), True
 
     exact = sc.mat_is_exact(b)
-    obs = sc.det3(sc.mat_sub(sc.IDENTITY, sc.mat_mul(a, b)))
-    if exact:
-        if obs != 0:
-            raise NoSolution("obstruction determinant is nonzero: %s" % obs)
-    else:
-        scale = max(sc.to_mpf(sc.mat_max_abs(sc.mat_mul(a, b))) ** 3, mpf(1))
-        if abs(sc.to_mpf(obs)) > OBSTRUCTION_REL_TOL * scale:
-            raise NoSolution("obstruction determinant is nonzero: %s" % obs)
+    obs, ab = obstruction(rep)
+    if not _obstruction_vanishes(obs, ab):
+        raise NoSolution("obstruction determinant is nonzero: %s" % obs)
 
     rows = _conjugation_system(c, b)
     basis = sc.nullspace_exact(rows) if exact else _nullspace_float(rows)
@@ -352,14 +361,7 @@ def extension_intertwiner(m: BoxModuli, lam: Lambda) -> tuple:
     if len(basis) > 1:
         raise AmbiguousS([_sym_from_vector(vec) for vec in basis])
     s = _sym_from_vector(basis[0])
-    if exact:
-        invertible = sc.det3(s) != 0
-    else:
-        dets = abs(sc.to_mpf(sc.det3(s)))
-        invertible = dets > sc.float_epsilon() * max(
-            sc.to_mpf(sc.mat_max_abs(s)) ** 3, mpf(1)
-        )
-    return s, _residual(c, b, s), invertible
+    return s, _residual(c, b, s), not sc.is_singular(s, sc.det3(s))
 
 
 # ---------------------------------------------------------------------------
@@ -377,12 +379,7 @@ def rotation_angle(a: tuple) -> mpf:
     """
     a = sc.mat_to_mpf(a)
     trace = a[0][0] + a[1][1] + a[2][2]
-    e2 = (
-        a[0][0] * a[1][1] + a[1][1] * a[2][2] + a[2][2] * a[0][0]
-        - a[0][1] * a[1][0] - a[1][2] * a[2][1] - a[0][2] * a[2][0]
-    )
-    det = sc.det3(a)
-    roots = mpmath.polyroots([mpf(1), -trace, e2, -det])
+    roots = mpmath.polyroots([mpf(1), -trace, sc.second_symmetric(a), -sc.det3(a)])
     scale = max(abs(r) for r in roots) + mpf(1)
     real = [r for r in roots if abs(mpmath.im(r)) <= ROTATION_TOL * scale]
     cplx = [r for r in roots if abs(mpmath.im(r)) > ROTATION_TOL * scale]
@@ -414,8 +411,7 @@ def appendix_criterion(a: tuple, g: tuple) -> tuple:
     b = sc.mat_mul(sc.mat_mul(sc.mat_inverse(gf), c), gf)
 
     ab = sc.mat_mul(af, b)
-    scale = max(sc.to_mpf(sc.mat_max_abs(ab)) ** 3, mpf(1))
-    by_det = abs(sc.det3(sc.mat_sub(sc.IDENTITY, ab))) <= OBSTRUCTION_REL_TOL * scale
+    by_det = _obstruction_vanishes(sc.det3(sc.mat_sub(sc.IDENTITY, ab)), ab)
 
     basis = _nullspace_float(_conjugation_system(c, b))
     by_intertwiner = bool(basis)
@@ -426,8 +422,7 @@ def appendix_criterion(a: tuple, g: tuple) -> tuple:
 
     for vec in basis:
         s = _sym_from_vector(vec)
-        dets = abs(sc.to_mpf(sc.det3(s)))
-        if dets <= sc.float_epsilon() * max(sc.to_mpf(sc.mat_max_abs(s)) ** 3, mpf(1)):
+        if sc.is_singular(s, sc.det3(s)):
             continue
         # converse route: Id - a b factors through an antisymmetric matrix
         sa_inv = sc.mat_mul(s, sc.mat_inverse(af))

@@ -102,23 +102,14 @@ def vec_to_mpf(u: Vec3) -> Vec3:
 def mat_exact_reduce(m: Mat3) -> Mat3:
     """Canonical coprime-integer representative of an exact nonzero
     matrix (up to positive scale)."""
-    flat = vec9_exact_reduce([x for row in m for x in row])
+    flat = vec_exact_reduce([x for row in m for x in row])
     return tuple(tuple(flat[3 * i + j] for j in range(3)) for i in range(3))
 
 
-def vec9_exact_reduce(u):
-    scale = math.lcm(*(Fraction(x).denominator for x in u))
-    ints = [int(x * scale) for x in u]
-    g = math.gcd(*ints)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return ints
-
-
-def vec_exact_reduce(u: Vec3) -> Vec3:
+def vec_exact_reduce(u) -> tuple:
     """Canonical coprime-integer representative of an exact nonzero
-    vector (up to positive scale); keeps rational computations on small
-    integers instead of compounding denominators."""
+    vector of any length (up to positive scale); keeps rational
+    computations on small integers instead of compounding denominators."""
     scale = math.lcm(*(Fraction(x).denominator for x in u))
     ints = [int(x * scale) for x in u]
     g = math.gcd(*ints)
@@ -158,6 +149,19 @@ def mat_sub(a: Mat3, b: Mat3) -> Mat3:
 
 def mat_add(a: Mat3, b: Mat3) -> Mat3:
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def second_symmetric(m: Mat3):
+    """Sum of the principal 2x2 minors, the coefficient e2 of the
+    characteristic polynomial x^3 - tr x^2 + e2 x - det."""
+    return (
+        m[0][0] * m[1][1]
+        + m[1][1] * m[2][2]
+        + m[2][2] * m[0][0]
+        - m[0][1] * m[1][0]
+        - m[1][2] * m[2][1]
+        - m[0][2] * m[2][0]
+    )
 
 
 def det3(m: Mat3):
@@ -200,24 +204,29 @@ def mat_to_mpf(m: Mat3) -> Mat3:
     return tuple(tuple(to_mpf(x) for x in row) for row in m)
 
 
+def is_singular(m: Mat3, d) -> bool:
+    """Whether d = det(m) counts as zero.
+
+    Exactly zero in exact mode (an exact d comes only from an exact m);
+    in float mode, |d| <= float_epsilon() * max(max|m|^3, 1).
+    """
+    if is_exact(d):
+        return d == 0
+    return abs(to_mpf(d)) <= float_epsilon() * max(to_mpf(mat_max_abs(m)) ** 3, mpf(1))
+
+
 def mat_inverse(m: Mat3) -> Mat3:
     """Inverse via the adjugate; exact in rational mode.
 
-    Raises SingularMatrix when det(m) = 0 (exact) or when |det| falls
-    below a precision-scaled tolerance (float).
+    Raises SingularMatrix when ``is_singular`` holds for det(m).
     """
     d = det3(m)
-    if mat_is_exact(m):
-        if d == 0:
-            raise SingularMatrix("matrix has zero determinant")
-        adj = adjugate(m)
+    if is_singular(m, d):
+        raise SingularMatrix("matrix determinant is zero at the working precision")
+    if is_exact(d):
         dd = Fraction(d)
-        return tuple(tuple(Fraction(x) / dd for x in row) for row in adj)
-    d = to_mpf(d)
-    scale = to_mpf(mat_max_abs(m)) ** 3
-    if abs(d) <= float_epsilon() * max(scale, mpf(1)):
-        raise SingularMatrix("matrix determinant below tolerance")
-    return mat_scale(adjugate(m), 1 / d)
+        return tuple(tuple(Fraction(x) / dd for x in row) for row in adjugate(m))
+    return mat_scale(adjugate(m), 1 / to_mpf(d))
 
 
 def solve3(m: Mat3, rhs: Vec3) -> Vec3:
@@ -252,22 +261,20 @@ def normalize_det_one(m: Mat3) -> Mat3:
     """Scale m by the real cube root of its determinant so det = 1.
 
     Stays exact whenever the determinant is a perfect rational cube;
-    otherwise the result is in float mode.
+    otherwise the result is in float mode.  Raises SingularMatrix when
+    ``is_singular`` holds for det(m).
     """
     d = det3(m)
-    if mat_is_exact(m):
-        if d == 0:
-            raise SingularMatrix("matrix has zero determinant")
+    if is_exact(d) and d != 0:
         c = _exact_cbrt(Fraction(d))
         if c is not None:
             return tuple(tuple(Fraction(x) / c for x in row) for row in m)
         m = mat_to_mpf(m)
         d = det3(m)
-    d = to_mpf(d)
-    scale = to_mpf(mat_max_abs(m)) ** 3
-    if abs(d) <= float_epsilon() * max(scale, mpf(1)):
-        raise SingularMatrix("matrix determinant below tolerance")
-    return mat_scale(m, 1 / real_cbrt(d))
+    if is_singular(m, d):
+        raise SingularMatrix("matrix determinant is zero at the working precision")
+    c = real_cbrt(d)
+    return tuple(tuple(x / c for x in row) for row in m)
 
 
 # ---------------------------------------------------------------------------
@@ -345,14 +352,7 @@ def eigen_real(m: Mat3, newton_steps: int = 2) -> EigenResult:
     """
     m = mat_to_mpf(m)
     trace = m[0][0] + m[1][1] + m[2][2]
-    e2 = (
-        m[0][0] * m[1][1]
-        + m[1][1] * m[2][2]
-        + m[2][2] * m[0][0]
-        - m[0][1] * m[1][0]
-        - m[1][2] * m[2][1]
-        - m[0][2] * m[2][0]
-    )
+    e2 = second_symmetric(m)
     d = det3(m)
     # characteristic polynomial: x^3 - tr x^2 + e2 x - det
     roots = _cubic_real_roots(-trace, e2, -d)

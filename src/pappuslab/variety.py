@@ -34,15 +34,6 @@ FD_REL_TOL = mpf("1e-6")
 _OFF_DIAGONAL = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
 
 
-def unimodular(m: tuple) -> tuple:
-    """Rescale to determinant one by the real cube root of det."""
-    d = sc.to_mpf(sc.det3(m))
-    if d == 0:
-        raise InternalInconsistency("cannot normalize a singular matrix")
-    scale = mpmath.sign(d) * mpmath.cbrt(abs(d))
-    return tuple(tuple(sc.to_mpf(x) / scale for x in row) for row in m)
-
-
 @dataclass(frozen=True)
 class VarietyPoint:
     """A pair of determinant-one matrices, a candidate variety point."""
@@ -57,29 +48,16 @@ class VarietyPoint:
                 raise InternalInconsistency("variety points need determinant one")
 
 
-def _second_symmetric(m: tuple):
-    """Sum of the principal 2x2 minors (the trace of the inverse for a
-    determinant-one matrix)."""
-    return (
-        m[0][0] * m[1][1]
-        + m[1][1] * m[2][2]
-        + m[2][2] * m[0][0]
-        - m[0][1] * m[1][0]
-        - m[1][2] * m[2][1]
-        - m[0][2] * m[2][0]
-    )
-
-
 def psi_eval(a: tuple, b: tuple) -> tuple:
     """Six defining polynomials of the order-3 pair variety: for each
     matrix, det - 1, trace and the second symmetric function."""
     return (
         sc.det3(a) - 1,
         a[0][0] + a[1][1] + a[2][2],
-        _second_symmetric(a),
+        sc.second_symmetric(a),
         sc.det3(b) - 1,
         b[0][0] + b[1][1] + b[2][2],
-        _second_symmetric(b),
+        sc.second_symmetric(b),
     )
 
 
@@ -95,7 +73,7 @@ def order3_trace_check(a: tuple, tol=TRACE_TOL) -> bool:
         raise IdentityInput("the criterion excludes the identity matrix")
     by_trace = (
         abs(af[0][0] + af[1][1] + af[2][2]) <= tol
-        and abs(sc.to_mpf(_second_symmetric(af))) <= tol
+        and abs(sc.to_mpf(sc.second_symmetric(af))) <= tol
     )
     cube = sc.mat_mul(af, sc.mat_mul(af, af))
     by_cube = max(
@@ -109,8 +87,8 @@ def order3_trace_check(a: tuple, tol=TRACE_TOL) -> bool:
 def generator_pair(m: BoxModuli, lam: Lambda) -> VarietyPoint:
     """Determinant-one images of the two order-3 generators."""
     return VarietyPoint(
-        a=unimodular(sc.mat_to_mpf(rp.matrix_A(m))),
-        b=unimodular(sc.mat_to_mpf(rp.matrix_B(m, lam))),
+        a=sc.normalize_det_one(sc.mat_to_mpf(rp.matrix_A(m))),
+        b=sc.normalize_det_one(sc.mat_to_mpf(rp.matrix_B(m, lam))),
     )
 
 
@@ -217,10 +195,10 @@ def jacobian_check_phi(m: BoxModuli, step=FD_STEP) -> dict:
         lam = Lambda(epsilon=x[2], delta=x[3])
         g = tuple(tuple(x[4 + 3 * i + j] for j in range(3)) for i in range(3))
         g_inv = sc.mat_inverse(g)
-        a = sc.mat_mul(g, sc.mat_mul(unimodular(sc.mat_to_mpf(rp.matrix_A(moduli))), g_inv))
-        b = sc.mat_mul(
-            g, sc.mat_mul(unimodular(sc.mat_to_mpf(rp.matrix_B(moduli, lam))), g_inv)
-        )
+        a = sc.normalize_det_one(sc.mat_to_mpf(rp.matrix_A(moduli)))
+        b = sc.normalize_det_one(sc.mat_to_mpf(rp.matrix_B(moduli, lam)))
+        a = sc.mat_mul(g, sc.mat_mul(a, g_inv))
+        b = sc.mat_mul(g, sc.mat_mul(b, g_inv))
         return _off_diagonal(a) + _off_diagonal(b) + (sc.det3(g),)
 
     fd = _fd_determinant(func, base, 13, sc.to_mpf(step))

@@ -46,7 +46,7 @@ def _chart_distance(p1, p2):
 
 
 def _attracting_point(m, lam, w):
-    res = al.loxodromic_eigen(m, lam, w)
+    res = al.loxodromic_eigen(rp.Representation(m, lam), w)
     _, vec = max(res.pairs, key=lambda p: abs(p[0]))
     return Point(vec)
 
@@ -160,11 +160,11 @@ def test_acceptance_04_boundary_non_loxodromic():
     w = md.T1_WORD * md.T1_WORD
     ok = True
     for m in (M_ZERO, M_TEST):
-        mat = rp.evaluate(m, LAMBDA_ZERO, w)
+        mat = rp.evaluate(rp.Representation(m, LAMBDA_ZERO), w)
         res = sc.eigen_real(sc.normalize_det_one(sc.mat_to_mpf(mat)))
         ratios = [res.moduli[k + 1] / res.moduli[k] for k in range(2)]
         ok = ok and all(abs(r - 1) <= mpf("1e-9") for r in ratios)
-        scan = al.loxodromy_scan(m, LAMBDA_ZERO, max_len=4)
+        scan = al.loxodromy_scan(rp.Representation(m, LAMBDA_ZERO), max_len=4)
         cores = {md.crossing_form(v).letters for v in scan["non_loxodromic"]}
         ok = ok and md.crossing_form(w).letters in cores
     ok = _report(
@@ -197,9 +197,9 @@ def test_acceptance_05_interior_diagnostics():
         box = from_moduli(m)
         for lam in grid:
             nesting_ok = nesting_ok and bx.containment_check(box, lam, strict=True)
-            c = al.constant_C(m, lam, resolution=6, directions=4)
+            c = al.constant_C(rp.Representation(m, lam), resolution=6, directions=4)
             constant_ok = constant_ok and c > 1
-            scan = al.loxodromy_scan(m, lam, max_len=6)
+            scan = al.loxodromy_scan(rp.Representation(m, lam), max_len=6)
             gap_ok = gap_ok and not scan["non_loxodromic"]
             gap_ok = gap_ok and scan["min_gap"] > 1 + mpf("1e-6")
             min_gap = scan["min_gap"] if min_gap is None else min(min_gap, scan["min_gap"])
@@ -217,7 +217,7 @@ def test_acceptance_05_interior_diagnostics():
         if key in seen:
             continue
         seen.add(key)
-        sample = al.limit_point(m, lam, w)
+        sample = al.limit_point(rp.Representation(m, lam), w)
         target = _attracting_point(m, lam, w)
         limit_ok = limit_ok and _chart_distance(sample.point, target) <= mpf("1e-9")
         residual_ok = residual_ok and sample.flag_residual <= mpf("1e-9")
@@ -244,10 +244,10 @@ def test_acceptance_06_extension_curve():
         delta = rp.solve_delta_h(M_TEST, eps)
         lam = Lambda(epsilon=eps, delta=delta)
         ok = ok and abs(rp.curve_h(M_TEST, lam)) <= mpf("1e-12")
-        obs, ab = rp.obstruction(M_TEST, lam)
+        obs, ab = rp.obstruction(rp.Representation(M_TEST, lam))
         scale = max(sc.to_mpf(sc.mat_max_abs(ab)) ** 3, mpf(1))
         ok = ok and abs(sc.to_mpf(obs)) <= mpf("1e-10") * scale
-        s, residual, invertible = rp.extension_intertwiner(M_TEST, lam)
+        s, residual, invertible = rp.extension_intertwiner(rp.Representation(M_TEST, lam))
         ok = ok and s == sc.mat_transpose(s)
         ok = ok and invertible
         ok = ok and residual <= mpf("1e-10")
@@ -450,7 +450,7 @@ def test_acceptance_10_special_limit_geometry():
             continue
         seen.add(w.letters)
         try:
-            sample = al.limit_point(M_ZERO, LAMBDA_ZERO, w)
+            sample = al.limit_point(rp.Representation(M_ZERO, LAMBDA_ZERO), w)
         except NonLoxodromic:
             continue
         pt = sc.vec_to_mpf(sample.point.coords)

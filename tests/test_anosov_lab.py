@@ -38,7 +38,7 @@ def chart_distance(p1, p2):
 
 
 def attracting_vector(m, la, w):
-    res = al.loxodromic_eigen(m, la, w)
+    res = al.loxodromic_eigen(rp.Representation(m, la), w)
     _, vec = max(res.pairs, key=lambda p: abs(p[0]))
     return vec
 
@@ -55,20 +55,21 @@ def random_w_word(rng, blocks):
 
 
 def test_constant_c_undeformed():
-    c = al.constant_C(M_ZERO, LAM_ZERO, resolution=16, directions=8)
+    c = al.constant_C(rp.Representation(M_ZERO, LAM_ZERO), resolution=16, directions=8)
     assert c > 1
 
 
 def test_constant_c_deformed_larger():
-    c0 = al.constant_C(M_TEST, LAM_ZERO, resolution=16, directions=8)
-    cd = al.constant_C(M_TEST, lam(mpf("-0.2")), resolution=16, directions=8)
+    c0 = al.constant_C(rp.Representation(M_TEST, LAM_ZERO), resolution=16, directions=8)
+    deformed = rp.Representation(M_TEST, lam(mpf("-0.2")))
+    cd = al.constant_C(deformed, resolution=16, directions=8)
     assert c0 > 1
     assert cd > c0
 
 
 def test_constant_c_outside_region():
     with pytest.raises(NotNested):
-        al.constant_C(M_ZERO, lam(mpf("0.5")), resolution=8, directions=4)
+        al.constant_C(rp.Representation(M_ZERO, lam(mpf("0.5"))), resolution=8, directions=4)
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +84,7 @@ def test_limit_point_special_moduli_on_line():
         ("RR", "I", "R", "I"),
         ("R", "I", "RR", "I", "RR", "I", "RR", "I"),
     ):
-        s = al.limit_point(M_ZERO, LAM_ZERO, GroupWord(letters))
+        s = al.limit_point(rp.Representation(M_ZERO, LAM_ZERO), GroupWord(letters))
         pt = sc.vec_to_mpf(s.point.coords)
         assert abs(pt[0]) <= mpf("1e-9") * sc.vec_max_abs(pt)
 
@@ -91,7 +92,7 @@ def test_limit_point_special_moduli_on_line():
 def test_limit_point_matches_attracting_eigenvector():
     la = lam(mpf("-0.1"))
     w = md.R_WORD * GroupWord(("I", "R", "I"))  # R I R I
-    s = al.limit_point(M_TEST, la, w)
+    s = al.limit_point(rp.Representation(M_TEST, la), w)
     vec = attracting_vector(M_TEST, la, w)
     from pappuslab.projective import Point
 
@@ -103,7 +104,7 @@ def test_limit_point_flag_residual():
     rng = random.Random(23)
     for _ in range(10):
         w = random_w_word(rng, rng.randint(1, 3))
-        s = al.limit_point(M_TEST, la, w)
+        s = al.limit_point(rp.Representation(M_TEST, la), w)
         assert s.flag_residual <= mpf("1e-9")
         assert s.diameter_at_stop < al.LIMIT_TOL
 
@@ -122,7 +123,7 @@ def test_limit_point_random_words_eigen_oracle():
         if w.letters in seen:
             continue
         seen.add(w.letters)
-        s = al.limit_point(M_ZERO, la, w)
+        s = al.limit_point(rp.Representation(M_ZERO, la), w)
         vec = attracting_vector(M_ZERO, la, w)
         assert chart_distance(s.point, Point(vec)) < 10 * al.LIMIT_TOL
         checked += 1
@@ -130,12 +131,13 @@ def test_limit_point_random_words_eigen_oracle():
 
 def test_limit_point_rejects_bad_inputs():
     with pytest.raises(NotInSubgroupO):
-        al.limit_point(M_ZERO, LAM_ZERO, md.I_WORD)
+        al.limit_point(rp.Representation(M_ZERO, LAM_ZERO), md.I_WORD)
     with pytest.raises(NonLoxodromic):
         # parabolic at the undeformed parameters
-        al.limit_point(M_ZERO, LAM_ZERO, GroupWord(("R", "I", "R", "I")))
+        al.limit_point(rp.Representation(M_ZERO, LAM_ZERO), GroupWord(("R", "I", "R", "I")))
     with pytest.raises(NotInRegionInterior):
-        al.limit_point(M_ZERO, lam(mpf("0.5")), GroupWord(("R", "I", "RR", "I")))
+        outside = rp.Representation(M_ZERO, lam(mpf("0.5")))
+        al.limit_point(outside, GroupWord(("R", "I", "RR", "I")))
 
 
 def test_limit_map_injectivity_deformed():
@@ -148,7 +150,7 @@ def test_limit_map_injectivity_deformed():
         GroupWord(("RR", "I", "RR", "I")),
         GroupWord(("R", "I", "R", "I", "RR", "I", "RR", "I")),
     ]
-    pts = [al.limit_point(M_ZERO, la, w).point for w in words]
+    pts = [al.limit_point(rp.Representation(M_ZERO, la), w).point for w in words]
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             assert chart_distance(pts[i], pts[j]) > 10 * al.LIMIT_TOL
@@ -167,7 +169,7 @@ def test_collapsed_component_extremities():
     minus = Point(attracting_vector(M_ZERO, la, g.inverse()))
     assert chart_distance(plus, minus) > mpf("0.1")
 
-    p = sc.mat_to_mpf(rp.evaluate(M_ZERO, LAM_ZERO, g))
+    p = sc.mat_to_mpf(rp.evaluate(rp.Representation(M_ZERO, LAM_ZERO), g))
     p_inv = sc.mat_inverse(p)
 
     def iterate(mat, steps):
@@ -195,7 +197,8 @@ def test_collapsed_component_extremities():
 
 
 def test_doubling_deformed_certifies():
-    rep = al.doubling_check(M_ZERO, lam(mpf("-0.3")), budget=24, sequences=12, seed=1)
+    rep = rp.Representation(M_ZERO, lam(mpf("-0.3")))
+    rep = al.doubling_check(rep, budget=24, sequences=12, seed=1)
     assert rep["constant"] > 2
     assert rep["window"] >= 1
     assert rep["worst_growth"] >= 2
@@ -208,7 +211,7 @@ def test_doubling_undeformed_parabolic_fails():
     # segment
     w = GroupWord(("R", "I", "R", "I"))
     rep = al.doubling_check(
-        M_ZERO, LAM_ZERO, budget=32, fixed_sequence=[w] * 32
+        rp.Representation(M_ZERO, LAM_ZERO), budget=32, fixed_sequence=[w] * 32
     )
     assert not rep["certified"]
     assert rep["worst_growth"] < 2
@@ -216,7 +219,7 @@ def test_doubling_undeformed_parabolic_fails():
 
 def test_doubling_outside_region():
     with pytest.raises(NotInRegionInterior):
-        al.doubling_check(M_ZERO, lam(mpf("0.5")), budget=8)
+        al.doubling_check(rp.Representation(M_ZERO, lam(mpf("0.5"))), budget=8)
 
 
 # ---------------------------------------------------------------------------
@@ -224,16 +227,27 @@ def test_doubling_outside_region():
 
 
 def test_loxodromy_scan_undeformed_parabolic():
-    scan = al.loxodromy_scan(M_ZERO, LAM_ZERO, max_len=4)
+    scan = al.loxodromy_scan(rp.Representation(M_ZERO, LAM_ZERO), max_len=4)
     bad = {w.letters for w in scan["non_loxodromic"]}
     assert ("R", "I", "R", "I") in bad or ("I", "R", "I", "R") in bad
 
 
 def test_loxodromy_scan_deformed_all_loxodromic():
-    scan = al.loxodromy_scan(M_ZERO, lam(mpf("-0.2")), max_len=6)
+    scan = al.loxodromy_scan(rp.Representation(M_ZERO, lam(mpf("-0.2"))), max_len=6)
     assert scan["scanned"] > 0
     assert not scan["non_loxodromic"]
     assert scan["min_gap"] > 1
+
+
+def test_loxodromy_scan_propagates_unexpected_errors(monkeypatch):
+    # only a complex spectrum or a singular image is a verdict; any other
+    # error is a fault and must not be reported as a non-loxodromic word
+    def broken(*args, **kwargs):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr(sc, "eigen_real", broken)
+    with pytest.raises(RuntimeError):
+        al.loxodromy_scan(rp.Representation(M_ZERO, lam(mpf("-0.2"))), max_len=4)
 
 
 def test_gap_growth_along_powers():
@@ -241,7 +255,7 @@ def test_gap_growth_along_powers():
     w = GroupWord(("R", "I", "RR", "I"))
     gaps = []
     for k in (1, 2, 3):
-        res = al.loxodromic_eigen(M_ZERO, la, w ** k)
+        res = al.loxodromic_eigen(rp.Representation(M_ZERO, la), w ** k)
         gaps.append(min(res.gaps))
     assert gaps[0] < gaps[1] < gaps[2]
     # the gap of the k-th power is the k-th power of the gap

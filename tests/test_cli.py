@@ -3,6 +3,7 @@ import json
 import pytest
 
 from pappuslab import cli
+from pappuslab import representation as rp
 
 
 def run(capsys, *argv):
@@ -20,6 +21,64 @@ def test_usage_error_exit_code(capsys):
     assert cli.main([]) == 2
     assert cli.main(["no-such-command"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--precision", "40", "relations", "--trials", "1"],
+        ["--precision", "many", "relations", "--trials", "1"],
+        ["certify", "--eps", "nan"],
+        ["certify", "--eps", "inf"],
+        ["certify", "--delta=-inf"],
+        ["limit", "--tol", "nan"],
+        ["curve", "--eps", "nan"],
+        ["relations", "--trials", "-3"],
+        ["relations", "--pairs", "-1"],
+        ["variety", "--grid", "0"],
+        ["variety", "--grid", "-2"],
+        ["limit", "--depth", "-1"],
+        ["iterate", "--depth", "-2"],
+        ["certify", "--maxlen", "-1"],
+    ],
+)
+def test_invalid_values_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 2
+    out = capsys.readouterr().out
+    assert "NaN" not in out
+    assert out == ""
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("value", ["40", "lots"])
+def test_invalid_precision_env_is_usage_error(value, monkeypatch, capsys):
+    monkeypatch.setenv(cli.PRECISION_ENV, value)
+    assert cli.main(["relations", "--trials", "1"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--maxlen", "6", "--eps=-0.15"],
+        ["limit", "--depth", "1", "--eps=-0.15"],
+    ],
+)
+def test_one_matrix_B_per_invocation(argv, tmp_path, monkeypatch, capsys):
+    # the representation is built once per command, not once per word
+    calls = []
+    matrix_B = rp.matrix_B
+
+    def counting(*args):
+        calls.append(args)
+        return matrix_B(*args)
+
+    monkeypatch.setattr(rp, "matrix_B", counting)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_relations_default_pass(capsys):

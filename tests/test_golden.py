@@ -1,0 +1,69 @@
+"""Byte-for-byte regression of pinned CLI invocations.
+
+Each case runs ``pappuslab.cli.main`` in an empty working directory and
+compares its stdout, and the file it writes there, with the copies under
+``tests/data/golden/``.  To record them afresh (only when an output is
+meant to change), run from the repository root:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+from pappuslab import cli
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+POINT = ["--zt=3/10", "--zb=-2/10"]
+DEFORMED = POINT + ["--eps=-0.15", "--delta=0.01"]
+
+# name -> (argv, file the command writes into its working directory)
+CASES = {
+    "certify": (["certify", "--maxlen", "6", *DEFORMED], None),
+    "limit": (["limit", "--depth", "1", *DEFORMED], "limit.csv"),
+    "curve": (["curve", *POINT, "--eps=-0.05"], None),
+    "variety": (["variety", "--grid", "2"], None),
+    "relations": (["relations", "--trials", "2", "--seed", "3"], None),
+    "iterate": (["iterate", "--depth", "3", "--u", "9/10", "--v", "1"], "iterate.svg"),
+}
+
+
+def run_case(name: str, workdir: Path) -> dict:
+    """Outputs of one case as {golden file name: bytes}."""
+    argv, written = CASES[name]
+    stdout = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(stdout):
+            code = cli.main(list(argv))
+    finally:
+        os.chdir(cwd)
+    outputs = {name + ".stdout": ("exit %d\n" % code + stdout.getvalue()).encode()}
+    if written:
+        outputs[name + "." + written] = (workdir / written).read_bytes()
+    return outputs
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name, tmp_path, monkeypatch):
+    monkeypatch.delenv(cli.PRECISION_ENV, raising=False)
+    for fname, data in run_case(name, tmp_path).items():
+        assert data == (GOLDEN / fname).read_bytes(), fname
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    os.environ.pop(cli.PRECISION_ENV, None)
+    GOLDEN.mkdir(parents=True, exist_ok=True)
+    for case in sorted(CASES):
+        with tempfile.TemporaryDirectory() as tmp:
+            for fname, data in run_case(case, Path(tmp)).items():
+                (GOLDEN / fname).write_bytes(data)
+                print("wrote", GOLDEN / fname, file=sys.stderr)

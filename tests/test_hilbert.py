@@ -8,10 +8,10 @@ from pappuslab import boxes as bx
 from pappuslab import hilbert as hb
 from pappuslab import scalars as sc
 from pappuslab.errors import NotNested, OutsideDomain
-from pappuslab.hilbert import SQUARE_CORNERS, ConvexQuad
+from pappuslab.hilbert import ConvexQuad
 from pappuslab.projective import Point
 
-UNIT_SQUARE = ConvexQuad(SQUARE_CORNERS)
+UNIT_SQUARE = ConvexQuad(bx.STANDARD_CORNERS)
 
 
 def square_scaled(s, center=(0, 0)):

@@ -76,14 +76,14 @@ def test_matrix_d_examples():
 
 
 def test_matrix_sigma():
-    assert rp.matrix_Sigma(LAMBDA_ZERO) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert bx.sigma_matrix(LAMBDA_ZERO) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 @given(st.integers(1, 30), st.integers(1, 30))
 @settings(max_examples=30, deadline=None)
 def test_sigma_determinant_one(un, vn):
     lam = Lambda(u=Fraction(un, 7), v=Fraction(vn, 11))
-    assert sc.det3(rp.matrix_Sigma(lam)) == 1
+    assert sc.det3(bx.sigma_matrix(lam)) == 1
 
 
 def test_matrix_b_special_undeformed():
@@ -98,7 +98,7 @@ def test_matrix_b_conjugation_identity():
     rng = random.Random(3)
     for _ in range(5):
         lam = random_lambda(rng)
-        sig = rp.matrix_Sigma(lam)
+        sig = bx.sigma_matrix(lam)
         lhs = rp.matrix_B(M_TEST, lam)
         rhs = sc.mat_mul(
             sc.mat_mul(sc.mat_inverse(sig), rp.matrix_B0(M_TEST)), sig
@@ -111,24 +111,22 @@ def test_matrix_b_conjugation_identity():
 
 
 def test_evaluate_basics():
-    lam = LAMBDA_ZERO
-    assert rp.evaluate(M_TEST, lam, GroupWord.identity()) == sc.IDENTITY
-    cube = rp.evaluate(M_TEST, lam, GroupWord(("R",)) ** 3)
+    rep = rp.Representation(M_TEST, LAMBDA_ZERO)
+    assert rp.evaluate(rep, GroupWord.identity()) == sc.IDENTITY
+    cube = rp.evaluate(rep, GroupWord(("R",)) ** 3)
     assert pj.proj_equal_mat(cube, sc.IDENTITY)
     with pytest.raises(NotInSubgroupO):
-        rp.evaluate(M_TEST, lam, GroupWord(("I",)))
+        rp.evaluate(rep, GroupWord(("I",)))
 
 
 def test_evaluate_is_homomorphic():
     rng = random.Random(7)
-    lam = random_lambda(rng)
+    rep = rp.Representation(M_TEST, random_lambda(rng))
     words = md.enumerate_words(4, subgroup_o_only=True)
     for _ in range(15):
         w1, w2 = rng.choice(words), rng.choice(words)
-        lhs = rp.evaluate(M_TEST, lam, w1 * w2)
-        rhs = sc.mat_mul(
-            rp.evaluate(M_TEST, lam, w1), rp.evaluate(M_TEST, lam, w2)
-        )
+        lhs = rp.evaluate(rep, w1 * w2)
+        rhs = sc.mat_mul(rp.evaluate(rep, w1), rp.evaluate(rep, w2))
         assert pj.proj_equal_mat(lhs, rhs)
 
 
@@ -145,12 +143,12 @@ def test_evaluate_matches_schwartz_at_zero():
     for w in md.enumerate_words(5, subgroup_o_only=True):
         g = rp.evaluate_schwartz(M_TEST, w)
         assert g.kind == pj.TRANSFORMATION
-        assert pj.proj_equal_mat(g.matrix, rp.evaluate(M_TEST, LAMBDA_ZERO, w))
+        assert pj.proj_equal_mat(g.matrix, rp.evaluate(rp.Representation(M_TEST, LAMBDA_ZERO), w))
 
 
 def test_translation_squared_not_loxodromic():
     w = md.T1_WORD * md.T1_WORD
-    mat = rp.evaluate(M_TEST, LAMBDA_ZERO, w)
+    mat = rp.evaluate(rp.Representation(M_TEST, LAMBDA_ZERO), w)
     res = sc.eigen_real(sc.normalize_det_one(sc.mat_to_mpf(mat)))
     assert not res.loxodromic
     assert max(res.moduli) - min(res.moduli) < mpf("1e-12")
@@ -279,8 +277,8 @@ def test_solve_delta_h_flat_at_zero():
 def test_intertwiner_special_moduli():
     rng = random.Random(23)
     lam = random_lambda(rng)
-    s, residual, invertible = rp.extension_intertwiner(BoxModuli(0, 0), lam)
-    assert s == rp.matrix_Sigma(lam)
+    s, residual, invertible = rp.extension_intertwiner(rp.Representation(BoxModuli(0, 0), lam))
+    assert s == bx.sigma_matrix(lam)
     assert residual < mpf("1e-20")
     assert invertible
 
@@ -289,9 +287,9 @@ def test_intertwiner_on_curve():
     eps = mpf("-0.1")
     delta = rp.solve_delta_h(M_TEST, eps)
     lam = Lambda(epsilon=eps, delta=delta)
-    obs, _ = rp.obstruction(M_TEST, lam)
+    obs, _ = rp.obstruction(rp.Representation(M_TEST, lam))
     assert abs(obs) < mpf("1e-10")
-    s, residual, invertible = rp.extension_intertwiner(M_TEST, lam)
+    s, residual, invertible = rp.extension_intertwiner(rp.Representation(M_TEST, lam))
     assert s == sc.mat_transpose(s)
     assert residual < mpf("1e-9")
     assert invertible
@@ -299,15 +297,16 @@ def test_intertwiner_on_curve():
 
 def test_intertwiner_off_curve():
     lam = Lambda(epsilon=mpf("-0.1"), delta=mpf("0.5"))
-    obs, _ = rp.obstruction(M_TEST, lam)
+    obs, _ = rp.obstruction(rp.Representation(M_TEST, lam))
     assert abs(obs) > mpf("1e-6")
     with pytest.raises(NoSolution):
-        rp.extension_intertwiner(M_TEST, lam)
+        rp.extension_intertwiner(rp.Representation(M_TEST, lam))
 
 
 def test_intertwiner_off_curve_exact():
     with pytest.raises(NoSolution):
-        rp.extension_intertwiner(M_TEST, Lambda(u=Fraction(9, 10), v=Fraction(3, 2)))
+        lam = Lambda(u=Fraction(9, 10), v=Fraction(3, 2))
+        rp.extension_intertwiner(rp.Representation(M_TEST, lam))
 
 
 # ---------------------------------------------------------------------------
@@ -351,13 +350,13 @@ def test_appendix_criterion_curve_family():
     eps = mpf("-0.05")
     delta = rp.solve_delta_h(M_TEST, eps)
     lam = Lambda(epsilon=eps, delta=delta)
-    g = sc.mat_mul(sc.mat_to_mpf(rp.matrix_D(M_TEST)), rp.matrix_Sigma(lam))
+    g = sc.mat_mul(sc.mat_to_mpf(rp.matrix_D(M_TEST)), bx.sigma_matrix(lam))
     by_det, by_s = rp.appendix_criterion(rp.matrix_A(M_TEST), g)
     assert by_det and by_s
     # off the curve both predicates are false
     g2 = sc.mat_mul(
         sc.mat_to_mpf(rp.matrix_D(M_TEST)),
-        rp.matrix_Sigma(Lambda(epsilon=eps, delta=mpf("0.5"))),
+        bx.sigma_matrix(Lambda(epsilon=eps, delta=mpf("0.5"))),
     )
     by_det, by_s = rp.appendix_criterion(rp.matrix_A(M_TEST), g2)
     assert not by_det and not by_s

@@ -68,7 +68,7 @@ def test_order3_rotation():
 
 
 def test_order3_generator_image():
-    a = vy.unimodular(sc.mat_to_mpf(rp.matrix_A(M_TEST)))
+    a = sc.normalize_det_one(sc.mat_to_mpf(rp.matrix_A(M_TEST)))
     assert vy.order3_trace_check(a)
 
 
