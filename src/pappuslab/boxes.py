@@ -44,6 +44,8 @@ STANDARD_CORNERS = (
     Point((1, 0, 1)),
     Point((-1, 0, 1)),
 )
+# their frame matrix, the target of every adapted basis
+STANDARD_FRAME = pj.frame_matrix(*STANDARD_CORNERS)
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +141,20 @@ def sigma_matrix(lam: Lambda) -> tuple:
     )
 
 
+def _integer_sigma(lam: Lambda) -> tuple:
+    """2uv sigma_matrix(lam) with the denominators of an exact lam
+    cleared: an integral positive multiple, equal projectively."""
+    a, b = lam.u.numerator, lam.u.denominator
+    c, d = lam.v.numerator, lam.v.denominator
+    diag = a * a + b * b
+    off = c * d * (a * a - b * b)
+    return (
+        (2 * a * b * c * d, 0, 0),
+        (0, diag * d * d, -off),
+        (0, -off, diag * c * c),
+    )
+
+
 def region_f(lam: Lambda):
     """f(epsilon, delta) = e^{-delta} cosh(eps) - sinh(eps) - 1."""
     return lam.exp_minus_delta() * lam.cosh_eps() - lam.sinh_eps() - 1
@@ -210,6 +226,19 @@ class OvermarkedBox:
     s: Point
     t: Point
     b: Point
+
+    @classmethod
+    def _trusted(cls, p, q, r, s, t, b) -> "OvermarkedBox":
+        """A box built without validation.
+
+        Only for images of a valid box under maps that keep every
+        condition of ``__post_init__``: the relabelings i and j, and
+        exact invertible projective transformations.
+        """
+        box = object.__new__(cls)
+        for name, point in zip(("p", "q", "r", "s", "t", "b"), (p, q, r, s, t, b)):
+            object.__setattr__(box, name, point)
+        return box
 
     def __post_init__(self):
         pts = (self.p, self.q, self.r, self.s, self.t, self.b)
@@ -285,14 +314,18 @@ SPECIAL_BOX = from_moduli(BoxModuli(0, 0))
 def theta_basis(box: OvermarkedBox) -> tuple:
     """Change-of-basis matrix carrying the box corners to normal form."""
     try:
-        return pj.frame_map((box.p, box.q, box.r, box.s), STANDARD_CORNERS)
+        return pj.frame_change(pj.frame_matrix(box.p, box.q, box.r, box.s), STANDARD_FRAME)
     except PappusLabError as exc:
         raise DegenerateBox("box corners admit no adapted basis") from exc
 
 
 def moduli(box: OvermarkedBox) -> BoxModuli:
     """Moduli (zeta_t, zeta_b): normal-form coordinates of t and b."""
-    g = theta_basis(box)
+    return _moduli_in_basis(box, theta_basis(box))
+
+
+def _moduli_in_basis(box: OvermarkedBox, g: tuple) -> BoxModuli:
+    """``moduli`` of a box whose ``theta_basis`` is g."""
     tc = sc.mat_vec(g, box.t.coords)
     bc = sc.mat_vec(g, box.b.coords)
     exact = all(sc.is_exact(x) for x in tc + bc)
@@ -317,13 +350,21 @@ def is_convex(box: OvermarkedBox) -> bool:
     return moduli(box).is_convex
 
 
+def _interior_basis(box: OvermarkedBox) -> tuple:
+    """``theta_basis`` of a convex box; raises NotConvex otherwise."""
+    g = theta_basis(box)
+    if not _moduli_in_basis(box, g).is_convex:
+        raise NotConvex("interior is only defined for convex boxes")
+    return g
+
+
 # ---------------------------------------------------------------------------
 # the elementary transformations
 
 
 def transform_j(box: OvermarkedBox) -> OvermarkedBox:
     """The marking involution: swap (p, q) and (r, s)."""
-    return OvermarkedBox(p=box.q, q=box.p, r=box.s, s=box.r, t=box.t, b=box.b)
+    return OvermarkedBox._trusted(box.q, box.p, box.s, box.r, box.t, box.b)
 
 
 def transform_i(box: OvermarkedBox) -> OvermarkedBox:
@@ -332,7 +373,7 @@ def transform_i(box: OvermarkedBox) -> OvermarkedBox:
     On overmarked boxes the square of the flip is the marking
     involution j, so it is an involution only modulo j.
     """
-    return OvermarkedBox(p=box.s, q=box.r, r=box.p, s=box.q, t=box.b, b=box.t)
+    return OvermarkedBox._trusted(box.s, box.r, box.p, box.q, box.b, box.t)
 
 
 def marked_equal(box1: OvermarkedBox, box2: OvermarkedBox) -> bool:
@@ -370,9 +411,16 @@ def tau2(box: OvermarkedBox) -> OvermarkedBox:
 
 
 def apply_matrix(box: OvermarkedBox, m: tuple) -> OvermarkedBox:
-    """Image of a box under a projective transformation matrix."""
+    """Image of a box under a projective transformation matrix.
+
+    An exact image under an invertible matrix is a valid box because
+    the box is, so only float images and singular matrices are checked.
+    """
     try:
-        return OvermarkedBox(*(Point(sc.mat_vec(m, x.coords)) for x in box.points))
+        images = tuple(Point(sc.mat_vec(m, x.coords)) for x in box.points)
+        if all(x.exact for x in images) and sc.det3(m) != 0:
+            return OvermarkedBox._trusted(*images)
+        return OvermarkedBox(*images)
     except (DegenerateBox, PappusLabError) as exc:
         raise DegenerateConfiguration(str(exc)) from exc
 
@@ -427,12 +475,12 @@ def transform_sigma(box: OvermarkedBox, lam: Lambda) -> OvermarkedBox:
     if lam.is_zero:
         return box
     g = theta_basis(box)
-    # the adjugate is the inverse up to the (nonzero) determinant, which
-    # is invisible projectively and keeps exact entries integral
-    m = sc.mat_mul(sc.mat_mul(sc.adjugate(g), sigma_matrix(lam)), g)
-    if all(sc.is_exact(x) for row in m for x in row):
-        m = sc.mat_exact_reduce(m)
-    return apply_matrix(box, m)
+    # the adjugate is the inverse up to the (nonzero) determinant, and
+    # _integer_sigma is sigma up to a positive scale; both scales are
+    # invisible projectively and keep exact entries integral
+    exact = lam.exact and sc.mat_is_exact(g)
+    m = sc.mat_mul(sc.mat_mul(sc.adjugate(g), _integer_sigma(lam) if exact else sigma_matrix(lam)), g)
+    return apply_matrix(box, sc.mat_exact_reduce(m) if exact else m)
 
 
 def i_lambda(box: OvermarkedBox, lam: Lambda) -> OvermarkedBox:
@@ -486,9 +534,11 @@ def in_standard_interior(coords, strict: bool = True) -> bool:
 
 def interior_contains(box: OvermarkedBox, point: Point, strict: bool = True) -> bool:
     """Whether a point lies in the box's convex-interior quadrilateral."""
-    if not is_convex(box):
-        raise NotConvex("interior is only defined for convex boxes")
-    g = theta_basis(box)
+    return _inside(_interior_basis(box), point, strict)
+
+
+def _inside(g: tuple, point: Point, strict: bool = True) -> bool:
+    """``interior_contains`` for the convex box whose ``theta_basis`` is g."""
     return in_standard_interior(sc.mat_vec(g, point.coords), strict=strict)
 
 
@@ -528,7 +578,8 @@ def containment_check(box: OvermarkedBox, lam: Lambda, strict: bool = False) -> 
 
 def nested_strictly(outer: OvermarkedBox, inner: OvermarkedBox) -> bool:
     """Closure of inner's interior contained in outer's open interior."""
-    return all(interior_contains(outer, v, strict=True) for v in (inner.p, inner.q, inner.r, inner.s))
+    g = _interior_basis(outer)
+    return all(_inside(g, v) for v in (inner.p, inner.q, inner.r, inner.s))
 
 
 def nested_interiors(outer: OvermarkedBox, inner: OvermarkedBox, resolution: int = 8) -> bool:
@@ -536,14 +587,16 @@ def nested_interiors(outer: OvermarkedBox, inner: OvermarkedBox, resolution: int
     interior(outer).  Weaker than ``nested_strictly``: the corners may
     sit on the outer boundary (the undeformed Pappus children share two
     corners with their parent)."""
-    if not all(interior_contains(outer, v, strict=False) for v in (inner.p, inner.q, inner.r, inner.s)):
+    g = _interior_basis(outer)
+    if not all(_inside(g, v, strict=False) for v in (inner.p, inner.q, inner.r, inner.s)):
         return False
-    return all(interior_contains(outer, pt, strict=True) for pt in _interior_grid(inner, resolution))
+    return all(_inside(g, pt) for pt in _interior_grid(theta_basis(inner), resolution))
 
 
-def _interior_grid(box: OvermarkedBox, resolution: int):
-    """Sample points of the interior via the adapted chart."""
-    inv = sc.mat_inverse(sc.mat_to_mpf(theta_basis(box)))
+def _interior_grid(g: tuple, resolution: int):
+    """Sample points of the interior of the box whose ``theta_basis``
+    is g, via the adapted chart."""
+    inv = sc.mat_inverse(sc.mat_to_mpf(g))
     pts = []
     ticks = [mpf(2 * k + 1) / resolution - 1 for k in range(resolution)]
     for cx in ticks:
@@ -560,19 +613,17 @@ def interiors_disjoint(box1: OvermarkedBox, box2: OvermarkedBox, resolution: int
     quads may share corners (siblings do), so a separating line does
     not exist in general and sampling is used instead.
     """
-    for corner in (box1.p, box1.q, box1.r, box1.s):
-        if interior_contains(box2, corner, strict=True):
-            return False
-    for corner in (box2.p, box2.q, box2.r, box2.s):
-        if interior_contains(box1, corner, strict=True):
-            return False
-    for pt in _interior_grid(box1, resolution):
-        if interior_contains(box2, pt, strict=True):
-            return False
-    for pt in _interior_grid(box2, resolution):
-        if interior_contains(box1, pt, strict=True):
-            return False
-    return True
+    # box1's basis is built only once box2's corners are through, as
+    # the per-point test did: a nonconvex box1 may still give False
+    g2 = _interior_basis(box2)
+    if any(_inside(g2, v) for v in (box1.p, box1.q, box1.r, box1.s)):
+        return False
+    g1 = _interior_basis(box1)
+    if any(_inside(g1, v) for v in (box2.p, box2.q, box2.r, box2.s)):
+        return False
+    if any(_inside(g2, pt) for pt in _interior_grid(g1, resolution)):
+        return False
+    return not any(_inside(g1, pt) for pt in _interior_grid(g2, resolution))
 
 
 # ---------------------------------------------------------------------------

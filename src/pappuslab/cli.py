@@ -108,9 +108,8 @@ def _moduli_from_args(args) -> BoxModuli:
 
 
 def _lambda_from_args(args) -> Lambda:
-    if getattr(args, "u", None) is not None or getattr(args, "v", None) is not None:
-        if args.u is None or args.v is None:
-            raise argparse.ArgumentTypeError("exact mode needs both --u and --v")
+    # main has rejected --u without --v and the reverse
+    if args.u is not None:
         return Lambda(u=args.u, v=args.v)
     return Lambda(epsilon=mpf(args.eps), delta=mpf(args.delta))
 
@@ -497,6 +496,8 @@ def _add_lambda_flags(sub):
     sub.add_argument("--delta", type=_finite_float, default=0.0)
     sub.add_argument("--u", type=_parse_fraction, default=None)
     sub.add_argument("--v", type=_parse_fraction, default=None)
+    # the parser whose usage main prints when only one of --u, --v is given
+    sub.set_defaults(lambda_parser=sub)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -563,6 +564,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if hasattr(args, "lambda_parser") and (args.u is None) != (args.v is None):
+            args.lambda_parser.error("exact mode needs both --u and --v")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     sc.set_precision(args.precision)

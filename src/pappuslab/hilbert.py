@@ -38,7 +38,7 @@ class ConvexQuad:
         if len(self.vertices) != 4:
             raise PappusLabError("a quadrilateral needs four vertices")
         try:
-            m = pj.frame_map(self.vertices, bx.STANDARD_CORNERS)
+            m = pj.frame_change(pj.frame_matrix(*self.vertices), bx.STANDARD_FRAME)
         except PappusLabError as exc:
             raise PappusLabError("quad vertices are not in general position") from exc
         object.__setattr__(self, "basis", m)

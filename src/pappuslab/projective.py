@@ -6,7 +6,7 @@ Coordinates are 3-tuples of scalars in either scalar mode (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from mpmath import mpf
@@ -18,6 +18,7 @@ from .errors import (
     DegeneratePair,
     NotCollinear,
     PappusLabError,
+    SingularMatrix,
 )
 
 # angle-based tolerance for projective equality of normalized float vectors
@@ -32,9 +33,16 @@ def _normalized(v):
     return sc.vec_scale(v, 1 / n)
 
 
-def proj_equal(u, v) -> bool:
-    """Projective equality of coordinate vectors (proportionality)."""
-    if all(sc.is_exact(x) for x in u) and all(sc.is_exact(x) for x in v):
+def proj_equal(u, v, exact=None) -> bool:
+    """Projective equality of coordinate vectors (proportionality).
+
+    ``exact`` is whether both vectors are in exact mode, for callers
+    that already know it (``Point.exact``, ``Line.exact``); when None it
+    is read off the scalars.
+    """
+    if exact is None:
+        exact = all(sc.is_exact(x) for x in u) and all(sc.is_exact(x) for x in v)
+    if exact:
         return sc.is_zero_vec(sc.cross(u, v))
     c = sc.cross(_normalized(u), _normalized(v))
     return sc.vec_norm(c) <= ANGLE_TOL
@@ -50,15 +58,22 @@ def incidence_residual(line_coords, point_coords):
 @dataclass(frozen=True)
 class Point:
     coords: tuple
+    # scalar mode, decided once here; exact coordinates are stored as
+    # coprime integers
+    exact: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if sc.is_zero_vec(self.coords):
             raise PappusLabError("a point needs a nonzero coordinate vector")
-        if all(sc.is_exact(x) for x in self.coords):
+        exact = all(sc.is_exact(x) for x in self.coords)
+        if exact:
             object.__setattr__(self, "coords", sc.vec_exact_reduce(self.coords))
+        object.__setattr__(self, "exact", exact)
 
     def __eq__(self, other):
-        return isinstance(other, Point) and proj_equal(self.coords, other.coords)
+        return isinstance(other, Point) and proj_equal(
+            self.coords, other.coords, self.exact and other.exact
+        )
 
     def __hash__(self):
         raise TypeError("projective points are unhashable (equality is up to scale)")
@@ -70,15 +85,22 @@ class Point:
 @dataclass(frozen=True)
 class Line:
     coords: tuple
+    # scalar mode, decided once here; exact coordinates are stored as
+    # coprime integers
+    exact: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if sc.is_zero_vec(self.coords):
             raise PappusLabError("a line needs a nonzero coordinate vector")
-        if all(sc.is_exact(x) for x in self.coords):
+        exact = all(sc.is_exact(x) for x in self.coords)
+        if exact:
             object.__setattr__(self, "coords", sc.vec_exact_reduce(self.coords))
+        object.__setattr__(self, "exact", exact)
 
     def __eq__(self, other):
-        return isinstance(other, Line) and proj_equal(self.coords, other.coords)
+        return isinstance(other, Line) and proj_equal(
+            self.coords, other.coords, self.exact and other.exact
+        )
 
     def __hash__(self):
         raise TypeError("projective lines are unhashable (equality is up to scale)")
@@ -98,15 +120,15 @@ class Flag:
 
 
 def incident(line: Line, point: Point) -> bool:
-    return incidence_residual(line.coords, point.coords) <= (
-        0 if all(sc.is_exact(x) for x in line.coords + point.coords) else ANGLE_TOL
-    )
+    if line.exact and point.exact:
+        return sc.dot(line.coords, point.coords) == 0
+    return incidence_residual(line.coords, point.coords) <= ANGLE_TOL
 
 
 def join(a: Point, b: Point) -> Line:
     """The line through two distinct points (cross product of coordinates)."""
     c = sc.cross(a.coords, b.coords)
-    if proj_equal(a.coords, b.coords):
+    if proj_equal(a.coords, b.coords, a.exact and b.exact):
         raise CoincidentPoints("join of projectively equal points")
     return Line(c)
 
@@ -114,7 +136,7 @@ def join(a: Point, b: Point) -> Line:
 def meet(l1: Line, l2: Line) -> Point:
     """The intersection point of two distinct lines."""
     c = sc.cross(l1.coords, l2.coords)
-    if proj_equal(l1.coords, l2.coords):
+    if proj_equal(l1.coords, l2.coords, l1.exact and l2.exact):
         raise CoincidentLines("meet of projectively equal lines")
     return Point(c)
 
@@ -138,7 +160,7 @@ def cross_ratio(a: Point, x: Point, y: Point, b: Point):
         raise DegeneratePair("all four points coincide")
     i, j = distinct[0]
     line = join(pts[i], pts[j])
-    exact = all(sc.is_exact(c) for p in pts for c in p.coords)
+    exact = all(p.exact for p in pts)
     tol = 0 if exact else ANGLE_TOL
     for p in pts:
         if incidence_residual(line.coords, p.coords) > tol:
@@ -248,12 +270,24 @@ def frame_matrix(a: Point, b: Point, c: Point, d: Point) -> tuple:
     """Matrix sending e1, e2, e3, e1+e2+e3 to the four given points.
 
     The four points must be in general position (no three collinear);
-    this is the standard projective frame construction.
+    this is the standard projective frame construction.  In exact mode
+    the matrix is integral, a positive multiple of the one a rational
+    solve would give.
     """
     cols = sc.mat_transpose((a.coords, b.coords, c.coords))
-    coeffs = sc.solve3(cols, d.coords)
+    exact = a.exact and b.exact and c.exact and d.exact
+    if exact:
+        # adj(cols) d = det(cols) cols^-1 d; the sign of det keeps the
+        # scale positive
+        det = sc.det3(cols)
+        if det == 0:
+            raise SingularMatrix("matrix determinant is zero at the working precision")
+        coeffs = sc.mat_vec(sc.adjugate(cols), d.coords)
+        coeffs = sc.vec_exact_reduce(coeffs if det > 0 else sc.vec_scale(coeffs, -1))
+    else:
+        coeffs = sc.solve3(cols, d.coords)
     if any(x == 0 for x in coeffs) or (
-        not all(sc.is_exact(x) for x in coeffs)
+        not exact
         and min(abs(sc.to_mpf(x)) for x in coeffs) <= ANGLE_TOL * max(abs(sc.to_mpf(x)) for x in coeffs)
     ):
         raise PappusLabError("frame points are not in general position")
@@ -269,9 +303,14 @@ def frame_matrix(a: Point, b: Point, c: Point, d: Point) -> tuple:
 def frame_map(src: tuple, dst: tuple) -> tuple:
     """The unique projective transformation matrix sending one ordered
     4-point frame to another (each with no three points collinear)."""
-    f_src = frame_matrix(*src)
-    f_dst = frame_matrix(*dst)
-    if all(sc.is_exact(x) for m in (f_src, f_dst) for row in m for x in row):
+    return frame_change(frame_matrix(*src), frame_matrix(*dst))
+
+
+def frame_change(f_src: tuple, f_dst: tuple) -> tuple:
+    """The matrix sending the frame with ``frame_matrix`` f_src to the
+    frame with ``frame_matrix`` f_dst; callers that map to one fixed
+    frame build its matrix once."""
+    if sc.mat_is_exact(f_src) and sc.mat_is_exact(f_dst):
         # the adjugate is the inverse up to the determinant, invisible
         # projectively; staying integral keeps exact arithmetic cheap
         return sc.mat_exact_reduce(sc.mat_mul(f_dst, sc.adjugate(f_src)))

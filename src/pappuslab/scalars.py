@@ -110,8 +110,11 @@ def vec_exact_reduce(u) -> tuple:
     """Canonical coprime-integer representative of an exact nonzero
     vector of any length (up to positive scale); keeps rational
     computations on small integers instead of compounding denominators."""
-    scale = math.lcm(*(Fraction(x).denominator for x in u))
-    ints = [int(x * scale) for x in u]
+    if all(type(x) is int for x in u):
+        ints = u
+    else:
+        scale = math.lcm(*(Fraction(x).denominator for x in u))
+        ints = [int(x * scale) for x in u]
     g = math.gcd(*ints)
     if g > 1:
         ints = [x // g for x in ints]

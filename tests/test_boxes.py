@@ -336,7 +336,7 @@ def test_dual_reversal():
         db, dc = bx.dual_box(box), bx.dual_box(child)
         for corner in (db.p, db.q, db.r, db.s):
             assert bx.interior_contains(dc, corner, strict=False)
-        for pt in bx._interior_grid(db, 8):
+        for pt in bx._interior_grid(bx.theta_basis(db), 8):
             assert bx.interior_contains(dc, pt, strict=True)
         # proper inclusion: the child's dual interior is strictly bigger
         assert any(

@@ -51,6 +51,25 @@ def test_invalid_values_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--u", "9/10"],
+        ["iterate", "--u", "9/10"],
+        ["limit", "--u", "9/10"],
+        ["certify", "--v", "1"],
+    ],
+)
+def test_exact_lambda_needs_both_flags(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage: pappuslab %s" % argv[0] in captured.err
+    assert "needs both --u and --v" in captured.err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("value", ["40", "lots"])
 def test_invalid_precision_env_is_usage_error(value, monkeypatch, capsys):
     monkeypatch.setenv(cli.PRECISION_ENV, value)
