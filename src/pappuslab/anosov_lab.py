@@ -52,7 +52,7 @@ def constant_C(rep: rp.Representation, resolution: int = 16, directions: int = 8
     outer = bx.convex_interior(box)
     best = None
     for w in W_STEPS:
-        g = rp.evaluate(rep, w)
+        g = rep.step_images[w]
         inner = bx.convex_interior(bx.apply_matrix(box, g))
         c = hb.distortion_estimate(inner, outer, resolution=resolution, directions=directions)
         best = c if best is None else min(best, c)
@@ -80,24 +80,29 @@ LIMIT_DEPTH_CAP = 10**4
 
 
 def _chart_diameter(box_points) -> mpf:
+    """Largest chart distance between float-mode points.
+
+    One square root, of the largest squared distance: mpmath's sqrt is
+    correctly rounded and monotone, so that is the largest distance.
+    """
     coords = [bx.chart_coords(p) for p in box_points]
     best = mpf(0)
     for i in range(len(coords)):
         for j in range(i + 1, len(coords)):
-            dx = sc.to_mpf(coords[i][0] - coords[j][0])
-            dy = sc.to_mpf(coords[i][1] - coords[j][1])
-            best = max(best, mpmath.sqrt(dx * dx + dy * dy))
-    return best
+            dx = coords[i][0] - coords[j][0]
+            dy = coords[i][1] - coords[j][1]
+            best = max(best, dx * dx + dy * dy)
+    return mpmath.sqrt(best)
 
 
-def _spectrum(rep: rp.Representation, w: GroupWord) -> sc.EigenResult:
-    """Eigen data of the determinant-one normalization of the word image."""
-    return sc.eigen_real(sc.normalize_det_one(sc.mat_to_mpf(rp.evaluate(rep, w))))
+def _spectrum(g: tuple) -> sc.EigenResult:
+    """Eigen data of the determinant-one normalization of a word image."""
+    return sc.eigen_real(sc.normalize_det_one(sc.mat_to_mpf(g)))
 
 
 def loxodromic_eigen(rep: rp.Representation, w: GroupWord) -> sc.EigenResult:
     """Eigen data of the word image; raises for non-loxodromic images."""
-    res = _spectrum(rep, w)
+    res = _spectrum(rp.evaluate(rep, w))
     if not res.loxodromic:
         raise NonLoxodromic("word image has collapsing eigenvalue moduli")
     return res
@@ -128,12 +133,12 @@ def limit_point(
         raise NotInRegionInterior("deformation outside the admissible region")
     loxodromic_eigen(rep, w)
 
-    core = md.crossing_form(w)
-    blocks = []
-    letters = list(core.letters)
-    for k in range(0, len(letters), 4):
-        blocks.append(GroupWord(tuple(letters[k: k + 4])))
-    step_mats = [sc.mat_to_mpf(rp.evaluate(rep, blk)) for blk in blocks]
+    # the crossing normal form is a sequence of four-letter step words
+    letters = md.crossing_form(w).letters
+    step_mats = [
+        sc.mat_to_mpf(rep.step_images[GroupWord(letters[k: k + 4])])
+        for k in range(0, len(letters), 4)
+    ]
 
     box = bx.from_moduli(rep.moduli)
     corners = [sc.vec_to_mpf(p.coords) for p in (box.p, box.q, box.r, box.s)]
@@ -205,7 +210,7 @@ def doubling_check(
 
     box = bx.from_moduli(rep.moduli)
     corners = [sc.vec_to_mpf(p.coords) for p in (box.p, box.q, box.r, box.s)]
-    step_mats = {w: sc.mat_to_mpf(rp.evaluate(rep, w)) for w in W_STEPS}
+    step_mats = {w: sc.mat_to_mpf(g) for w, g in rep.step_images.items()}
 
     rng = random.Random(seed)
     runs = (
@@ -274,17 +279,39 @@ def loxodromy_scan(rep: rp.Representation, max_len: int = 6) -> dict:
     involution letter) have no axis and are skipped.  Reports the
     minimal gap between consecutive eigenvalue moduli and every
     non-loxodromic word found.
+
+    The scan walks the word tree: ``enumerate_words`` is breadth-first
+    and each word is its parent (all but the last letter) times one
+    letter, so an image costs at most one product, associated as in
+    ``evaluate``.  Only the images of scanned words and of parents are
+    formed.
     """
     min_gap = None
     non_loxodromic = []
     scanned = 0
-    for w in md.enumerate_words(max_len, subgroup_o_only=True):
-        _, core = w.cyclic_reduction()
-        if core.is_identity or all(let != "I" for let in core.letters):
+    # letters of a word -> (its image, parity of its I letters)
+    images = {(): (sc.IDENTITY, 0)}
+    for w in md.enumerate_words(max_len):
+        letters = w.letters
+        if not letters:
+            continue
+        g, parity = images[letters[:-1]]
+        if letters[-1] == "I":
+            parity ^= 1
+        # odd words are outside the subgroup, torsion words have no axis
+        scan = parity == 0 and "I" in w.cyclic_reduction()[1].letters
+        is_parent = len(letters) < max_len
+        if not (scan or is_parent):
+            continue
+        if letters[-1] != "I":
+            g = sc.mat_mul(g, rep.letter_images[parity][letters[-1]])
+        if is_parent:
+            images[letters] = (g, parity)
+        if not scan:
             continue
         scanned += 1
         try:
-            res = _spectrum(rep, w)
+            res = _spectrum(g)
         except (ComplexSpectrum, SingularMatrix):
             non_loxodromic.append(w)
             continue

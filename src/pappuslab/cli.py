@@ -11,7 +11,8 @@ Subcommands:
 
 Exit codes: 0 all checks pass, 1 a check fails or a computation
 errors, 2 usage error (including invalid values: a precision below 53
-bits, a negative count, a zero grid or a non-finite float).
+bits, a negative count, a zero grid or ``limit`` depth, a non-finite
+float, or an ``--out`` file that cannot be written).
 """
 
 from __future__ import annotations
@@ -260,15 +261,14 @@ def cmd_iterate(args) -> int:
         + body
         + "\n</svg>\n"
     )
-    out = args.out or "iterate.svg"
-    with open(out, "w") as handle:
+    with open(args.out, "w") as handle:
         handle.write(svg)
     report = {
         "schema": SCHEMA,
         "command": "iterate",
         "boxes": count,
         "depth": args.depth,
-        "out": out,
+        "out": args.out,
     }
     if warning:
         report["warning"] = warning
@@ -398,7 +398,7 @@ def cmd_limit(args) -> int:
         try:
             sample = al.limit_point(rep, w, tol=mpf(args.tol))
         except NonLoxodromic:
-            skipped.append(" ".join(w.letters))
+            skipped.append(w)
             continue
         cx, cy = bx.chart_coords(sc.vec_to_mpf(sample.point.coords))
         dual = sc.vec_to_mpf(sample.dual_point.coords)
@@ -415,8 +415,7 @@ def cmd_limit(args) -> int:
                 sample.depth,
             ]
         )
-    out = args.out or "limit.csv"
-    with open(out, "w", newline="") as handle:
+    with open(args.out, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(
             [
@@ -436,7 +435,7 @@ def cmd_limit(args) -> int:
         "command": "limit",
         "words": len(rows),
         "skipped_non_loxodromic": skipped,
-        "out": out,
+        "out": args.out,
     }
     _emit(report)
     return 0
@@ -496,8 +495,39 @@ def _add_lambda_flags(sub):
     sub.add_argument("--delta", type=_finite_float, default=0.0)
     sub.add_argument("--u", type=_parse_fraction, default=None)
     sub.add_argument("--v", type=_parse_fraction, default=None)
-    # the parser whose usage main prints when only one of --u, --v is given
-    sub.set_defaults(lambda_parser=sub)
+
+
+def _add_command(subs, name, func, help):
+    """A subcommand parser; it is kept in ``args.subparser``, whose usage
+    ``_check_args`` prints."""
+    p = subs.add_parser(name, help=help)
+    p.set_defaults(func=func, subparser=p)
+    return p
+
+
+def _unwritable(path: str):
+    """Why ``path`` cannot be opened for writing, or None.  Checked
+    before any computation, and without creating the file."""
+    target = os.path.abspath(path)
+    if os.path.isdir(target):
+        return "is a directory"
+    folder = os.path.dirname(target)
+    if not os.path.isdir(folder):
+        return "no such directory: %s" % folder
+    if not os.access(target if os.path.exists(target) else folder, os.W_OK):
+        return "permission denied"
+    return None
+
+
+def _check_args(args) -> None:
+    """Usage checks that span flags or touch the file system.  Each
+    failure is the subcommand's usage error (SystemExit, exit 2)."""
+    if hasattr(args, "u") and (args.u is None) != (args.v is None):
+        args.subparser.error("exact mode needs both --u and --v")
+    if args.out is not None:
+        problem = _unwritable(args.out)
+        if problem:
+            args.subparser.error("cannot write --out %s: %s" % (args.out, problem))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -515,47 +545,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("relations", help="exact group-relation suite")
+    p = _add_command(subs, "relations", cmd_relations, "exact group-relation suite")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=_count, default=100)
     p.add_argument("--pairs", type=_count, default=10)
     p.add_argument("--mutate", action="store_true", help="negative control")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_relations)
 
-    p = subs.add_parser("iterate", help="render the nested box orbit as SVG")
+    p = _add_command(subs, "iterate", cmd_iterate, "render the nested box orbit as SVG")
     _add_moduli_flags(p, "0", "0")
     _add_lambda_flags(p)
     p.add_argument("--depth", type=_count, default=6)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_iterate)
+    p.add_argument("--out", default="iterate.svg")
 
-    p = subs.add_parser("certify", help="contraction and loxodromy diagnostics")
+    p = _add_command(subs, "certify", cmd_certify, "contraction and loxodromy diagnostics")
     _add_moduli_flags(p)
     _add_lambda_flags(p)
     p.add_argument("--maxlen", type=_count, default=4)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_certify)
 
-    p = subs.add_parser("curve", help="extension locus delta(epsilon)")
+    p = _add_command(subs, "curve", cmd_curve, "extension locus delta(epsilon)")
     _add_moduli_flags(p)
     p.add_argument("--eps", type=_finite_float, required=True)
     p.add_argument("--tol", type=_finite_float, default=1e-12)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_curve)
 
-    p = subs.add_parser("limit", help="CSV of periodic-word limit points")
+    p = _add_command(subs, "limit", cmd_limit, "CSV of periodic-word limit points")
     _add_moduli_flags(p)
     _add_lambda_flags(p)
-    p.add_argument("--depth", type=_count, default=2, help="word length in crossing pairs")
+    # the identity (depth 0) has no axis, so it would pass vacuously
+    p.add_argument(
+        "--depth", type=_positive, default=2, help="word length in crossing pairs, at least 1"
+    )
     p.add_argument("--tol", type=_finite_float, default=1e-12)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_limit)
+    p.add_argument("--out", default="limit.csv")
 
-    p = subs.add_parser("variety", help="Jacobian certificates over a moduli grid")
+    p = _add_command(subs, "variety", cmd_variety, "Jacobian certificates over a moduli grid")
     p.add_argument("--grid", type=_positive, default=4)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_variety)
 
     return parser
 
@@ -564,8 +591,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if hasattr(args, "lambda_parser") and (args.u is None) != (args.v is None):
-            args.lambda_parser.error("exact mode needs both --u and --v")
+        _check_args(args)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     sc.set_precision(args.precision)

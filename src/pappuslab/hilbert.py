@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import mpmath
 import numpy as np
@@ -44,10 +45,7 @@ class ConvexQuad:
         object.__setattr__(self, "basis", m)
 
     def chart(self, x: Point):
-        try:
-            return bx.chart_coords(sc.mat_vec(self.basis, x.coords))
-        except DegenerateConfiguration as exc:
-            raise OutsideDomain(str(exc)) from exc
+        return _chart_of(sc.mat_vec(self.basis, x.coords))
 
     def contains(self, x: Point, strict: bool = True) -> bool:
         cx, cy = (sc.to_mpf(c) for c in self.chart(x))
@@ -55,9 +53,29 @@ class ConvexQuad:
             return abs(cx) < 1 and abs(cy) < 1
         return abs(cx) <= 1 and abs(cy) <= 1
 
+    @cached_property
+    def _inverse_basis(self) -> tuple:
+        return sc.mat_inverse(self.basis)
+
     def point_at(self, chart_xy) -> Point:
-        v = sc.mat_vec(sc.mat_inverse(self.basis), bx.chart_point(chart_xy))
-        return Point(v)
+        return Point(sc.mat_vec(self._inverse_basis, bx.chart_point(chart_xy)))
+
+
+def _chart_of(vec):
+    try:
+        return bx.chart_coords(vec)
+    except DegenerateConfiguration as exc:
+        raise OutsideDomain(str(exc)) from exc
+
+
+def _float_chart(domain: ConvexQuad, x: Point):
+    """``domain.chart(x)`` in float mode.  An exact chart vector is
+    converted to mpf first, so its two quotients are mpf divisions, not
+    Fraction divisions converted afterwards."""
+    vec = sc.mat_vec(domain.basis, x.coords)
+    if x.exact:
+        vec = sc.vec_to_mpf(vec)
+    return _chart_of(vec)
 
 
 def _square_hit_times(x, d):
@@ -81,8 +99,8 @@ def _square_hit_times(x, d):
 
 def hilbert_distance(domain: ConvexQuad, x: Point, y: Point):
     """Hilbert distance: half the log of the boundary cross-ratio."""
-    cx = tuple(sc.to_mpf(c) for c in domain.chart(x))
-    cy = tuple(sc.to_mpf(c) for c in domain.chart(y))
+    cx = _float_chart(domain, x)
+    cy = _float_chart(domain, y)
     if max(abs(cx[0]), abs(cx[1])) >= 1 or max(abs(cy[0]), abs(cy[1])) >= 1:
         raise OutsideDomain("both points must be interior")
     d = (cy[0] - cx[0], cy[1] - cx[1])
@@ -101,7 +119,7 @@ def hilbert_norm(domain: ConvexQuad, x: Point, v):
     the chart line through x with direction v; infinitesimal version of
     hilbert_distance.
     """
-    cx = tuple(sc.to_mpf(c) for c in domain.chart(x))
+    cx = _float_chart(domain, x)
     if max(abs(cx[0]), abs(cx[1])) >= 1:
         raise OutsideDomain("norm is defined at interior points")
     d = (sc.to_mpf(v[0]), sc.to_mpf(v[1]))

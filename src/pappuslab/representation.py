@@ -13,14 +13,16 @@ by its adapted-basis matrix.  The key families are:
 
 A ``Representation`` is the representation rho^lambda of the
 even-involution subgroup at one parameter point (moduli, lambda): it
-builds A and B^lambda once, and ``evaluate(rep, w)`` maps words to plain
-matrices through it.  ``evaluate_schwartz`` maps words of the whole
-group to point/duality symmetries.
+builds A and B^lambda once (and the letter and step-word images when
+first asked), and ``evaluate(rep, w)`` maps words to plain matrices
+through it.  ``evaluate_schwartz`` maps words of the whole group to
+point/duality symmetries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import mpmath
 from mpmath import mpf
@@ -91,28 +93,47 @@ class Representation:
     """The representation rho^lambda at one parameter point.
 
     The rotation generator maps to A = ``matrix_A(moduli)`` and its
-    involution conjugate to B^lambda = ``matrix_B(moduli, lam)``.  A,
-    A^2, B^lambda and (B^lambda)^2 are built once, in the scalar mode of
-    the inputs (exact for rational moduli and an exact deformation).
+    involution conjugate to B^lambda = ``matrix_B(moduli, lam)``, both
+    built once, in the scalar mode of the inputs (exact for rational
+    moduli and an exact deformation).  The letter and step-word images
+    are built on first use, so a caller that needs only A and B^lambda
+    (``obstruction``, ``extension_intertwiner``) never pays for them.
     """
 
     moduli: BoxModuli
     lam: Lambda
     a: tuple = field(init=False, repr=False, compare=False)
     b: tuple = field(init=False, repr=False, compare=False)
-    # images of the rotation letters, indexed [parity of I letters][letter]
-    letter_images: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        a = matrix_A(self.moduli)
-        b = matrix_B(self.moduli, self.lam)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(
-            self,
-            "letter_images",
-            ({"R": a, "RR": sc.mat_mul(a, a)}, {"R": b, "RR": sc.mat_mul(b, b)}),
-        )
+        object.__setattr__(self, "a", matrix_A(self.moduli))
+        object.__setattr__(self, "b", matrix_B(self.moduli, self.lam))
+
+    @cached_property
+    def letter_images(self) -> tuple:
+        """Images of the rotation letters, indexed [parity of I letters][letter]:
+        A and A^2 at even parity, B^lambda and (B^lambda)^2 at odd.
+
+        In float mode all four are mpf, so that a product never converts
+        A's entries again.
+        """
+        a, b = self.a, self.b
+        a_images = {"R": a, "RR": sc.mat_mul(a, a)}
+        if not sc.mat_is_exact(b):
+            # mpmathify rounds a Fraction the way a mixed Fraction x mpf
+            # product does (sc.to_mpf rounds to nearest instead), so word
+            # images stay bit-identical to the mixed-mode products
+            a_images = {
+                let: tuple(tuple(mpmath.mpmathify(x) for x in row) for row in m)
+                for let, m in a_images.items()
+            }
+        return a_images, {"R": b, "RR": sc.mat_mul(b, b)}
+
+    @cached_property
+    def step_images(self) -> dict:
+        """Images of the four two-crossing step words ``modular.W_STEPS``,
+        evaluated on first use."""
+        return {w: evaluate(self, w) for w in md.W_STEPS}
 
 
 def evaluate(rep: Representation, w: GroupWord) -> tuple:

@@ -14,7 +14,8 @@ are immutable, so everything here is safe to use from parallel scans.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 import mpmath
@@ -291,18 +292,27 @@ MODULI_GAP_MARGIN = mpf("1e-9")
 class EigenResult:
     """Real spectrum of a 3x3 matrix.
 
-    pairs   -- list of (eigenvalue, unit eigenvector), unsorted
+    matrix  -- the (float-mode) matrix whose spectrum this is
+    roots   -- the three polished eigenvalues, unsorted
     moduli  -- the three |eigenvalue|, ascending
     gaps    -- (moduli[1]/moduli[0], moduli[2]/moduli[1])
+    pairs   -- list of (eigenvalue, unit eigenvector) in the order of
+               roots, built on first access (spectral gaps need no
+               eigenvectors)
     """
 
-    pairs: list
+    matrix: Mat3 = field(repr=False)
+    roots: tuple
     moduli: tuple
     gaps: tuple
 
     @property
     def loxodromic(self) -> bool:
         return self.gaps[0] > 1 + MODULI_GAP_MARGIN and self.gaps[1] > 1 + MODULI_GAP_MARGIN
+
+    @cached_property
+    def pairs(self) -> list:
+        return [(lam, _eigenvector(self.matrix, lam)) for lam in self.roots]
 
 
 def _cubic_real_roots(c2, c1, c0):
@@ -350,8 +360,9 @@ def _eigenvector(m: Mat3, lam: mpf) -> Vec3:
 def eigen_real(m: Mat3, newton_steps: int = 2) -> EigenResult:
     """Real eigen-decomposition of a 3x3 matrix in float mode.
 
-    Closed-form roots of the characteristic cubic, two Newton polishing
-    steps, and eigenvectors from cross products of rows of (m - lam I).
+    Closed-form roots of the characteristic cubic and two Newton
+    polishing steps; the eigenvectors (``EigenResult.pairs``) come from
+    cross products of rows of (m - lam I) when first read.
     """
     m = mat_to_mpf(m)
     trace = m[0][0] + m[1][1] + m[2][2]
@@ -374,14 +385,13 @@ def eigen_real(m: Mat3, newton_steps: int = 2) -> EigenResult:
                 x = x - poly(x) / dp
         polished.append(x)
 
-    pairs = [(lam, _eigenvector(m, lam)) for lam in polished]
     moduli = tuple(sorted(abs(lam) for lam in polished))
     floor = max(moduli[2] * float_epsilon(), float_epsilon())
     gaps = (
         moduli[1] / max(moduli[0], floor),
         moduli[2] / max(moduli[1], floor),
     )
-    return EigenResult(pairs=pairs, moduli=moduli, gaps=gaps)
+    return EigenResult(matrix=m, roots=tuple(polished), moduli=moduli, gaps=gaps)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mpf
 
 from pappuslab import anosov_lab as al
@@ -12,10 +14,12 @@ from pappuslab import representation as rp
 from pappuslab import scalars as sc
 from pappuslab.boxes import BoxModuli, Lambda
 from pappuslab.errors import (
+    ComplexSpectrum,
     NonLoxodromic,
     NotInRegionInterior,
     NotInSubgroupO,
     NotNested,
+    SingularMatrix,
 )
 from pappuslab.modular import W_STEPS, GroupWord
 
@@ -261,3 +265,212 @@ def test_gap_growth_along_powers():
     # the gap of the k-th power is the k-th power of the gap
     assert abs(gaps[1] - gaps[0] ** 2) < mpf("1e-9") * gaps[1]
     assert abs(gaps[2] - gaps[0] ** 3) < mpf("1e-9") * gaps[2]
+
+
+# ---------------------------------------------------------------------------
+# the tree-walk scan, the float letter images and the lazy eigenvectors
+# against the per-word computations they replace
+
+SCAN_LEN = 6
+
+tenths_moduli = st.tuples(st.integers(-8, 8), st.integers(-8, 8)).filter(
+    lambda t: t != (0, 0)
+).map(lambda t: BoxModuli(Fraction(t[0], 10), Fraction(t[1], 10)))
+# (eps, delta) in the strict interior of the admissible region
+float_lambdas = st.builds(
+    lambda e, d: lam(mpf(e), mpf(d)),
+    st.floats(-0.25, -0.05),
+    st.floats(-0.02, 0.02),
+)
+exact_lambdas = st.builds(
+    lambda u, v: Lambda(u=Fraction(u, 10), v=Fraction(v, 10)),
+    st.integers(5, 15),
+    st.integers(5, 15),
+)
+
+
+def scanned_words(max_len):
+    """Even words with an axis, in scan order."""
+    words = []
+    for w in md.enumerate_words(max_len, subgroup_o_only=True):
+        _, core = w.cyclic_reduction()
+        if core.is_identity or all(let != "I" for let in core.letters):
+            continue
+        words.append(w)
+    return words
+
+
+def reference_scan(rep, max_len):
+    """The scan as a per-word loop: every word evaluated from scratch."""
+    words = scanned_words(max_len)
+    min_gap = None
+    non_loxodromic = []
+    for w in words:
+        mat = sc.mat_to_mpf(rp.evaluate(rep, w))
+        try:
+            res = sc.eigen_real(sc.normalize_det_one(mat))
+        except (ComplexSpectrum, SingularMatrix):
+            non_loxodromic.append(w)
+            continue
+        gap = min(res.gaps)
+        min_gap = gap if min_gap is None else min(min_gap, gap)
+        if not res.loxodromic:
+            non_loxodromic.append(w)
+    return {
+        "scanned": len(words),
+        "min_gap": min_gap,
+        "non_loxodromic": non_loxodromic,
+    }
+
+
+def mixed_evaluate(rep, w, rotations):
+    """``evaluate`` with the rotation letters mapped to ``rotations``
+    (images of R and RR) and the conjugate letters to B^lambda."""
+    images = (rotations, rep.letter_images[1])
+    out, parity = sc.IDENTITY, 0
+    for let in w.letters:
+        if let == "I":
+            parity ^= 1
+        else:
+            out = sc.mat_mul(out, images[parity][let])
+    return out
+
+
+def mpmathify_matrix(m):
+    return tuple(tuple(mpmath.mpmathify(x) for x in row) for row in m)
+
+
+@given(tenths_moduli, st.one_of(float_lambdas, exact_lambdas))
+@settings(max_examples=12, deadline=None)
+def test_scan_tree_walk_images_match_evaluate(moduli, la):
+    rep = rp.Representation(moduli, la)
+    seen = []
+    spectrum = al._spectrum
+
+    def recording(g):
+        seen.append(g)
+        return spectrum(g)
+
+    al._spectrum = recording
+    try:
+        al.loxodromy_scan(rep, max_len=SCAN_LEN)
+    finally:
+        al._spectrum = spectrum
+    words = scanned_words(SCAN_LEN)
+    assert len(seen) == len(words)
+    for g, w in zip(seen, words):
+        ref = rp.evaluate(rep, w)
+        pairs = [(x, y) for rg, rr in zip(g, ref) for x, y in zip(rg, rr)]
+        assert all(x == y and type(x) is type(y) for x, y in pairs), w
+
+
+@given(tenths_moduli, st.one_of(float_lambdas, exact_lambdas))
+@settings(max_examples=12, deadline=None)
+def test_scan_matches_per_word_reference(moduli, la):
+    rep = rp.Representation(moduli, la)
+    assert al.loxodromy_scan(rep, max_len=SCAN_LEN) == reference_scan(rep, SCAN_LEN)
+
+
+@pytest.mark.parametrize("moduli", [M_ZERO, M_TEST])
+def test_scan_matches_reference_with_non_loxodromic_words(moduli):
+    # undeformed: parabolic words make the order of non_loxodromic matter
+    rep = rp.Representation(moduli, LAM_ZERO)
+    scan = al.loxodromy_scan(rep, max_len=SCAN_LEN)
+    assert scan["non_loxodromic"]
+    assert scan == reference_scan(rep, SCAN_LEN)
+
+
+@given(tenths_moduli, float_lambdas)
+@settings(max_examples=20, deadline=None)
+def test_float_letter_images_are_mpmathified_rotations(moduli, la):
+    rep = rp.Representation(moduli, la)
+    a = rp.matrix_A(moduli)
+    rotations = {"R": a, "RR": sc.mat_mul(a, a)}
+    assert rep.a == a and sc.mat_is_exact(rep.a)
+    images = rep.letter_images[0]
+    for let, m in rotations.items():
+        assert images[let] == mpmathify_matrix(m)
+        assert all(type(x) is mpf for row in images[let] for x in row)
+    # word images equal the mixed Fraction x mpf products bit for bit;
+    # rounding the rotations to nearest (sc.to_mpf) would not
+    words = md.enumerate_words(SCAN_LEN, subgroup_o_only=True)
+    for w in words:
+        assert rp.evaluate(rep, w) == mixed_evaluate(rep, w, rotations)
+    to_nearest = {let: sc.mat_to_mpf(m) for let, m in rotations.items()}
+    if to_nearest != images:
+        assert any(
+            mixed_evaluate(rep, w, to_nearest) != mixed_evaluate(rep, w, rotations)
+            for w in words
+        )
+
+
+def test_to_nearest_rotations_would_change_word_images():
+    rep = rp.Representation(M_TEST, lam(mpf("-0.15"), mpf("0.01")))
+    a = rp.matrix_A(M_TEST)
+    rotations = {"R": a, "RR": sc.mat_mul(a, a)}
+    to_nearest = {let: sc.mat_to_mpf(m) for let, m in rotations.items()}
+    assert to_nearest != rep.letter_images[0]
+    assert any(
+        mixed_evaluate(rep, w, to_nearest) != rp.evaluate(rep, w)
+        for w in md.enumerate_words(4, subgroup_o_only=True)
+    )
+
+
+@given(tenths_moduli, exact_lambdas)
+@settings(max_examples=10, deadline=None)
+def test_exact_lambda_keeps_exact_images(moduli, la):
+    rep = rp.Representation(moduli, la)
+    assert all(sc.mat_is_exact(m) for images in rep.letter_images for m in images.values())
+    assert all(sc.mat_is_exact(m) for m in rep.step_images.values())
+
+
+@given(tenths_moduli, float_lambdas, st.sampled_from(W_STEPS), st.sampled_from(W_STEPS))
+@settings(max_examples=20, deadline=None)
+def test_lazy_pairs_equal_eager_list(moduli, la, w1, w2):
+    rep = rp.Representation(moduli, la)
+    m = sc.normalize_det_one(sc.mat_to_mpf(rp.evaluate(rep, w1 * w2)))
+    calls = []
+    eigenvector = sc._eigenvector
+
+    def counting(*args):
+        calls.append(args)
+        return eigenvector(*args)
+
+    sc._eigenvector = counting
+    try:
+        res = sc.eigen_real(m)
+        assert calls == []
+        # the list eigen_real used to build for every call
+        eager = [(x, eigenvector(sc.mat_to_mpf(m), x)) for x in res.roots]
+        assert res.pairs == eager
+        assert res.pairs is res.pairs
+        assert len(calls) == 3
+    finally:
+        sc._eigenvector = eigenvector
+    assert tuple(sorted(abs(x) for x in res.roots)) == res.moduli
+    for x, v in res.pairs:
+        residual = sc.vec_sub(sc.mat_vec(m, v), sc.vec_scale(v, x))
+        assert sc.vec_max_abs(residual) <= mpf("1e-20") * max(abs(x), 1)
+
+
+def test_step_images_are_evaluated_once():
+    rep = rp.Representation(M_TEST, lam(mpf("-0.1")))
+    assert "step_images" not in vars(rep)
+    images = rep.step_images
+    assert list(images) == list(W_STEPS)
+    assert all(images[w] == rp.evaluate(rep, w) for w in W_STEPS)
+    assert rep.step_images is images
+
+
+def test_chart_diameter_single_root():
+    rng = random.Random(5)
+    for _ in range(50):
+        chart = [(mpf(rng.uniform(-1, 1)), mpf(rng.uniform(-1, 1))) for _ in range(4)]
+        pts = [bx.chart_point(xy) for xy in chart]
+        coords = [bx.chart_coords(p) for p in pts]
+        roots = []
+        for i, a in enumerate(coords):
+            for b in coords[i + 1:]:
+                dx, dy = a[0] - b[0], a[1] - b[1]
+                roots.append(mpmath.sqrt(dx * dx + dy * dy))
+        assert al._chart_diameter(pts) == max(roots)

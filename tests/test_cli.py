@@ -2,8 +2,11 @@ import json
 
 import pytest
 
+from pappuslab import anosov_lab as al
 from pappuslab import cli
+from pappuslab import modular as md
 from pappuslab import representation as rp
+from pappuslab import scalars as sc
 
 
 def run(capsys, *argv):
@@ -40,6 +43,7 @@ def test_usage_error_exit_code(capsys):
         ["limit", "--depth", "-1"],
         ["iterate", "--depth", "-2"],
         ["certify", "--maxlen", "-1"],
+        ["limit", "--depth", "0"],
     ],
 )
 def test_invalid_values_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
@@ -98,6 +102,114 @@ def test_one_matrix_B_per_invocation(argv, tmp_path, monkeypatch, capsys):
     assert cli.main(argv) == 0
     capsys.readouterr()
     assert len(calls) == 1
+
+
+DEFORMED = ["--zt=3/10", "--zb=-2/10", "--eps=-0.15", "--delta=0.01"]
+
+
+def test_scan_makes_at_most_one_product_per_word(monkeypatch, capsys):
+    # the scan extends each word's parent image by one letter
+    in_scan = []
+    products = []
+    enumerated = []
+    scan, mat_mul, enumerate_words = al.loxodromy_scan, sc.mat_mul, md.enumerate_words
+
+    def scanning(*args, **kwargs):
+        in_scan.append(True)
+        try:
+            return scan(*args, **kwargs)
+        finally:
+            in_scan.pop()
+
+    def counting(a, b):
+        if in_scan:
+            products.append(1)
+        return mat_mul(a, b)
+
+    def recording(*args, **kwargs):
+        words = enumerate_words(*args, **kwargs)
+        if in_scan:
+            enumerated.extend(words)
+        return words
+
+    monkeypatch.setattr(al, "loxodromy_scan", scanning)
+    monkeypatch.setattr(sc, "mat_mul", counting)
+    monkeypatch.setattr(md, "enumerate_words", recording)
+    assert cli.main(["certify", "--maxlen", "10", *DEFORMED]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["checks"]["loxodromy_scanned"] > 0
+    assert enumerated
+    assert 0 < len(products) <= len(enumerated)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--maxlen", "10", *DEFORMED],
+        ["limit", "--depth", "2", *DEFORMED],
+    ],
+)
+def test_no_eigenvectors_built(argv, tmp_path, monkeypatch, capsys):
+    # certify and limit read spectral gaps only
+    def forbidden(*args):
+        raise AssertionError("eigenvector built")
+
+    monkeypatch.setattr(sc, "_eigenvector", forbidden)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+
+
+def test_limit_evaluates_each_step_word_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    evaluate = rp.evaluate
+
+    def counting(rep, w):
+        calls.append(w)
+        return evaluate(rep, w)
+
+    monkeypatch.setattr(rp, "evaluate", counting)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["limit", "--depth", "2", *DEFORMED]) == 0
+    capsys.readouterr()
+    for w in md.W_STEPS:
+        assert calls.count(w) <= 1
+
+
+COMMANDS = {
+    "relations": ["relations", "--trials", "1"],
+    "iterate": ["iterate", "--depth", "1"],
+    "certify": ["certify", "--maxlen", "4"],
+    "curve": ["curve", "--eps=-0.05"],
+    "limit": ["limit", "--depth", "1"],
+    "variety": ["variety", "--grid", "1"],
+}
+
+
+@pytest.mark.parametrize("where", ["missing/out.txt", "."])
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_unwritable_out_is_usage_error(name, where, tmp_path, monkeypatch, capsys):
+    # the target is checked before any computation starts
+    def forbidden(args):
+        raise AssertionError("computed before checking --out")
+
+    monkeypatch.setattr(cli, "cmd_" + name, forbidden)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(COMMANDS[name] + ["--out", str(tmp_path / where)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage: pappuslab %s" % name in captured.err
+    assert "cannot write --out" in captured.err
+    assert not list(tmp_path.iterdir())
+
+
+def test_limit_skipped_words_spelled_as_in_json(tmp_path, monkeypatch, capsys):
+    # undeformed special box: the two parabolic step words have no limit
+    monkeypatch.chdir(tmp_path)
+    code, report = run_json(capsys, "limit", "--depth", "1", "--zt", "0", "--zb", "0")
+    assert code == 0
+    assert report["words"] == 2
+    assert report["skipped_non_loxodromic"] == ["R I R I", "RR I RR I"]
 
 
 def test_relations_default_pass(capsys):

@@ -3,9 +3,10 @@
 Each case runs ``pappuslab.cli.main`` in an empty working directory and
 compares its stdout, and the file it writes there, with the copies under
 ``tests/data/golden/``.  To record them afresh (only when an output is
-meant to change), run from the repository root:
+meant to change), run from the repository root, naming the cases to
+record (all of them when none is named):
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [case ...]
 """
 
 import contextlib
@@ -21,6 +22,7 @@ from pappuslab import cli
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 POINT = ["--zt=3/10", "--zb=-2/10"]
 DEFORMED = POINT + ["--eps=-0.15", "--delta=0.01"]
+EXACT = POINT + ["--u", "9/10", "--v", "1"]
 
 # name -> (argv, file the command writes into its working directory)
 CASES = {
@@ -30,6 +32,11 @@ CASES = {
     "variety": (["variety", "--grid", "2"], None),
     "relations": (["relations", "--trials", "2", "--seed", "3"], None),
     "iterate": (["iterate", "--depth", "3", "--u", "9/10", "--v", "1"], "iterate.svg"),
+    # the shapes of the anosov_float benchmark op, in float and exact lambda
+    "certify_maxlen10": (["certify", "--maxlen", "10", *DEFORMED], None),
+    "limit_depth2": (["limit", "--depth", "2", *DEFORMED], "limit.csv"),
+    "certify_exact": (["certify", "--maxlen", "8", *EXACT], None),
+    "limit_exact": (["limit", "--depth", "1", *EXACT], "limit.csv"),
 }
 
 
@@ -62,7 +69,7 @@ if __name__ == "__main__":
 
     os.environ.pop(cli.PRECISION_ENV, None)
     GOLDEN.mkdir(parents=True, exist_ok=True)
-    for case in sorted(CASES):
+    for case in sys.argv[1:] or sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:
             for fname, data in run_case(case, Path(tmp)).items():
                 (GOLDEN / fname).write_bytes(data)
