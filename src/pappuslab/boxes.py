@@ -511,7 +511,11 @@ def chart_coords(coords):
         raise DegenerateConfiguration("point at infinity of the chart")
     if sc.is_exact(x) and sc.is_exact(w):
         return (Fraction(x) / Fraction(w), Fraction(y - z) / Fraction(w))
-    return (sc.to_mpf(x) / sc.to_mpf(w), sc.to_mpf(y - z) / sc.to_mpf(w))
+    if isinstance(w, mpf):
+        # then y - z is mpf too; both were just computed at the working precision
+        return (sc.to_mpf(x) / w, (y - z) / w)
+    w = sc.to_mpf(w)
+    return (sc.to_mpf(x) / w, sc.to_mpf(y - z) / w)
 
 
 def chart_point(xy) -> tuple:

@@ -104,6 +104,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError("must be positive: %s" % text)
+    return value
+
+
 def _moduli_from_args(args) -> BoxModuli:
     return BoxModuli(args.zt, args.zb)
 
@@ -567,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _add_command(subs, "curve", cmd_curve, "extension locus delta(epsilon)")
     _add_moduli_flags(p)
     p.add_argument("--eps", type=_finite_float, required=True)
-    p.add_argument("--tol", type=_finite_float, default=1e-12)
+    p.add_argument("--tol", type=_positive_float, default=1e-12)
     p.add_argument("--out", default=None)
 
     p = _add_command(subs, "limit", cmd_limit, "CSV of periodic-word limit points")
@@ -577,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--depth", type=_positive, default=2, help="word length in crossing pairs, at least 1"
     )
-    p.add_argument("--tol", type=_finite_float, default=1e-12)
+    p.add_argument("--tol", type=_positive_float, default=1e-12)
     p.add_argument("--out", default="limit.csv")
 
     p = _add_command(subs, "variety", cmd_variety, "Jacobian certificates over a moduli grid")

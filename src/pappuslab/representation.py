@@ -26,6 +26,7 @@ from functools import cached_property
 
 import mpmath
 from mpmath import mpf
+from mpmath.matrices.eigen_symmetric import svd_r_raw
 
 from . import boxes as bx
 from . import modular as md
@@ -313,16 +314,23 @@ def _conjugation_system(c: tuple, b: tuple):
     return rows
 
 
-def _nullspace_float(rows, rel_tol=mpf("1e-9")):
+def _singular_values_v(rows):
+    """S and V of the SVD A = U S V of a system with at least as many
+    rows as columns, as ``mpmath.svd_r`` gives them."""
     a = mpmath.matrix([[sc.to_mpf(x) for x in row] for row in rows])
-    u, svals, v = mpmath.svd_r(a)
-    smax = max(svals[i] for i in range(svals.rows)) if svals.rows else mpf(0)
-    cutoff = rel_tol * max(smax, mpf(1))
-    basis = []
-    for i in range(v.rows):
-        if i >= svals.rows or svals[i] <= cutoff:
-            basis.append(tuple(v[i, j] for j in range(v.cols)))
-    return basis
+    v = mpmath.zeros(a.cols, a.cols)
+    # svd_r_raw is the routine mpmath.svd_r runs; calc_u=False skips the
+    # U factor, which is never read, and leaves S and V unchanged
+    return svd_r_raw(mpmath.mp, a, v, calc_u=False), v
+
+
+def _nullspace_float(rows, rel_tol=mpf("1e-9")):
+    """Right singular vectors whose singular values are at most
+    rel_tol * max(largest singular value, 1)."""
+    svals, v = _singular_values_v(rows)
+    n = v.rows
+    cutoff = rel_tol * max(max(svals[i] for i in range(n)), mpf(1))
+    return [tuple(v[i, j] for j in range(n)) for i in range(n) if svals[i] <= cutoff]
 
 
 def _residual(c, b, s) -> mpf:

@@ -474,3 +474,16 @@ def test_chart_diameter_single_root():
                 dx, dy = a[0] - b[0], a[1] - b[1]
                 roots.append(mpmath.sqrt(dx * dx + dy * dy))
         assert al._chart_diameter(pts) == max(roots)
+
+
+def test_spectrum_converts_only_exact_images():
+    # det = -8/27 is a rational cube: normalizing the exact matrix would
+    # keep it exact and round differently from normalizing its mpf copy
+    third = Fraction(1, 3)
+    m = ((1, 1, third), (third, -third, 3), (0, third, -1))
+    with mpmath.workprec(128):
+        for g in (m, sc.mat_to_mpf(m)):
+            res = al._spectrum(g)
+            ref = sc.eigen_real(sc.normalize_det_one(sc.mat_to_mpf(g)))
+            assert (res.roots, res.gaps) == (ref.roots, ref.gaps)
+        assert sc.eigen_real(sc.normalize_det_one(m)).roots != res.roots

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from mpmath import mpf
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -343,3 +344,22 @@ def test_dual_reversal():
             not bx.interior_contains(db, corner, strict=False)
             for corner in (dc.p, dc.q, dc.r, dc.s)
         )
+
+
+def test_chart_coords_float_branch_rounds_as_to_mpf():
+    # the float branch divides mpf values it has just computed without
+    # re-wrapping them, and converts exact ones first
+    def reference(coords):
+        x, y, z = coords
+        w = y + z
+        return (sc.to_mpf(x) / sc.to_mpf(w), sc.to_mpf(y - z) / sc.to_mpf(w))
+
+    third = Fraction(1, 3)
+    for coords in [
+        (mpf("0.3"), mpf("0.7"), mpf("0.2")),
+        (third, mpf("0.7"), Fraction(2, 7)),
+        (mpf("0.3"), third, Fraction(2, 7)),
+        (0.25, mpf(1) / 3, 0.5),
+        (mpf("-1e-30"), mpf("1e30"), mpf(3)),
+    ]:
+        assert bx.chart_coords(coords) == reference(coords)

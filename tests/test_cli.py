@@ -44,6 +44,10 @@ def test_usage_error_exit_code(capsys):
         ["iterate", "--depth", "-2"],
         ["certify", "--maxlen", "-1"],
         ["limit", "--depth", "0"],
+        ["curve", "--eps=-0.05", "--tol=0"],
+        ["curve", "--eps=-0.05", "--tol=-1"],
+        ["limit", "--depth", "1", "--eps=-0.15", "--tol=-1"],
+        ["limit", "--depth", "1", "--eps=-0.15", "--tol=0"],
     ],
 )
 def test_invalid_values_are_usage_errors(argv, tmp_path, monkeypatch, capsys):

@@ -37,6 +37,9 @@ CASES = {
     "limit_depth2": (["limit", "--depth", "2", *DEFORMED], "limit.csv"),
     "certify_exact": (["certify", "--maxlen", "8", *EXACT], None),
     "limit_exact": (["limit", "--depth", "1", *EXACT], "limit.csv"),
+    # the shape of the variety_curve benchmark's variety op, and a second curve point
+    "variety_grid3": (["variety", "--grid", "3"], None),
+    "curve_point2": (["curve", "--zt=-7/10", "--zb=1/2", "--eps=-0.09"], None),
 }
 
 

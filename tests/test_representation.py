@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -307,6 +308,61 @@ def test_intertwiner_off_curve_exact():
     with pytest.raises(NoSolution):
         lam = Lambda(u=Fraction(9, 10), v=Fraction(3, 2))
         rp.extension_intertwiner(rp.Representation(M_TEST, lam))
+
+
+# the SVD behind the float nullspace: S and V without the U factor
+
+nonspecial_tenths = st.tuples(st.integers(-8, 8), st.integers(-8, 8)).filter(
+    lambda t: t != (0, 0)
+).map(lambda t: BoxModuli(Fraction(t[0], 10), Fraction(t[1], 10)))
+
+
+def _svd_r_s_v(rows):
+    _, s, v = mpmath.svd_r(mpmath.matrix([[sc.to_mpf(x) for x in row] for row in rows]))
+    return s, v
+
+
+def _nullspace_svd_r(rows, rel_tol=mpf("1e-9")):
+    # the nullspace as computed from the full mpmath.svd_r
+    svals, v = _svd_r_s_v(rows)
+    cutoff = rel_tol * max(max(svals[i] for i in range(svals.rows)), mpf(1))
+    return [
+        tuple(v[i, j] for j in range(v.cols))
+        for i in range(v.rows)
+        if i >= svals.rows or svals[i] <= cutoff
+    ]
+
+
+def _assert_svd_matches_svd_r(rows):
+    s, v = rp._singular_values_v(rows)
+    s_ref, v_ref = _svd_r_s_v(rows)
+    assert (s.rows, s.cols) == (s_ref.rows, s_ref.cols)
+    assert (v.rows, v.cols) == (v_ref.rows, v_ref.cols)
+    assert s.tolist() == s_ref.tolist()
+    assert v.tolist() == v_ref.tolist()
+    assert rp._nullspace_float(rows) == _nullspace_svd_r(rows)
+
+
+def _conjugation_rows(moduli, lam):
+    rep = rp.Representation(moduli, lam)
+    return rp._conjugation_system(sc.mat_inverse(sc.mat_transpose(rep.a)), rep.b)
+
+
+@given(nonspecial_tenths, st.integers(-100, -10))
+@settings(max_examples=8, deadline=None)
+def test_v_only_svd_equals_svd_r_on_curve(moduli, eps_thousandths):
+    eps = mpf(eps_thousandths) / 1000
+    lam = Lambda(epsilon=eps, delta=rp.solve_delta_h(moduli, eps))
+    rows = _conjugation_rows(moduli, lam)
+    assert len(rows) == 9 and len(rows[0]) == 6
+    _assert_svd_matches_svd_r(rows)
+    assert len(rp._nullspace_float(rows)) == 1
+
+
+def test_v_only_svd_equals_svd_r_off_curve():
+    rows = _conjugation_rows(M_TEST, Lambda(epsilon=mpf("-0.1"), delta=mpf("0.5")))
+    _assert_svd_matches_svd_r(rows)
+    assert rp._nullspace_float(rows) == []
 
 
 # ---------------------------------------------------------------------------

@@ -129,3 +129,20 @@ def test_jacobian_phi_symmetric_in_moduli():
     a = vy.closed_form_phi_jacobian(BoxModuli(Fraction(1, 2), Fraction(1, 3)))
     b = vy.closed_form_phi_jacobian(BoxModuli(Fraction(1, 3), Fraction(1, 2)))
     assert abs(a - b) < mpf("1e-25") * a
+
+
+def test_phi_check_builds_each_generator_pair_once(monkeypatch):
+    # 26 finite-difference evaluations, 18 of which perturb only the
+    # conjugator: 9 distinct (moduli, deformation) points
+    calls = []
+    matrix_B = rp.matrix_B
+
+    def counting(*args):
+        calls.append(args)
+        return matrix_B(*args)
+
+    monkeypatch.setattr(rp, "matrix_B", counting)
+    assert vy.jacobian_check_phi(M_TEST)["match"]
+    assert len(calls) == 9
+    keys = {(m.zeta_t, m.zeta_b, lam.epsilon, lam.delta) for m, lam in calls}
+    assert len(keys) == 9
