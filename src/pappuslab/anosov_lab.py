@@ -6,8 +6,8 @@ the n-th box is the matrix image of the base box under the word image
 of gamma_n, and gamma_{n+1} = gamma_n w for one of the four two-crossing
 step words.  Everything here measures how fast those boxes shrink:
 
-- ``constant_C``: sampled minimal Hilbert distortion over the four
-  step words;
+- ``constant_C``: minimal Hilbert distortion over the four step words,
+  sampled and so estimated from above;
 - ``limit_point``: the nested-intersection point (with its dual line)
   for a periodic word, the discrete analogue of the boundary map;
 - ``doubling_check``: crossing-counted norm doubling along sequences;
@@ -44,9 +44,11 @@ from .projective import Line, Point
 def constant_C(rep: rp.Representation, resolution: int = 16, directions: int = 8):
     """Sampled minimal distortion gained by crossing two edges.
 
-    Minimum over the four step words of the distortion of the step-word
-    box image inside the base box; raises NotNested when the nesting
-    fails (deformation outside the admissible region).
+    Minimum over the four step words of the sampled distortion of the
+    step-word box image inside the base box.  A sample minimum can only
+    over-estimate the true constant, and it falls as the grid is
+    refined.  Raises NotNested when the nesting fails (deformation
+    outside the admissible region).
     """
     box = bx.from_moduli(rep.moduli)
     outer = bx.convex_interior(box)

@@ -556,9 +556,7 @@ def convex_interior(box: OvermarkedBox):
     """
     from .hilbert import ConvexQuad
 
-    if not is_convex(box):
-        raise NotConvex("interior is only defined for convex boxes")
-    return ConvexQuad((box.p, box.q, box.r, box.s))
+    return ConvexQuad((box.p, box.q, box.r, box.s), basis=_interior_basis(box))
 
 
 def containment_check(box: OvermarkedBox, lam: Lambda, strict: bool = False) -> bool:

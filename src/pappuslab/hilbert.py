@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import mpmath
-import numpy as np
 from mpmath import mpf
 
 from . import boxes as bx
@@ -29,15 +28,18 @@ class ConvexQuad:
 
     vertices must be in cyclic order; the cached basis matrix maps them
     to the box normal-form corners, so that ``boxes.chart_coords`` sends
-    them to (-1,1), (1,1), (1,-1), (-1,-1).
+    them to (-1,1), (1,1), (1,-1), (-1,-1).  A caller that holds that
+    basis already (``boxes.convex_interior``) passes it; it is not checked.
     """
 
     vertices: tuple
-    basis: tuple = field(init=False, repr=False, compare=False)
+    basis: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.vertices) != 4:
             raise PappusLabError("a quadrilateral needs four vertices")
+        if self.basis is not None:
+            return
         try:
             m = pj.frame_change(pj.frame_matrix(*self.vertices), bx.STANDARD_FRAME)
         except PappusLabError as exc:
@@ -130,79 +132,106 @@ def hilbert_norm(domain: ConvexQuad, x: Point, v):
 
 
 # ---------------------------------------------------------------------------
-# distortion (vectorized sampling)
+# distortion (sampled in float64)
+#
+# Python floats are IEEE doubles: the sampling repeats the operations of
+# the numpy kernel it replaced, in the same order, so every constant is
+# bit-identical to it (tests/test_hilbert.py keeps that kernel as an
+# oracle).  Where numpy divided by zero the guards give its inf, and a nan
+# anywhere makes the minimum nan, as ``np.min`` does.
 
 
-def _np_forward_time(px, py, dx, dy):
-    """Vectorized exit time of the ray (px,py) + t (dx,dy) from the open
-    unit square (per-coordinate wall hit, then minimum)."""
-    safe_dx = np.where(dx == 0, 1.0, dx)
-    safe_dy = np.where(dy == 0, 1.0, dy)
-    tx = np.where(dx > 0, (1 - px) / safe_dx, (-1 - px) / safe_dx)
-    ty = np.where(dy > 0, (1 - py) / safe_dy, (-1 - py) / safe_dy)
-    tx = np.where(dx == 0, np.inf, tx)
-    ty = np.where(dy == 0, np.inf, ty)
-    return np.minimum(tx, ty)
+@cache
+def _sampling(resolution: int, directions: int) -> tuple:
+    """Grid points (row by row), direction fan and the unit-square norm
+    at each (direction, point) of one sampling shape.  The ticks are
+    those of ``np.linspace``: ``i*step + start``, the last one ``stop``."""
+    if resolution < 1 or directions < 1:
+        raise ValueError("resolution and directions must be positive")
+    start, stop = -1 + 1.0 / resolution, 1 - 1.0 / resolution
+    step = (stop - start) / max(resolution - 1, 1)
+    ticks = [i * step + start for i in range(resolution - 1)] + [stop]
+    points = tuple((px, py) for py in ticks for px in ticks)
+    angles = [k * math.pi / directions for k in range(directions)]
+    fan = tuple((math.cos(a), math.sin(a)) for a in angles)
+    hits = [[_square_hit_times(p, d) for p in points] for d in fan]
+    return points, fan, tuple(tuple((1 / tm + 1 / tp) / 2 for tm, tp in row) for row in hits)
 
 
-def _np_square_norm(px, py, dx, dy):
-    """Vectorized Finsler norm of the unit square at (px,py), direction
-    (dx,dy); arrays broadcast together."""
-    t_plus = _np_forward_time(px, py, dx, dy)
-    t_minus = _np_forward_time(px, py, -dx, -dy)
-    return (1 / t_minus + 1 / t_plus) / 2
+def _over_zero(x: float) -> float:
+    """x / +0.0 in IEEE arithmetic."""
+    return math.nan if x != x or x == 0 else math.copysign(math.inf, x)
 
 
 def distortion_estimate(inner: ConvexQuad, outer: ConvexQuad, resolution: int = 32, directions: int = 16):
-    """Sampled lower estimate of the distortion constant C(inner, outer).
+    """Sampled distortion constant C(inner, outer), an estimate from above.
 
     Minimum over an interior grid and a direction fan of the Finsler
-    norm ratio ||v||_inner / ||v||_outer; a sampled lower bound of
-    nothing and an approximation from below of the true constant up to
-    grid error.  Requires the closed inner quad inside the closed outer
-    quad (corners may touch the boundary; the sampled grid itself must
-    stay strictly interior).
+    norm ratio ||v||_inner / ||v||_outer, in float64 whatever the
+    working precision.  A minimum over samples can only over-estimate
+    the infimum that is the true constant; it falls towards it as the
+    grid is refined.  Requires the closed inner quad inside the closed
+    outer quad (corners may touch the boundary; the sampled grid itself
+    must stay strictly interior).
     """
     slack = 1 + mpmath.sqrt(sc.float_epsilon())
     for v in inner.vertices:
         cx, cy = (sc.to_mpf(c) for c in outer.chart(v))
         if abs(cx) > slack or abs(cy) > slack:
             raise NotNested("inner quad closure must sit inside the outer quad")
+    points, fan, inner_norms = _sampling(resolution, directions)
 
     # transition from inner chart to outer chart: affine in homogeneous form
     m = sc.mat_mul(sc.mat_to_mpf(outer.basis), sc.mat_inverse(sc.mat_to_mpf(inner.basis)))
-    mf = np.array([[float(x) for x in row] for row in m])
-    # chart_point is affine: h = M @ (X, (1+Y)/2, (1-Y)/2)
-    ax = mf[:, 0]
-    ay = (mf[:, 1] - mf[:, 2]) / 2
-    c0 = (mf[:, 1] + mf[:, 2]) / 2
-
-    ticks = np.linspace(-1 + 1.0 / resolution, 1 - 1.0 / resolution, resolution)
-    px, py = np.meshgrid(ticks, ticks)
-    px = px.ravel()[None, :]
-    py = py.ravel()[None, :]
-
-    angles = np.arange(directions) * math.pi / directions
-    dx = np.cos(angles)[:, None]
-    dy = np.sin(angles)[:, None]
-
-    norm_inner = _np_square_norm(px, py, dx, dy)
-
-    h = ax[:, None] * px[0] + ay[:, None] * py[0] + c0[:, None]  # 3 x N
-    w = h[1] + h[2]
-    if np.any(w == 0):
-        raise NotNested("image grid touches the chart horizon")
-    qx = h[0] / w
-    qy = (h[1] - h[2]) / w
-    if np.max(np.abs(qx)) >= 1 or np.max(np.abs(qy)) >= 1:
+    # chart_point is affine: h = M @ (X, (1+Y)/2, (1-Y)/2) = ax X + ay Y + c0
+    (a0, b0, e0), (a1, b1, e1), (a2, b2, e2) = (
+        (r[0], (r[1] - r[2]) / 2, (r[1] + r[2]) / 2) for r in ([float(x) for x in row] for row in m)
+    )
+    samples = []  # per point: h0, h1 - h2, w = h1 + h2, w*w, numerators of the exit times
+    qs = []
+    for px, py in points:
+        h1, h2 = a1 * px + b1 * py + e1, a2 * px + b2 * py + e2
+        h0, h12, w = a0 * px + b0 * py + e0, h1 - h2, h1 + h2
+        if w == 0:
+            raise NotNested("image grid touches the chart horizon")
+        qx, qy = h0 / w, h12 / w
+        qs.append((qx, qy))
+        samples.append((h0, h12, w, w * w, 1 - qx, -1 - qx, 1 - qy, -1 - qy))
+    qx, qy = zip(*qs)
+    # a nan makes np.max nan, never >= 1, and then the minimum nan
+    if any(not any(map(math.isnan, q)) and max(map(abs, q)) >= 1 for q in (qx, qy)):
         raise NotNested("sampled interior point escapes the outer quad")
+    if any(map(math.isnan, qx + qy)):
+        return mpf(math.nan)
 
-    # pushforward of the direction through the chart transition
-    dh = (ax[:, None, None] * dx[None, :, :] + ay[:, None, None] * dy[None, :, :])  # 3 x D x 1
-    dw = dh[1] + dh[2]
-    jx = (dh[0] * w[None, :] - h[0][None, :] * dw) / (w * w)[None, :]
-    jy = ((dh[1] - dh[2]) * w[None, :] - (h[1] - h[2])[None, :] * dw) / (w * w)[None, :]
-
-    norm_outer = _np_square_norm(qx[None, :], qy[None, :], jx, jy)
-    ratio = norm_inner / norm_outer
-    return mpf(float(np.min(ratio)))
+    inf = best = math.inf
+    for (dx, dy), norms in zip(fan, inner_norms):
+        # pushforward of the direction through the chart transition
+        dh0, dh1, dh2 = a0 * dx + b0 * dy, a1 * dx + b1 * dy, a2 * dx + b2 * dy
+        dh12, dw = dh1 - dh2, dh1 + dh2
+        for (h0, h12, w, ww, ux, lx, uy, ly), ni in zip(samples, norms):
+            nx, ny = dh0 * w - h0 * dw, dh12 * w - h12 * dw
+            jx = nx / ww if ww else _over_zero(nx)
+            jy = ny / ww if ww else _over_zero(ny)
+            # forward (plus) and backward (minus) exit times along each axis
+            if jx > 0:
+                tpx, tmx = ux / jx, lx / -jx
+            elif jx < 0:
+                tpx, tmx = lx / jx, ux / -jx
+            elif jx == 0:
+                tpx = tmx = inf
+            else:
+                return mpf(math.nan)
+            if jy > 0:
+                tpy, tmy = uy / jy, ly / -jy
+            elif jy < 0:
+                tpy, tmy = ly / jy, uy / -jy
+            elif jy == 0:
+                tpy = tmy = inf
+            else:
+                return mpf(math.nan)
+            tp, tm = (tpx if tpx < tpy else tpy), (tmx if tmx < tmy else tmy)
+            no = ((1 / tm if tm else inf) + (1 / tp if tp else inf)) / 2
+            if no and ni / no < best:  # a zero norm gives an inf ratio
+                best = ni / no
+    return mpf(best)

@@ -80,10 +80,6 @@ def vec_sub(u: Vec3, v: Vec3) -> Vec3:
     return (u[0] - v[0], u[1] - v[1], u[2] - v[2])
 
 
-def vec_add(u: Vec3, v: Vec3) -> Vec3:
-    return (u[0] + v[0], u[1] + v[1], u[2] + v[2])
-
-
 def vec_max_abs(u: Vec3):
     return max(abs(u[0]), abs(u[1]), abs(u[2]))
 
@@ -149,10 +145,6 @@ def mat_scale(m: Mat3, c) -> Mat3:
 
 def mat_sub(a: Mat3, b: Mat3) -> Mat3:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_add(a: Mat3, b: Mat3) -> Mat3:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def second_symmetric(m: Mat3):
@@ -399,8 +391,9 @@ def eigen_real(m: Mat3, newton_steps: int = 2) -> EigenResult:
 
 
 def det_n(rows) -> mpf:
-    """Determinant of a square mpf matrix by Gaussian elimination."""
-    a = [[to_mpf(x) for x in row] for row in rows]
+    """Determinant of a square matrix by Gaussian elimination in mpf; the
+    rows are copied, because the elimination works in place."""
+    a = [[x if isinstance(x, mpf) else to_mpf(x) for x in row] for row in rows]
     n = len(a)
     det = mpf(1)
     for col in range(n):

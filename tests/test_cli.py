@@ -1,4 +1,9 @@
+import ast
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -374,3 +379,50 @@ def test_exact_lambda_flags(capsys):
     )
     assert code == 0
     assert report["status"] == "anosov-certified"
+
+
+# ---------------------------------------------------------------------------
+# cold start: every CLI call imports the package, so it stays on mpmath and
+# the standard library
+
+PACKAGE_DIR = Path(cli.__file__).resolve().parent
+
+ALL_SUBCOMMANDS = """
+import contextlib, io, sys
+from pappuslab import cli
+point = ["--zt=3/10", "--zb=-2/10", "--eps=-0.15", "--delta=0.01"]
+runs = [
+    ["relations", "--trials", "1", "--pairs", "1"],
+    ["iterate", "--depth", "1", "--out", "iterate.svg"],
+    ["certify", "--maxlen", "4", *point],
+    ["curve", "--zt=3/10", "--zb=-2/10", "--eps=-0.05"],
+    ["limit", "--depth", "1", "--out", "limit.csv", *point],
+    ["variety", "--grid", "1"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in runs]
+print(codes, "numpy" in sys.modules)
+"""
+
+
+def test_subcommands_never_import_numpy(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    env.pop(cli.PRECISION_ENV, None)
+    done = subprocess.run(
+        [sys.executable, "-c", ALL_SUBCOMMANDS],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    assert done.stdout.strip() == "[0, 0, 0, 0, 0, 0] False"
+
+
+def test_package_imports_only_stdlib_and_mpmath():
+    allowed = set(sys.stdlib_module_names) | {"mpmath", "pappuslab"}
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = [node.module.split(".")[0]]
+            else:
+                continue
+            assert set(roots) <= allowed, (path.name, roots)

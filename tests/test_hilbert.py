@@ -1,14 +1,21 @@
+import math
 import random
+from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from mpmath import mpf
 
 from pappuslab import boxes as bx
 from pappuslab import hilbert as hb
+from pappuslab import representation as rp
 from pappuslab import scalars as sc
-from pappuslab.errors import NotNested, OutsideDomain
+from pappuslab.errors import NotNested, OutsideDomain, PappusLabError
 from pappuslab.hilbert import ConvexQuad
+from pappuslab.modular import W_STEPS
 from pappuslab.projective import Point
 
 UNIT_SQUARE = ConvexQuad(bx.STANDARD_CORNERS)
@@ -180,3 +187,147 @@ def test_distortion_projective_invariance():
         )
         cg = hb.distortion_estimate(gi, go, resolution=8, directions=4)
         assert abs(c - cg) < mpf("1e-12")
+
+
+# ---------------------------------------------------------------------------
+# reference: the vectorized numpy kernel that distortion_estimate replaced;
+# the pure-Python kernel must give the same float64 bits
+
+
+def _np_forward_time(px, py, dx, dy):
+    safe_dx = np.where(dx == 0, 1.0, dx)
+    safe_dy = np.where(dy == 0, 1.0, dy)
+    tx = np.where(dx > 0, (1 - px) / safe_dx, (-1 - px) / safe_dx)
+    ty = np.where(dy > 0, (1 - py) / safe_dy, (-1 - py) / safe_dy)
+    tx = np.where(dx == 0, np.inf, tx)
+    ty = np.where(dy == 0, np.inf, ty)
+    return np.minimum(tx, ty)
+
+
+def _np_square_norm(px, py, dx, dy):
+    t_plus = _np_forward_time(px, py, dx, dy)
+    t_minus = _np_forward_time(px, py, -dx, -dy)
+    return (1 / t_minus + 1 / t_plus) / 2
+
+
+def ref_distortion_estimate(inner, outer, resolution, directions):
+    slack = 1 + mpmath.sqrt(sc.float_epsilon())
+    for v in inner.vertices:
+        cx, cy = (sc.to_mpf(c) for c in outer.chart(v))
+        if abs(cx) > slack or abs(cy) > slack:
+            raise NotNested("inner quad closure must sit inside the outer quad")
+    m = sc.mat_mul(sc.mat_to_mpf(outer.basis), sc.mat_inverse(sc.mat_to_mpf(inner.basis)))
+    mf = np.array([[float(x) for x in row] for row in m])
+    ax = mf[:, 0]
+    ay = (mf[:, 1] - mf[:, 2]) / 2
+    c0 = (mf[:, 1] + mf[:, 2]) / 2
+    ticks = np.linspace(-1 + 1.0 / resolution, 1 - 1.0 / resolution, resolution)
+    px, py = np.meshgrid(ticks, ticks)
+    px = px.ravel()[None, :]
+    py = py.ravel()[None, :]
+    angles = np.arange(directions) * math.pi / directions
+    dx = np.cos(angles)[:, None]
+    dy = np.sin(angles)[:, None]
+    norm_inner = _np_square_norm(px, py, dx, dy)
+    h = ax[:, None] * px[0] + ay[:, None] * py[0] + c0[:, None]
+    w = h[1] + h[2]
+    if np.any(w == 0):
+        raise NotNested("image grid touches the chart horizon")
+    qx = h[0] / w
+    qy = (h[1] - h[2]) / w
+    if np.max(np.abs(qx)) >= 1 or np.max(np.abs(qy)) >= 1:
+        raise NotNested("sampled interior point escapes the outer quad")
+    dh = ax[:, None, None] * dx[None, :, :] + ay[:, None, None] * dy[None, :, :]
+    dw = dh[1] + dh[2]
+    jx = (dh[0] * w[None, :] - h[0][None, :] * dw) / (w * w)[None, :]
+    jy = ((dh[1] - dh[2]) * w[None, :] - (h[1] - h[2])[None, :] * dw) / (w * w)[None, :]
+    norm_outer = _np_square_norm(qx[None, :], qy[None, :], jx, jy)
+    return mpf(float(np.min(norm_inner / norm_outer)))
+
+
+SHAPES = ((16, 8), (8, 4), (6, 4))
+
+
+def _outcome(estimate, inner, outer, shape):
+    try:
+        c = estimate(inner, outer, *shape)
+    except NotNested:
+        return "NotNested"
+    return "nan" if mpmath.isnan(c) else c
+
+
+def assert_matches_reference(inner, outer):
+    for shape in SHAPES:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            expected = _outcome(ref_distortion_estimate, inner, outer, shape)
+        assert _outcome(hb.distortion_estimate, inner, outer, shape) == expected, shape
+
+
+def step_quads(moduli, lam):
+    """(inner, outer) for the four step-word images, as constant_C builds them."""
+    rep = rp.Representation(moduli, lam)
+    box = bx.from_moduli(moduli)
+    outer = bx.convex_interior(box)
+    return [
+        (bx.convex_interior(bx.apply_matrix(box, rep.step_images[w])), outer) for w in W_STEPS
+    ]
+
+
+tenths_moduli = (
+    st.tuples(st.integers(-8, 8), st.integers(-8, 8))
+    .filter(lambda t: t != (0, 0))
+    .map(lambda t: bx.BoxModuli(Fraction(t[0], 10), Fraction(t[1], 10)))
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(tenths_moduli, st.floats(-0.25, -0.05), st.floats(-0.02, 0.02))
+def test_distortion_matches_reference_float_lambda(moduli, eps, delta):
+    for inner, outer in step_quads(moduli, bx.Lambda(epsilon=eps, delta=delta)):
+        # convex_interior hands its theta_basis to the quad
+        assert inner.basis == ConvexQuad(inner.vertices).basis
+        assert_matches_reference(inner, outer)
+
+
+@settings(max_examples=15, deadline=None)
+@given(tenths_moduli, st.integers(70, 100), st.integers(96, 104))
+def test_distortion_matches_reference_exact_lambda(moduli, u, v):
+    # reaches outside the region too, where some images are not nested
+    try:
+        pairs = step_quads(moduli, bx.Lambda(u=Fraction(u, 100), v=Fraction(v, 100)))
+    except PappusLabError:
+        assume(False)
+    for inner, outer in pairs:
+        assert_matches_reference(inner, outer)
+
+
+def _scaled(quad, exponent):
+    s = mpf(10) ** exponent
+    return ConvexQuad(tuple(Point(sc.vec_scale(v.coords, s)) for v in quad.vertices))
+
+
+def _reference_cases():
+    box = bx.from_moduli(bx.BoxModuli(0, 0))
+    d2 = square_scaled(mpf("0.6"), center=(mpf("0.1"), mpf(0)))
+    d3 = square_scaled(mpf("0.3"), center=(mpf("0.1"), mpf(0)))
+    off = square_scaled(mpf("0.5"), center=(mpf("0.2"), mpf("-0.1")))
+    moduli = bx.BoxModuli(Fraction(3, 10), Fraction(-2, 10))
+    inner, outer = step_quads(moduli, bx.Lambda(epsilon=mpf("-0.15"), delta=mpf("0.01")))[0]
+    return {
+        "half": (square_scaled(mpf(1) / 2), UNIT_SQUARE),
+        "not_nested": (square_scaled(2), UNIT_SQUARE),
+        "tau1": (bx.convex_interior(bx.tau1(box)), bx.convex_interior(box)),
+        "d3_in_d1": (d3, UNIT_SQUARE),
+        "d3_in_d2": (d3, d2),
+        "d2_in_d1": (d2, UNIT_SQUARE),
+        "off_center": (off, UNIT_SQUARE),
+        # homogeneous coordinates of the outer quad scaled up: the float64
+        # transition underflows, through zero Jacobians (1e161) to zero
+        # outer norms and a nan minimum (1e162, 1e163)
+        **{"scaled_%g" % e: (inner, _scaled(outer, e)) for e in (0, 161, 161.5, 162, 163)},
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_reference_cases()))
+def test_distortion_matches_reference_squares(name):
+    assert_matches_reference(*_reference_cases()[name])
