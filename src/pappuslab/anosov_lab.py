@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 
 import mpmath
 from mpmath import mpf
@@ -36,6 +37,7 @@ from .errors import (
     NotInRegionInterior,
     NotInSubgroupO,
     SingularMatrix,
+    ToleranceBelowPrecision,
 )
 from .modular import GroupWord, W_STEPS
 from .projective import Line, Point
@@ -116,6 +118,43 @@ def loxodromic_eigen(rep: rp.Representation, w: GroupWord) -> sc.EigenResult:
     return res
 
 
+def _first_depth_below(diameter, tol, first_probe: int, depth_cap: int) -> int:
+    """First depth n <= depth_cap with diameter(n) < tol, for a diameter
+    that never grows with n (NoConvergence if none).  The bracket
+    d(lo) >= tol > d(hi) closes at hi = lo + 1, so the probes, where log d
+    taken as linear in n meets log tol, change the cost only: through d(0)
+    and d(lo), rounded down and held to [lo + 1, 2 lo + 1], until there is
+    a hi; then through d(lo) and d(hi), held inside (the midpoint without
+    a rate)."""
+    log_tol = mpmath.log(tol)  # mpf logs: d can underflow float64
+
+    def crossing(a, b):
+        # None without a usable rate: d(b) is 0, or the logs do not fall
+        # (an ulp apart, diameters can have equal logs)
+        log_da, db = mpmath.log(diameter(a)), diameter(b)
+        fall = log_da - mpmath.log(db) if db > 0 else 0
+        return a + (log_da - log_tol) * (b - a) / fall if fall > 0 else None
+
+    lo, hi = 0, (0 if diameter(0) < tol else None)
+    while hi is None or hi > lo + 1:
+        if hi is not None:
+            x = crossing(lo, hi)
+            probe = (lo + hi) // 2 if x is None else min(max(int(mpmath.ceil(x)), lo + 1), hi - 1)
+        elif lo >= depth_cap:
+            raise NoConvergence("depth cap reached before the boxes collapsed")
+        elif lo:
+            # rounded down: each depth probed past the stop costs a product
+            x = crossing(0, lo)
+            probe = min(2 * lo + 1 if x is None else max(int(x), lo + 1), 2 * lo + 1, depth_cap)
+        else:
+            probe = min(first_probe, depth_cap)
+        if diameter(probe) < tol:
+            hi = probe
+        else:
+            lo = probe
+    return hi
+
+
 def limit_point(
     rep: rp.Representation,
     w: GroupWord,
@@ -125,11 +164,17 @@ def limit_point(
     """Nested-intersection point of the boxes along the axis of w.
 
     Follows the crossing sequence of the periodic word, accumulating
-    the matrix images of the partial products, until the image box has
-    chart diameter below tol.  Returns the limiting point (bottom
-    corners converge to it), the limiting dual line (bottom lines,
-    which are the tops of the reversed-orientation dual boxes) and the
-    incidence residual between the two.
+    the matrix images g_n of the partial products, to the first depth n
+    whose image box has chart diameter d(n) below tol.  Returns the
+    limiting point (bottom corners converge to it), the limiting dual
+    line (bottom lines, which are the tops of the reversed-orientation
+    dual boxes) and the incidence residual between the two.
+
+    The boxes are nested, g_{n+1}(B) = g_n(S(B)) inside g_n(B), so d never
+    grows with n and ``_first_depth_below`` need not test every depth; the
+    products are still formed in turn, so every result is the same as the
+    linear scan's.  A tol at or below ``sc.float_epsilon()`` is rejected:
+    there d is rounding noise and no longer falls.
 
     The iteration uses the crossing normal form of w, a cyclic
     conjugate; for words not already in that form the result is the
@@ -139,6 +184,8 @@ def limit_point(
         raise NotInSubgroupO("limit points need even-involution words")
     if not bx.in_region(rep.lam):
         raise NotInRegionInterior("deformation outside the admissible region")
+    if tol <= sc.float_epsilon():
+        raise ToleranceBelowPrecision("limit tol must exceed 2^(8 - precision)")
     loxodromic_eigen(rep, w)
 
     # the crossing normal form is a sequence of four-letter step words
@@ -153,17 +200,17 @@ def limit_point(
     bottom = sc.vec_to_mpf(box.b.coords)
     bottom_line = sc.vec_to_mpf(box.line_B.coords)
 
-    g = sc.mat_to_mpf(sc.IDENTITY)
-    depth = 0
-    while True:
-        imgs = [sc.mat_vec(g, c) for c in corners]
-        diameter = _chart_diameter(imgs)
-        if diameter < tol:
-            break
-        if depth >= depth_cap:
-            raise NoConvergence("depth cap reached before the boxes collapsed")
-        g = sc.mat_mul(g, step_mats[depth % len(step_mats)])
-        depth += 1
+    period = len(step_mats)
+    mats = [sc.mat_to_mpf(sc.IDENTITY)]
+
+    @cache
+    def diameter(n):
+        while len(mats) <= n:
+            mats.append(sc.mat_mul(mats[-1], step_mats[(len(mats) - 1) % period]))
+        return _chart_diameter([sc.mat_vec(mats[n], c) for c in corners])
+
+    depth = _first_depth_below(diameter, tol, period, depth_cap)
+    g = mats[depth]
 
     point = Point(sc.mat_vec(g, bottom))
     # lines transform by the inverse transpose, projectively the
@@ -176,7 +223,7 @@ def limit_point(
         point=point,
         dual_point=dual,
         flag_residual=residual,
-        diameter_at_stop=diameter,
+        diameter_at_stop=diameter(depth),
         depth=depth,
     )
 

@@ -73,6 +73,10 @@ class NoConvergence(PappusLabError):
     pass
 
 
+class ToleranceBelowPrecision(PappusLabError):
+    """A stopping tolerance at or below the rounding noise of the working precision."""
+
+
 class NotInRegionInterior(PappusLabError):
     pass
 

@@ -183,6 +183,11 @@ def distortion_estimate(inner: ConvexQuad, outer: ConvexQuad, resolution: int = 
 
     # transition from inner chart to outer chart: affine in homogeneous form
     m = sc.mat_mul(sc.mat_to_mpf(outer.basis), sc.mat_inverse(sc.mat_to_mpf(inner.basis)))
+    # scaled by a power of two to max |entry| in [1/2, 1), which commutes
+    # with every float64 step below, so the scale of the quads' coordinates
+    # cannot overflow or underflow them
+    top = mpmath.frexp(sc.mat_max_abs(m))[1]
+    m = [[mpmath.ldexp(x, -top) for x in row] for row in m]
     # chart_point is affine: h = M @ (X, (1+Y)/2, (1-Y)/2) = ax X + ay Y + c0
     (a0, b0, e0), (a1, b1, e1), (a2, b2, e2) = (
         (r[0], (r[1] - r[2]) / 2, (r[1] + r[2]) / 2) for r in ([float(x) for x in row] for row in m)

@@ -1,27 +1,33 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
 
 from pappuslab import anosov_lab as al
 from pappuslab import boxes as bx
 from pappuslab import modular as md
+from pappuslab import projective as pj
 from pappuslab import representation as rp
 from pappuslab import scalars as sc
 from pappuslab.boxes import BoxModuli, Lambda
 from pappuslab.errors import (
     ComplexSpectrum,
+    NoConvergence,
     NonLoxodromic,
     NotInRegionInterior,
     NotInSubgroupO,
     NotNested,
+    PappusLabError,
     SingularMatrix,
+    ToleranceBelowPrecision,
 )
 from pappuslab.modular import W_STEPS, GroupWord
+from pappuslab.projective import Line, Point
 
 M_ZERO = BoxModuli(0, 0)
 M_TEST = BoxModuli(Fraction(1, 2), Fraction(1, 3))
@@ -142,6 +148,17 @@ def test_limit_point_rejects_bad_inputs():
     with pytest.raises(NotInRegionInterior):
         outside = rp.Representation(M_ZERO, lam(mpf("0.5")))
         al.limit_point(outside, GroupWord(("R", "I", "RR", "I")))
+
+
+def test_limit_point_rejects_tol_below_precision():
+    rep = rp.Representation(M_TEST, lam(mpf("-0.1")))
+    w = GroupWord(("R", "I", "RR", "I"))
+    with mpmath.workprec(128):
+        floor = sc.float_epsilon()
+        with pytest.raises(ToleranceBelowPrecision):
+            al.limit_point(rep, w, tol=floor)
+        # just above the floor the diameters still fall to tol
+        assert al.limit_point(rep, w, tol=2 * floor).diameter_at_stop < 2 * floor
 
 
 def test_limit_map_injectivity_deformed():
@@ -487,3 +504,155 @@ def test_spectrum_converts_only_exact_images():
             ref = sc.eigen_real(sc.normalize_det_one(sc.mat_to_mpf(g)))
             assert (res.roots, res.gaps) == (ref.roots, ref.gaps)
         assert sc.eigen_real(sc.normalize_det_one(m)).roots != res.roots
+
+
+# ---------------------------------------------------------------------------
+# the bracketed stopping-depth search against the linear loop it replaced
+
+
+def linear_limit_point(rep, w, tol, depth_cap=al.LIMIT_DEPTH_CAP):
+    """``limit_point`` testing the chart diameter at every depth in turn."""
+    al.loxodromic_eigen(rep, w)
+    letters = md.crossing_form(w).letters
+    step_mats = [
+        sc.mat_to_mpf(rep.step_images[GroupWord(letters[k: k + 4])])
+        for k in range(0, len(letters), 4)
+    ]
+    box = bx.from_moduli(rep.moduli)
+    corners = [sc.vec_to_mpf(p.coords) for p in (box.p, box.q, box.r, box.s)]
+    g = sc.mat_to_mpf(sc.IDENTITY)
+    depth = 0
+    while True:
+        diameter = al._chart_diameter([sc.mat_vec(g, c) for c in corners])
+        if diameter < tol:
+            break
+        if depth >= depth_cap:
+            raise NoConvergence("depth cap reached before the boxes collapsed")
+        g = sc.mat_mul(g, step_mats[depth % len(step_mats)])
+        depth += 1
+    point = Point(sc.mat_vec(g, sc.vec_to_mpf(box.b.coords)))
+    dual = Line(sc.mat_vec(sc.mat_transpose(sc.adjugate(g)), sc.vec_to_mpf(box.line_B.coords)))
+    residual = pj.incidence_residual(dual.coords, point.coords)
+    return al.LimitSample(w, point, dual, residual, diameter, depth)
+
+
+def limit_outcome(limit, rep, w, tol, depth_cap, max_tests=None):
+    """Every field of the sample (points and lines by their coordinates,
+    since their ``==`` is projective), or the type of the library error.
+
+    More than ``max_tests`` stopping tests (a diameter compared with tol)
+    fail the test: a search whose probe leaves the bracket can loop
+    without closing it, on diameters it has already computed."""
+    tests = []
+    diameter = al._chart_diameter
+
+    class Diameter(mpf):
+        def __lt__(self, other):
+            tests.append(other)
+            assert max_tests is None or len(tests) <= max_tests, "search does not close"
+            return super().__lt__(other)
+
+    def counting(points):
+        return Diameter(diameter(points))
+
+    with mock.patch.object(al, "_chart_diameter", counting):
+        try:
+            s = limit(rep, w, tol=tol, depth_cap=depth_cap)
+        except PappusLabError as exc:
+            return type(exc)
+    return (s.word, s.point.coords, s.dual_point.coords, s.flag_residual, s.diameter_at_stop, s.depth)
+
+
+@given(
+    tenths_moduli,
+    st.one_of(float_lambdas, exact_lambdas),
+    st.lists(st.sampled_from(W_STEPS), min_size=1, max_size=3),
+    st.sampled_from((64, 128, 256)),
+    st.floats(0, 1),
+    st.sampled_from(("plain", "tie", "above_d0", "cap_at_stop", "cap_below_stop")),
+)
+@settings(max_examples=40, deadline=None)
+def test_limit_search_matches_linear_loop(moduli, la, steps, bits, x, case):
+    assume(bx.in_region(la))
+    w = GroupWord.identity()
+    for step in steps:
+        w = w * step
+    with mpmath.workprec(bits):
+        rep = rp.Representation(moduli, la)
+        floor = sc.float_epsilon()
+        # tol = 10^-e, e from 1 to 1.5 digits short of the precision floor
+        tol = mpf(10) ** -(1 + x * (-mpmath.log10(floor) - 2.5))
+        depth_cap = al.LIMIT_DEPTH_CAP
+        reference = limit_outcome(linear_limit_point, rep, w, tol, depth_cap)
+        if isinstance(reference, tuple):
+            stop, diameter_at_stop = reference[5], reference[4]
+            if case == "tie" and diameter_at_stop > floor:
+                tol = diameter_at_stop  # a diameter equal to tol does not stop
+            elif case == "above_d0":
+                tol = mpf(3)  # the base box has chart diameter 2 sqrt 2
+            elif case == "cap_at_stop":
+                depth_cap = stop
+            elif case == "cap_below_stop" and stop:
+                depth_cap = stop - 1
+            reference = limit_outcome(linear_limit_point, rep, w, tol, depth_cap)
+        # each test is at a new depth, at most max(period, 2 stop - 1) and
+        # at most the cap
+        period = len(md.crossing_form(w).letters) // 4
+        max_tests = depth_cap + 1
+        if isinstance(reference, tuple):
+            max_tests = min(max_tests, max(period, 2 * reference[5]) + 1)
+        searched = limit_outcome(al.limit_point, rep, w, tol, depth_cap, max_tests)
+    assert searched == reference
+    if case == "above_d0" and isinstance(reference, tuple):
+        assert reference[5] == 0
+    if case == "cap_below_stop" and depth_cap < al.LIMIT_DEPTH_CAP:
+        assert reference is NoConvergence
+
+
+ULP_FALL = 1 - mpf(2) ** -126
+
+
+@given(
+    st.lists(st.sampled_from((0, 0.1, 0.5, 0.5, 0.9, 0.99, ULP_FALL, 1, 1)), min_size=1, max_size=60),
+    st.one_of(st.integers(0, 60), st.floats(-30, 1)),
+    st.integers(1, 8),
+    st.integers(0, 80),
+)
+@settings(max_examples=300, deadline=None)
+def test_first_depth_below_matches_linear_scan(ratios, tol_at, first_probe, depth_cap):
+    # a planted non-increasing diameter with plateaus (ratio 1), falls of
+    # about an ulp, whose logs can be equal, and drops to 0, constant past
+    # its end; tol is one of its values (a tie) or a power of ten
+    d = [mpf(3)]
+    for r in ratios:
+        d.append(d[-1] * r)
+    tol = d[min(tol_at, len(d) - 1)] if isinstance(tol_at, int) else mpf(10) ** tol_at
+    assume(tol > 0)
+    calls = []
+
+    def diameter(n):
+        calls.append(n)
+        assert len(calls) <= 3 * (depth_cap + 1) + 1, "search does not close"
+        return d[min(n, len(d) - 1)]
+
+    stop = next((n for n in range(depth_cap + 1) if diameter(n) < tol), None)
+    calls.clear()
+    if stop is None:
+        with pytest.raises(NoConvergence):
+            al._first_depth_below(diameter, tol, first_probe, depth_cap)
+    else:
+        assert al._first_depth_below(diameter, tol, first_probe, depth_cap) == stop
+        assert max(calls) <= max(first_probe, 2 * stop - 1)
+    assert max(calls) <= depth_cap
+
+
+def test_first_depth_below_with_equal_logs():
+    # diameters an ulp apart can have equal mpf logs: that is no usable
+    # rate, so the bracket is bisected rather than divided by a zero fall
+    x = mpf("1e-12")
+    assert x > x * ULP_FALL and mpmath.log(x) == mpmath.log(x * ULP_FALL)
+
+    def diameter(n):
+        return x if n <= 5 else x * ULP_FALL
+
+    assert al._first_depth_below(diameter, x, 2, 100) == 6

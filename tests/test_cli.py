@@ -1,4 +1,5 @@
 import ast
+import csv
 import json
 import os
 import subprocess
@@ -53,6 +54,8 @@ def test_usage_error_exit_code(capsys):
         ["curve", "--eps=-0.05", "--tol=-1"],
         ["limit", "--depth", "1", "--eps=-0.15", "--tol=-1"],
         ["limit", "--depth", "1", "--eps=-0.15", "--tol=0"],
+        # below 2^(8 - precision) the limit diameters are rounding noise
+        ["limit", "--tol", "1e-40"],
     ],
 )
 def test_invalid_values_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
@@ -62,6 +65,18 @@ def test_invalid_values_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
     assert "NaN" not in out
     assert out == ""
     assert not list(tmp_path.iterdir())
+
+
+def test_limit_tol_floor_follows_precision(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ["--precision", "256", "limit", "--depth", "1", *DEFORMED, "--tol", "1e-40"]
+    code, report = run_json(capsys, *argv)
+    assert code == 0
+    assert report["words"] == 4
+    with open(tmp_path / "limit.csv") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == 4
+    assert all(float(row["flag_residual"]) < 1e-30 for row in rows)
 
 
 @pytest.mark.parametrize(
@@ -167,6 +182,30 @@ def test_no_eigenvectors_built(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv) == 0
     capsys.readouterr()
+
+
+def test_limit_searches_its_stopping_depth(tmp_path, monkeypatch, capsys):
+    # the linear stopping test made 428 diameter checks here, for the same
+    # 490 products
+    diameters = []
+    products = []
+    chart_diameter, mat_mul = al._chart_diameter, sc.mat_mul
+
+    def measuring(points):
+        diameters.append(1)
+        return chart_diameter(points)
+
+    def multiplying(a, b):
+        products.append(1)
+        return mat_mul(a, b)
+
+    monkeypatch.setattr(al, "_chart_diameter", measuring)
+    monkeypatch.setattr(sc, "mat_mul", multiplying)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["limit", "--depth", "2", *DEFORMED]) == 0
+    capsys.readouterr()
+    assert 0 < len(diameters) <= 128
+    assert 0 < len(products) <= 490
 
 
 def test_limit_evaluates_each_step_word_once(tmp_path, monkeypatch, capsys):

@@ -40,6 +40,13 @@ CASES = {
     # the shape of the variety_curve benchmark's variety op, and a second curve point
     "variety_grid3": (["variety", "--grid", "3"], None),
     "curve_point2": (["curve", "--zt=-7/10", "--zb=1/2", "--eps=-0.09"], None),
+    # limit stopping depths well past the default tol: 50-83 at 128 bits,
+    # and 99-164 at 256 bits
+    "limit_tol30": (["limit", "--depth", "1", *DEFORMED, "--tol", "1e-30"], "limit.csv"),
+    "limit_prec256": (
+        ["--precision", "256", "limit", "--depth", "1", *DEFORMED, "--tol", "1e-60"],
+        "limit.csv",
+    ),
 }
 
 

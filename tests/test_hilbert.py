@@ -301,8 +301,7 @@ def test_distortion_matches_reference_exact_lambda(moduli, u, v):
         assert_matches_reference(inner, outer)
 
 
-def _scaled(quad, exponent):
-    s = mpf(10) ** exponent
+def _scaled(quad, s):
     return ConvexQuad(tuple(Point(sc.vec_scale(v.coords, s)) for v in quad.vertices))
 
 
@@ -321,13 +320,41 @@ def _reference_cases():
         "d3_in_d2": (d3, d2),
         "d2_in_d1": (d2, UNIT_SQUARE),
         "off_center": (off, UNIT_SQUARE),
-        # homogeneous coordinates of the outer quad scaled up: the float64
-        # transition underflows, through zero Jacobians (1e161) to zero
-        # outer norms and a nan minimum (1e162, 1e163)
-        **{"scaled_%g" % e: (inner, _scaled(outer, e)) for e in (0, 161, 161.5, 162, 163)},
+        "scaled_0": (inner, outer),
     }
 
 
 @pytest.mark.parametrize("name", sorted(_reference_cases()))
 def test_distortion_matches_reference_squares(name):
     assert_matches_reference(*_reference_cases()[name])
+
+
+# the transition matrix is scaled to max |entry| near 1 before float64:
+# without that, scaling the outer quad's homogeneous coordinates by 1e161
+# or more underflowed the float64 transition (zero Jacobians, then zero
+# outer norms and a nan minimum)
+
+
+@pytest.mark.parametrize("power", [-530, 530])
+def test_distortion_bit_equal_under_power_of_two_scaling(power):
+    # the outer basis is scaled directly, so the power of two reaches the
+    # transition matrix with either sign (coordinates scaled down would
+    # first trip the scale-dependent singularity test of frame_matrix)
+    inner, outer = _reference_cases()["scaled_0"]
+    s = mpf(2) ** power
+    outers = [ConvexQuad(outer.vertices, basis=sc.mat_scale(sc.mat_to_mpf(outer.basis), s))]
+    if power > 0:
+        outers.append(_scaled(outer, s))
+    for shape in SHAPES:
+        c = hb.distortion_estimate(inner, outer, *shape)
+        for scaled in outers:
+            assert hb.distortion_estimate(inner, scaled, *shape) == c, shape
+
+
+@pytest.mark.parametrize("exponent", [161, 161.5, 162, 163])
+def test_distortion_is_scale_invariant(exponent):
+    inner, outer = _reference_cases()["scaled_0"]
+    for shape in SHAPES:
+        c = hb.distortion_estimate(inner, outer, *shape)
+        scaled = hb.distortion_estimate(inner, _scaled(outer, mpf(10) ** exponent), *shape)
+        assert abs(scaled - c) <= mpf("1e-12") * c, shape
