@@ -22,6 +22,7 @@ from functools import cache
 
 import mpmath
 from mpmath import mpf
+from mpmath.libmp import fzero, mpf_add, mpf_div, mpf_gt, mpf_mul, mpf_pos, mpf_sub
 
 from . import boxes as bx
 from . import hilbert as hb
@@ -31,6 +32,7 @@ from . import representation as rp
 from . import scalars as sc
 from .errors import (
     ComplexSpectrum,
+    DegenerateConfiguration,
     NoConvergence,
     PappusLabError,
     NonLoxodromic,
@@ -88,15 +90,31 @@ def _chart_diameter(box_points) -> mpf:
 
     One square root, of the largest squared distance: mpmath's sqrt is
     correctly rounded and monotone, so that is the largest distance.
+
+    The chart is ``bx.chart_coords``, x / (y + z) and (y - z) / (y + z).
+    As in the float kernel of ``scalars``, the arithmetic runs on the raw
+    ``_mpf_`` values with the libmp calls mpf's operators would make, at
+    the precision and rounding they read (``mpmath.mp._prec_rounding``),
+    so the bits are theirs.
     """
-    coords = [bx.chart_coords(p) for p in box_points]
-    best = mpf(0)
-    for i in range(len(coords)):
-        for j in range(i + 1, len(coords)):
-            dx = coords[i][0] - coords[j][0]
-            dy = coords[i][1] - coords[j][1]
-            best = max(best, dx * dx + dy * dy)
-    return mpmath.sqrt(best)
+    prec, rnd = mpmath.mp._prec_rounding
+    coords = []
+    for x, y, z in box_points:
+        w = mpf_add(y._mpf_, z._mpf_, prec, rnd)
+        if w == fzero:
+            raise DegenerateConfiguration("point at infinity of the chart")
+        coords.append((
+            mpf_div(mpf_pos(x._mpf_, prec, rnd), w, prec, rnd),
+            mpf_div(mpf_sub(y._mpf_, z._mpf_, prec, rnd), w, prec, rnd),
+        ))
+    best = fzero
+    for i, (xi, yi) in enumerate(coords):
+        for xj, yj in coords[i + 1:]:
+            dx, dy = mpf_sub(xi, xj, prec, rnd), mpf_sub(yi, yj, prec, rnd)
+            # max(best, dx * dx + dy * dy)
+            d2 = mpf_add(mpf_mul(dx, dx, prec, rnd), mpf_mul(dy, dy, prec, rnd), prec, rnd)
+            best = d2 if mpf_gt(d2, best) else best
+    return mpmath.sqrt(mpmath.mp.make_mpf(best))
 
 
 def _spectrum(g: tuple) -> sc.EigenResult:

@@ -12,8 +12,9 @@ Subcommands:
 Exit codes: 0 all checks pass, 1 a check fails or a computation
 errors, 2 usage error (including invalid values: a precision below 53
 bits, a negative count, a zero grid or ``limit`` depth, a non-finite
-float, a ``limit --tol`` at or below the precision's rounding floor, or
-an ``--out`` file that cannot be written).
+float, a ``limit`` or ``curve --tol`` at or below the precision's
+rounding floor 2^(8 - precision), or an ``--out`` file that cannot be
+written).
 """
 
 from __future__ import annotations
@@ -532,10 +533,10 @@ def _check_args(args) -> None:
     failure is the subcommand's usage error (SystemExit, exit 2)."""
     if hasattr(args, "u") and (args.u is None) != (args.v is None):
         args.subparser.error("exact mode needs both --u and --v")
-    # sc.float_epsilon() at --precision: below it limit diameters are noise
-    floor = math.ldexp(1.0, 8 - args.precision)
-    if args.command == "limit" and args.tol <= floor:
-        args.subparser.error("--tol must exceed 2^(8 - precision) = %.3g" % floor)
+    # the floor solve_delta_h and limit_point reject, at --precision
+    floor = sc.float_epsilon(args.precision)
+    if args.command in ("curve", "limit") and args.tol <= floor:
+        args.subparser.error("--tol must exceed 2^(8 - precision) = %s" % mpmath.nstr(floor, 3))
     if args.out is not None:
         problem = _unwritable(args.out)
         if problem:

@@ -41,6 +41,7 @@ from .errors import (
     NotARotation,
     NotInSubgroupO,
     SpecialBox,
+    ToleranceBelowPrecision,
 )
 from .modular import GroupWord
 
@@ -245,8 +246,11 @@ def solve_delta_h(m: BoxModuli, epsilon, tol=CURVE_TOL) -> mpf:
     """delta with |h(epsilon, delta)| <= tol, found by bisection.
 
     The starting bracket is [-1, 1]; if h does not change sign there,
-    the bracket is doubled twice before giving up.
+    the bracket is doubled twice before giving up.  A tol at or below
+    ``sc.float_epsilon()`` is rejected: h is rounding noise there.
     """
+    if tol <= sc.float_epsilon():
+        raise ToleranceBelowPrecision("curve tol must exceed 2^(8 - precision)")
     if _special_coefficient(m) == 0:
         raise SpecialBox("the curve is degenerate at vanishing moduli")
     eps = sc.to_mpf(epsilon)

@@ -8,18 +8,51 @@ Two scalar modes are supported and threaded through the whole library:
   precision (default 128 bits), used for spectra and limit curves.
 
 Vectors are 3-tuples of scalars and matrices are 3-tuples of rows; both
-are immutable, so everything here is safe to use from parallel scans.
+are immutable.
+
+Float kernel.  An mpf operator unwraps the ``_mpf_`` tuples of its two
+operands, makes one ``mpmath.libmp`` call at the context's precision and
+rounding, and wraps the result in a new mpf.  When every entry is an
+mpf, ``mat_mul``, ``mat_vec``, ``det3``, ``second_symmetric``,
+``adjugate``, ``is_singular``, ``mat_inverse``, ``normalize_det_one``
+and ``eigen_real`` make those same libmp calls themselves, on the raw
+tuples, in the order and association of the operator expressions that
+exact and mixed inputs still evaluate, and wrap only the entries they
+return.  Each call rounds once, as the operator does, so the results
+are bit-identical to the operator path, without an mpf object per
+intermediate value.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 
 import mpmath
 from mpmath import mpf
+from mpmath.libmp import (
+    fone,
+    from_int,
+    from_str,
+    fzero,
+    mpf_abs,
+    mpf_add,
+    mpf_div,
+    mpf_ge,
+    mpf_gt,
+    mpf_le,
+    mpf_lt,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_neg,
+    mpf_pi,
+    mpf_pow_int,
+    mpf_rdiv_int,
+    mpf_shift,
+    mpf_sub,
+)
 
 from .errors import ComplexSpectrum, SingularMatrix
 
@@ -51,9 +84,131 @@ def to_mpf(x) -> mpf:
     return mpf(x)
 
 
-def float_epsilon() -> mpf:
-    """Tolerance unit scaled to the current working precision."""
-    return mpf(2) ** (8 - mpmath.mp.prec)
+def float_epsilon(bits: int | None = None) -> mpf:
+    """Tolerance unit 2^(8 - bits), an exact power of two, at the working
+    precision unless ``bits`` is given.  It is also the floor of every
+    stopping tolerance (``limit`` and ``curve --tol``): at or below it,
+    the quantities those tolerances gate are rounding noise."""
+    return _wrap(_epsilon(mpmath.mp.prec if bits is None else bits))
+
+
+# ---------------------------------------------------------------------------
+# float kernel: raw ``_mpf_`` tuples in and out (see the module docstring)
+#
+# Each helper takes the precision and rounding that mpf's operators use,
+# read per call as ``mpmath.mp._prec_rounding``.  That name is private to
+# mpmath, but it is the very list the operators read (through
+# ``mpf._ctxdata``), and ``set_precision`` and ``mpmath.workprec`` change
+# it in place, so the kernel rounds as they do at any precision.
+
+_new = object.__new__
+_MINUS_ONE, _TWO, _THREE, _TWENTY_SEVEN = from_int(-1), from_int(2), from_int(3), from_int(27)
+
+
+def _epsilon(prec):
+    return mpf_shift(fone, 8 - prec)
+
+
+def _wrap(v) -> mpf:
+    x = _new(mpf)
+    x._mpf_ = v
+    return x
+
+
+def _is_float(m: Mat3) -> bool:
+    """Whether every entry of m is an mpf (not a subclass, not a constant).
+    The hot callers test ``type(m[0][0]) is mpf`` first, so exact input
+    pays one type test and no call."""
+    return all(type(x) is mpf for row in m for x in row)
+
+
+def _raw(m: Mat3) -> list:
+    return [[x._mpf_ for x in row] for row in m]
+
+
+def _max(a, b):
+    """max(a, b) of two raw values, as Python's max picks."""
+    return b if mpf_gt(b, a) else a
+
+
+def _dot(u, v, prec, rnd):
+    # u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+    return mpf_add(
+        mpf_add(mpf_mul(u[0], v[0], prec, rnd), mpf_mul(u[1], v[1], prec, rnd), prec, rnd),
+        mpf_mul(u[2], v[2], prec, rnd),
+        prec,
+        rnd,
+    )
+
+
+def _minor(a, b, c, d, prec, rnd):
+    # a * b - c * d
+    return mpf_sub(mpf_mul(a, b, prec, rnd), mpf_mul(c, d, prec, rnd), prec, rnd)
+
+
+def _det3(r, prec, rnd):
+    (a, b, c), (d, e, f), (g, h, i) = r
+    # a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    return mpf_add(
+        mpf_sub(
+            mpf_mul(a, _minor(e, i, f, h, prec, rnd), prec, rnd),
+            mpf_mul(b, _minor(d, i, f, g, prec, rnd), prec, rnd),
+            prec,
+            rnd,
+        ),
+        mpf_mul(c, _minor(d, h, e, g, prec, rnd), prec, rnd),
+        prec,
+        rnd,
+    )
+
+
+def _second_symmetric(r, prec, rnd):
+    (a, b, c), (d, e, f), (g, h, i) = r
+    # a * e + e * i + i * a - b * d - f * h - c * g
+    s = mpf_add(mpf_mul(a, e, prec, rnd), mpf_mul(e, i, prec, rnd), prec, rnd)
+    s = mpf_add(s, mpf_mul(i, a, prec, rnd), prec, rnd)
+    s = mpf_sub(s, mpf_mul(b, d, prec, rnd), prec, rnd)
+    s = mpf_sub(s, mpf_mul(f, h, prec, rnd), prec, rnd)
+    return mpf_sub(s, mpf_mul(c, g, prec, rnd), prec, rnd)
+
+
+def _adjugate(r, prec, rnd):
+    (a, b, c), (d, e, f), (g, h, i) = r
+    return (
+        (
+            _minor(e, i, f, h, prec, rnd),
+            _minor(c, h, b, i, prec, rnd),
+            _minor(b, f, c, e, prec, rnd),
+        ),
+        (
+            _minor(f, g, d, i, prec, rnd),
+            _minor(a, i, c, g, prec, rnd),
+            _minor(c, d, a, f, prec, rnd),
+        ),
+        (
+            _minor(d, h, e, g, prec, rnd),
+            _minor(b, g, a, h, prec, rnd),
+            _minor(a, e, b, d, prec, rnd),
+        ),
+    )
+
+
+def _is_singular(r, d, prec, rnd) -> bool:
+    # abs(d) <= float_epsilon() * max(max(abs(x) for x in m) ** 3, mpf(1))
+    big = None
+    for row in r:
+        for x in row:
+            x = mpf_abs(x, prec, rnd)
+            big = x if big is None else _max(big, x)
+    bound = mpf_mul(_epsilon(prec), _max(mpf_pow_int(big, 3, prec, rnd), fone), prec, rnd)
+    return mpf_le(mpf_abs(d, prec, rnd), bound)
+
+
+def _real_cbrt(x, prec, rnd):
+    # mpmath.cbrt(x) if x >= 0 else -mpmath.cbrt(-x)
+    if mpf_ge(x, fzero):
+        return mpmath.cbrt(_wrap(x))._mpf_
+    return mpf_neg(mpmath.cbrt(_wrap(mpf_neg(x, prec, rnd)))._mpf_, prec, rnd)
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +278,10 @@ def vec_exact_reduce(u) -> tuple:
 
 
 def mat_vec(m: Mat3, v: Vec3) -> Vec3:
+    if type(m[0][0]) is mpf and _is_float(m) and all(type(x) is mpf for x in v):
+        prec, rnd = mpmath.mp._prec_rounding
+        rv = (v[0]._mpf_, v[1]._mpf_, v[2]._mpf_)
+        return tuple([_wrap(_dot([x._mpf_ for x in row], rv, prec, rnd)) for row in m])
     return (dot(m[0], v), dot(m[1], v), dot(m[2], v))
 
 
@@ -135,6 +294,14 @@ def mat_transpose(m: Mat3) -> Mat3:
 
 
 def mat_mul(a: Mat3, b: Mat3) -> Mat3:
+    if type(a[0][0]) is mpf and _is_float(a) and _is_float(b):
+        prec, rnd = mpmath.mp._prec_rounding
+        cols = [[x._mpf_ for x in col] for col in zip(*b)]
+        out = []
+        for row in a:
+            r = [x._mpf_ for x in row]
+            out.append(tuple([_wrap(_dot(r, c, prec, rnd)) for c in cols]))
+        return tuple(out)
     bt = mat_transpose(b)
     return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
@@ -150,6 +317,8 @@ def mat_sub(a: Mat3, b: Mat3) -> Mat3:
 def second_symmetric(m: Mat3):
     """Sum of the principal 2x2 minors, the coefficient e2 of the
     characteristic polynomial x^3 - tr x^2 + e2 x - det."""
+    if type(m[0][0]) is mpf and _is_float(m):
+        return _wrap(_second_symmetric(_raw(m), *mpmath.mp._prec_rounding))
     return (
         m[0][0] * m[1][1]
         + m[1][1] * m[2][2]
@@ -161,6 +330,8 @@ def second_symmetric(m: Mat3):
 
 
 def det3(m: Mat3):
+    if type(m[0][0]) is mpf and _is_float(m):
+        return _wrap(_det3(_raw(m), *mpmath.mp._prec_rounding))
     return (
         m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
         - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
@@ -169,6 +340,9 @@ def det3(m: Mat3):
 
 
 def adjugate(m: Mat3) -> Mat3:
+    if type(m[0][0]) is mpf and _is_float(m):
+        adj = _adjugate(_raw(m), *mpmath.mp._prec_rounding)
+        return tuple(tuple([_wrap(x) for x in row]) for row in adj)
     return (
         (
             m[1][1] * m[2][2] - m[1][2] * m[2][1],
@@ -208,6 +382,8 @@ def is_singular(m: Mat3, d) -> bool:
     """
     if is_exact(d):
         return d == 0
+    if type(d) is mpf and _is_float(m):
+        return _is_singular(_raw(m), d._mpf_, *mpmath.mp._prec_rounding)
     return abs(to_mpf(d)) <= float_epsilon() * max(to_mpf(mat_max_abs(m)) ** 3, mpf(1))
 
 
@@ -216,6 +392,16 @@ def mat_inverse(m: Mat3) -> Mat3:
 
     Raises SingularMatrix when ``is_singular`` holds for det(m).
     """
+    if type(m[0][0]) is mpf and _is_float(m):
+        prec, rnd = mpmath.mp._prec_rounding
+        r = _raw(m)
+        d = _det3(r, prec, rnd)
+        if _is_singular(r, d, prec, rnd):
+            raise SingularMatrix("matrix determinant is zero at the working precision")
+        # mat_scale(adjugate(m), 1 / d)
+        inv = mpf_rdiv_int(1, d, prec, rnd)
+        adj = _adjugate(r, prec, rnd)
+        return tuple(tuple([_wrap(mpf_mul(x, inv, prec, rnd)) for x in row]) for row in adj)
     d = det3(m)
     if is_singular(m, d):
         raise SingularMatrix("matrix determinant is zero at the working precision")
@@ -260,17 +446,25 @@ def normalize_det_one(m: Mat3) -> Mat3:
     otherwise the result is in float mode.  Raises SingularMatrix when
     ``is_singular`` holds for det(m).
     """
-    d = det3(m)
-    if is_exact(d) and d != 0:
+    if not _is_float(m):
+        d = det3(m)
+        if is_singular(m, d):
+            raise SingularMatrix("matrix determinant is zero at the working precision")
+        if not is_exact(d):
+            # mixed exact and mpf entries
+            c = real_cbrt(d)
+            return tuple(tuple(x / c for x in row) for row in m)
         c = _exact_cbrt(Fraction(d))
         if c is not None:
             return tuple(tuple(Fraction(x) / c for x in row) for row in m)
         m = mat_to_mpf(m)
-        d = det3(m)
-    if is_singular(m, d):
+    prec, rnd = mpmath.mp._prec_rounding
+    r = _raw(m)
+    d = _det3(r, prec, rnd)
+    if _is_singular(r, d, prec, rnd):
         raise SingularMatrix("matrix determinant is zero at the working precision")
-    c = real_cbrt(d)
-    return tuple(tuple(x / c for x in row) for row in m)
+    c = _real_cbrt(d, prec, rnd)
+    return tuple(tuple([_wrap(mpf_div(x, c, prec, rnd)) for x in row]) for row in r)
 
 
 # ---------------------------------------------------------------------------
@@ -307,30 +501,67 @@ class EigenResult:
         return [(lam, _eigenvector(self.matrix, lam)) for lam in self.roots]
 
 
-def _cubic_real_roots(c2, c1, c0):
-    """All real roots of x^3 + c2 x^2 + c1 x + c0, with multiplicity.
+@cache
+def _complex_margin(prec, rnd):
+    # -mpf("1e-24"), parsed once per precision
+    return mpf_neg(from_str("1e-24", prec, rnd), prec, rnd)
+
+
+def _cubic_real_roots(c2, c1, c0, eps, prec, rnd):
+    """All real roots of x^3 + c2 x^2 + c1 x + c0, with multiplicity, on
+    raw values; eps is float_epsilon().
 
     Depressed-cubic closed form; raises ComplexSpectrum when the cubic
     has a genuinely complex pair.
     """
-    shift = c2 / 3
-    p = c1 - c2 * c2 / 3
-    q = c0 - c1 * c2 / 3 + 2 * c2**3 / 27
-    disc = -4 * p**3 - 27 * q * q
-    scale = max(abs(p) ** 3, q * q, mpf(1))
-    if disc < -mpf("1e-24") * scale:
+    shift = mpf_div(c2, _THREE, prec, rnd)
+    # p = c1 - c2 * c2 / 3
+    p = mpf_sub(c1, mpf_div(mpf_mul(c2, c2, prec, rnd), _THREE, prec, rnd), prec, rnd)
+    # q = c0 - c1 * c2 / 3 + 2 * c2**3 / 27
+    q = mpf_add(
+        mpf_sub(c0, mpf_div(mpf_mul(c1, c2, prec, rnd), _THREE, prec, rnd), prec, rnd),
+        mpf_div(mpf_mul_int(mpf_pow_int(c2, 3, prec, rnd), 2, prec, rnd), _TWENTY_SEVEN, prec, rnd),
+        prec,
+        rnd,
+    )
+    # disc = -4 * p**3 - 27 * q * q
+    disc = mpf_sub(
+        mpf_mul_int(mpf_pow_int(p, 3, prec, rnd), -4, prec, rnd),
+        mpf_mul(mpf_mul_int(q, 27, prec, rnd), q, prec, rnd),
+        prec,
+        rnd,
+    )
+    abs_p, abs_q = mpf_abs(p, prec, rnd), mpf_abs(q, prec, rnd)
+    # scale = max(abs(p) ** 3, q * q, mpf(1))
+    scale = _max(_max(mpf_pow_int(abs_p, 3, prec, rnd), mpf_mul(q, q, prec, rnd)), fone)
+    if mpf_lt(disc, mpf_mul(_complex_margin(prec, rnd), scale, prec, rnd)):
         raise ComplexSpectrum("characteristic cubic has non-real roots")
-    if abs(p) <= float_epsilon() * max(abs(q) ** mpf(2) / 3, mpf(1)) and abs(q) <= float_epsilon():
-        roots = [mpf(0)] * 3
-    elif disc <= 0:
+    # abs(p) <= eps * max(abs(q) ** 2 / 3, mpf(1)) and abs(q) <= eps
+    flat = _max(mpf_div(mpf_pow_int(abs_q, 2, prec, rnd), _THREE, prec, rnd), fone)
+    if mpf_le(abs_p, mpf_mul(eps, flat, prec, rnd)) and mpf_le(abs_q, eps):
+        roots = [fzero] * 3
+    elif mpf_le(disc, fzero):
         # borderline: a repeated root
-        u = real_cbrt(-q / 2)
-        roots = [2 * u, -u, -u]
+        u = _real_cbrt(mpf_div(mpf_neg(q, prec, rnd), _TWO, prec, rnd), prec, rnd)
+        neg_u = mpf_neg(u, prec, rnd)
+        roots = [mpf_mul_int(u, 2, prec, rnd), neg_u, neg_u]
     else:
-        r = 2 * mpmath.sqrt(-p / 3)
-        theta = mpmath.acos(min(max(3 * q / (p * r), mpf(-1)), mpf(1)))
-        roots = [r * mpmath.cos(theta / 3 - 2 * mpmath.pi * k / 3) for k in range(3)]
-    return [x - shift for x in roots]
+        # r = 2 * sqrt(-p / 3)
+        r = mpmath.sqrt(_wrap(mpf_div(mpf_neg(p, prec, rnd), _THREE, prec, rnd)))._mpf_
+        r = mpf_mul_int(r, 2, prec, rnd)
+        # theta = acos(min(max(3 * q / (p * r), -1), 1))
+        c = mpf_div(mpf_mul_int(q, 3, prec, rnd), mpf_mul(p, r, prec, rnd), prec, rnd)
+        c = _max(c, _MINUS_ONE)
+        c = fone if mpf_lt(fone, c) else c
+        third = mpf_div(mpmath.acos(_wrap(c))._mpf_, _THREE, prec, rnd)
+        two_pi = mpf_mul_int(mpf_pi(prec, rnd), 2, prec, rnd)
+        # r * cos(theta / 3 - 2 * pi * k / 3)
+        roots = []
+        for k in range(3):
+            angle = mpf_div(mpf_mul_int(two_pi, k, prec, rnd), _THREE, prec, rnd)
+            angle = mpf_sub(third, angle, prec, rnd)
+            roots.append(mpf_mul(r, mpmath.cos(_wrap(angle))._mpf_, prec, rnd))
+    return [mpf_sub(x, shift, prec, rnd) for x in roots]
 
 
 def _eigenvector(m: Mat3, lam: mpf) -> Vec3:
@@ -357,33 +588,39 @@ def eigen_real(m: Mat3, newton_steps: int = 2) -> EigenResult:
     cross products of rows of (m - lam I) when first read.
     """
     m = mat_to_mpf(m)
-    trace = m[0][0] + m[1][1] + m[2][2]
-    e2 = second_symmetric(m)
-    d = det3(m)
+    prec, rnd = mpmath.mp._prec_rounding
+    r = _raw(m)
+    eps = _epsilon(prec)
+    trace = mpf_add(mpf_add(r[0][0], r[1][1], prec, rnd), r[2][2], prec, rnd)
+    e2 = _second_symmetric(r, prec, rnd)
+    d = _det3(r, prec, rnd)
     # characteristic polynomial: x^3 - tr x^2 + e2 x - det
-    roots = _cubic_real_roots(-trace, e2, -d)
+    roots = _cubic_real_roots(mpf_neg(trace, prec, rnd), e2, mpf_neg(d, prec, rnd), eps, prec, rnd)
 
-    def poly(x):
-        return x**3 - trace * x * x + e2 * x - d
-
-    def dpoly(x):
-        return 3 * x * x - 2 * trace * x + e2
-
+    two_trace = mpf_mul_int(trace, 2, prec, rnd)
     polished = []
     for x in roots:
         for _ in range(newton_steps):
-            dp = dpoly(x)
-            if abs(dp) > float_epsilon():
-                x = x - poly(x) / dp
+            # the derivative 3 * x * x - 2 * trace * x + e2
+            dp = mpf_mul(mpf_mul_int(x, 3, prec, rnd), x, prec, rnd)
+            dp = mpf_add(mpf_sub(dp, mpf_mul(two_trace, x, prec, rnd), prec, rnd), e2, prec, rnd)
+            if mpf_gt(mpf_abs(dp, prec, rnd), eps):
+                # x - (x**3 - trace * x * x + e2 * x - d) / dp
+                px = mpf_mul(mpf_mul(trace, x, prec, rnd), x, prec, rnd)
+                px = mpf_sub(mpf_pow_int(x, 3, prec, rnd), px, prec, rnd)
+                px = mpf_sub(mpf_add(px, mpf_mul(e2, x, prec, rnd), prec, rnd), d, prec, rnd)
+                x = mpf_sub(x, mpf_div(px, dp, prec, rnd), prec, rnd)
         polished.append(x)
 
-    moduli = tuple(sorted(abs(lam) for lam in polished))
-    floor = max(moduli[2] * float_epsilon(), float_epsilon())
+    moduli = sorted(_wrap(mpf_abs(x, prec, rnd)) for x in polished)
+    m0, m1, m2 = (x._mpf_ for x in moduli)
+    floor = _max(mpf_mul(m2, eps, prec, rnd), eps)
     gaps = (
-        moduli[1] / max(moduli[0], floor),
-        moduli[2] / max(moduli[1], floor),
+        _wrap(mpf_div(m1, _max(m0, floor), prec, rnd)),
+        _wrap(mpf_div(m2, _max(m1, floor), prec, rnd)),
     )
-    return EigenResult(matrix=m, roots=tuple(polished), moduli=moduli, gaps=gaps)
+    roots = tuple(_wrap(x) for x in polished)
+    return EigenResult(matrix=m, roots=roots, moduli=tuple(moduli), gaps=gaps)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
+from mpmath.libmp import from_man_exp
 
 from pappuslab import anosov_lab as al
 from pappuslab import boxes as bx
@@ -17,6 +18,7 @@ from pappuslab import scalars as sc
 from pappuslab.boxes import BoxModuli, Lambda
 from pappuslab.errors import (
     ComplexSpectrum,
+    DegenerateConfiguration,
     NoConvergence,
     NonLoxodromic,
     NotInRegionInterior,
@@ -504,6 +506,50 @@ def test_spectrum_converts_only_exact_images():
             ref = sc.eigen_real(sc.normalize_det_one(sc.mat_to_mpf(g)))
             assert (res.roots, res.gaps) == (ref.roots, ref.gaps)
         assert sc.eigen_real(sc.normalize_det_one(m)).roots != res.roots
+
+
+# ---------------------------------------------------------------------------
+# the chart diameter on raw mpf values against the operator formula
+
+
+def operator_chart_diameter(box_points):
+    coords = [bx.chart_coords(p) for p in box_points]
+    best = mpf(0)
+    for i in range(len(coords)):
+        for j in range(i + 1, len(coords)):
+            dx = coords[i][0] - coords[j][0]
+            dy = coords[i][1] - coords[j][1]
+            best = max(best, dx * dx + dy * dy)
+    return mpmath.sqrt(best)
+
+
+def diameter_outcome(func, points):
+    try:
+        return func(points)._mpf_
+    except DegenerateConfiguration as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("prec", [53, 128, 256])
+@given(seed=st.integers(0, 2**64), spread=st.sampled_from([0, 4, 100]))
+@settings(max_examples=40, deadline=None)
+def test_chart_diameter_matches_operator_bits(prec, seed, spread):
+    rng = random.Random(seed)
+
+    def coord():
+        # up to 320 random bits, so some carry more than the precision
+        size = rng.randint(1, 320)
+        man = (rng.getrandbits(size) | 1 << (size - 1)) * rng.choice([-1, 1])
+        return mpmath.mp.make_mpf(from_man_exp(man, rng.randint(-spread, spread) - size))
+
+    points = [(coord(), coord(), coord()) for _ in range(4)]
+    if rng.randrange(8) == 0:
+        # a point at infinity of the chart, y + z = 0
+        x, y, _ = points[1]
+        points[1] = (x, y, -y)
+    with mpmath.workprec(prec):
+        expected = diameter_outcome(operator_chart_diameter, points)
+        assert diameter_outcome(al._chart_diameter, points) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,8 @@ def test_usage_error_exit_code(capsys):
         ["limit", "--depth", "1", "--eps=-0.15", "--tol=0"],
         # below 2^(8 - precision) the limit diameters are rounding noise
         ["limit", "--tol", "1e-40"],
+        # and so is the h residual of curve
+        ["curve", "--zt=3/10", "--zb=-2/10", "--eps=-0.05", "--tol", "1e-40"],
     ],
 )
 def test_invalid_values_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
@@ -77,6 +79,14 @@ def test_limit_tol_floor_follows_precision(tmp_path, monkeypatch, capsys):
         rows = list(csv.DictReader(handle))
     assert len(rows) == 4
     assert all(float(row["flag_residual"]) < 1e-30 for row in rows)
+
+
+def test_curve_tol_floor_follows_precision(capsys):
+    argv = ["--precision", "256", "curve", "--zt=3/10", "--zb=-2/10", "--eps=-0.05"]
+    code, report = run_json(capsys, *argv, "--tol", "1e-40")
+    assert code == 0
+    assert report["pass"] is True
+    assert report["h_residual"] <= 1e-40
 
 
 @pytest.mark.parametrize(

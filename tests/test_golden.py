@@ -47,6 +47,10 @@ CASES = {
         ["--precision", "256", "limit", "--depth", "1", *DEFORMED, "--tol", "1e-60"],
         "limit.csv",
     ),
+    # the other scalar precisions: the scan at 256 bits (48 words), and a
+    # curve point whose rounding-level residuals pin every bit at 64 bits
+    "certify_prec256": (["--precision", "256", "certify", "--maxlen", "8", *DEFORMED], None),
+    "curve_prec64": (["--precision", "64", "curve", *POINT, "--eps=-0.05"], None),
 }
 
 

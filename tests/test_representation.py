@@ -13,7 +13,13 @@ from pappuslab import projective as pj
 from pappuslab import representation as rp
 from pappuslab import scalars as sc
 from pappuslab.boxes import LAMBDA_ZERO, BoxModuli, Lambda, from_moduli, marked_equal
-from pappuslab.errors import NoSolution, NotARotation, NotInSubgroupO, SpecialBox
+from pappuslab.errors import (
+    NoSolution,
+    NotARotation,
+    NotInSubgroupO,
+    SpecialBox,
+    ToleranceBelowPrecision,
+)
 from pappuslab.modular import BASE_EDGE, GroupWord
 
 rational_moduli = st.tuples(
@@ -269,6 +275,17 @@ def test_solve_delta_h_flat_at_zero():
     assert abs(slope) < mpf("1e-4")
     with pytest.raises(SpecialBox):
         rp.solve_delta_h(BoxModuli(0, 0), mpf("0.1"))
+
+
+def test_solve_delta_h_rejects_tol_below_precision():
+    eps = mpf("-0.05")
+    with mpmath.workprec(128):
+        floor = sc.float_epsilon()
+        with pytest.raises(ToleranceBelowPrecision):
+            rp.solve_delta_h(M_TEST, eps, tol=floor)
+        # just above the floor the bisection still meets tol
+        delta = rp.solve_delta_h(M_TEST, eps, tol=2 * floor)
+        assert abs(rp.curve_h(M_TEST, Lambda(epsilon=eps, delta=delta))) <= 2 * floor
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
+from mpmath.ctx_mp_python import _mpf
+from mpmath.libmp import from_man_exp
 
 from pappuslab import scalars as sc
 from pappuslab.errors import ComplexSpectrum, SingularMatrix
@@ -133,3 +136,374 @@ def test_precision_control():
     sc.set_precision()
     with pytest.raises(ValueError):
         sc.set_precision(10)
+
+
+# ---------------------------------------------------------------------------
+# the float kernel against the operator formulas
+#
+# The oracle below is the operator-path code of the functions the kernel
+# serves: every result of the kernel must carry the oracle's ``_mpf_``.
+
+PRECISIONS = (53, 64, 128, 256)
+
+
+def o_dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def o_mat_vec(m, v):
+    return (o_dot(m[0], v), o_dot(m[1], v), o_dot(m[2], v))
+
+
+def o_mat_mul(a, b):
+    bt = tuple(zip(*b))
+    return tuple(tuple(o_dot(row, col) for col in bt) for row in a)
+
+
+def o_second_symmetric(m):
+    return (
+        m[0][0] * m[1][1]
+        + m[1][1] * m[2][2]
+        + m[2][2] * m[0][0]
+        - m[0][1] * m[1][0]
+        - m[1][2] * m[2][1]
+        - m[0][2] * m[2][0]
+    )
+
+
+def o_det3(m):
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+
+
+def o_adjugate(m):
+    return (
+        (
+            m[1][1] * m[2][2] - m[1][2] * m[2][1],
+            m[0][2] * m[2][1] - m[0][1] * m[2][2],
+            m[0][1] * m[1][2] - m[0][2] * m[1][1],
+        ),
+        (
+            m[1][2] * m[2][0] - m[1][0] * m[2][2],
+            m[0][0] * m[2][2] - m[0][2] * m[2][0],
+            m[0][2] * m[1][0] - m[0][0] * m[1][2],
+        ),
+        (
+            m[1][0] * m[2][1] - m[1][1] * m[2][0],
+            m[0][1] * m[2][0] - m[0][0] * m[2][1],
+            m[0][0] * m[1][1] - m[0][1] * m[1][0],
+        ),
+    )
+
+
+def o_epsilon():
+    return mpf(2) ** (8 - mpmath.mp.prec)
+
+
+def o_is_singular(m, d):
+    if sc.is_exact(d):
+        return d == 0
+    big = max(abs(x) for row in m for x in row)
+    return abs(sc.to_mpf(d)) <= o_epsilon() * max(sc.to_mpf(big) ** 3, mpf(1))
+
+
+def o_mat_inverse(m):
+    d = o_det3(m)
+    if o_is_singular(m, d):
+        raise SingularMatrix("singular")
+    if sc.is_exact(d):
+        dd = Fraction(d)
+        return tuple(tuple(Fraction(x) / dd for x in row) for row in o_adjugate(m))
+    c = 1 / sc.to_mpf(d)
+    return tuple(tuple(x * c for x in row) for row in o_adjugate(m))
+
+
+def o_real_cbrt(x):
+    x = sc.to_mpf(x)
+    return mpmath.cbrt(x) if x >= 0 else -mpmath.cbrt(-x)
+
+
+def o_normalize_det_one(m):
+    d = o_det3(m)
+    if sc.is_exact(d) and d != 0:
+        c = sc._exact_cbrt(Fraction(d))
+        if c is not None:
+            return tuple(tuple(Fraction(x) / c for x in row) for row in m)
+        m = sc.mat_to_mpf(m)
+        d = o_det3(m)
+    if o_is_singular(m, d):
+        raise SingularMatrix("singular")
+    c = o_real_cbrt(d)
+    return tuple(tuple(x / c for x in row) for row in m)
+
+
+def o_cubic_real_roots(c2, c1, c0):
+    shift = c2 / 3
+    p = c1 - c2 * c2 / 3
+    q = c0 - c1 * c2 / 3 + 2 * c2**3 / 27
+    disc = -4 * p**3 - 27 * q * q
+    scale = max(abs(p) ** 3, q * q, mpf(1))
+    if disc < -mpf("1e-24") * scale:
+        raise ComplexSpectrum("complex")
+    if abs(p) <= o_epsilon() * max(abs(q) ** mpf(2) / 3, mpf(1)) and abs(q) <= o_epsilon():
+        roots = [mpf(0)] * 3
+    elif disc <= 0:
+        u = o_real_cbrt(-q / 2)
+        roots = [2 * u, -u, -u]
+    else:
+        r = 2 * mpmath.sqrt(-p / 3)
+        theta = mpmath.acos(min(max(3 * q / (p * r), mpf(-1)), mpf(1)))
+        roots = [r * mpmath.cos(theta / 3 - 2 * mpmath.pi * k / 3) for k in range(3)]
+    return [x - shift for x in roots]
+
+
+def o_eigen_real(m, newton_steps=2):
+    m = sc.mat_to_mpf(m)
+    trace = m[0][0] + m[1][1] + m[2][2]
+    e2 = o_second_symmetric(m)
+    d = o_det3(m)
+    roots = o_cubic_real_roots(-trace, e2, -d)
+
+    def poly(x):
+        return x**3 - trace * x * x + e2 * x - d
+
+    def dpoly(x):
+        return 3 * x * x - 2 * trace * x + e2
+
+    polished = []
+    for x in roots:
+        for _ in range(newton_steps):
+            dp = dpoly(x)
+            if abs(dp) > o_epsilon():
+                x = x - poly(x) / dp
+        polished.append(x)
+    moduli = tuple(sorted(abs(lam) for lam in polished))
+    floor = max(moduli[2] * o_epsilon(), o_epsilon())
+    gaps = (moduli[1] / max(moduli[0], floor), moduli[2] / max(moduli[1], floor))
+    return m, tuple(polished), moduli, gaps
+
+
+def bits(value):
+    """Type and exact value of a (nested) result: an mpf by its _mpf_."""
+    if isinstance(value, sc.EigenResult):
+        return bits((value.matrix, value.roots, value.moduli, value.gaps))
+    if isinstance(value, tuple):
+        return tuple(bits(x) for x in value)
+    if type(value) is mpf:
+        return ("mpf", value._mpf_)
+    return (type(value).__name__, value)
+
+
+def outcome(func, *args):
+    """bits of func(*args), or the class of the error it raises."""
+    try:
+        return bits(func(*args))
+    except (ComplexSpectrum, SingularMatrix, TypeError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+KERNEL_PAIRS = {
+    "mat_mul": (sc.mat_mul, o_mat_mul, 2),
+    "mat_vec": (sc.mat_vec, o_mat_vec, 1),
+    "det3": (sc.det3, o_det3, 0),
+    "second_symmetric": (sc.second_symmetric, o_second_symmetric, 0),
+    "adjugate": (sc.adjugate, o_adjugate, 0),
+    "is_singular": (
+        lambda m: sc.is_singular(m, sc.det3(m)),
+        lambda m: o_is_singular(m, o_det3(m)),
+        0,
+    ),
+    "mat_inverse": (sc.mat_inverse, o_mat_inverse, 0),
+    "normalize_det_one": (sc.normalize_det_one, o_normalize_det_one, 0),
+    "eigen_real": (sc.eigen_real, o_eigen_real, 0),
+}
+
+
+def exact_mpf(man, exp):
+    # made without rounding: it may carry more bits than the precision
+    return mpmath.mp.make_mpf(from_man_exp(man, exp))
+
+
+@st.composite
+def mpf_entries(draw, count):
+    """count mpfs of magnitude about 2^(base + offset), base in +-200, with
+    a mantissa of 1 to 320 random bits and either sign, or now and then
+    zero.  In most draws the offsets are small, so that sums and
+    differences of products round; in the rest they spread over +-200.
+    The bits come from a drawn seed: hypothesis's own integers favour
+    mantissas with few bits set, on which re-associating a sum seldom
+    changes a bit."""
+    base = draw(st.integers(-200, 200))
+    spread = draw(st.sampled_from([3, 3, 3, 200]))
+    rng = random.Random(draw(st.integers(0, 2**64)))
+    out = []
+    for _ in range(count):
+        size = rng.randint(1, 320)
+        man = rng.getrandbits(size) | 1 << (size - 1) | 1 if rng.randrange(8) else 0
+        man = -man if rng.randrange(2) else man
+        offset = rng.randint(-spread, spread)
+        out.append(exact_mpf(man, base + offset - abs(man).bit_length()))
+    return out
+
+
+@st.composite
+def mpf_mat(draw):
+    if draw(st.booleans()):
+        # symmetric: a real spectrum, so eigen_real reaches its roots
+        a, b, c, d, e, f = draw(mpf_entries(6))
+        return ((a, b, c), (b, d, e), (c, e, f))
+    x = draw(mpf_entries(9))
+    return (tuple(x[0:3]), tuple(x[3:6]), tuple(x[6:9]))
+
+
+MPF_ENTRY = mpf_entries(1).map(lambda x: x[0])
+MPF_VEC = mpf_entries(3).map(tuple)
+MPF_MAT = mpf_mat()
+
+
+@pytest.mark.parametrize("prec", PRECISIONS)
+@pytest.mark.parametrize("name", sorted(KERNEL_PAIRS))
+@given(m=MPF_MAT, data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_float_kernel_matches_operator_bits(name, prec, m, data):
+    kernel, oracle, kind = KERNEL_PAIRS[name]
+    args = (m, data.draw(MPF_MAT)) if kind == 2 else (m, data.draw(MPF_VEC)) if kind else (m,)
+    with mpmath.workprec(prec):
+        assert outcome(kernel, *args) == outcome(oracle, *args)
+
+
+# the identity (p = q = 0), a double root (disc = 0 exactly), three real
+# roots, a complex pair, a singular matrix and tiny, huge and negative scales
+PLANTED = [
+    ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    ((2, 0, 0), (0, 2, 0), (0, 0, 5)),
+    ((1, 0, 0), (0, 2, 0), (0, 0, 3)),
+    ((3, 1, 0), (1, 5, 2), (0, 2, 7)),
+    ((0, -1, 0), (1, 0, 0), (0, 0, 5)),
+    ((1, 2, 3), (2, 4, 6), (0, 0, 1)),
+    ((0, 0, 0), (0, 0, 0), (0, 0, 0)),
+    ((-2, 0, 0), (0, 2, 0), (0, 0, Fraction(1, 4))),
+]
+
+
+@pytest.mark.parametrize("prec", PRECISIONS)
+@pytest.mark.parametrize("planted", PLANTED)
+def test_float_kernel_branches_match_operator_bits(planted, prec):
+    with mpmath.workprec(prec):
+        for scale in (Fraction(1), Fraction(-1, 3), Fraction(1, 2**150), 2**170):
+            m = sc.mat_to_mpf(tuple(tuple(scale * x for x in row) for row in planted))
+            for name, (kernel, oracle, kind) in KERNEL_PAIRS.items():
+                args = (m, m) if kind == 2 else (m, m[0]) if kind else (m,)
+                assert outcome(kernel, *args) == outcome(oracle, *args), (name, scale)
+
+
+EXACT_ENTRY = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=9),
+)
+INT_OR_MPF = st.one_of(st.integers(-9, 9), MPF_ENTRY)
+
+
+def mat_of(entry):
+    row = st.tuples(entry, entry, entry)
+    return st.tuples(row, row, row)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_PAIRS))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_exact_and_mixed_inputs_keep_values_and_types(name, data):
+    kernel, oracle, kind = KERNEL_PAIRS[name]
+    entry = data.draw(st.sampled_from([EXACT_ENTRY, INT_OR_MPF, st.one_of(EXACT_ENTRY, MPF_ENTRY)]))
+    m = data.draw(mat_of(entry))
+    if kind == 2:
+        args = (m, data.draw(st.one_of(mat_of(entry), st.just(sc.IDENTITY), MPF_MAT)))
+    elif kind:
+        args = (m, data.draw(st.tuples(entry, entry, entry)))
+    else:
+        args = (m,)
+    assert outcome(kernel, *args) == outcome(oracle, *args)
+
+
+def test_identity_times_mpf_stays_on_the_operator_path():
+    m = sc.mat_to_mpf(((1, 2, 3), (4, 5, 6), (7, 8, 10)))
+    assert bits(sc.mat_mul(sc.IDENTITY, m)) == bits(o_mat_mul(sc.IDENTITY, m))
+    assert bits(sc.mat_mul(m, sc.IDENTITY)) == bits(o_mat_mul(m, sc.IDENTITY))
+    assert bits(sc.mat_vec(sc.IDENTITY, m[0])) == bits(o_mat_vec(sc.IDENTITY, m[0]))
+
+
+# ---------------------------------------------------------------------------
+# operator-count guard: on all-mpf input the kernel builds no mpf through
+# mpf's arithmetic operators (a silent fall-back to them would pass every
+# bit test above, only slower)
+
+OPERATORS = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__div__", "__rdiv__", "__pow__", "__rpow__",
+    "__neg__", "__pos__", "__abs__", "__mod__", "__rmod__",
+)
+ELEMENTARY = ("sqrt", "cbrt", "acos", "cos")
+
+
+@pytest.fixture
+def operator_calls(monkeypatch):
+    """Counts mpf operator calls made outside mpmath's elementary functions."""
+    calls = []
+    inside = [0]
+
+    def counted(name, op):
+        def wrapper(*args):
+            if not inside[0]:
+                calls.append(name)
+            return op(*args)
+
+        return wrapper
+
+    def suspended(func):
+        def wrapper(*args, **kwargs):
+            inside[0] += 1
+            try:
+                return func(*args, **kwargs)
+            finally:
+                inside[0] -= 1
+
+        return wrapper
+
+    for name in OPERATORS:
+        monkeypatch.setattr(_mpf, name, counted(name, getattr(_mpf, name)))
+    for name in ELEMENTARY:
+        monkeypatch.setattr(mpmath, name, suspended(getattr(mpmath, name)))
+    return calls
+
+
+def test_operator_guard_counts_operators(operator_calls):
+    x = mpf(3)
+    abs(-x * x + x / 2 - 1)
+    assert operator_calls == ["__neg__", "__mul__", "__truediv__", "__add__", "__sub__", "__abs__"]
+
+
+@pytest.mark.parametrize("prec", [64, 128])
+def test_float_kernel_makes_no_operator_calls(prec, operator_calls):
+    with mpmath.workprec(prec):
+        # three real roots, well separated; and a double root
+        m = sc.mat_to_mpf(((3, 1, 0), (1, 5, 2), (0, 2, 7)))
+        double = sc.mat_to_mpf(((2, 0, 0), (0, 2, 0), (0, 0, 5)))
+        negative = sc.mat_to_mpf(((-3, 1, 0), (1, -5, 2), (0, 2, -7)))
+        v = m[1]
+        del operator_calls[:]
+        sc.mat_mul(m, m)
+        sc.mat_vec(m, v)
+        sc.det3(m)
+        sc.second_symmetric(m)
+        sc.adjugate(m)
+        sc.is_singular(m, sc.det3(m))
+        sc.mat_inverse(m)
+        sc.normalize_det_one(m)
+        sc.normalize_det_one(negative)
+        sc.eigen_real(m)
+        sc.eigen_real(double)
+        sc.eigen_real(sc.mat_to_mpf(sc.IDENTITY))
+        assert operator_calls == []
