@@ -363,14 +363,14 @@ def cmd_curve(args) -> int:
     lam = Lambda(epsilon=eps, delta=delta)
     h_residual = abs(rp.curve_h(moduli, lam))
     rep = rp.Representation(moduli, lam)
-    obstruction, _ = rp.obstruction(rep)
+    obstruction, ab = rp.obstruction(rep)
     s, residual, invertible = rp.extension_intertwiner(rep)
     sym = max(
         abs(sc.to_mpf(s[i][j]) - sc.to_mpf(s[j][i])) for i in range(3) for j in range(3)
     )
     ok = (
         h_residual <= mpf(args.tol)
-        and abs(sc.to_mpf(obstruction)) <= mpf("1e-10")
+        and rp._obstruction_vanishes(obstruction, ab)
         and sym <= mpf("1e-9")
         and residual <= mpf("1e-9")
         and invertible

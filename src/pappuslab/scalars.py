@@ -20,7 +20,9 @@ tuples, in the order and association of the operator expressions that
 exact and mixed inputs still evaluate, and wrap only the entries they
 return.  Each call rounds once, as the operator does, so the results
 are bit-identical to the operator path, without an mpf object per
-intermediate value.
+intermediate value.  ``det_n``, the n x n elimination of the dense
+helpers, runs on raw values in the same way; it has no operator path,
+as it works in mpf alone.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from mpmath.libmp import (
     mpf_abs,
     mpf_add,
     mpf_div,
+    mpf_eq,
     mpf_ge,
     mpf_gt,
     mpf_le,
@@ -624,31 +627,46 @@ def eigen_real(m: Mat3, newton_steps: int = 2) -> EigenResult:
 
 
 # ---------------------------------------------------------------------------
-# generic dense helpers (small n, used by the variety and extension checks)
+# generic dense helpers (small n, used by the variety and extension checks;
+# the SVD of the extension check is representation._singular_values_v)
 
 
 def det_n(rows) -> mpf:
-    """Determinant of a square matrix by Gaussian elimination in mpf; the
-    rows are copied, because the elimination works in place."""
-    a = [[x if isinstance(x, mpf) else to_mpf(x) for x in row] for row in rows]
+    """Determinant of a square matrix by Gaussian elimination in mpf.
+
+    The pivot of each column is its first entry of maximal |value|, as
+    ``max`` picks it.  The elimination runs on the raw values with the
+    libmp calls of the operator expressions in the comments (see the
+    module docstring), on a copy of the rows, because it works in place.
+    """
+    prec, rnd = mpmath.mp._prec_rounding
+    a = [[(x if isinstance(x, mpf) else to_mpf(x))._mpf_ for x in row] for row in rows]
     n = len(a)
-    det = mpf(1)
+    det = fone
     for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(a[r][col]))
-        if a[piv][col] == 0:
+        # max(range(col, n), key=lambda r: abs(a[r][col]))
+        piv, top = col, mpf_abs(a[col][col], prec, rnd)
+        for r in range(col + 1, n):
+            x = mpf_abs(a[r][col], prec, rnd)
+            if mpf_gt(x, top):
+                piv, top = r, x
+        p = a[piv][col]
+        if mpf_eq(p, fzero):
             return mpf(0)
         if piv != col:
             a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            f = a[r][col] * inv
-            if f == 0:
+            det = mpf_neg(det, prec, rnd)
+        det = mpf_mul(det, p, prec, rnd)
+        inv = mpf_rdiv_int(1, p, prec, rnd)
+        top_row = a[col]
+        for row in a[col + 1:]:
+            f = mpf_mul(row[col], inv, prec, rnd)
+            if mpf_eq(f, fzero):
                 continue
             for c in range(col, n):
-                a[r][c] -= f * a[col][c]
-    return det
+                # row[c] -= f * top_row[c]
+                row[c] = mpf_sub(row[c], mpf_mul(f, top_row[c], prec, rnd), prec, rnd)
+    return _wrap(det)
 
 
 def nullspace_exact(rows):

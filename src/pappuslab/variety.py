@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import mpmath
 from mpmath import mpf
+from mpmath.libmp import mpf_div, mpf_mul_int, mpf_sub
 
 from . import representation as rp
 from . import scalars as sc
@@ -48,17 +49,14 @@ class VarietyPoint:
                 raise InternalInconsistency("variety points need determinant one")
 
 
+def _psi_half(m: tuple) -> tuple:
+    return (sc.det3(m) - 1, m[0][0] + m[1][1] + m[2][2], sc.second_symmetric(m))
+
+
 def psi_eval(a: tuple, b: tuple) -> tuple:
     """Six defining polynomials of the order-3 pair variety: for each
     matrix, det - 1, trace and the second symmetric function."""
-    return (
-        sc.det3(a) - 1,
-        a[0][0] + a[1][1] + a[2][2],
-        sc.second_symmetric(a),
-        sc.det3(b) - 1,
-        b[0][0] + b[1][1] + b[2][2],
-        sc.second_symmetric(b),
-    )
+    return _psi_half(a) + _psi_half(b)
 
 
 def order3_trace_check(a: tuple, tol=TRACE_TOL) -> bool:
@@ -123,7 +121,12 @@ def closed_form_psi_jacobian(m: BoxModuli, lam: Lambda) -> mpf:
 
 def _fd_determinant(func, base, n, step):
     """|det| of the central finite-difference Jacobian of func: R^n -> R^n
-    at the point base (columns indexed by input coordinates)."""
+    at the point base (columns indexed by input coordinates); func's
+    values are mpf.  The quotients (u - d) / (2 * step) run on the raw
+    values, with the libmp calls of those operators."""
+    prec, rnd = mpmath.mp._prec_rounding
+    two_step = mpf_mul_int(step._mpf_, 2, prec, rnd)
+    wrap = mpmath.mp.make_mpf
     cols = []
     for k in range(n):
         up = list(base)
@@ -132,7 +135,10 @@ def _fd_determinant(func, base, n, step):
         dn[k] = dn[k] - step
         fu = func(up)
         fd = func(dn)
-        cols.append([(u - d) / (2 * step) for u, d in zip(fu, fd)])
+        cols.append([
+            wrap(mpf_div(mpf_sub(u._mpf_, d._mpf_, prec, rnd), two_step, prec, rnd))
+            for u, d in zip(fu, fd)
+        ])
     rows = [[cols[k][i] for k in range(n)] for i in range(n)]
     return abs(sc.det_n(rows))
 
@@ -145,11 +151,15 @@ def jacobian_check_psi(m: BoxModuli, lam: Lambda, step=FD_STEP) -> dict:
         raise OutsideRegion("deformation outside the admissible region")
     point = generator_pair(m, lam)
     base = [x for row in point.a for x in row] + [x for row in point.b for x in row]
+    psi_a, psi_b = _psi_half(point.a), _psi_half(point.b)
 
     def func(entries):
         a = tuple(tuple(entries[3 * i + j] for j in range(3)) for i in range(3))
         b = tuple(tuple(entries[9 + 3 * i + j] for j in range(3)) for i in range(3))
-        return psi_eval(a, b) + _off_diagonal(a) + _off_diagonal(b)
+        # a step moves one entry: A or B is the base matrix, whose half of Ψ is known
+        half_a = psi_a if a == point.a else _psi_half(a)
+        half_b = psi_b if b == point.b else _psi_half(b)
+        return half_a + half_b + _off_diagonal(a) + _off_diagonal(b)
 
     fd = _fd_determinant(func, base, 18, sc.to_mpf(step))
     closed = closed_form_psi_jacobian(m, lam)

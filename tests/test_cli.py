@@ -4,15 +4,18 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from mpmath import mpf
 
 from pappuslab import anosov_lab as al
 from pappuslab import cli
 from pappuslab import modular as md
 from pappuslab import representation as rp
 from pappuslab import scalars as sc
+from pappuslab.boxes import BoxModuli, Lambda
 
 
 def run(capsys, *argv):
@@ -368,6 +371,21 @@ def test_curve_command(capsys):
     assert abs(report["h_residual"]) <= 1e-12
     assert report["obstruction"] <= 1e-10
     assert report["intertwiner_invertible"]
+
+
+def test_curve_obstruction_verdict_is_the_library_one(capsys):
+    # near the boundary of the moduli square the obstruction is 6.3e-8 in
+    # absolute terms but vanishes relative to max|A B|^3, as the
+    # intertwiner search already accepted it
+    code, report = run_json(capsys, "curve", "--zt=999/1000", "--zb=-998/1000", "--eps=-0.05")
+    assert code == 0
+    assert report["pass"]
+    assert report["obstruction"] > 1e-10
+    moduli, eps = BoxModuli(Fraction(999, 1000), Fraction(-998, 1000)), mpf(-0.05)
+    rep = rp.Representation(moduli, Lambda(epsilon=eps, delta=rp.solve_delta_h(moduli, eps)))
+    obstruction, ab = rp.obstruction(rep)
+    assert report["obstruction"] == float(abs(obstruction))
+    assert rp._obstruction_vanishes(obstruction, ab)
 
 
 def test_curve_special_box_error(capsys):

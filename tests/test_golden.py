@@ -15,6 +15,7 @@ import os
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from pappuslab import cli
@@ -51,6 +52,10 @@ CASES = {
     # curve point whose rounding-level residuals pin every bit at 64 bits
     "certify_prec256": (["--precision", "256", "certify", "--maxlen", "8", *DEFORMED], None),
     "curve_prec64": (["--precision", "64", "curve", *POINT, "--eps=-0.05"], None),
+    # finite differences that show 64-bit rounding pin det_n and the Jacobian
+    # columns; a 256-bit curve point pins the SVD of the conjugation system
+    "variety_prec64": (["--precision", "64", "variety", "--grid", "2"], None),
+    "curve_prec256": (["--precision", "256", "curve", *POINT, "--eps=-0.05"], None),
 }
 
 
@@ -61,7 +66,8 @@ def run_case(name: str, workdir: Path) -> dict:
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
-        with contextlib.redirect_stdout(stdout):
+        # --precision sets the global precision; later tests expect the default
+        with contextlib.redirect_stdout(stdout), mpmath.workprec(mpmath.mp.prec):
             code = cli.main(list(argv))
     finally:
         os.chdir(cwd)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
+from mpmath.libmp import from_man_exp
 
 from pappuslab import boxes as bx
 from pappuslab import modular as md
@@ -350,14 +351,21 @@ def _nullspace_svd_r(rows, rel_tol=mpf("1e-9")):
     ]
 
 
+def _bits(values):
+    return [x._mpf_ for x in values]
+
+
 def _assert_svd_matches_svd_r(rows):
+    # _singular_values_v gives a list and a list of rows, mpmath matrices
     s, v = rp._singular_values_v(rows)
     s_ref, v_ref = _svd_r_s_v(rows)
-    assert (s.rows, s.cols) == (s_ref.rows, s_ref.cols)
-    assert (v.rows, v.cols) == (v_ref.rows, v_ref.cols)
-    assert s.tolist() == s_ref.tolist()
-    assert v.tolist() == v_ref.tolist()
-    assert rp._nullspace_float(rows) == _nullspace_svd_r(rows)
+    assert (len(s), 1) == (s_ref.rows, s_ref.cols)
+    assert (len(v), len(v[0])) == (v_ref.rows, v_ref.cols)
+    assert _bits(s) == _bits(s_ref)
+    assert [_bits(row) for row in v] == [_bits(row) for row in v_ref.tolist()]
+    assert [_bits(vec) for vec in rp._nullspace_float(rows)] == [
+        _bits(vec) for vec in _nullspace_svd_r(rows)
+    ]
 
 
 def _conjugation_rows(moduli, lam):
@@ -380,6 +388,132 @@ def test_v_only_svd_equals_svd_r_off_curve():
     rows = _conjugation_rows(M_TEST, Lambda(epsilon=mpf("-0.1"), delta=mpf("0.5")))
     _assert_svd_matches_svd_r(rows)
     assert rp._nullspace_float(rows) == []
+
+
+@st.composite
+def svd_system(draw):
+    """An m x n system, 1 <= n <= m <= 9: mpfs of 1 to 320 random bits,
+    either sign, scaled by 2^e with e within 3 of a common base in
+    +-200, or spread over +-200; now and then zero entries, a zero
+    column or a repeated column (rank deficiency).  The bits come from a
+    drawn seed, as hypothesis's own integers favour sparse mantissas."""
+    n = draw(st.integers(1, 9))
+    m = draw(st.integers(n, 9))
+    base = draw(st.integers(-200, 200))
+    spread = draw(st.sampled_from([3, 3, 200]))
+    zeros = draw(st.sampled_from([0, 0, 0.2, 0.6]))
+    rng = random.Random(draw(st.integers(0, 2**64)))
+    rows = []
+    for _ in range(m):
+        row = []
+        for _ in range(n):
+            size = rng.randint(1, 320)
+            man = (rng.getrandbits(size) | 1 << (size - 1)) * rng.choice((1, -1))
+            exp = base + rng.randint(-spread, spread) - size
+            zero = rng.random() < zeros
+            row.append(mpf(0) if zero else mpmath.mp.make_mpf(from_man_exp(man, exp)))
+        rows.append(row)
+    col = draw(st.integers(0, n - 1))
+    shape = draw(st.sampled_from(["plain", "plain", "zero_column", "repeated_column"]))
+    for row in rows:
+        if shape == "zero_column":
+            row[col] = mpf(0)
+        elif shape == "repeated_column":
+            row[col] = row[0]
+    return rows
+
+
+@pytest.mark.parametrize("prec", [53, 64, 128, 256])
+@given(rows=svd_system())
+@settings(max_examples=25, deadline=None)
+def test_v_only_svd_equals_svd_r_on_drawn_systems(prec, rows):
+    with mpmath.workprec(prec):
+        _assert_svd_matches_svd_r(rows)
+
+
+# the generator matrices: the float kernel takes them at mpf moduli and a
+# float deformation, with the bits of the operator formula
+
+
+def _operator_matrix_B(m, lam):
+    # matrix_B0 and matrix_B with their int literals left in place
+    a, d, sig = rp.matrix_A(m), rp.matrix_D(m), bx.sigma_matrix(lam)
+    b0 = sc.mat_mul(sc.mat_mul(sc.mat_inverse(d), sc.mat_inverse(sc.mat_transpose(a))), d)
+    return sc.mat_mul(sc.mat_mul(sc.mat_inverse(sig), b0), sig)
+
+
+def _typed_bits(m):
+    return [[(type(x), x._mpf_ if type(x) is mpf else x) for x in row] for row in m]
+
+
+@pytest.mark.parametrize("prec", [53, 64, 128, 256])
+@given(
+    st.integers(-99, 99), st.integers(-99, 99),
+    st.integers(-300, 300), st.integers(-300, 300),
+    st.sampled_from(["mpf", "mpf_exact", "exact", "mixed"]),
+)
+@settings(max_examples=30, deadline=None)
+def test_matrix_B_matches_operator_bits(prec, zt, zb, eps, delta, kind):
+    # kind: moduli and deformation both float, float moduli with an exact
+    # deformation, both exact, or exact moduli with a float deformation
+    with mpmath.workprec(prec):
+        moduli = BoxModuli(Fraction(zt, 100), Fraction(zb, 100))
+        if kind.startswith("mpf"):
+            moduli = BoxModuli(mpf(zt) / 100, mpf(zb) / 100)
+        if kind.endswith("exact"):
+            lam = Lambda(u=Fraction(1000 + eps, 1000), v=Fraction(1000 + delta, 1000))
+        else:
+            lam = Lambda(epsilon=mpf(eps) / 1000, delta=mpf(delta) / 1000)
+        assert _typed_bits(rp.matrix_B(moduli, lam)) == _typed_bits(_operator_matrix_B(moduli, lam))
+        assert _typed_bits(rp.matrix_B0(moduli)) == _typed_bits(
+            _operator_matrix_B(moduli, LAMBDA_ZERO)
+        )
+
+
+def test_lift_leaves_other_ints_and_exact_matrices_alone():
+    big = 2**300 + 1
+    mixed = ((mpf(2), 0, 1), (0, big, -1), (1, 0, mpf(3)))
+    assert rp._lift_literals(mixed) is mixed
+    exact = ((1, 0, 0), (0, Fraction(1, 3), -1), (0, 1, 1))
+    assert rp._lift_literals(exact) is exact
+    literal = ((mpf(2), 0, 1), (0, mpf(5), -1), (1, 0, mpf(3)))
+    lifted = rp._lift_literals(literal)
+    assert all(type(x) is mpf for row in lifted for x in row)
+    assert _typed_bits(lifted) == _typed_bits(sc.mat_to_mpf(literal))
+
+
+# the bisection evaluates h with epsilon's cosh and sinh fixed; it must
+# find the delta that a search calling curve_h at every step finds
+
+
+def _solve_with_curve_h(m, eps, tol=rp.CURVE_TOL):
+    def h(delta):
+        return rp.curve_h(m, Lambda(epsilon=eps, delta=delta))
+
+    lo, hi = mpf(-1), mpf(1)
+    flo, fhi = h(lo), h(hi)
+    while flo * fhi > 0:
+        lo, hi = 2 * lo, 2 * hi
+        flo, fhi = h(lo), h(hi)
+    for _ in range(mpmath.mp.prec + 60):
+        mid = (lo + hi) / 2
+        fmid = h(mid)
+        if abs(fmid) <= tol:
+            return mid
+        if flo * fmid < 0:
+            hi, fhi = mid, fmid
+        else:
+            lo, flo = mid, fmid
+    return (lo + hi) / 2
+
+
+@pytest.mark.parametrize("prec", [64, 128, 256])
+@given(nonspecial_tenths, st.integers(-100, -10))
+@settings(max_examples=6, deadline=None)
+def test_solve_delta_h_matches_curve_h_search(prec, moduli, eps_thousandths):
+    with mpmath.workprec(prec):
+        eps = mpf(eps_thousandths) / 1000
+        assert rp.solve_delta_h(moduli, eps)._mpf_ == _solve_with_curve_h(moduli, eps)._mpf_
 
 
 # ---------------------------------------------------------------------------

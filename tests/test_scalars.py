@@ -9,6 +9,7 @@ from mpmath import mpf
 from mpmath.ctx_mp_python import _mpf
 from mpmath.libmp import from_man_exp
 
+from pappuslab import representation as rp
 from pappuslab import scalars as sc
 from pappuslab.errors import ComplexSpectrum, SingularMatrix
 
@@ -435,6 +436,77 @@ def test_identity_times_mpf_stays_on_the_operator_path():
     assert bits(sc.mat_vec(sc.IDENTITY, m[0])) == bits(o_mat_vec(sc.IDENTITY, m[0]))
 
 
+# det_n against its operator body
+
+
+def o_det_n(rows):
+    a = [[x if isinstance(x, mpf) else sc.to_mpf(x) for x in row] for row in rows]
+    n = len(a)
+    det = mpf(1)
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: abs(a[r][col]))
+        if a[piv][col] == 0:
+            return mpf(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        inv = 1 / a[col][col]
+        for r in range(col + 1, n):
+            f = a[r][col] * inv
+            if f == 0:
+                continue
+            for c in range(col, n):
+                a[r][c] -= f * a[col][c]
+    return det
+
+
+@st.composite
+def det_n_matrix(draw):
+    """An n x n all-mpf matrix, 1 <= n <= 18, with now and then a zero
+    column, a zero row, or a first column whose largest |entry| is tied
+    between rows, of either sign (a tie in a later column is undone by
+    the elimination before that column's pivot is chosen)."""
+    n = draw(st.integers(1, 18))
+    x = draw(mpf_entries(n * n))
+    rows = [x[i * n:(i + 1) * n] for i in range(n)]
+    col = draw(st.integers(0, n - 1))
+    kind = draw(st.sampled_from(["plain", "plain", "zero_column", "tie", "zero_row"]))
+    if kind == "zero_column":
+        for row in rows:
+            row[col] = mpf(0)
+    elif kind == "tie" and n > 1:
+        top = max(abs(row[0]) for row in rows) or mpf(1)
+        for i in draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=n, unique=True)):
+            rows[i][0] = top if draw(st.booleans()) else -top
+    elif kind == "zero_row":
+        rows[col] = [mpf(0)] * n
+    return rows
+
+
+@pytest.mark.parametrize("prec", PRECISIONS)
+@given(rows=det_n_matrix())
+@settings(max_examples=60, deadline=None)
+def test_det_n_matches_operator_bits(prec, rows):
+    with mpmath.workprec(prec):
+        assert bits(sc.det_n(rows)) == bits(o_det_n(rows))
+
+
+@pytest.mark.parametrize("prec", PRECISIONS)
+def test_det_n_tied_pivot_takes_the_first_row(prec):
+    # rows 1 and 2 tie on |column 0|; the other pivot gives other bits
+    third = mpf(1) / 3
+    rows = [
+        [mpf(1) / 7, mpf(2), mpf(3) / 11],
+        [mpf(5), third, mpf(-2) / 9],
+        [mpf(-5), mpf(4) / 13, third * 7],
+    ]
+    with mpmath.workprec(prec):
+        assert bits(sc.det_n(rows)) == bits(o_det_n(rows))
+        swapped = [rows[0], rows[2], rows[1]]
+        assert bits(sc.det_n(swapped)) == bits(o_det_n(swapped))
+
+
 # ---------------------------------------------------------------------------
 # operator-count guard: on all-mpf input the kernel builds no mpf through
 # mpf's arithmetic operators (a silent fall-back to them would pass every
@@ -506,4 +578,18 @@ def test_float_kernel_makes_no_operator_calls(prec, operator_calls):
         sc.eigen_real(m)
         sc.eigen_real(double)
         sc.eigen_real(sc.mat_to_mpf(sc.IDENTITY))
+        assert operator_calls == []
+
+
+@pytest.mark.parametrize("prec", [64, 128])
+def test_dense_helpers_make_no_operator_calls(prec, operator_calls):
+    with mpmath.workprec(prec):
+        square = [[mpf(i * j + 1) / (i + j + 1) for j in range(9)] for i in range(9)]
+        with_zero_row = square[:3] + [[mpf(0)] * 9] + square[4:]
+        system = [row[:6] for row in square]
+        del operator_calls[:]
+        sc.det_n(square)
+        sc.det_n(with_zero_row)
+        rp._singular_values_v(system)
+        rp._singular_values_v(with_zero_row)
         assert operator_calls == []

@@ -146,3 +146,18 @@ def test_phi_check_builds_each_generator_pair_once(monkeypatch):
     assert len(calls) == 9
     keys = {(m.zeta_t, m.zeta_b, lam.epsilon, lam.delta) for m, lam in calls}
     assert len(keys) == 9
+
+
+def test_psi_check_reuses_the_unmoved_half(monkeypatch):
+    # 36 finite-difference evaluations each move one entry of A or of B:
+    # the other matrix's half of Ψ is the base one, evaluated once
+    calls = []
+    half = vy._psi_half
+
+    def counting(m):
+        calls.append(m)
+        return half(m)
+
+    monkeypatch.setattr(vy, "_psi_half", counting)
+    assert vy.jacobian_check_psi(M_TEST, Lambda(epsilon=mpf("-0.1"), delta=mpf("0.01")))["match"]
+    assert len(calls) == 2 + 36
