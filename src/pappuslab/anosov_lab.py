@@ -55,11 +55,11 @@ def constant_C(rep: rp.Representation, resolution: int = 16, directions: int = 8
     outside the admissible region).
     """
     box = bx.from_moduli(rep.moduli)
-    outer = bx.convex_interior(box)
+    outer = hb.convex_interior(box)
     best = None
     for w in W_STEPS:
         g = rep.step_images[w]
-        inner = bx.convex_interior(bx.apply_matrix(box, g))
+        inner = hb.convex_interior(bx.apply_matrix(box, g))
         c = hb.distortion_estimate(inner, outer, resolution=resolution, directions=directions)
         best = c if best is None else min(best, c)
     return best
@@ -206,12 +206,7 @@ def limit_point(
         raise ToleranceBelowPrecision("limit tol must exceed 2^(8 - precision)")
     loxodromic_eigen(rep, w)
 
-    # the crossing normal form is a sequence of four-letter step words
-    letters = md.crossing_form(w).letters
-    step_mats = [
-        sc.mat_to_mpf(rep.step_images[GroupWord(letters[k: k + 4])])
-        for k in range(0, len(letters), 4)
-    ]
+    step_mats = [sc.mat_to_mpf(rep.step_images[s]) for s in md.crossing_steps(w)]
 
     box = bx.from_moduli(rep.moduli)
     corners = [sc.vec_to_mpf(p.coords) for p in (box.p, box.q, box.r, box.s)]

@@ -7,8 +7,9 @@ six derived lines
     P = ts,  Q = tr,  R = bq,  S = bp,  T = pq,  B = rs.
 
 A marked box is the class of an overmarked box under the involution j
-which swaps (p, q) and (r, s) simultaneously.  Every overmarked box has
-a normal form in its own adapted basis, where the four corners sit at
+which swaps (p, q) and (r, s) simultaneously; ``marked_equal`` compares
+two classes.  Every overmarked box has a normal form in its own adapted
+basis, where the four corners sit at
 
     p = [-1:1:0],  q = [1:1:0],  r = [1:0:1],  s = [-1:0:1]
 
@@ -19,7 +20,6 @@ between -1 and 1.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -80,11 +80,6 @@ class Lambda:
     @property
     def exact(self) -> bool:
         return self.u is not None
-
-    def negate(self) -> "Lambda":
-        if self.exact:
-            return Lambda(u=1 / self.u, v=1 / self.v)
-        return Lambda(epsilon=-self.epsilon, delta=-self.delta)
 
     def cosh_eps(self):
         if self.exact:
@@ -350,7 +345,7 @@ def is_convex(box: OvermarkedBox) -> bool:
     return moduli(box).is_convex
 
 
-def _interior_basis(box: OvermarkedBox) -> tuple:
+def interior_basis(box: OvermarkedBox) -> tuple:
     """``theta_basis`` of a convex box; raises NotConvex otherwise."""
     g = theta_basis(box)
     if not _moduli_in_basis(box, g).is_convex:
@@ -538,25 +533,12 @@ def in_standard_interior(coords, strict: bool = True) -> bool:
 
 def interior_contains(box: OvermarkedBox, point: Point, strict: bool = True) -> bool:
     """Whether a point lies in the box's convex-interior quadrilateral."""
-    return _inside(_interior_basis(box), point, strict)
+    return _inside(interior_basis(box), point, strict)
 
 
 def _inside(g: tuple, point: Point, strict: bool = True) -> bool:
     """``interior_contains`` for the convex box whose ``theta_basis`` is g."""
     return in_standard_interior(sc.mat_vec(g, point.coords), strict=strict)
-
-
-def convex_interior(box: OvermarkedBox):
-    """The box's interior quadrilateral (vertices in cyclic order p,q,r,s).
-
-    Returned as a ConvexQuad; among the candidate quadrilaterals on the
-    corner set this is the one containing the adapted-basis center
-    [0:1:1] (the chart origin), which is the projectively invariant
-    choice.
-    """
-    from .hilbert import ConvexQuad
-
-    return ConvexQuad((box.p, box.q, box.r, box.s), basis=_interior_basis(box))
 
 
 def containment_check(box: OvermarkedBox, lam: Lambda, strict: bool = False) -> bool:
@@ -580,7 +562,7 @@ def containment_check(box: OvermarkedBox, lam: Lambda, strict: bool = False) -> 
 
 def nested_strictly(outer: OvermarkedBox, inner: OvermarkedBox) -> bool:
     """Closure of inner's interior contained in outer's open interior."""
-    g = _interior_basis(outer)
+    g = interior_basis(outer)
     return all(_inside(g, v) for v in (inner.p, inner.q, inner.r, inner.s))
 
 
@@ -589,7 +571,7 @@ def nested_interiors(outer: OvermarkedBox, inner: OvermarkedBox, resolution: int
     interior(outer).  Weaker than ``nested_strictly``: the corners may
     sit on the outer boundary (the undeformed Pappus children share two
     corners with their parent)."""
-    g = _interior_basis(outer)
+    g = interior_basis(outer)
     if not all(_inside(g, v, strict=False) for v in (inner.p, inner.q, inner.r, inner.s)):
         return False
     return all(_inside(g, pt) for pt in _interior_grid(theta_basis(inner), resolution))
@@ -617,95 +599,12 @@ def interiors_disjoint(box1: OvermarkedBox, box2: OvermarkedBox, resolution: int
     """
     # box1's basis is built only once box2's corners are through, as
     # the per-point test did: a nonconvex box1 may still give False
-    g2 = _interior_basis(box2)
+    g2 = interior_basis(box2)
     if any(_inside(g2, v) for v in (box1.p, box1.q, box1.r, box1.s)):
         return False
-    g1 = _interior_basis(box1)
+    g1 = interior_basis(box1)
     if any(_inside(g1, v) for v in (box2.p, box2.q, box2.r, box2.s)):
         return False
     if any(_inside(g2, pt) for pt in _interior_grid(g1, resolution)):
         return False
     return not any(_inside(g1, pt) for pt in _interior_grid(g2, resolution))
-
-
-# ---------------------------------------------------------------------------
-# marked boxes (classes modulo j)
-
-
-def _normalized_key(point: Point):
-    v = point.coords
-    pivot = max(range(3), key=lambda i: abs(sc.to_mpf(v[i])))
-    if sc.is_exact(v[0]) and sc.is_exact(v[1]) and sc.is_exact(v[2]):
-        piv = Fraction(v[pivot])
-        return tuple(Fraction(x) / piv for x in v)
-    piv = sc.to_mpf(v[pivot])
-    return tuple(sc.to_mpf(x) / piv for x in v)
-
-
-@dataclass(frozen=True)
-class MarkedBox:
-    """A marked box: the j-class of an overmarked box.
-
-    The stored representative is the one of the two overmarked lifts
-    whose p-point has the lexicographically larger normalized
-    coordinates; this pick is deterministic and mode independent.
-    """
-
-    representative: OvermarkedBox
-
-    def __post_init__(self):
-        other = transform_j(self.representative)
-        if _normalized_key(other.p) > _normalized_key(self.representative.p):
-            object.__setattr__(self, "representative", other)
-
-    def __eq__(self, other):
-        if not isinstance(other, MarkedBox):
-            return False
-        a, b = self.representative, other.representative
-        return a == b or a == transform_j(b)
-
-    def __hash__(self):
-        raise TypeError("marked boxes are unhashable")
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def _scalar_to_str(x) -> str:
-    if isinstance(x, Fraction):
-        return "%d/%d" % (x.numerator, x.denominator)
-    if isinstance(x, int):
-        return str(x)
-    return mpmath.nstr(sc.to_mpf(x), 30)
-
-
-def _scalar_from_str(sv: str):
-    sv = sv.strip()
-    if "/" in sv:
-        return Fraction(sv)
-    if "." in sv or "e" in sv or "E" in sv:
-        return mpf(sv)
-    return int(sv)
-
-
-def box_to_json(box: OvermarkedBox) -> str:
-    names = ("p", "q", "r", "s", "t", "b")
-    data = {
-        "points": {
-            name: [_scalar_to_str(c) for c in pt.coords]
-            for name, pt in zip(names, box.points)
-        }
-    }
-    return json.dumps(data)
-
-
-def box_from_json(text: str) -> OvermarkedBox:
-    data = json.loads(text)
-    pts = {}
-    for name in ("p", "q", "r", "s", "t", "b"):
-        raw = data["points"][name]
-        if len(raw) != 3:
-            raise DegenerateBox("point %s needs three coordinates" % name)
-        pts[name] = Point(tuple(_scalar_from_str(c) for c in raw))
-    return OvermarkedBox(**pts)

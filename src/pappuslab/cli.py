@@ -38,7 +38,7 @@ from . import representation as rp
 from . import scalars as sc
 from . import variety as vy
 from .boxes import BoxModuli, Lambda
-from .errors import NonLoxodromic, NotNested, PappusLabError, SpecialBox
+from .errors import NonLoxodromic, NotConvex, NotNested, PappusLabError, SpecialBox
 
 PRECISION_ENV = "PAPPUSLAB_PRECISION"
 SCHEMA = 1
@@ -242,8 +242,6 @@ def cmd_iterate(args) -> int:
     lam = _lambda_from_args(args)
     box = bx.from_moduli(moduli)
     if not bx.is_convex(box):
-        from .errors import NotConvex
-
         raise NotConvex("iteration is rendered for convex boxes only")
     warning = None
     if not bx.containment_check(box, lam):
@@ -607,19 +605,20 @@ def main(argv=None) -> int:
         _check_args(args)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    sc.set_precision(args.precision)
-    try:
-        return args.func(args)
-    except PappusLabError as exc:
-        _emit(
-            {
-                "schema": SCHEMA,
-                "command": args.command,
-                "error": type(exc).__name__,
-                "message": str(exc),
-            }
-        )
-        return 1
+    # the caller's precision comes back on every return path
+    with mpmath.workprec(args.precision):
+        try:
+            return args.func(args)
+        except PappusLabError as exc:
+            _emit(
+                {
+                    "schema": SCHEMA,
+                    "command": args.command,
+                    "error": type(exc).__name__,
+                    "message": str(exc),
+                }
+            )
+            return 1
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ class ConvexQuad:
     vertices must be in cyclic order; the cached basis matrix maps them
     to the box normal-form corners, so that ``boxes.chart_coords`` sends
     them to (-1,1), (1,1), (1,-1), (-1,-1).  A caller that holds that
-    basis already (``boxes.convex_interior``) passes it; it is not checked.
+    basis already (``convex_interior``) passes it; it is not checked.
     """
 
     vertices: tuple
@@ -61,6 +61,17 @@ class ConvexQuad:
 
     def point_at(self, chart_xy) -> Point:
         return Point(sc.mat_vec(self._inverse_basis, bx.chart_point(chart_xy)))
+
+
+def convex_interior(box: bx.OvermarkedBox) -> ConvexQuad:
+    """The box's interior quadrilateral (vertices in cyclic order p,q,r,s).
+
+    Among the candidate quadrilaterals on the corner set this is the one
+    containing the adapted-basis center [0:1:1] (the chart origin), which
+    is the projectively invariant choice.  Raises NotConvex for a
+    nonconvex box.
+    """
+    return ConvexQuad((box.p, box.q, box.r, box.s), basis=bx.interior_basis(box))
 
 
 def _chart_of(vec):

@@ -141,36 +141,32 @@ T1_WORD = GroupWord(("I", "R"))
 T2_WORD = GroupWord(("I", "RR"))
 
 
-def enumerate_words(max_len: int, subgroup_o_only: bool = False):
-    """All normal-form words with at most max_len letters."""
+def enumerate_words(max_len: int):
+    """All normal-form words with at most max_len letters, breadth first.
+
+    A normal form has exactly one parent, its prefix one letter shorter,
+    so each word is reached once.
+    """
     frontier = [GroupWord.identity()]
-    seen = {()}
     out = [GroupWord.identity()]
     for _ in range(max_len):
         nxt = []
         for w in frontier:
             for let in LETTERS:
                 cand = GroupWord(w.letters + (let,))
-                if len(cand) == len(w) + 1 and cand.letters not in seen:
-                    seen.add(cand.letters)
+                if len(cand) == len(w) + 1:
                     nxt.append(cand)
         out.extend(nxt)
         frontier = nxt
-    if subgroup_o_only:
-        out = [w for w in out if w.i_count % 2 == 0]
     return out
 
 
 # ---------------------------------------------------------------------------
 # 2x2 integer matrices
 
-I_MAT = ((0, 1), (-1, 0))
-R_MAT = ((-1, 1), (-1, 0))
-T_MAT = ((1, 1), (0, 1))
-
 _LETTER_MATS = {
-    "I": I_MAT,
-    "R": R_MAT,
+    "I": ((0, 1), (-1, 0)),
+    "R": ((-1, 1), (-1, 0)),
     "RR": ((0, -1), (1, -1)),
 }
 
@@ -195,23 +191,8 @@ def word_matrix(w: GroupWord):
 
 
 def in_subgroup_o(w: GroupWord) -> bool:
-    """Membership in the index-2 subgroup of even-I words.
-
-    Two independent criteria are evaluated: the parity of the I count,
-    and whether the mod-2 reduction of the matrix lies in the cyclic
-    order-3 part of SL(2, Z/2) (odd trace, or identity mod 2).  They
-    agree for every word; a disagreement indicates a library bug.
-    """
-    by_parity = w.i_count % 2 == 0
-    m = word_matrix(w)
-    by_trace = (m[0][0] + m[1][1]) % 2 == 1 or (
-        m[0][1] % 2 == 0 and m[1][0] % 2 == 0
-    )
-    if by_parity != by_trace:
-        raise InternalInconsistency(
-            "parity and trace criteria disagree on %s" % w
-        )
-    return by_parity
+    """Membership in the index-2 subgroup of even-I words."""
+    return w.i_count % 2 == 0
 
 
 # ---------------------------------------------------------------------------
@@ -362,36 +343,6 @@ W_STEPS = (
 )
 
 
-@dataclass(frozen=True)
-class CrossingSequence:
-    base: GroupWord
-    steps: tuple
-
-    def partial_products(self):
-        out = []
-        acc = GroupWord.identity()
-        for s in self.steps:
-            acc = acc * s
-            out.append(acc)
-        return out
-
-
-def _blocks(letters):
-    """Split a normal-form letter string into (r_exponent, i) blocks."""
-    blocks = []
-    idx = 0
-    while idx < len(letters):
-        if letters[idx] == "I":
-            raise PappusLabError("word must alternate starting with an R power")
-        a = _R_POWER[letters[idx]]
-        idx += 1
-        if idx >= len(letters) or letters[idx] != "I":
-            raise PappusLabError("word must alternate R powers and I")
-        idx += 1
-        blocks.append(a)
-    return blocks
-
-
 def crossing_form(w: GroupWord) -> GroupWord:
     """Cyclic rotation of the infinite power of w into the block shape
     R^a I R^b I ...; raises for torsion (no axis) or odd-I words."""
@@ -417,21 +368,9 @@ def crossing_form(w: GroupWord) -> GroupWord:
     return GroupWord(tuple(letters))
 
 
-def crossing_sequence(target: GroupWord, n: int) -> CrossingSequence:
-    """First n crossing steps of the axis of a (periodic power of a)
-    hyperbolic word across the triangulation; every step is one of the
-    four W letters R I R I, R I Rr I, Rr I Rr I, Rr I R I."""
-    core = crossing_form(target)
-    blocks = _blocks(core.letters)
-    if len(blocks) % 2 != 0:
-        # odd number of I letters per period is impossible in subgroup_o
-        raise InternalInconsistency("odd block count in an even-I word")
-    steps = []
-    for k in range(n):
-        a = blocks[(2 * k) % len(blocks)]
-        b = blocks[(2 * k + 1) % len(blocks)]
-        step = GroupWord(
-            (("R" if a == 1 else "RR"), "I", ("R" if b == 1 else "RR"), "I")
-        )
-        steps.append(step)
-    return CrossingSequence(base=target, steps=tuple(steps))
+def crossing_steps(w: GroupWord) -> tuple:
+    """One period of the crossing steps of the axis of a hyperbolic
+    word across the triangulation: ``crossing_form(w)`` cut into
+    four-letter words, each one of the ``W_STEPS``."""
+    letters = crossing_form(w).letters
+    return tuple(GroupWord(letters[k: k + 4]) for k in range(0, len(letters), 4))

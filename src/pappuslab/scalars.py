@@ -234,10 +234,6 @@ def vec_scale(u: Vec3, c) -> Vec3:
     return (u[0] * c, u[1] * c, u[2] * c)
 
 
-def vec_sub(u: Vec3, v: Vec3) -> Vec3:
-    return (u[0] - v[0], u[1] - v[1], u[2] - v[2])
-
-
 def vec_max_abs(u: Vec3):
     return max(abs(u[0]), abs(u[1]), abs(u[2]))
 
@@ -414,10 +410,6 @@ def mat_inverse(m: Mat3) -> Mat3:
     return mat_scale(adjugate(m), 1 / to_mpf(d))
 
 
-def solve3(m: Mat3, rhs: Vec3) -> Vec3:
-    return mat_vec(mat_inverse(m), rhs)
-
-
 def _exact_cbrt(x: Fraction):
     """Exact rational cube root, or None."""
     x = Fraction(x)
@@ -425,11 +417,12 @@ def _exact_cbrt(x: Fraction):
     num, den = abs(x.numerator), x.denominator
 
     def icbrt(n: int):
-        r = round(n ** (1.0 / 3.0)) if n < 2**50 else int(mpmath.cbrt(n))
-        for c in (r - 1, r, r + 1):
-            if c >= 0 and c**3 == n:
-                return c
-        return None
+        # integer Newton steps from 2^ceil(bits/3) >= cbrt(n) fall to the
+        # floor of the root and stop there, exact at any size
+        c = 1 << -(-n.bit_length() // 3)
+        while c * c * c > n:
+            c = (2 * c + n // (c * c)) // 3
+        return c if c * c * c == n else None
 
     cn, cd = icbrt(num), icbrt(den)
     if cn is None or cd is None:

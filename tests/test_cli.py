@@ -7,6 +7,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 from mpmath import mpf
 
@@ -90,6 +91,20 @@ def test_curve_tol_floor_follows_precision(capsys):
     assert code == 0
     assert report["pass"] is True
     assert report["h_residual"] <= 1e-40
+
+
+def test_precision_is_restored_for_the_caller(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with mpmath.workprec(100):
+        code, report = run_json(
+            capsys, "--precision", "64", "curve", "--zt=3/10", "--zb=-2/10", "--eps=-0.05"
+        )
+        assert code == 0 and report["pass"] is True
+        assert mpmath.mp.prec == 100
+        # a PappusLabError that ends in exit 1
+        code, report = run_json(capsys, "--precision", "256", "iterate", "--zt", "2", "--zb", "0")
+        assert code == 1 and report["error"] == "NotConvex"
+        assert mpmath.mp.prec == 100
 
 
 @pytest.mark.parametrize(
@@ -483,9 +498,16 @@ def test_subcommands_never_import_numpy(tmp_path):
 
 
 def test_package_imports_only_stdlib_and_mpmath():
+    # imports sit at module level: one inside a function hides a cycle
+    # or a dependency from this walk's readers
     allowed = set(sys.stdlib_module_names) | {"mpmath", "pappuslab"}
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = [
+                    n.lineno for n in ast.walk(node) if isinstance(n, (ast.Import, ast.ImportFrom))
+                ]
+                assert not inner, (path.name, node.name, inner)
             if isinstance(node, ast.Import):
                 roots = [alias.name.split(".")[0] for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -493,3 +515,38 @@ def test_package_imports_only_stdlib_and_mpmath():
             else:
                 continue
             assert set(roots) <= allowed, (path.name, roots)
+
+
+def _module_level_names(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id
+
+
+def test_every_public_name_is_referenced():
+    # a public module-level name of the package that no code or test
+    # reads, other than its own definition, is dead
+    defined = {
+        name: path.name
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for name in _module_level_names(ast.parse(path.read_text()))
+        if not name.startswith("_")
+    }
+    referenced = set()
+    tests_dir = Path(__file__).resolve().parent
+    for path in [*PACKAGE_DIR.glob("*.py"), *tests_dir.glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    unreferenced = sorted((module, name) for name, module in defined.items() if name not in referenced)
+    assert not unreferenced

@@ -21,7 +21,7 @@ from pappuslab.projective import Point
 
 def ref_frame_matrix(a, b, c, d):
     cols = sc.mat_transpose((a.coords, b.coords, c.coords))
-    coeffs = sc.solve3(cols, d.coords)
+    coeffs = sc.mat_vec(sc.mat_inverse(cols), d.coords)
     if any(x == 0 for x in coeffs):
         raise PappusLabError("frame points are not in general position")
     return sc.mat_transpose(

@@ -15,7 +15,6 @@ import os
 import sys
 from pathlib import Path
 
-import mpmath
 import pytest
 
 from pappuslab import cli
@@ -66,8 +65,7 @@ def run_case(name: str, workdir: Path) -> dict:
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
-        # --precision sets the global precision; later tests expect the default
-        with contextlib.redirect_stdout(stdout), mpmath.workprec(mpmath.mp.prec):
+        with contextlib.redirect_stdout(stdout):
             code = cli.main(list(argv))
     finally:
         os.chdir(cwd)

@@ -159,8 +159,8 @@ def test_distortion_requires_nesting():
 def test_distortion_nested_box_images():
     # the single-step image tau_1(box) sits inside the box; distortion > 1
     box = bx.from_moduli(bx.BoxModuli(0, 0))
-    inner = bx.convex_interior(bx.tau1(box))
-    outer = bx.convex_interior(box)
+    inner = hb.convex_interior(bx.tau1(box))
+    outer = hb.convex_interior(box)
     c = hb.distortion_estimate(inner, outer, resolution=16, directions=8)
     assert c > 1
 
@@ -267,9 +267,9 @@ def step_quads(moduli, lam):
     """(inner, outer) for the four step-word images, as constant_C builds them."""
     rep = rp.Representation(moduli, lam)
     box = bx.from_moduli(moduli)
-    outer = bx.convex_interior(box)
+    outer = hb.convex_interior(box)
     return [
-        (bx.convex_interior(bx.apply_matrix(box, rep.step_images[w])), outer) for w in W_STEPS
+        (hb.convex_interior(bx.apply_matrix(box, rep.step_images[w])), outer) for w in W_STEPS
     ]
 
 
@@ -315,7 +315,7 @@ def _reference_cases():
     return {
         "half": (square_scaled(mpf(1) / 2), UNIT_SQUARE),
         "not_nested": (square_scaled(2), UNIT_SQUARE),
-        "tau1": (bx.convex_interior(bx.tau1(box)), bx.convex_interior(box)),
+        "tau1": (hb.convex_interior(bx.tau1(box)), hb.convex_interior(box)),
         "d3_in_d1": (d3, UNIT_SQUARE),
         "d3_in_d2": (d3, d2),
         "d2_in_d1": (d2, UNIT_SQUARE),

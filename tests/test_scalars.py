@@ -83,7 +83,7 @@ def test_eigen_residuals():
         m = sc.mat_mul(sc.mat_mul(g, sc.mat_to_mpf(d)), sc.mat_inverse(sc.mat_to_mpf(g)))
         res = sc.eigen_real(m)
         for lam, v in res.pairs:
-            r = sc.vec_sub(sc.mat_vec(m, v), sc.vec_scale(v, lam))
+            r = tuple(a - b for a, b in zip(sc.mat_vec(m, v), sc.vec_scale(v, lam)))
             assert sc.vec_norm(r) <= mpf("1e-9")
 
 
@@ -92,6 +92,22 @@ def test_normalize_det_one_exact_cube():
     out = sc.normalize_det_one(m)
     assert out == ((4, 0, 0), (0, Fraction(1, 2), 0), (0, 0, Fraction(1, 2)))
     assert sc.det3(out) == 1
+
+
+@pytest.mark.parametrize("prec", [53, 128])
+@pytest.mark.parametrize("bits", [150, 300])
+def test_large_perfect_cubes_stay_exact(bits, prec):
+    # a root far beyond float and working precision is still found, so
+    # the result does not depend on --precision
+    rng = random.Random(bits)
+    b = rng.getrandbits(bits) | 1 << (bits - 1)
+    with mpmath.workprec(prec):
+        assert sc._exact_cbrt(Fraction(b**3)) == b
+        assert sc._exact_cbrt(Fraction(-(b**3), 27)) == Fraction(-b, 3)
+        assert sc._exact_cbrt(Fraction(b**3 + 1)) is None
+        assert sc._exact_cbrt(Fraction(b**3 - 1)) is None
+        m = ((b * b, 0, 0), (0, b, 0), (0, 0, 1))
+        assert sc.normalize_det_one(m) == ((b, 0, 0), (0, 1, 0), (0, 0, Fraction(1, b)))
 
 
 def test_normalize_det_one_identity_and_idempotence():
