@@ -289,12 +289,6 @@ def frame_matrix(a: Point, b: Point, c: Point, d: Point) -> tuple:
     )
 
 
-def frame_map(src: tuple, dst: tuple) -> tuple:
-    """The unique projective transformation matrix sending one ordered
-    4-point frame to another (each with no three points collinear)."""
-    return frame_change(frame_matrix(*src), frame_matrix(*dst))
-
-
 def frame_change(f_src: tuple, f_dst: tuple) -> tuple:
     """The matrix sending the frame with ``frame_matrix`` f_src to the
     frame with ``frame_matrix`` f_dst; callers that map to one fixed

@@ -26,24 +26,6 @@ from functools import cached_property
 
 import mpmath
 from mpmath import mpf
-from mpmath.libmp import (
-    fone,
-    fzero,
-    mpf_abs,
-    mpf_add,
-    mpf_div,
-    mpf_eq,
-    mpf_ge,
-    mpf_gt,
-    mpf_hypot,
-    mpf_lt,
-    mpf_mul,
-    mpf_mul_int,
-    mpf_neg,
-    mpf_rdiv_int,
-    mpf_sqrt,
-    mpf_sub,
-)
 
 from . import boxes as bx
 from . import modular as md
@@ -363,241 +345,6 @@ def _conjugation_system(c: tuple, b: tuple):
     return rows
 
 
-def _singular_values_v(rows):
-    """S and V of the SVD A = U S V of a system with at least as many
-    rows as columns, as ``mpmath.svd_r`` gives them: the n singular
-    values in decreasing order and the n x n orthogonal V, as a list and
-    a list of rows of mpf.
-
-    The routine transcribes the calc_u=False branch of ``svd_r_raw`` in
-    mpmath 1.3.0 (BSD licence), which translates EISPACK's ``svd.f``
-    after Golub and Reinsch, Numer. Math. 14 (1970) 403-420: Householder
-    bidiagonalization, accumulation of the right-hand transformations,
-    QR sweeps on the bidiagonal form and a final sort.  U is not formed,
-    as it is never read.  The work runs on raw ``_mpf_`` values, with the
-    libmp calls that mpf's operators and mpmath's fabs, sqrt and hypot
-    make there, in the same order, at the precision and rounding they
-    read (``mpmath.mp._prec_rounding``), so S and V carry mpmath's bits.
-    Sums and variables that mpmath starts at the int 0 start at fzero
-    here, which gives the same values.  Its rotation sweeps start c and s
-    at the int literals 0 and 1, so their first products go through
-    mpf_mul_int, here as in mpf's operators.
-    """
-    prec, rnd = mpmath.mp._prec_rounding
-    a = [[sc.to_mpf(x)._mpf_ for x in row] for row in rows]
-    m, n = len(a), len(a[0])
-    sv = [fzero] * n
-    work = [fzero] * n
-    v = [[fzero] * n for _ in range(n)]
-
-    # Householder reduction to bidiagonal form
-    g = scale = anorm = fzero
-    for i in range(n):
-        work[i] = mpf_mul(scale, g, prec, rnd)
-        g = s = scale = fzero
-        if i < m:
-            for k in range(i, m):
-                scale = mpf_add(scale, mpf_abs(a[k][i], prec, rnd), prec, rnd)
-            if scale != fzero:
-                for k in range(i, m):
-                    x = a[k][i] = mpf_div(a[k][i], scale, prec, rnd)
-                    s = mpf_add(s, mpf_mul(x, x, prec, rnd), prec, rnd)
-                f = a[i][i]
-                g = mpf_neg(mpf_sqrt(s, prec, rnd), prec, rnd)
-                if mpf_lt(f, fzero):
-                    g = mpf_neg(g, prec, rnd)
-                h = mpf_sub(mpf_mul(f, g, prec, rnd), s, prec, rnd)
-                a[i][i] = mpf_sub(f, g, prec, rnd)
-                for j in range(i + 1, n):
-                    s = fzero
-                    for k in range(i, m):
-                        s = mpf_add(s, mpf_mul(a[k][i], a[k][j], prec, rnd), prec, rnd)
-                    f = mpf_div(s, h, prec, rnd)
-                    for k in range(i, m):
-                        a[k][j] = mpf_add(a[k][j], mpf_mul(f, a[k][i], prec, rnd), prec, rnd)
-                for k in range(i, m):
-                    a[k][i] = mpf_mul(a[k][i], scale, prec, rnd)
-        sv[i] = mpf_mul(scale, g, prec, rnd)
-        g = s = scale = fzero
-        if i < m and i != n - 1:
-            row = a[i]
-            for k in range(i + 1, n):
-                scale = mpf_add(scale, mpf_abs(row[k], prec, rnd), prec, rnd)
-            if scale != fzero:
-                for k in range(i + 1, n):
-                    x = row[k] = mpf_div(row[k], scale, prec, rnd)
-                    s = mpf_add(s, mpf_mul(x, x, prec, rnd), prec, rnd)
-                f = row[i + 1]
-                g = mpf_neg(mpf_sqrt(s, prec, rnd), prec, rnd)
-                if mpf_lt(f, fzero):
-                    g = mpf_neg(g, prec, rnd)
-                h = mpf_sub(mpf_mul(f, g, prec, rnd), s, prec, rnd)
-                row[i + 1] = mpf_sub(f, g, prec, rnd)
-                for k in range(i + 1, n):
-                    work[k] = mpf_div(row[k], h, prec, rnd)
-                for rj in a[i + 1:]:
-                    s = fzero
-                    for k in range(i + 1, n):
-                        s = mpf_add(s, mpf_mul(rj[k], row[k], prec, rnd), prec, rnd)
-                    for k in range(i + 1, n):
-                        rj[k] = mpf_add(rj[k], mpf_mul(s, work[k], prec, rnd), prec, rnd)
-                for k in range(i + 1, n):
-                    row[k] = mpf_mul(row[k], scale, prec, rnd)
-        # anorm = max(anorm, fabs(S[i]) + fabs(work[i]))
-        t = mpf_add(mpf_abs(sv[i], prec, rnd), mpf_abs(work[i], prec, rnd), prec, rnd)
-        if mpf_gt(t, anorm):
-            anorm = t
-
-    # accumulation of the right-hand transformations
-    for i in range(n - 2, -1, -1):
-        v[i + 1][i + 1] = fone
-        row, vi = a[i], v[i]
-        if not mpf_eq(work[i + 1], fzero):
-            for j in range(i + 1, n):
-                # (A[i, j] / A[i, i + 1]) / work[i + 1]
-                vi[j] = mpf_div(mpf_div(row[j], row[i + 1], prec, rnd), work[i + 1], prec, rnd)
-            for vj in v[i + 1:]:
-                s = fzero
-                for k in range(i + 1, n):
-                    s = mpf_add(s, mpf_mul(row[k], vj[k], prec, rnd), prec, rnd)
-                for k in range(i + 1, n):
-                    vj[k] = mpf_add(vj[k], mpf_mul(s, vi[k], prec, rnd), prec, rnd)
-        for j in range(i + 1, n):
-            v[j][i] = vi[j] = fzero
-    v[0][0] = fone
-
-    # diagonalization of the bidiagonal form
-    maxits = 3 * mpmath.mp.dps
-    for k in range(n - 1, -1, -1):
-        its = 0
-        while True:
-            its += 1
-            flag = True
-            for l in range(k, -1, -1):
-                nm = l - 1
-                if mpf_eq(mpf_add(mpf_abs(work[l], prec, rnd), anorm, prec, rnd), anorm):
-                    flag = False
-                    break
-                # mpmath's S[-1] reads its sparse matrix: zero
-                t = sv[nm] if nm >= 0 else fzero
-                if mpf_eq(mpf_add(mpf_abs(t, prec, rnd), anorm, prec, rnd), anorm):
-                    break
-            if flag:
-                for i in range(l, k + 1):
-                    if i == l:
-                        # c = 0 and s = 1, still int literals
-                        f = mpf_mul_int(work[i], 1, prec, rnd)
-                        work[i] = mpf_mul_int(work[i], 0, prec, rnd)
-                    else:
-                        f = mpf_mul(s, work[i], prec, rnd)
-                        work[i] = mpf_mul(work[i], c, prec, rnd)
-                    if mpf_eq(mpf_add(mpf_abs(f, prec, rnd), anorm, prec, rnd), anorm):
-                        break
-                    g = sv[i]
-                    h = sv[i] = mpf_hypot(f, g, prec, rnd)
-                    h = mpf_rdiv_int(1, h, prec, rnd)
-                    c = mpf_mul(g, h, prec, rnd)
-                    s = mpf_mul(mpf_neg(f, prec, rnd), h, prec, rnd)
-
-            z = sv[k]
-            if l == k:
-                # convergence: the singular value is made nonnegative
-                if mpf_lt(z, fzero):
-                    sv[k] = mpf_neg(z, prec, rnd)
-                    v[k] = [mpf_neg(x, prec, rnd) for x in v[k]]
-                break
-            if its >= maxits:
-                raise RuntimeError("svd: no convergence to an eigenvalue after %d iterations" % its)
-
-            # shift from the bottom 2 x 2 minor
-            x = sv[l]
-            nm = k - 1
-            y = sv[nm]
-            g = work[nm]
-            h = work[k]
-            # f = ((y - z) * (y + z) + (g - h) * (g + h)) / (2 * h * y)
-            f = mpf_add(
-                mpf_mul(mpf_sub(y, z, prec, rnd), mpf_add(y, z, prec, rnd), prec, rnd),
-                mpf_mul(mpf_sub(g, h, prec, rnd), mpf_add(g, h, prec, rnd), prec, rnd),
-                prec,
-                rnd,
-            )
-            f = mpf_div(f, mpf_mul(mpf_mul_int(h, 2, prec, rnd), y, prec, rnd), prec, rnd)
-            g = mpf_hypot(f, fone, prec, rnd)
-            # f = ((x - z) * (x + z) + h * ((y / (f +- g)) - h)) / x
-            fg = mpf_add(f, g, prec, rnd) if mpf_ge(f, fzero) else mpf_sub(f, g, prec, rnd)
-            f = mpf_add(
-                mpf_mul(mpf_sub(x, z, prec, rnd), mpf_add(x, z, prec, rnd), prec, rnd),
-                mpf_mul(h, mpf_sub(mpf_div(y, fg, prec, rnd), h, prec, rnd), prec, rnd),
-                prec,
-                rnd,
-            )
-            f = mpf_div(f, x, prec, rnd)
-
-            # next QR transformation
-            for j in range(l, nm + 1):
-                g = work[j + 1]
-                y = sv[j + 1]
-                if j == l:
-                    # c = s = 1, still int literals
-                    h = mpf_mul_int(g, 1, prec, rnd)
-                    g = mpf_mul_int(g, 1, prec, rnd)
-                else:
-                    h = mpf_mul(s, g, prec, rnd)
-                    g = mpf_mul(c, g, prec, rnd)
-                z = work[j] = mpf_hypot(f, h, prec, rnd)
-                c = mpf_div(f, z, prec, rnd)
-                s = mpf_div(h, z, prec, rnd)
-                # f = x * c + g * s; g = g * c - x * s
-                f, g = (
-                    mpf_add(mpf_mul(x, c, prec, rnd), mpf_mul(g, s, prec, rnd), prec, rnd),
-                    mpf_sub(mpf_mul(g, c, prec, rnd), mpf_mul(x, s, prec, rnd), prec, rnd),
-                )
-                h = mpf_mul(y, s, prec, rnd)
-                y = mpf_mul(y, c, prec, rnd)
-                vj, vk = v[j], v[j + 1]
-                for jj in range(n):
-                    p, q = vj[jj], vk[jj]
-                    vj[jj] = mpf_add(mpf_mul(p, c, prec, rnd), mpf_mul(q, s, prec, rnd), prec, rnd)
-                    vk[jj] = mpf_sub(mpf_mul(q, c, prec, rnd), mpf_mul(p, s, prec, rnd), prec, rnd)
-                z = sv[j] = mpf_hypot(f, h, prec, rnd)
-                if not mpf_eq(z, fzero):
-                    # the rotation can be arbitrary if z = 0
-                    z = mpf_rdiv_int(1, z, prec, rnd)
-                    c = mpf_mul(f, z, prec, rnd)
-                    s = mpf_mul(h, z, prec, rnd)
-                # f = c * g + s * y; x = c * y - s * g
-                f, x = (
-                    mpf_add(mpf_mul(c, g, prec, rnd), mpf_mul(s, y, prec, rnd), prec, rnd),
-                    mpf_sub(mpf_mul(c, y, prec, rnd), mpf_mul(s, g, prec, rnd), prec, rnd),
-                )
-            work[l] = fzero
-            work[k] = f
-            sv[k] = x
-
-    # sort the singular values into decreasing order
-    for i in range(n):
-        imax, top = i, mpf_abs(sv[i], prec, rnd)
-        for j in range(i + 1, n):
-            t = mpf_abs(sv[j], prec, rnd)
-            if mpf_gt(t, top):
-                imax, top = j, t
-        if imax != i:
-            sv[i], sv[imax] = sv[imax], sv[i]
-            v[i], v[imax] = v[imax], v[i]
-
-    wrap = mpmath.mp.make_mpf
-    return [wrap(x) for x in sv], [[wrap(x) for x in row] for row in v]
-
-
-def _nullspace_float(rows, rel_tol=mpf("1e-9")):
-    """Right singular vectors whose singular values are at most
-    rel_tol * max(largest singular value, 1)."""
-    svals, v = _singular_values_v(rows)
-    cutoff = rel_tol * max(max(svals), mpf(1))
-    return [tuple(row) for sval, row in zip(svals, v) if sval <= cutoff]
-
-
 def _residual(c, b, s) -> mpf:
     num = sc.mat_max_abs(
         sc.mat_sub(sc.mat_mul(sc.mat_to_mpf(c), sc.mat_to_mpf(s)),
@@ -641,13 +388,11 @@ def extension_intertwiner(rep: Representation) -> tuple:
         s = bx.sigma_matrix(rep.lam)
         return s, _residual(c, b, s), True
 
-    exact = sc.mat_is_exact(b)
     obs, ab = obstruction(rep)
     if not _obstruction_vanishes(obs, ab):
         raise NoSolution("obstruction determinant is nonzero: %s" % obs)
 
-    rows = _conjugation_system(c, b)
-    basis = sc.nullspace_exact(rows) if exact else _nullspace_float(rows)
+    basis = sc.nullspace(_conjugation_system(c, b))
     if not basis:
         raise InternalInconsistency(
             "obstruction vanishes but the conjugation system has no kernel"
@@ -707,7 +452,7 @@ def appendix_criterion(a: tuple, g: tuple) -> tuple:
     ab = sc.mat_mul(af, b)
     by_det = _obstruction_vanishes(sc.det3(sc.mat_sub(sc.IDENTITY, ab)), ab)
 
-    basis = _nullspace_float(_conjugation_system(c, b))
+    basis = sc.nullspace(_conjugation_system(c, b))
     by_intertwiner = bool(basis)
     if by_det != by_intertwiner:
         raise InternalInconsistency(

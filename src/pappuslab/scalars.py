@@ -20,16 +20,16 @@ tuples, in the order and association of the operator expressions that
 exact and mixed inputs still evaluate, and wrap only the entries they
 return.  Each call rounds once, as the operator does, so the results
 are bit-identical to the operator path, without an mpf object per
-intermediate value.  ``det_n``, the n x n elimination of the dense
-helpers, runs on raw values in the same way; it has no operator path,
-as it works in mpf alone.
+intermediate value.  The dense helpers ``det_n`` and ``nullspace`` (of
+float rows) share one n x n elimination, which runs on raw values in
+the same way; it has no operator path, as it works in mpf alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from fractions import Fraction
 
 import mpmath
@@ -620,75 +620,133 @@ def eigen_real(m: Mat3, newton_steps: int = 2) -> EigenResult:
 
 
 # ---------------------------------------------------------------------------
-# generic dense helpers (small n, used by the variety and extension checks;
-# the SVD of the extension check is representation._singular_values_v)
+# generic dense helpers (small n, used by the variety and extension checks)
+
+# A float column whose pivot is at most this times max(max|entry|, 1) is
+# free.  On the extension curve delta is solved only to CURVE_TOL = 1e-12
+# in h, so the conjugation system keeps a last relative pivot of that
+# order: at most 5.9e-13 on 40 curve points (tenths moduli, epsilon in
+# [-0.1, -0.01], 53 to 256 bits).  Systems without a kernel keep every
+# relative pivot above 1.4e-3: the 187 such systems of acceptance test 7,
+# and the curve's system at delta = 0.5 (3.8e-2).  1e-9 lies more than
+# three decades above the one and six below the other.
+NULLSPACE_REL_TOL = mpf("1e-9")
 
 
-def det_n(rows) -> mpf:
-    """Determinant of a square matrix by Gaussian elimination in mpf.
+def _raw_rows(rows) -> list:
+    return [[(x if isinstance(x, mpf) else to_mpf(x))._mpf_ for x in row] for row in rows]
 
-    The pivot of each column is its first entry of maximal |value|, as
-    ``max`` picks it.  The elimination runs on the raw values with the
-    libmp calls of the operator expressions in the comments (see the
-    module docstring), on a copy of the rows, because it works in place.
+
+def _row_echelon(a, floor, prec, rnd) -> tuple:
+    """Gaussian elimination of the raw rows a, in place, to row echelon
+    form; returns (the pivot columns, the number of row swaps).
+
+    The pivot of each column is the first entry of maximal |value| among
+    the rows not yet used, as ``max`` picks it.  A column whose pivot is
+    at most ``floor`` is free and uses no row.  Each step makes the libmp
+    calls of the operator expressions in the comments (see the module
+    docstring); the entries under a pivot are left in place, as nothing
+    reads them again.
     """
-    prec, rnd = mpmath.mp._prec_rounding
-    a = [[(x if isinstance(x, mpf) else to_mpf(x))._mpf_ for x in row] for row in rows]
-    n = len(a)
-    det = fone
-    for col in range(n):
-        # max(range(col, n), key=lambda r: abs(a[r][col]))
-        piv, top = col, mpf_abs(a[col][col], prec, rnd)
-        for r in range(col + 1, n):
-            x = mpf_abs(a[r][col], prec, rnd)
+    nrows, ncols = len(a), len(a[0])
+    pivots, swaps = [], 0
+    for col in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        # max(range(r, nrows), key=lambda i: abs(a[i][col]))
+        piv, top = r, mpf_abs(a[r][col], prec, rnd)
+        for i in range(r + 1, nrows):
+            x = mpf_abs(a[i][col], prec, rnd)
             if mpf_gt(x, top):
-                piv, top = r, x
-        p = a[piv][col]
-        if mpf_eq(p, fzero):
-            return mpf(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = mpf_neg(det, prec, rnd)
-        det = mpf_mul(det, p, prec, rnd)
-        inv = mpf_rdiv_int(1, p, prec, rnd)
-        top_row = a[col]
-        for row in a[col + 1:]:
+                piv, top = i, x
+        if mpf_le(top, floor):
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            swaps += 1
+        top_row = a[r]
+        inv = mpf_rdiv_int(1, top_row[col], prec, rnd)
+        for row in a[r + 1:]:
             f = mpf_mul(row[col], inv, prec, rnd)
             if mpf_eq(f, fzero):
                 continue
-            for c in range(col, n):
+            for c in range(col + 1, ncols):
                 # row[c] -= f * top_row[c]
                 row[c] = mpf_sub(row[c], mpf_mul(f, top_row[c], prec, rnd), prec, rnd)
-    return _wrap(det)
+        pivots.append(col)
+    return pivots, swaps
 
 
-def nullspace_exact(rows):
-    """Basis of the exact rational nullspace of a (possibly non-square) matrix."""
-    a = [[Fraction(x) for x in row] for row in rows]
-    nrows, ncols = len(a), len(a[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
+def det_n(rows) -> mpf:
+    """Determinant of a square matrix by Gaussian elimination in mpf: the
+    product of the pivots of ``_row_echelon`` with floor zero, on a copy
+    of the rows."""
+    prec, rnd = mpmath.mp._prec_rounding
+    a = _raw_rows(rows)
+    pivots, swaps = _row_echelon(a, fzero, prec, rnd)
+    if len(pivots) < len(a):
+        return mpf(0)
+    det = fone
+    for i, row in enumerate(a):
+        det = mpf_mul(det, row[i], prec, rnd)
+    # a swap negates the product so far; rounding to nearest commutes with it
+    return _wrap(mpf_neg(det) if swaps % 2 else det)
+
+
+def nullspace(rows) -> list:
+    """Basis of the nullspace of a (possibly non-square) matrix, one
+    vector per free column, with 1 at that column and 0 at the other free
+    columns.
+
+    Exact rows (every entry int or Fraction) give the exact rational
+    nullspace.  Otherwise the rows are reduced in mpf by ``_row_echelon``
+    with the floor NULLSPACE_REL_TOL * max(max|entry|, 1), and each
+    vector is solved for by back-substitution.
+    """
+    if all(is_exact(x) for row in rows for x in row):
+        a = [[Fraction(x) for x in row] for row in rows]
+        nrows, ncols = len(a), len(a[0])
+        pivots = []
+        r = 0
+        for c in range(ncols):
+            piv = next((i for i in range(r, nrows) if a[i][c] != 0), None)
+            if piv is None:
+                continue
+            a[r], a[piv] = a[piv], a[r]
+            inv = 1 / a[r][c]
+            a[r] = [x * inv for x in a[r]]
+            for i in range(nrows):
+                if i != r and a[i][c] != 0:
+                    f = a[i][c]
+                    a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+            pivots.append(c)
+            r += 1
+            if r == nrows:
+                break
+        free = [c for c in range(ncols) if c not in pivots]
+        basis = []
+        for fc in free:
+            v = [Fraction(0)] * ncols
+            v[fc] = Fraction(1)
+            for i, pc in enumerate(pivots):
+                v[pc] = -a[i][fc]
+            basis.append(tuple(v))
+        return basis
+    prec, rnd = mpmath.mp._prec_rounding
+    a = _raw_rows(rows)
+    big = reduce(_max, (mpf_abs(x, prec, rnd) for row in a for x in row), fone)
+    ncols = len(a[0])
+    pivots, _ = _row_echelon(a, mpf_mul(NULLSPACE_REL_TOL._mpf_, big, prec, rnd), prec, rnd)
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -a[i][fc]
-        basis.append(tuple(v))
+    for free in (c for c in range(ncols) if c not in pivots):
+        v = [fzero] * ncols
+        v[free] = fone
+        for row, col in reversed(list(zip(a, pivots))):
+            # v[col] = -sum(row[c] * v[c] for c in range(col + 1, ncols)) / row[col]
+            s = fzero
+            for c in range(col + 1, ncols):
+                s = mpf_add(s, mpf_mul(row[c], v[c], prec, rnd), prec, rnd)
+            v[col] = mpf_neg(mpf_div(s, row[col], prec, rnd))
+        basis.append(tuple([_wrap(x) for x in v]))
     return basis

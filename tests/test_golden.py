@@ -52,7 +52,7 @@ CASES = {
     "certify_prec256": (["--precision", "256", "certify", "--maxlen", "8", *DEFORMED], None),
     "curve_prec64": (["--precision", "64", "curve", *POINT, "--eps=-0.05"], None),
     # finite differences that show 64-bit rounding pin det_n and the Jacobian
-    # columns; a 256-bit curve point pins the SVD of the conjugation system
+    # columns; a 256-bit curve point pins the nullspace of the conjugation system
     "variety_prec64": (["--precision", "64", "variety", "--grid", "2"], None),
     "curve_prec256": (["--precision", "256", "curve", *POINT, "--eps=-0.05"], None),
 }

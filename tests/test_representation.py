@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
-from mpmath.libmp import from_man_exp
 
 from pappuslab import boxes as bx
 from pappuslab import modular as md
@@ -183,8 +182,9 @@ def test_matrix_a_uniqueness():
     box = from_moduli(M_TEST)
     a = rp.matrix_A(M_TEST)
     image = bx.apply_matrix(box, a)
-    frame = pj.frame_map(
-        (box.p, box.q, box.r, box.s), (image.p, image.q, image.r, image.s)
+    frame = pj.frame_change(
+        pj.frame_matrix(box.p, box.q, box.r, box.s),
+        pj.frame_matrix(image.p, image.q, image.r, image.s),
     )
     assert pj.proj_equal_mat(frame, a)
 
@@ -328,107 +328,76 @@ def test_intertwiner_off_curve_exact():
         rp.extension_intertwiner(rp.Representation(M_TEST, lam))
 
 
-# the SVD behind the float nullspace: S and V without the U factor
+# the float nullspace of the conjugation system, against mpmath.svd_r
 
 nonspecial_tenths = st.tuples(st.integers(-8, 8), st.integers(-8, 8)).filter(
     lambda t: t != (0, 0)
 ).map(lambda t: BoxModuli(Fraction(t[0], 10), Fraction(t[1], 10)))
 
 
-def _svd_r_s_v(rows):
-    _, s, v = mpmath.svd_r(mpmath.matrix([[sc.to_mpf(x) for x in row] for row in rows]))
-    return s, v
+def _svd_r(rows, **kwargs):
+    return mpmath.svd_r(mpmath.matrix([[sc.to_mpf(x) for x in row] for row in rows]), **kwargs)
 
 
-def _nullspace_svd_r(rows, rel_tol=mpf("1e-9")):
-    # the nullspace as computed from the full mpmath.svd_r
-    svals, v = _svd_r_s_v(rows)
-    cutoff = rel_tol * max(max(svals[i] for i in range(svals.rows)), mpf(1))
-    return [
-        tuple(v[i, j] for j in range(v.cols))
-        for i in range(v.rows)
-        if i >= svals.rows or svals[i] <= cutoff
-    ]
+def _svd_kernel_dimension(rows):
+    # singular values at most rel_tol * max(largest, 1); the systems have
+    # at least as many rows as columns, so each column has one
+    svals = _svd_r(rows, compute_uv=False)
+    svals = [svals[i] for i in range(svals.rows)]
+    cutoff = sc.NULLSPACE_REL_TOL * max(max(svals), mpf(1))
+    return sum(1 for sval in svals if sval <= cutoff)
 
 
-def _bits(values):
-    return [x._mpf_ for x in values]
-
-
-def _assert_svd_matches_svd_r(rows):
-    # _singular_values_v gives a list and a list of rows, mpmath matrices
-    s, v = rp._singular_values_v(rows)
-    s_ref, v_ref = _svd_r_s_v(rows)
-    assert (len(s), 1) == (s_ref.rows, s_ref.cols)
-    assert (len(v), len(v[0])) == (v_ref.rows, v_ref.cols)
-    assert _bits(s) == _bits(s_ref)
-    assert [_bits(row) for row in v] == [_bits(row) for row in v_ref.tolist()]
-    assert [_bits(vec) for vec in rp._nullspace_float(rows)] == [
-        _bits(vec) for vec in _nullspace_svd_r(rows)
-    ]
-
-
-def _conjugation_rows(moduli, lam):
+def _conjugation(moduli, lam):
     rep = rp.Representation(moduli, lam)
-    return rp._conjugation_system(sc.mat_inverse(sc.mat_transpose(rep.a)), rep.b)
-
-
-@given(nonspecial_tenths, st.integers(-100, -10))
-@settings(max_examples=8, deadline=None)
-def test_v_only_svd_equals_svd_r_on_curve(moduli, eps_thousandths):
-    eps = mpf(eps_thousandths) / 1000
-    lam = Lambda(epsilon=eps, delta=rp.solve_delta_h(moduli, eps))
-    rows = _conjugation_rows(moduli, lam)
-    assert len(rows) == 9 and len(rows[0]) == 6
-    _assert_svd_matches_svd_r(rows)
-    assert len(rp._nullspace_float(rows)) == 1
-
-
-def test_v_only_svd_equals_svd_r_off_curve():
-    rows = _conjugation_rows(M_TEST, Lambda(epsilon=mpf("-0.1"), delta=mpf("0.5")))
-    _assert_svd_matches_svd_r(rows)
-    assert rp._nullspace_float(rows) == []
-
-
-@st.composite
-def svd_system(draw):
-    """An m x n system, 1 <= n <= m <= 9: mpfs of 1 to 320 random bits,
-    either sign, scaled by 2^e with e within 3 of a common base in
-    +-200, or spread over +-200; now and then zero entries, a zero
-    column or a repeated column (rank deficiency).  The bits come from a
-    drawn seed, as hypothesis's own integers favour sparse mantissas."""
-    n = draw(st.integers(1, 9))
-    m = draw(st.integers(n, 9))
-    base = draw(st.integers(-200, 200))
-    spread = draw(st.sampled_from([3, 3, 200]))
-    zeros = draw(st.sampled_from([0, 0, 0.2, 0.6]))
-    rng = random.Random(draw(st.integers(0, 2**64)))
-    rows = []
-    for _ in range(m):
-        row = []
-        for _ in range(n):
-            size = rng.randint(1, 320)
-            man = (rng.getrandbits(size) | 1 << (size - 1)) * rng.choice((1, -1))
-            exp = base + rng.randint(-spread, spread) - size
-            zero = rng.random() < zeros
-            row.append(mpf(0) if zero else mpmath.mp.make_mpf(from_man_exp(man, exp)))
-        rows.append(row)
-    col = draw(st.integers(0, n - 1))
-    shape = draw(st.sampled_from(["plain", "plain", "zero_column", "repeated_column"]))
-    for row in rows:
-        if shape == "zero_column":
-            row[col] = mpf(0)
-        elif shape == "repeated_column":
-            row[col] = row[0]
-    return rows
+    c = sc.mat_inverse(sc.mat_transpose(rep.a))
+    return c, rep.b, rp._conjugation_system(c, rep.b)
 
 
 @pytest.mark.parametrize("prec", [53, 64, 128, 256])
-@given(rows=svd_system())
-@settings(max_examples=25, deadline=None)
-def test_v_only_svd_equals_svd_r_on_drawn_systems(prec, rows):
+@given(nonspecial_tenths, st.integers(-100, -10))
+@settings(max_examples=6, deadline=None)
+def test_nullspace_matches_svd_r_on_curve(prec, moduli, eps_thousandths):
     with mpmath.workprec(prec):
-        _assert_svd_matches_svd_r(rows)
+        eps = mpf(eps_thousandths) / 1000
+        c, b, rows = _conjugation(moduli, Lambda(epsilon=eps, delta=rp.solve_delta_h(moduli, eps)))
+        assert len(rows) == 9 and len(rows[0]) == 6
+        basis = sc.nullspace(rows)
+        assert len(basis) == _svd_kernel_dimension(rows) == 1
+        # svd_r sorts the singular values down: V's last row spans the kernel
+        _, _, v = _svd_r(rows)
+        by_svd = rp._residual(c, b, rp._sym_from_vector(v.tolist()[-1]))
+        assert rp._residual(c, b, rp._sym_from_vector(basis[0])) <= 10 * by_svd
+
+
+def test_nullspace_matches_svd_r_off_curve():
+    _, _, rows = _conjugation(M_TEST, Lambda(epsilon=mpf("-0.1"), delta=mpf("0.5")))
+    assert sc.nullspace(rows) == []
+    assert _svd_kernel_dimension(rows) == 0
+
+
+def test_nullspace_dimension_equals_svd_r_on_acceptance_07_family():
+    # the systems of appendix_criterion on acceptance test 7's draws
+    rng = random.Random(13)
+    dimensions = []
+    while len(dimensions) < 200:
+        theta = rng.uniform(0.2, 2.9)
+        mu = rng.choice([1, -1]) * rng.uniform(0.5, 2.0)
+        cos, sin = mpmath.cos(theta), mpmath.sin(theta)
+        a = ((mu, 0, 0), (0, mu * cos, -mu * sin), (0, mu * sin, mu * cos))
+        g = tuple(
+            tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3))
+            for _ in range(3)
+        )
+        if sc.det3(g) == 0:
+            continue
+        af, gf = sc.mat_to_mpf(a), sc.mat_to_mpf(g)
+        c = sc.mat_inverse(sc.mat_transpose(af))
+        rows = rp._conjugation_system(c, sc.mat_mul(sc.mat_mul(sc.mat_inverse(gf), c), gf))
+        dimensions.append((len(sc.nullspace(rows)), _svd_kernel_dimension(rows)))
+    assert all(ours == theirs for ours, theirs in dimensions)
+    # both sides of the rank floor occur
+    assert sorted({ours for ours, _ in dimensions}) == [0, 1]
 
 
 # the generator matrices: the float kernel takes them at mpf moduli and a

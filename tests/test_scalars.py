@@ -9,7 +9,6 @@ from mpmath import mpf
 from mpmath.ctx_mp_python import _mpf
 from mpmath.libmp import from_man_exp
 
-from pappuslab import representation as rp
 from pappuslab import scalars as sc
 from pappuslab.errors import ComplexSpectrum, SingularMatrix
 
@@ -140,7 +139,7 @@ def test_nullspace_exact():
         [1, 2, 3, 0],
         [0, 0, 1, 1],
     ]
-    basis = sc.nullspace_exact(rows)
+    basis = sc.nullspace(rows)
     assert len(basis) == 2
     for v in basis:
         for row in rows:
@@ -606,6 +605,6 @@ def test_dense_helpers_make_no_operator_calls(prec, operator_calls):
         del operator_calls[:]
         sc.det_n(square)
         sc.det_n(with_zero_row)
-        rp._singular_values_v(system)
-        rp._singular_values_v(with_zero_row)
+        sc.nullspace(system)
+        sc.nullspace(with_zero_row)
         assert operator_calls == []
