@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
+from mpmath.libmp import from_man_exp
 
 from pappuslab import boxes as bx
 from pappuslab import modular as md
@@ -375,6 +376,67 @@ def test_nullspace_matches_svd_r_off_curve():
     assert sc.nullspace(rows) == []
     assert _svd_kernel_dimension(rows) == 0
 
+
+@st.composite
+def svd_system(draw):
+    """An m x n system, 1 <= n <= m <= 9: mpfs of 1 to 320 random bits,
+    either sign, scaled by 2^e with e within 3 of a common base in
+    +-200, or spread over +-200; now and then zero entries, a zero
+    column or a repeated column (rank deficiency).  Returns the rows and
+    whether a column is zero or repeats another.  The bits come from a
+    drawn seed, as hypothesis's own integers favour sparse mantissas."""
+    n = draw(st.integers(1, 9))
+    m = draw(st.integers(n, 9))
+    base = draw(st.integers(-200, 200))
+    spread = draw(st.sampled_from([3, 3, 200]))
+    zeros = draw(st.sampled_from([0, 0, 0.2, 0.6]))
+    rng = random.Random(draw(st.integers(0, 2**64)))
+    rows = []
+    for _ in range(m):
+        row = []
+        for _ in range(n):
+            size = rng.randint(1, 320)
+            man = (rng.getrandbits(size) | 1 << (size - 1)) * rng.choice((1, -1))
+            exp = base + rng.randint(-spread, spread) - size
+            zero = rng.random() < zeros
+            row.append(mpf(0) if zero else mpmath.mp.make_mpf(from_man_exp(man, exp)))
+        rows.append(row)
+    col = draw(st.integers(0, n - 1))
+    shape = draw(st.sampled_from(["plain", "plain", "zero_column", "repeated_column"]))
+    for row in rows:
+        if shape == "zero_column":
+            row[col] = mpf(0)
+        elif shape == "repeated_column":
+            row[col] = row[0]
+    return rows, shape == "zero_column" or (shape == "repeated_column" and col != 0)
+
+
+# The name is that of the check of the SVD the float nullspace was once
+# read from; it now checks sc.nullspace against mpmath.svd_r.
+@pytest.mark.parametrize("prec", [53, 64, 128, 256])
+@given(system=svd_system())
+@settings(max_examples=25, deadline=None)
+def test_v_only_svd_equals_svd_r_on_drawn_systems(prec, system):
+    # A free column's entries are at most the floor when it is passed
+    # over, and stay so; with partial pivoting |L| <= 1, so each basis
+    # vector v (1 at its free column) has |A v| <= m^1.5 * floor * |v|,
+    # and j of them span vectors that A shrinks as much, so at least j
+    # singular values are at most m^2 * floor.  Rounding adds at most
+    # 2^-53 * 2^8 * 9 / 1e-9 < 3e-4 of that; the factor 2 covers it.
+    rows, deficient = system
+    m = len(rows)
+    with mpmath.workprec(prec):
+        basis = sc.nullspace(rows)
+        floor = sc.NULLSPACE_REL_TOL * max(max(abs(x) for row in rows for x in row), mpf(1))
+        bound = 2 * m * m * floor
+        svals = _svd_r(rows, compute_uv=False)
+        assert sum(1 for i in range(svals.rows) if svals[i] <= bound) >= len(basis)
+        for v in basis:
+            with mpmath.extraprec(64):
+                residual = mpmath.norm([mpmath.fdot(row, v) for row in rows])
+                assert residual <= bound * mpmath.norm(v)
+    if deficient:
+        assert basis
 
 def test_nullspace_dimension_equals_svd_r_on_acceptance_07_family():
     # the systems of appendix_criterion on acceptance test 7's draws
