@@ -131,21 +131,221 @@ def test_jacobian_phi_symmetric_in_moduli():
     assert abs(a - b) < mpf("1e-25") * a
 
 
-def test_phi_check_builds_each_generator_pair_once(monkeypatch):
-    # 26 finite-difference evaluations, 18 of which perturb only the
-    # conjugator: 9 distinct (moduli, deformation) points
-    calls = []
-    matrix_B = rp.matrix_B
+def test_phi_check_builds_each_generator_piece_once(monkeypatch):
+    # 26 finite-difference evaluations at 9 distinct (moduli, deformation)
+    # keys: B0 once per each of the 5 distinct moduli, the Σ-conjugation
+    # only at the 4 keys that move the deformation, and the conjugation
+    # by g at the 18 evaluations that move the conjugator
+    calls = {"matrix_B0": [], "sigma_conjugate": [], "_conjugate": []}
 
-    def counting(*args):
-        calls.append(args)
-        return matrix_B(*args)
+    def counting(module, name):
+        inner = getattr(module, name)
 
-    monkeypatch.setattr(rp, "matrix_B", counting)
+        def wrapper(*args):
+            calls[name].append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(rp, "matrix_B0")
+    counting(rp, "sigma_conjugate")
+    counting(vy, "_conjugate")
     assert vy.jacobian_check_phi(M_TEST)["match"]
-    assert len(calls) == 9
-    keys = {(m.zeta_t, m.zeta_b, lam.epsilon, lam.delta) for m, lam in calls}
-    assert len(keys) == 9
+    assert len(calls["matrix_B0"]) == 5
+    assert len({(m.zeta_t, m.zeta_b) for (m,) in calls["matrix_B0"]}) == 5
+    assert len(calls["sigma_conjugate"]) == 4
+    assert not any(lam.is_zero for _, lam in calls["sigma_conjugate"])
+    assert len(calls["_conjugate"]) == 18
+    assert not any(g == IDENTITY for g, _, _ in calls["_conjugate"])
+
+
+@pytest.mark.parametrize("prec", [53, 64, 128, 256])
+def test_generator_pairs_have_unit_determinant(prec):
+    # normalize_det_one gives det = 1 up to rounding, measured against the
+    # scale of sc.is_singular: |det - 1| <= 2^(8 - prec) max(max|m|^3, 1)
+    ticks = [Fraction(k, 10) for k in (-8, -5, -2, 0, 3, 6, 8)]
+    with mpmath.workprec(prec):
+        for lam in (
+            LAM_ZERO,
+            Lambda(epsilon=Fraction(-1, 10), delta=Fraction(1, 50)),
+            Lambda(epsilon=Fraction(-3, 10), delta=Fraction(1, 10)),
+        ):
+            assert bx.in_region(lam)
+            for zt in ticks:
+                for zb in ticks:
+                    p = vy.generator_pair(BoxModuli(zt, zb), lam)
+                    for m in (p.a, p.b):
+                        scale = max(sc.mat_max_abs(m) ** 3, 1)
+                        assert abs(sc.det3(m) - 1) <= sc.float_epsilon() * scale
+
+
+# The _mpf_ of finite_difference and relative_error of both certificates,
+# below the 53 bits that the goldens print.  psi is the smoothness
+# certificate at the exact zero deformation that `variety` uses, and
+# psi_deformed at (epsilon, delta) = (-1/10, 1/50).
+PINNED_BITS = {
+    (53, "-1/2", "1/2", "psi"): (
+        (0, 7036874413565707, -48, 53),
+        (0, 5773388497771561, -83, 53),
+    ),
+    (53, "-1/2", "1/2", "psi_deformed"): (
+        (0, 5006100355461363, -47, 53),
+        (0, 3273420530385859, -82, 52),
+    ),
+    (53, "-1/2", "1/2", "phi"): (
+        (0, 694999942333623, -38, 50),
+        (0, 1125945766355927, -82, 51),
+    ),
+    (53, "0", "1/2", "psi"): (
+        (0, 9007199251674333, -49, 53),
+        (0, 3066659, -53, 22),
+    ),
+    (53, "0", "1/2", "psi_deformed"): (
+        (0, 3146088350688725, -47, 52),
+        (0, 7786816060863397, -84, 53),
+    ),
+    (53, "0", "1/2", "phi"): (
+        (0, 4670399613245835, -43, 53),
+        (0, 78003, -50, 17),
+    ),
+    (53, "3/10", "-7/10", "psi"): (
+        (0, 2686730441526997, -46, 52),
+        (0, 6948225903941715, -83, 53),
+    ),
+    (53, "3/10", "-7/10", "psi_deformed"): (
+        (0, 7530407162938491, -47, 53),
+        (0, 8327685221601131, -83, 53),
+    ),
+    (53, "3/10", "-7/10", "phi"): (
+        (0, 4692521472158361, -39, 53),
+        (0, 7535373150979623, -89, 53),
+    ),
+    (64, "-1/2", "1/2", "psi"): (
+        (0, 14411518807588929317, -59, 64),
+        (0, 2351805761848218747, -103, 62),
+    ),
+    (64, "-1/2", "1/2", "psi_deformed"): (
+        (0, 10252493534927766709, -58, 64),
+        (0, 2672360736839097997, -103, 62),
+    ),
+    (64, "-1/2", "1/2", "phi"): (
+        (0, 11386879057904150169, -52, 64),
+        (0, 1635036633433594921, -98, 61),
+    ),
+    (64, "0", "1/2", "psi"): (
+        (0, 9223372036857701067, -59, 64),
+        (0, 2925259, -63, 22),
+    ),
+    (64, "0", "1/2", "psi_deformed"): (
+        (0, 12886377889612705195, -59, 64),
+        (0, 1586695905896127505, -102, 61),
+    ),
+    (64, "0", "1/2", "phi"): (
+        (0, 597811150539555707, -50, 60),
+        (0, 11332261874464232009, -101, 64),
+    ),
+    (64, "3/10", "-7/10", "psi"): (
+        (0, 11004847896405032225, -58, 64),
+        (0, 1954720974272910417, -102, 61),
+    ),
+    (64, "3/10", "-7/10", "psi_deformed"): (
+        (0, 1927784235372984057, -55, 61),
+        (0, 16578109509913920519, -105, 64),
+    ),
+    (64, "3/10", "-7/10", "phi"): (
+        (0, 9610283975179349183, -50, 64),
+        (0, 2704910153816137643, -98, 62),
+    ),
+    (128, "-1/2", "1/2", "psi"): (
+        (0, 8307674973655724205648794126752102577, -118, 123),
+        (0, 169553000072334406457927369091710053253, -234, 127),
+    ),
+    (128, "-1/2", "1/2", "psi_deformed"): (
+        (0, 189125124356124435043388368872433112303, -122, 128),
+        (0, 298937072526773910945642902393415054959, -235, 128),
+    ),
+    (128, "-1/2", "1/2", "phi"): (
+        (0, 210050843779413716235828484235192325983, -116, 128),
+        (0, 235262068505005432239014796153764928553, -165, 128),
+    ),
+    (128, "0", "1/2", "psi"): (
+        (0, 85070591730234615865843651857941576917, -122, 126),
+        (0, 475947, -126, 19),
+    ),
+    (128, "0", "1/2", "psi_deformed"): (
+        (0, 237711714966720583196837834852426022719, -123, 128),
+        (0, 194553109050067094002215468851764374289, -236, 128),
+    ),
+    (128, "0", "1/2", "phi"): (
+        (0, 88221354387293768612471179790108999823, -117, 127),
+        (0, 203458899306932911517645359173698097737, -165, 128),
+    ),
+    (128, "3/10", "-7/10", "psi"): (
+        (0, 203003612715006295756446399887767272253, -122, 128),
+        (0, 4594488123830634657941152621628287265, -228, 122),
+    ),
+    (128, "3/10", "-7/10", "psi_deformed"): (
+        (0, 284490739353942077887178779811865896273, -122, 128),
+        (0, 87844648015979611009723651655852950349, -232, 127),
+    ),
+    (128, "3/10", "-7/10", "phi"): (
+        (0, 177278448965789749171514767683918298295, -114, 128),
+        (0, 12344087970079880730341985712263871163, -160, 124),
+    ),
+    (256, "-1/2", "1/2", "psi"): (
+        (0, 11307821214581659709333104004754678501295896940003961331978279688272766488275, -248, 253),
+        (0, 3125, -248, 12),
+    ),
+    (256, "-1/2", "1/2", "psi_deformed"): (
+        (0, 502780820000928521670518663409355997045752904333315754328887168885870374369, -243, 249),
+        (0, 11282285596683088215268581573228949164531595036148014496766756539802994677503, -489, 253),
+    ),
+    (256, "-1/2", "1/2", "phi"): (
+        (0, 35738299147499591386489468367042442690719704069849259378558573225688210997537, -243, 255),
+        (0, 20013883379399804801362579563782827639411592680819002648298282939963902221353, -291, 254),
+    ),
+    (256, "0", "1/2", "psi"): (
+        (0, 28948022309329048855892746252171976963317496166410141009864396001978282286787, -250, 254),
+        (0, 123197, -254, 17),
+    ),
+    (256, "0", "1/2", "psi_deformed"): (
+        (0, 5055569063356947052488446550393557673894233118678428718056746883306420253079, -247, 252),
+        (0, 93465688960322316548468793786294108104082537316237091464537086060940565312253, -493, 256),
+    ),
+    (256, "0", "1/2", "phi"): (
+        (0, 15010085641939621237300197808773892261770723849489771192619934207965235377771, -244, 254),
+        (0, 69233475827292017440226248846511376201503223283798842128138734379843069748371, -293, 256),
+    ),
+    (256, "3/10", "-7/10", "psi"): (
+        (0, 8634818728520482649521401888038029945381037847696127706803576367870635941021, -247, 253),
+        (0, 87243541801964098663435710667144032629740005936635541121580140484924031184815, -492, 256),
+    ),
+    (256, "3/10", "-7/10", "psi_deformed"): (
+        (0, 96807182154447186060584291125927109044526414946327831014162174572373247194857, -250, 256),
+        (0, 91692992847454907048327221195791620877514397352204225912985720277104979403781, -493, 256),
+    ),
+    (256, "3/10", "-7/10", "phi"): (
+        (0, 30162365109075865651177133915115149248047837783439376580779769122230398542279, -241, 255),
+        (0, 67207607551025030911093734575286070668527092176802363949707923279623014135447, -292, 256),
+    ),
+}
+
+
+@pytest.mark.parametrize("prec", [53, 64, 128, 256])
+def test_certificate_bits_are_pinned(prec):
+    with mpmath.workprec(prec):
+        for zt, zb in (("-1/2", "1/2"), ("0", "1/2"), ("3/10", "-7/10")):
+            m = BoxModuli(Fraction(zt), Fraction(zb))
+            reports = {
+                "psi": vy.jacobian_check_psi(m, bx.LAMBDA_ZERO),
+                "psi_deformed": vy.jacobian_check_psi(
+                    m, Lambda(epsilon=Fraction(-1, 10), delta=Fraction(1, 50))
+                ),
+                "phi": vy.jacobian_check_phi(m),
+            }
+            for name, report in reports.items():
+                bits = (report["finite_difference"]._mpf_, report["relative_error"]._mpf_)
+                assert bits == PINNED_BITS[(prec, zt, zb, name)], name
 
 
 def test_psi_check_reuses_the_unmoved_half(monkeypatch):
