@@ -340,6 +340,49 @@ def doubling_check(
 # loxodromy survey
 
 
+def _exact_verdict(g: tuple) -> tuple:
+    """(loxodromic, least gap or None) of an exact image, from its
+    characteristic cubic x^3 - t x^2 + s x - d, with t, s and d the
+    trace, ``second_symmetric`` and determinant.
+
+    The cubic has three distinct real roots iff its discriminant is
+    positive; two of them share a modulus iff they are r and -r, that is
+    iff the cubic is (x - t)(x^2 + s) with s < 0.  Every test is on
+    rationals, so the verdict does not depend on the working precision.
+    A real spectrum with two equal moduli (a repeated root, or r and -r)
+    has least gap exactly 1, which its float roots, ill-conditioned
+    there, may miss or lose; any other least gap is left to the float
+    spectrum (None).  A singular image (d = 0) has no det-one
+    normalization; it counts as non-loxodromic, as in the float path.
+    """
+    t = g[0][0] + g[1][1] + g[2][2]
+    s = sc.second_symmetric(g)
+    d = sc.det3(g)
+    disc = 18 * t * s * d - 4 * t**3 * d + t * t * s * s - 4 * s**3 - 27 * d * d
+    tied = d != 0 and (disc == 0 or (disc > 0 and d == t * s and s < 0))
+    return d != 0 and disc > 0 and not tied, (mpf(1) if tied else None)
+
+
+def _class_verdict(g: tuple) -> tuple:
+    """(loxodromic, least gap or None) of a word image for the scan.
+
+    An exact image takes its verdict, and a least gap of 1, from
+    ``_exact_verdict``; otherwise the gap is that of the float spectrum
+    (none if the image has no real det-one spectrum), and a float
+    image's verdict compares it with ``scalars.MODULI_GAP_MARGIN``.
+    """
+    exact = sc.mat_is_exact(g)
+    if exact:
+        loxodromic, gap = _exact_verdict(g)
+        if gap is not None:
+            return loxodromic, gap
+    try:
+        res = _spectrum(g)
+    except (ComplexSpectrum, SingularMatrix):
+        return exact and loxodromic, None
+    return (loxodromic if exact else res.loxodromic), min(res.gaps)
+
+
 def loxodromy_scan(rep: rp.Representation, max_len: int = 6) -> dict:
     """Eigenvalue-gap survey of all short even-involution words.
 
@@ -348,15 +391,28 @@ def loxodromy_scan(rep: rp.Representation, max_len: int = 6) -> dict:
     minimal gap between consecutive eigenvalue moduli and every
     non-loxodromic word found.
 
+    Spectra are class functions: conjugating w by an even word
+    conjugates its image, and w^-1 has the inverse image, whose gaps are
+    those of w in reverse order.  So one spectrum is solved per class of
+    {w, w^-1} under even conjugation (``modular.even_class_key``), at the
+    class's first word in scan order, a shortest one; every later word
+    of the class shares its verdict and gap.  Conjugation by an odd word
+    (a rotation of w by a single I) swaps A and B^lambda and is not
+    inner, so it does not merge classes.  At an exact parameter point
+    the verdict is the exact one of ``_exact_verdict`` and the gap comes
+    from the float spectrum, or is exactly 1 where the exact cubic has
+    a real spectrum with two equal moduli.
+
     The scan walks the word tree: ``enumerate_words`` is breadth-first
     and each word is its parent (all but the last letter) times one
     letter, so an image costs at most one product, associated as in
-    ``evaluate``.  Only the images of scanned words and of parents are
-    formed.
+    ``evaluate``.  Only the images of parents and of the first word of
+    each class are formed.
     """
-    min_gap = None
     non_loxodromic = []
     scanned = 0
+    # class key -> (loxodromic, min gap or None) of its first word
+    classes = {}
     # letters of a word -> (its image, parity of its I letters)
     images = {(): (sc.IDENTITY, 0)}
     for w in md.enumerate_words(max_len):
@@ -368,27 +424,22 @@ def loxodromy_scan(rep: rp.Representation, max_len: int = 6) -> dict:
             parity ^= 1
         # odd words are outside the subgroup, torsion words have no axis
         scan = parity == 0 and "I" in w.cyclic_reduction()[1].letters
+        key = md.even_class_key(w) if scan else None
+        new_class = scan and key not in classes
         is_parent = len(letters) < max_len
-        if not (scan or is_parent):
-            continue
-        if letters[-1] != "I":
-            g = sc.mat_mul(g, rep.letter_images[parity][letters[-1]])
-        if is_parent:
-            images[letters] = (g, parity)
-        if not scan:
-            continue
-        scanned += 1
-        try:
-            res = _spectrum(g)
-        except (ComplexSpectrum, SingularMatrix):
-            non_loxodromic.append(w)
-            continue
-        gap = min(res.gaps)
-        min_gap = gap if min_gap is None else min(min_gap, gap)
-        if not res.loxodromic:
-            non_loxodromic.append(w)
+        if new_class or is_parent:
+            if letters[-1] != "I":
+                g = sc.mat_mul(g, rep.letter_images[parity][letters[-1]])
+            if is_parent:
+                images[letters] = (g, parity)
+            if new_class:
+                classes[key] = _class_verdict(g)
+        if scan:
+            scanned += 1
+            if not classes[key][0]:
+                non_loxodromic.append(w)
     return {
         "scanned": scanned,
-        "min_gap": min_gap,
+        "min_gap": min((gap for _, gap in classes.values() if gap is not None), default=None),
         "non_loxodromic": non_loxodromic,
     }

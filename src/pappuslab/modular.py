@@ -47,6 +47,10 @@ def _reduce(letters):
     return tuple(out)
 
 
+def _invert_letters(letters: tuple) -> tuple:
+    return tuple("I" if let == "I" else ("RR" if let == "R" else "R") for let in reversed(letters))
+
+
 @dataclass(frozen=True)
 class GroupWord:
     """A modular-group element in normal form.
@@ -86,13 +90,7 @@ class GroupWord:
         return GroupWord(self.letters + other.letters)
 
     def inverse(self) -> "GroupWord":
-        inv = []
-        for let in reversed(self.letters):
-            if let == "I":
-                inv.append("I")
-            else:
-                inv.append("RR" if let == "R" else "R")
-        return GroupWord(tuple(inv))
+        return GroupWord(_invert_letters(self.letters))
 
     def __pow__(self, n: int) -> "GroupWord":
         if n < 0:
@@ -133,6 +131,46 @@ class GroupWord:
             u.append(a)
             letters = letters[1:-1]
         return GroupWord(tuple(u)), GroupWord(tuple(letters))
+
+
+def even_class_key(w: GroupWord) -> tuple:
+    """Canonical key of the class of {w, w^-1} under conjugation by
+    even-I words.
+
+    The images of even words under the deformed representations are
+    matrices, so conjugation by an even word conjugates the image and
+    inversion inverts it: equal keys give equal spectra up to reversal.
+    Conjugation by an odd word swaps which of A and B^lambda the
+    rotation letters use and does not preserve the spectrum, so w and
+    I w I can have different keys.
+
+    With w = u c u^-1 and c cyclic (``cyclic_reduction``, then the two
+    end R powers merged by conjugating with the first, an even letter),
+    a rotation of c by its first k letters is the conjugate of w by u
+    times those letters, and k runs over two turns because c commutes
+    with itself.  Only the rotations whose conjugator has an even
+    number of I letters are kept; the key is the least of them over c
+    and c^-1.  A c without I letters (a torsion or trivial w) has no
+    such rotation when u is odd; its key is then I c I.
+    """
+    u, core = w.cyclic_reduction()
+    letters = core.letters
+    if len(letters) >= 2 and letters[0] != "I" and letters[-1] != "I":
+        k = (_R_POWER[letters[0]] + _R_POWER[letters[-1]]) % 3
+        letters = letters[1:-1] + ("R" if k == 1 else "RR",)
+    parity = u.i_count % 2
+    if parity and "I" not in letters:
+        return ("I",) + min(letters, _invert_letters(letters)) + ("I",)
+
+    def least_even_rotation(c):
+        n, odd, rotations = len(c), parity, []
+        for k in range(2 * n):
+            if not odd:
+                rotations.append(c[k % n:] + c[:k % n])
+            odd ^= c[k % n] == "I"
+        return min(rotations, default=c)
+
+    return min(least_even_rotation(letters), least_even_rotation(_invert_letters(letters)))
 
 
 I_WORD = GroupWord(("I",))

@@ -466,7 +466,19 @@ def normalize_det_one(m: Mat3) -> Mat3:
 # ---------------------------------------------------------------------------
 # eigenvalues of 3x3 matrices (float mode)
 
-# moduli whose ratio exceeds this are considered distinct
+# Moduli whose ratio exceeds 1 + this are considered distinct.  Inside the
+# admissible region gaps sit far above it: the least scan min_gap over
+# the first 150 certify ops of each of the benchmark's anosov_float
+# streams 1-10 (maxlen 10, 128 bits) is 1.590.  Below it is rounding noise
+# of long words' spectra: the float gaps of the words of one class of
+# loxodromy_scan differ by a relative 1.3e-9 at 53 bits and 3.7e-10 at 64
+# bits (7.2e-30 at 128, 1.5e-70 at 256) on 30 drawn points at maxlen 10,
+# which is why the scan solves each class once, at a shortest word.  At
+# an exact deformation the scan's verdict comes from the exact cubic and
+# never reads this margin.  A float deformation on the region boundary,
+# where parabolic words have gap 1, is a known limit below 128 bits:
+# at lambda = 0, moduli (3/10, -1/5) and maxlen 12, 53 bits flag 24 of
+# the 28 non-loxodromic words.
 MODULI_GAP_MARGIN = mpf("1e-9")
 
 

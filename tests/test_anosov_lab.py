@@ -319,26 +319,61 @@ def scanned_words(max_len):
     return words
 
 
-def reference_scan(rep, max_len):
-    """The scan as a per-word loop: every word evaluated from scratch."""
-    words = scanned_words(max_len)
-    min_gap = None
-    non_loxodromic = []
+def class_representatives(max_len):
+    """The first word of each class of {w, w^-1} under even conjugation,
+    in scan order."""
+    seen, reps = set(), []
+    for w in scanned_words(max_len):
+        key = md.even_class_key(w)
+        if key not in seen:
+            seen.add(key)
+            reps.append(w)
+    return reps
+
+
+def reference_solve(mat):
+    """(loxodromic, min gap or None) of one image, solved on its own."""
+    try:
+        res = sc.eigen_real(sc.normalize_det_one(sc.mat_to_mpf(mat)))
+    except (ComplexSpectrum, SingularMatrix):
+        return False, None
+    return res.loxodromic, min(res.gaps)
+
+
+def reference_verdicts(rep, words):
+    """Per-word (loxodromic, min gap or None), every word evaluated from
+    scratch and solved on its own at the working precision.  An exact
+    image's verdict is read from a second solve at 512 bits instead,
+    where rounding stays far below ``MODULI_GAP_MARGIN`` even for the
+    parabolic words of the zero deformation, which the scan decides
+    exactly and a 53-bit solve can misjudge; where that solve finds two
+    equal moduli, the gap is 1."""
+    out = {}
     for w in words:
-        mat = sc.mat_to_mpf(rp.evaluate(rep, w))
-        try:
-            res = sc.eigen_real(sc.normalize_det_one(mat))
-        except (ComplexSpectrum, SingularMatrix):
-            non_loxodromic.append(w)
-            continue
-        gap = min(res.gaps)
-        min_gap = gap if min_gap is None else min(min_gap, gap)
-        if not res.loxodromic:
-            non_loxodromic.append(w)
+        mat = rp.evaluate(rep, w)
+        verdict, gap = reference_solve(mat)
+        if sc.mat_is_exact(mat):
+            with mpmath.workprec(512):
+                verdict, fine = reference_solve(mat)
+                # two equal moduli on a real spectrum: the least gap is 1
+                if not verdict and fine is not None and fine - 1 < mpf("1e-30"):
+                    gap = mpf(1)
+        out[w] = (verdict, gap)
+    return out
+
+
+def least_gap(verdicts):
+    return min((gap for _, gap in verdicts.values() if gap is not None), default=None)
+
+
+def reference_scan(rep, max_len):
+    """The scan as a per-word loop: one spectrum per word."""
+    words = scanned_words(max_len)
+    verdicts = reference_verdicts(rep, words)
     return {
         "scanned": len(words),
-        "min_gap": min_gap,
-        "non_loxodromic": non_loxodromic,
+        "min_gap": least_gap(verdicts),
+        "non_loxodromic": [w for w in words if not verdicts[w][0]],
     }
 
 
@@ -362,6 +397,9 @@ def mpmathify_matrix(m):
 @given(tenths_moduli, st.one_of(float_lambdas, exact_lambdas))
 @settings(max_examples=12, deadline=None)
 def test_scan_tree_walk_images_match_evaluate(moduli, la):
+    # at most one spectrum per class, solved on the image of the class's
+    # first word in scan order, which is that word's ``evaluate`` bit for bit
+    max_len = 8
     rep = rp.Representation(moduli, la)
     seen = []
     spectrum = al._spectrum
@@ -372,10 +410,16 @@ def test_scan_tree_walk_images_match_evaluate(moduli, la):
 
     al._spectrum = recording
     try:
-        al.loxodromy_scan(rep, max_len=SCAN_LEN)
+        al.loxodromy_scan(rep, max_len=max_len)
     finally:
         al._spectrum = spectrum
-    words = scanned_words(SCAN_LEN)
+    words = class_representatives(max_len)
+    assert len(words) == 7
+    # except where the exact cubic fixes the least gap (at 1)
+    words = [
+        w for w in words
+        if not sc.mat_is_exact(rep.b) or al._exact_verdict(rp.evaluate(rep, w))[1] is None
+    ]
     assert len(seen) == len(words)
     for g, w in zip(seen, words):
         ref = rp.evaluate(rep, w)
@@ -383,11 +427,87 @@ def test_scan_tree_walk_images_match_evaluate(moduli, la):
         assert all(x == y and type(x) is type(y) for x, y in pairs), w
 
 
-@given(tenths_moduli, st.one_of(float_lambdas, exact_lambdas))
-@settings(max_examples=12, deadline=None)
-def test_scan_matches_per_word_reference(moduli, la):
+def bits(x):
+    return None if x is None else x._mpf_
+
+
+# Relative distance of the class minimum from the all-word minimum of the
+# per-word reference, in units of 2^-prec: at most 2^13.2 over 90 drawn
+# points (tenths moduli, float and exact lambda) at maxlen 6 and each of
+# 53, 64, 128 and 256 bits, and 2^13.1 over 150 more at each, a third of
+# them at the exact lambda = 0, where both minima read exactly 1.  Longer
+# words are worse conditioned: at maxlen 10 it reached 2^23.4 (53 bits)
+# to 2^32.7 (64 bits).
+SPREAD_ULPS = 2**20
+
+
+@given(
+    tenths_moduli,
+    st.one_of(float_lambdas, exact_lambdas),
+    st.sampled_from([53, 64, 128, 256]),
+)
+@settings(max_examples=16, deadline=None)
+def test_scan_matches_per_word_reference(moduli, la, prec):
+    with mpmath.workprec(prec):
+        rep = rp.Representation(moduli, la)
+        scan = al.loxodromy_scan(rep, max_len=SCAN_LEN)
+        ref = reference_scan(rep, SCAN_LEN)
+        assert scan["scanned"] == ref["scanned"]
+        assert scan["non_loxodromic"] == ref["non_loxodromic"]
+        class_min = least_gap(reference_verdicts(rep, class_representatives(SCAN_LEN)))
+        assert bits(scan["min_gap"]) == bits(class_min)
+        if class_min is not None:
+            bound = SPREAD_ULPS * mpf(2) ** -prec * ref["min_gap"]
+            assert abs(scan["min_gap"] - ref["min_gap"]) <= bound
+
+
+def exact_invariants(g):
+    """The unordered pair {t^3/d, s^3/d^2} of an exact image: scale
+    invariant, and swapped by inversion."""
+    t, s, d = g[0][0] + g[1][1] + g[2][2], sc.second_symmetric(g), sc.det3(g)
+    return frozenset((Fraction(t) ** 3 / d, Fraction(s) ** 3 / d**2))
+
+
+@given(tenths_moduli, exact_lambdas)
+@settings(max_examples=10, deadline=None)
+def test_equal_class_keys_give_equal_exact_invariants(moduli, la):
     rep = rp.Representation(moduli, la)
-    assert al.loxodromy_scan(rep, max_len=SCAN_LEN) == reference_scan(rep, SCAN_LEN)
+    invariants = {}
+    for w in scanned_words(8):
+        inv = exact_invariants(rp.evaluate(rep, w))
+        assert invariants.setdefault(md.even_class_key(w), inv) == inv, w
+
+
+def test_odd_conjugates_have_different_spectra():
+    # I w I swaps A and B^lambda: not a conjugate of the image of w
+    rep = rp.Representation(BoxModuli(Fraction(3, 10), Fraction(-1, 5)), lam(mpf("-0.15"), mpf("0.01")))
+    w = GroupWord.from_string("I R I R I R I RR")
+    odd = md.I_WORD * w * md.I_WORD
+    gaps = [min(al.loxodromic_eigen(rep, v).gaps) for v in (w, odd)]
+    assert abs(gaps[0] - mpf("9.708")) < mpf("1e-3") and abs(gaps[1] - mpf("9.635")) < mpf("1e-3")
+    assert md.even_class_key(w) != md.even_class_key(odd)
+
+
+def test_exact_verdicts():
+    def diag(*x):
+        return tuple(tuple(Fraction(x[i]) if i == j else 0 for j in range(3)) for i in range(3))
+
+    assert al._exact_verdict(diag(1, 2, 3)) == (True, None)
+    assert al._exact_verdict(diag(-1, 2, Fraction(1, 3))) == (True, None)
+    # equal moduli on a real spectrum: a repeated root, or a root pair
+    # r, -r (d = t s, s < 0); the least gap is exactly 1
+    assert al._exact_verdict(diag(2, 2, 3)) == (False, 1)
+    assert al._exact_verdict(diag(1, -1, 2)) == (False, 1)
+    assert al._exact_verdict(diag(3, 2, -2)) == (False, 1)
+    assert al._exact_verdict(((1, 1, 0), (0, 1, 1), (0, 0, 1))) == (False, 1)
+    # a complex pair (disc < 0), and a singular matrix
+    assert al._exact_verdict(((0, -1, 0), (1, 0, 0), (0, 0, 2))) == (False, None)
+    assert al._exact_verdict(diag(0, 1, 2)) == (False, None)
+    # the verdict reads only the cubic: a conjugate, or a multiple, agrees
+    p = ((1, 2, 0), (0, 1, 3), (1, 0, 1))
+    g = sc.mat_mul(sc.mat_mul(p, diag(1, -1, 2)), sc.mat_inverse(p))
+    assert al._exact_verdict(g) == (False, 1)
+    assert al._exact_verdict(sc.mat_scale(g, Fraction(-7, 3))) == (False, 1)
 
 
 @pytest.mark.parametrize("moduli", [M_ZERO, M_TEST])

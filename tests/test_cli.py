@@ -194,6 +194,49 @@ def test_scan_makes_at_most_one_product_per_word(monkeypatch, capsys):
     assert 0 < len(products) <= len(enumerated)
 
 
+def test_scan_solves_one_spectrum_per_class(monkeypatch, capsys):
+    # 72 scanned words, 7 classes of {w, w^-1} under even conjugation
+    calls = []
+    spectrum = al._spectrum
+
+    def counting(g):
+        calls.append(g)
+        return spectrum(g)
+
+    monkeypatch.setattr(al, "_spectrum", counting)
+    assert cli.main(["certify", "--maxlen", "10", *DEFORMED]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["checks"]["loxodromy_scanned"] == 72
+    assert len(calls) == 7
+
+
+# the 18 non-loxodromic words of length <= 10 at the exact zero
+# deformation, as the exact characteristic polynomial finds them
+UNDEFORMED_NON_LOXODROMIC = [
+    "I R I R", "I RR I RR", "R I R I", "RR I RR I", "R I RR I R", "RR I R I RR",
+    "I R I RR I R I", "I RR I R I RR I", "I R I R I R I R", "I RR I RR I RR I RR",
+    "R I R I R I R I", "RR I RR I RR I RR I", "R I R I RR I R I RR",
+    "R I RR I R I RR I RR", "R I RR I RR I RR I R", "RR I R I R I R I RR",
+    "RR I R I RR I R I R", "RR I RR I R I RR I R",
+]
+
+
+@pytest.mark.parametrize("prec", ["53", "64", "128", "256"])
+def test_exact_zero_deformation_verdict_ignores_precision(prec, capsys):
+    argv = ["--precision", prec, "certify", "--maxlen", "10", "--zt=3/10", "--zb=-2/10"]
+    assert cli.main([*argv, "--u", "1", "--v", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["checks"]["non_loxodromic_words"] == UNDEFORMED_NON_LOXODROMIC
+    assert report["checks"]["loxodromy_min_gap"] == 1.0
+    # the parabolic class's first word has no real 53-bit spectrum here:
+    # its least gap, 1, comes from the exact cubic
+    argv = ["--precision", prec, "certify", "--maxlen", "6", "--zt=7/10", "--zb=-6/10"]
+    assert cli.main([*argv, "--u", "1", "--v", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(report["checks"]["non_loxodromic_words"]) == 6
+    assert report["checks"]["loxodromy_min_gap"] == 1.0
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -250,3 +250,78 @@ def test_enumerate_words_counts():
     # each normal form is reached once, from its one parent
     words = md.enumerate_words(10)
     assert len({w.letters for w in words}) == len(words) == 218
+
+
+# ---------------------------------------------------------------------------
+# classes under even conjugation
+
+letters = st.lists(st.sampled_from(md.LETTERS), max_size=12).map(lambda ls: GroupWord(tuple(ls)))
+even_words = letters.filter(md.in_subgroup_o)
+
+
+@given(letters, even_words)
+@settings(max_examples=300)
+def test_even_class_key_is_a_class_function(w, u):
+    key = md.even_class_key(w)
+    assert md.even_class_key(u * w * u.inverse()) == key
+    assert md.even_class_key(w.inverse()) == key
+
+
+@given(letters)
+@settings(max_examples=300)
+def test_even_class_key_is_a_rotation_of_the_class(w):
+    # the key is itself a word of the class: an even conjugate of w or w^-1
+    key = GroupWord(md.even_class_key(w))
+    assert md.even_class_key(key) == md.even_class_key(w)
+    assert len(key) <= len(w)
+
+
+def test_even_class_key_separates_odd_conjugates():
+    # rotating by a single I is conjugation by an odd word: I w I
+    w = GroupWord.from_string("I R I R I R I RR")
+    odd = GroupWord.from_string("R I R I R I RR I")
+    assert md.I_WORD * w * md.I_WORD == odd
+    assert md.even_class_key(w) != md.even_class_key(odd)
+    # torsion: A and its odd conjugate B = I A I differ too
+    assert md.even_class_key(md.R_WORD) != md.even_class_key(md.I_WORD * md.R_WORD * md.I_WORD)
+
+
+def brute_force_classes(words, with_inverse):
+    """Partition of words (as sets of letter tuples) by conjugation with
+    the even words of length <= 6, and by inversion if asked."""
+    index = {w: i for i, w in enumerate(words)}
+    parent = list(range(len(words)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    conjugators = [u for u in md.enumerate_words(6) if md.in_subgroup_o(u)]
+    for w in words:
+        images = [u * w * u.inverse() for u in conjugators]
+        if with_inverse:
+            images.append(w.inverse())
+        for v in images:
+            if v in index:
+                parent[find(index[v])] = find(index[w])
+    classes = {}
+    for w in words:
+        classes.setdefault(find(index[w]), set()).add(w.letters)
+    return sorted(map(sorted, classes.values()))
+
+
+def test_even_class_key_matches_brute_force_classes():
+    # the 72 even words with an axis of length <= 10 fall into 14 classes
+    # under even conjugation and 7 once w ~ w^-1; the key draws the latter
+    words = [
+        w for w in md.enumerate_words(10)
+        if md.in_subgroup_o(w) and "I" in w.cyclic_reduction()[1].letters
+    ]
+    assert len(words) == 72
+    assert len(brute_force_classes(words, with_inverse=False)) == 14
+    keyed = {}
+    for w in words:
+        keyed.setdefault(md.even_class_key(w), set()).add(w.letters)
+    assert sorted(map(sorted, keyed.values())) == brute_force_classes(words, with_inverse=True)
+    assert len(keyed) == 7

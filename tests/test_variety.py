@@ -83,7 +83,8 @@ def test_order3_negative_and_identity():
 
 
 def test_jacobian_psi_matches_fd():
-    for lam in (LAM_ZERO, Lambda(epsilon=-0.1, delta=0.02)):
+    # the float zero, the exact zero the variety command uses, and a deformation
+    for lam in (LAM_ZERO, bx.LAMBDA_ZERO, Lambda(epsilon=-0.1, delta=0.02)):
         report = vy.jacobian_check_psi(M_TEST, lam)
         assert report["closed_form"] > 0
         assert report["relative_error"] <= mpf("1e-6")
@@ -93,9 +94,10 @@ def test_jacobian_psi_matches_fd():
 def test_jacobian_psi_origin_value():
     # at the special box with zero deformation the closed form reduces
     # to 9 * 1 * 1 * (2 * 1) / 2 = 9; finite differences agree
-    report = vy.jacobian_check_psi(BoxModuli(0, 0), LAM_ZERO)
-    assert abs(report["closed_form"] - 9) < mpf("1e-25")
-    assert report["match"]
+    for lam in (LAM_ZERO, bx.LAMBDA_ZERO):
+        report = vy.jacobian_check_psi(BoxModuli(0, 0), lam)
+        assert abs(report["closed_form"] - 9) < mpf("1e-25")
+        assert report["match"]
 
 
 def test_jacobian_psi_outside_region():
@@ -359,5 +361,8 @@ def test_psi_check_reuses_the_unmoved_half(monkeypatch):
         return half(m)
 
     monkeypatch.setattr(vy, "_psi_half", counting)
-    assert vy.jacobian_check_psi(M_TEST, Lambda(epsilon=mpf("-0.1"), delta=mpf("0.01")))["match"]
-    assert len(calls) == 2 + 36
+    # a float deformation, and the exact zero of the variety command
+    for lam in (Lambda(epsilon=mpf("-0.1"), delta=mpf("0.01")), bx.LAMBDA_ZERO):
+        calls.clear()
+        assert vy.jacobian_check_psi(M_TEST, lam)["match"]
+        assert len(calls) == 2 + 36
