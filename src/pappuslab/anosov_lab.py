@@ -118,13 +118,7 @@ def _chart_diameter(box_points) -> mpf:
 
 
 def _spectrum(g: tuple) -> sc.EigenResult:
-    """Eigen data of the determinant-one normalization of a word image.
-
-    A float-mode image is a product at the working precision already,
-    so only an image with an exact entry is converted to mpf first.
-    """
-    if not all(isinstance(x, mpf) for row in g for x in row):
-        g = sc.mat_to_mpf(g)
+    """Eigen data of the determinant-one normalization of a word image."""
     return sc.eigen_real(sc.normalize_det_one(g))
 
 

@@ -186,20 +186,6 @@ class BoxModuli:
     def is_convex(self) -> bool:
         return abs(self.zeta_t) < 1 and abs(self.zeta_b) < 1
 
-    def orbit(self):
-        """The four moduli pairs equivalent to this one."""
-        zt, zb = self.zeta_t, self.zeta_b
-        out = []
-        for _ in range(4):
-            out.append((zt, zb))
-            zt, zb = -zb, zt
-        return out
-
-
-def moduli_equivalence(m1: BoxModuli, m2: BoxModuli) -> bool:
-    """Whether two moduli pairs describe the same marked-box class."""
-    return any(m2.zeta_t == zt and m2.zeta_b == zb for zt, zb in m1.orbit())
-
 
 # ---------------------------------------------------------------------------
 # boxes
@@ -447,24 +433,6 @@ def apply_symmetry_to_box(g: pj.ProjSymmetry, box: OvermarkedBox) -> OvermarkedB
         raise DegenerateConfiguration(str(exc)) from exc
 
 
-def dual_box(box: OvermarkedBox) -> OvermarkedBox:
-    """The dual box (P, Q, R, S; T, B) in the dual plane.
-
-    The top points P, Q, T of the dual all pass through t in the
-    original plane, and the bottom points R, S, B through b, so the
-    incidence pattern of a box is preserved with no reordering.
-    """
-    lp, lq, lr, ls, lt, lb = box.lines
-    return OvermarkedBox(
-        p=Point(lp.coords),
-        q=Point(lq.coords),
-        r=Point(lr.coords),
-        s=Point(ls.coords),
-        t=Point(lt.coords),
-        b=Point(lb.coords),
-    )
-
-
 def transform_sigma(box: OvermarkedBox, lam: Lambda) -> OvermarkedBox:
     """The deformation, applied in the box's own adapted basis."""
     if lam.is_zero:
@@ -531,16 +499,6 @@ def in_standard_interior(coords, strict: bool = True) -> bool:
     return abs(x) <= abs(w) and abs(y - z) <= abs(w)
 
 
-def interior_contains(box: OvermarkedBox, point: Point, strict: bool = True) -> bool:
-    """Whether a point lies in the box's convex-interior quadrilateral."""
-    return _inside(interior_basis(box), point, strict)
-
-
-def _inside(g: tuple, point: Point, strict: bool = True) -> bool:
-    """``interior_contains`` for the convex box whose ``theta_basis`` is g."""
-    return in_standard_interior(sc.mat_vec(g, point.coords), strict=strict)
-
-
 def containment_check(box: OvermarkedBox, lam: Lambda, strict: bool = False) -> bool:
     """Whether the deformed box's interior stays inside the original's.
 
@@ -558,53 +516,3 @@ def containment_check(box: OvermarkedBox, lam: Lambda, strict: bool = False) -> 
         in_standard_interior(sc.mat_vec(sig, corner.coords), strict=strict)
         for corner in STANDARD_CORNERS
     )
-
-
-def nested_strictly(outer: OvermarkedBox, inner: OvermarkedBox) -> bool:
-    """Closure of inner's interior contained in outer's open interior."""
-    g = interior_basis(outer)
-    return all(_inside(g, v) for v in (inner.p, inner.q, inner.r, inner.s))
-
-
-def nested_interiors(outer: OvermarkedBox, inner: OvermarkedBox, resolution: int = 8) -> bool:
-    """Open-interior inclusion diagnostic: interior(inner) inside
-    interior(outer).  Weaker than ``nested_strictly``: the corners may
-    sit on the outer boundary (the undeformed Pappus children share two
-    corners with their parent)."""
-    g = interior_basis(outer)
-    if not all(_inside(g, v, strict=False) for v in (inner.p, inner.q, inner.r, inner.s)):
-        return False
-    return all(_inside(g, pt) for pt in _interior_grid(theta_basis(inner), resolution))
-
-
-def _interior_grid(g: tuple, resolution: int):
-    """Sample points of the interior of the box whose ``theta_basis``
-    is g, via the adapted chart."""
-    inv = sc.mat_inverse(sc.mat_to_mpf(g))
-    pts = []
-    ticks = [mpf(2 * k + 1) / resolution - 1 for k in range(resolution)]
-    for cx in ticks:
-        for cy in ticks:
-            pts.append(Point(sc.mat_vec(inv, chart_point((cx, cy)))))
-    return pts
-
-
-def interiors_disjoint(box1: OvermarkedBox, box2: OvermarkedBox, resolution: int = 8) -> bool:
-    """Diagnostic that two box interiors do not overlap.
-
-    Checks that no corner of either box lies strictly inside the other
-    and that a chart grid sample of each interior avoids the other; the
-    quads may share corners (siblings do), so a separating line does
-    not exist in general and sampling is used instead.
-    """
-    # box1's basis is built only once box2's corners are through, as
-    # the per-point test did: a nonconvex box1 may still give False
-    g2 = interior_basis(box2)
-    if any(_inside(g2, v) for v in (box1.p, box1.q, box1.r, box1.s)):
-        return False
-    g1 = interior_basis(box1)
-    if any(_inside(g1, v) for v in (box2.p, box2.q, box2.r, box2.s)):
-        return False
-    if any(_inside(g2, pt) for pt in _interior_grid(g1, resolution)):
-        return False
-    return not any(_inside(g1, pt) for pt in _interior_grid(g2, resolution))

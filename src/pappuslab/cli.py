@@ -76,6 +76,13 @@ def _parse_fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError("not a rational number: %s" % text) from exc
 
 
+def _positive_fraction(text: str) -> Fraction:
+    value = _parse_fraction(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError("must be positive: %s" % text)
+    return value
+
+
 def _int_at_least(low: int):
     """argparse type: an integer no smaller than ``low``."""
 
@@ -500,8 +507,8 @@ def _add_moduli_flags(sub, zt_default="1/2", zb_default="1/3"):
 def _add_lambda_flags(sub):
     sub.add_argument("--eps", type=_finite_float, default=0.0)
     sub.add_argument("--delta", type=_finite_float, default=0.0)
-    sub.add_argument("--u", type=_parse_fraction, default=None)
-    sub.add_argument("--v", type=_parse_fraction, default=None)
+    sub.add_argument("--u", type=_positive_fraction, default=None)
+    sub.add_argument("--v", type=_positive_fraction, default=None)
 
 
 def _add_command(subs, name, func, help):

@@ -21,14 +21,6 @@ class CoincidentLines(PappusLabError):
     pass
 
 
-class NotCollinear(PappusLabError):
-    pass
-
-
-class DegeneratePair(PappusLabError):
-    pass
-
-
 class InvalidModuli(PappusLabError):
     pass
 
@@ -102,10 +94,6 @@ class AmbiguousS(PappusLabError):
 
 
 class NotARotation(PappusLabError):
-    pass
-
-
-class IdentityInput(PappusLabError):
     pass
 
 

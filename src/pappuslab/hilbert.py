@@ -49,12 +49,6 @@ class ConvexQuad:
     def chart(self, x: Point):
         return _chart_of(sc.mat_vec(self.basis, x.coords))
 
-    def contains(self, x: Point, strict: bool = True) -> bool:
-        cx, cy = (sc.to_mpf(c) for c in self.chart(x))
-        if strict:
-            return abs(cx) < 1 and abs(cy) < 1
-        return abs(cx) <= 1 and abs(cy) <= 1
-
     @cached_property
     def _inverse_basis(self) -> tuple:
         return sc.mat_inverse(self.basis)

@@ -10,7 +10,6 @@ usual translation z -> z + 1 up to sign.  The index-2 subgroup written
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .errors import (
@@ -351,23 +350,6 @@ def star_action(w: GroupWord, e: FareyEdge) -> FareyEdge:
 def label_word(e: FareyEdge) -> GroupWord:
     """The unique word gamma with e = gamma * base edge (star action)."""
     return matrix_to_word(edge_matrix(e)).reversed()
-
-
-def half_plane_contains(e: FareyEdge, inner: FareyEdge) -> bool:
-    """Whether the half plane of ``inner`` sits inside that of ``e``.
-
-    The half plane of an edge is bounded by the geodesic and chosen on
-    the side swept from head to tail; after moving e back to the base
-    edge this is the set of boundary points in [0, +infinity]."""
-    inv = edge_matrix(e)
-    inv = ((inv[1][1], -inv[0][1]), (-inv[1][0], inv[0][0]))
-
-    def value(endpoint):
-        p, q = _apply_mat_endpoint(inv, endpoint)
-        return Fraction(p, q) if q else None  # None is infinity
-
-    va, vb = value(inner.tail), value(inner.head)
-    return (va is None or va >= 0) and (vb is None or vb >= 0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Points, lines, flags, dualities and cross-ratios of the projective plane.
+"""Points, lines, flags, dualities and frames of the projective plane.
 
 Coordinates are 3-tuples of scalars in either scalar mode (see
 ``scalars``); all values are immutable and all functions are pure.
@@ -7,7 +7,6 @@ Coordinates are 3-tuples of scalars in either scalar mode (see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from mpmath import mpf
 
@@ -15,8 +14,6 @@ from . import scalars as sc
 from .errors import (
     CoincidentLines,
     CoincidentPoints,
-    DegeneratePair,
-    NotCollinear,
     PappusLabError,
     SingularMatrix,
 )
@@ -128,51 +125,6 @@ def meet(l1: Line, l2: Line) -> Point:
     if proj_equal(l1.coords, l2.coords, l1.exact and l2.exact):
         raise CoincidentLines("meet of projectively equal lines")
     return Point(c)
-
-
-def _line_chart_index(line_coords) -> int:
-    """Coordinate to drop when flattening points of this line to 2 coords."""
-    absvals = [abs(sc.to_mpf(x)) for x in line_coords]
-    return max(range(3), key=lambda i: absvals[i])
-
-
-def cross_ratio(a: Point, x: Point, y: Point, b: Point):
-    """Cross-ratio [a:x:y:b] of four collinear points.
-
-    Computed with 2x2 determinants in a chart adapted to the common
-    line, so the value is independent of any affine chart choice and is
-    invariant under projective transformations.
-    """
-    pts = (a, x, y, b)
-    distinct = [(p, q) for p in range(4) for q in range(p + 1, 4) if pts[p] != pts[q]]
-    if not distinct:
-        raise DegeneratePair("all four points coincide")
-    i, j = distinct[0]
-    line = join(pts[i], pts[j])
-    exact = all(p.exact for p in pts)
-    tol = 0 if exact else ANGLE_TOL
-    for p in pts:
-        if incidence_residual(line.coords, p.coords) > tol:
-            raise NotCollinear("cross-ratio needs four collinear points")
-    drop = _line_chart_index(line.coords)
-    keep = [k for k in range(3) if k != drop]
-
-    def flat(p):
-        return (p.coords[keep[0]], p.coords[keep[1]])
-
-    def det2(u, v):
-        return u[0] * v[1] - u[1] * v[0]
-
-    fa, fx, fy, fb = flat(a), flat(x), flat(y), flat(b)
-    den = det2(fa, fx) * det2(fb, fy)
-    if den == 0 or (not exact and abs(sc.to_mpf(den)) <= ANGLE_TOL * sc.to_mpf(
-        max(sc.vec_max_abs(a.coords), 1) * max(sc.vec_max_abs(b.coords), 1)
-    ) ** 2):
-        raise DegeneratePair("cross-ratio undefined: a = x or b = y")
-    num = det2(fa, fy) * det2(fb, fx)
-    if exact:
-        return Fraction(num) / Fraction(den)
-    return sc.to_mpf(num) / sc.to_mpf(den)
 
 
 # ---------------------------------------------------------------------------

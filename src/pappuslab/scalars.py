@@ -14,13 +14,15 @@ Float kernel.  An mpf operator unwraps the ``_mpf_`` tuples of its two
 operands, makes one ``mpmath.libmp`` call at the context's precision and
 rounding, and wraps the result in a new mpf.  When every entry is an
 mpf, ``mat_mul``, ``mat_vec``, ``det3``, ``second_symmetric``,
-``adjugate``, ``is_singular``, ``mat_inverse``, ``normalize_det_one``
-and ``eigen_real`` make those same libmp calls themselves, on the raw
-tuples, in the order and association of the operator expressions that
-exact and mixed inputs still evaluate, and wrap only the entries they
-return.  Each call rounds once, as the operator does, so the results
-are bit-identical to the operator path, without an mpf object per
-intermediate value.  The dense helpers ``det_n`` and ``nullspace`` (of
+``adjugate``, ``is_singular`` and ``mat_inverse`` make those same libmp
+calls themselves, on the raw tuples, in the order and association of
+the operator expressions that exact and mixed inputs still evaluate,
+and wrap only the entries they return.  ``normalize_det_one`` and
+``eigen_real`` work in float mode alone: the first converts any other
+input with ``mat_to_mpf``, the second every input, and both then make
+the libmp calls of their operator formulas.  Each call rounds once, as
+the operator does, so the results are bit-identical to the operator
+path, without an mpf object per intermediate value.  The dense helpers ``det_n`` and ``nullspace`` (of
 float rows) share one n x n elimination, which runs on raw values in
 the same way; it has no operator path, as it works in mpf alone.
 """
@@ -410,49 +412,14 @@ def mat_inverse(m: Mat3) -> Mat3:
     return mat_scale(adjugate(m), 1 / to_mpf(d))
 
 
-def _exact_cbrt(x: Fraction):
-    """Exact rational cube root, or None."""
-    x = Fraction(x)
-    sign = -1 if x < 0 else 1
-    num, den = abs(x.numerator), x.denominator
-
-    def icbrt(n: int):
-        # integer Newton steps from 2^ceil(bits/3) >= cbrt(n) fall to the
-        # floor of the root and stop there, exact at any size
-        c = 1 << -(-n.bit_length() // 3)
-        while c * c * c > n:
-            c = (2 * c + n // (c * c)) // 3
-        return c if c * c * c == n else None
-
-    cn, cd = icbrt(num), icbrt(den)
-    if cn is None or cd is None:
-        return None
-    return sign * Fraction(cn, cd)
-
-
-def real_cbrt(x) -> mpf:
-    x = to_mpf(x)
-    return mpmath.cbrt(x) if x >= 0 else -mpmath.cbrt(-x)
-
-
 def normalize_det_one(m: Mat3) -> Mat3:
     """Scale m by the real cube root of its determinant so det = 1.
 
-    Stays exact whenever the determinant is a perfect rational cube;
-    otherwise the result is in float mode.  Raises SingularMatrix when
-    ``is_singular`` holds for det(m).
+    The result is in float mode: a matrix with an entry that is not an
+    mpf is converted with ``mat_to_mpf`` first.  Raises SingularMatrix
+    when ``is_singular`` holds for det(m).
     """
     if not _is_float(m):
-        d = det3(m)
-        if is_singular(m, d):
-            raise SingularMatrix("matrix determinant is zero at the working precision")
-        if not is_exact(d):
-            # mixed exact and mpf entries
-            c = real_cbrt(d)
-            return tuple(tuple(x / c for x in row) for row in m)
-        c = _exact_cbrt(Fraction(d))
-        if c is not None:
-            return tuple(tuple(Fraction(x) / c for x in row) for row in m)
         m = mat_to_mpf(m)
     prec, rnd = mpmath.mp._prec_rounding
     r = _raw(m)

@@ -3,11 +3,13 @@
 The pairs (A, B) of determinant-one matrices with A³ = B³ = Id form a
 real algebraic variety cut out by six polynomials Ψ; the generator
 images of the deformed box representations live on it.  This module
-evaluates Ψ, checks the order-3 trace criterion, and verifies two
-closed-form Jacobian determinants against finite differences: the
-smoothness certificate at the generator pairs and the local
-diffeomorphism certificate of the moduli-deformation-conjugation
-parameterization.
+evaluates Ψ and verifies two closed-form Jacobian determinants against
+finite differences: the smoothness certificate at the generator pairs
+and the local diffeomorphism certificate of the
+moduli-deformation-conjugation parameterization.  The order-3 trace
+criterion (A ≠ Id with det A = 1 has A³ = Id exactly when its trace and
+second symmetric function vanish) is a fact of the theory, checked in
+the tests, not here.
 """
 
 from __future__ import annotations
@@ -21,20 +23,8 @@ from mpmath.libmp import mpf_div, mpf_mul_int, mpf_sub
 from . import representation as rp
 from . import scalars as sc
 from .boxes import BoxModuli, Lambda, in_region
-from .errors import (
-    IdentityInput,
-    InternalInconsistency,
-    OutsideRegion,
-    SpecialBox,
-)
+from .errors import OutsideRegion, SpecialBox
 
-# Over tenths moduli in [-0.8, 0.8] and three in-region deformations, the
-# det-one generator images have |trace| and |second symmetric function| at
-# most 7.1e-15 at 53 bits (6.1e-18 at 64), two decades below TRACE_TOL, and
-# |A^3 - Id| at most 3.9e-14, far below the cube criterion's
-# sqrt(TRACE_TOL).  A det-one integer matrix of other order has an integer
-# trace or second symmetric function of at least 1 in absolute value.
-TRACE_TOL = mpf("1e-12")
 # Largest relative errors of the two certificates over the `variety` grid:
 #
 #   bits  grid  phi       psi
@@ -72,36 +62,11 @@ def psi_eval(a: tuple, b: tuple) -> tuple:
     return _psi_half(a) + _psi_half(b)
 
 
-def order3_trace_check(a: tuple, tol=TRACE_TOL) -> bool:
-    """Both traces vanish iff the cube is the identity (for a non-identity
-    determinant-one matrix); evaluates both criteria and asserts they
-    agree."""
-    af = sc.mat_to_mpf(a)
-    off = max(
-        abs(af[i][j] - (1 if i == j else 0)) for i in range(3) for j in range(3)
-    )
-    if off <= tol:
-        raise IdentityInput("the criterion excludes the identity matrix")
-    by_trace = (
-        abs(af[0][0] + af[1][1] + af[2][2]) <= tol
-        and abs(sc.to_mpf(sc.second_symmetric(af))) <= tol
-    )
-    cube = sc.mat_mul(af, sc.mat_mul(af, af))
-    by_cube = max(
-        abs(cube[i][j] - (1 if i == j else 0)) for i in range(3) for j in range(3)
-    ) <= mpmath.sqrt(tol)
-    if by_trace != by_cube:
-        raise InternalInconsistency("trace criterion disagrees with the cube")
-    return by_trace
-
-
-def _det_one(m: tuple) -> tuple:
-    return sc.normalize_det_one(sc.mat_to_mpf(m))
-
-
 def generator_pair(m: BoxModuli, lam: Lambda) -> VarietyPoint:
     """Determinant-one images of the two order-3 generators."""
-    return VarietyPoint(a=_det_one(rp.matrix_A(m)), b=_det_one(rp.matrix_B(m, lam)))
+    return VarietyPoint(
+        a=sc.normalize_det_one(rp.matrix_A(m)), b=sc.normalize_det_one(rp.matrix_B(m, lam))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +198,11 @@ def jacobian_check_phi(m: BoxModuli, step=FD_STEP) -> dict:
             moduli = key[:2]
             if moduli not in undeformed:
                 bm = BoxModuli(*moduli)
-                undeformed[moduli] = (_det_one(rp.matrix_A(bm)), rp.matrix_B0(bm))
+                undeformed[moduli] = (sc.normalize_det_one(rp.matrix_A(bm)), rp.matrix_B0(bm))
             a, b0 = undeformed[moduli]
             lam = Lambda(epsilon=key[2], delta=key[3])
-            pairs[key] = (a, _det_one(b0 if lam.is_zero else rp.sigma_conjugate(b0, lam)))
+            b = b0 if lam.is_zero else rp.sigma_conjugate(b0, lam)
+            pairs[key] = (a, sc.normalize_det_one(b))
         return pairs[key]
 
     def func(x):

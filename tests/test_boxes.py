@@ -42,6 +42,16 @@ def random_lambda(rng):
     return bx.Lambda(u=u, v=v)
 
 
+def inside(box, point, strict=True):
+    """Whether a point lies in the convex interior of a box: the chart
+    test of ``containment_check``, in the box's adapted basis."""
+    return bx.in_standard_interior(sc.mat_vec(bx.interior_basis(box), point.coords), strict)
+
+
+# chart coordinates of an 8 x 8 grid of interior sample points
+TICKS = [Fraction(2 * k + 1, 8) - 1 for k in range(8)]
+
+
 def test_from_moduli_special():
     box = bx.SPECIAL_BOX
     assert box.t == Point((0, 1, 0))
@@ -263,14 +273,23 @@ def test_nesting(seed):
     rng = random.Random(seed)
     box = bx.from_moduli(random_convex_moduli(rng))
     c1, c2 = bx.tau1(box), bx.tau2(box)
+    flipped = bx.transform_i(box)
+
+    def grid(b):
+        quad = hb.convex_interior(b)
+        return [quad.point_at((x, y)) for x in TICKS for y in TICKS]
+
     # undeformed children share two corners with the parent, so the
     # inclusion is of open interiors, proper but not strict on closures
-    assert bx.nested_interiors(box, c1)
-    assert bx.nested_interiors(box, c2)
-    assert not bx.nested_strictly(box, c1)
-    assert bx.interiors_disjoint(c1, c2)
-    flipped = bx.transform_i(box)
-    assert bx.interiors_disjoint(box, flipped)
+    for child in (c1, c2):
+        assert all(inside(box, v, strict=False) for v in child.points[:4])
+        assert all(inside(box, pt) for pt in grid(child))
+    assert not all(inside(box, v) for v in c1.points[:4])
+    # siblings, and a box and its flip, have disjoint open interiors
+    for one, two in ((c1, c2), (box, flipped)):
+        for a, b in ((one, two), (two, one)):
+            assert not any(inside(a, v) for v in b.points[:4])
+            assert not any(inside(a, pt) for pt in grid(b))
 
 
 def test_strict_nesting_deformed():
@@ -278,24 +297,32 @@ def test_strict_nesting_deformed():
     lam = bx.Lambda(u=Fraction(8, 10), v=Fraction(1, 1))  # eps < 0, interior of R
     assert bx.in_region(lam, strict=True)
     for child in (bx.tau1_lambda(box, lam), bx.tau2_lambda(box, lam)):
-        assert bx.nested_strictly(box, child)
+        assert all(inside(box, v) for v in child.points[:4])
 
 
 def test_convex_interior_center():
     quad = hb.convex_interior(bx.SPECIAL_BOX)
     center = Point((0, 1, 1))
-    assert quad.contains(center, strict=True)
+    assert quad.point_at((0, 0)) == center
+    assert inside(bx.SPECIAL_BOX, center)
     with pytest.raises(NotConvex):
         hb.convex_interior(bx.from_moduli(bx.BoxModuli(2, 0)))
 
 
 def test_moduli_equivalence():
-    m = bx.BoxModuli(Fraction(1, 2), Fraction(1, 3))
-    assert bx.moduli_equivalence(m, bx.BoxModuli(Fraction(-1, 3), Fraction(1, 2)))
-    assert not bx.moduli_equivalence(m, bx.BoxModuli(Fraction(1, 3), Fraction(1, 2)))
-    z = bx.BoxModuli(0, 0)
-    assert bx.moduli_equivalence(z, z)
-    assert len(set(z.orbit())) == 1
+    # the moduli pairs equivalent to (zeta_t, zeta_b) are the four that
+    # the duality action visits before it returns; the special box is fixed
+    d = pj.duality(sc.IDENTITY)
+    box = bx.from_moduli(bx.BoxModuli(Fraction(1, 2), Fraction(1, 3)))
+    orbit = []
+    for _ in range(4):
+        orbit.append(bx.moduli(box))
+        box = bx.apply_symmetry_to_box(d, box)
+    assert bx.moduli(box) == orbit[0]
+    assert orbit[1] == bx.BoxModuli(Fraction(-1, 3), Fraction(1, 2))
+    assert bx.BoxModuli(Fraction(1, 3), Fraction(1, 2)) not in orbit
+    assert len(set(orbit)) == 4
+    assert bx.moduli(bx.apply_symmetry_to_box(d, bx.SPECIAL_BOX)) == bx.BoxModuli(0, 0)
 
 
 def test_marked_box_class_equality():
@@ -305,11 +332,21 @@ def test_marked_box_class_equality():
     assert not bx.marked_equal(box, other)
 
 
+def dual_box(box):
+    """The dual box (P, Q, R, S; T, B) in the dual plane.
+
+    The top points P, Q, T of the dual all pass through t in the
+    original plane, and the bottom points R, S, B through b, so the
+    incidence pattern of a box is preserved with no reordering.
+    """
+    return bx.OvermarkedBox(*(Point(line.coords) for line in box.lines))
+
+
 def test_dual_box_structure():
     box = bx.from_moduli(bx.BoxModuli(Fraction(1, 2), Fraction(1, 3)))
-    db = bx.dual_box(box)
+    db = dual_box(box)
     # dualizing twice returns the same marked box
-    assert bx.marked_equal(bx.dual_box(db), box)
+    assert bx.marked_equal(dual_box(db), box)
     # the plain dual swaps and negates the moduli
     m = bx.moduli(db)
     assert m.zeta_t == Fraction(-1, 3) and m.zeta_b == Fraction(-1, 2)
@@ -321,8 +358,7 @@ def test_duality_action_rotates_moduli():
     box = bx.from_moduli(bx.BoxModuli(Fraction(1, 2), Fraction(1, 3)))
     d = pj.duality(sc.IDENTITY)
     img = bx.apply_symmetry_to_box(d, box)
-    m = bx.moduli(img)
-    assert bx.moduli_equivalence(bx.moduli(box), m)
+    assert bx.moduli(img) == bx.BoxModuli(Fraction(-1, 3), Fraction(1, 2))
 
 
 def test_dual_reversal():
@@ -330,17 +366,15 @@ def test_dual_reversal():
     # contains the dual of its parent (open interiors; the quads share
     # two boundary corners, so the inclusion is not strict at closures)
     box = bx.from_moduli(bx.BoxModuli(Fraction(1, 2), Fraction(1, 3)))
+    db = dual_box(box)
+    quad = hb.convex_interior(db)
+    grid = [quad.point_at((x, y)) for x in TICKS for y in TICKS]
     for child in (bx.tau1(box), bx.tau2(box)):
-        db, dc = bx.dual_box(box), bx.dual_box(child)
-        for corner in (db.p, db.q, db.r, db.s):
-            assert bx.interior_contains(dc, corner, strict=False)
-        for pt in bx._interior_grid(bx.theta_basis(db), 8):
-            assert bx.interior_contains(dc, pt, strict=True)
+        dc = dual_box(child)
+        assert all(inside(dc, corner, strict=False) for corner in db.points[:4])
+        assert all(inside(dc, pt) for pt in grid)
         # proper inclusion: the child's dual interior is strictly bigger
-        assert any(
-            not bx.interior_contains(db, corner, strict=False)
-            for corner in (dc.p, dc.q, dc.r, dc.s)
-        )
+        assert not all(inside(db, corner, strict=False) for corner in dc.points[:4])
 
 
 def test_chart_coords_float_branch_rounds_as_to_mpf():

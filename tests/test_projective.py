@@ -11,8 +11,6 @@ from pappuslab import scalars as sc
 from pappuslab.errors import (
     CoincidentLines,
     CoincidentPoints,
-    DegeneratePair,
-    NotCollinear,
     PappusLabError,
 )
 
@@ -64,66 +62,6 @@ def test_meet_examples():
     assert pj.meet(pj.Line((1, 0, 1)), pj.Line((-1, -1, 0))) == pj.Point((-1, 1, 1))
     with pytest.raises(CoincidentLines):
         pj.meet(pj.Line((1, 0, 1)), pj.Line((2, 0, 2)))
-
-
-def affine_point(x):
-    """Point at affine coordinate x on the line {z = 0}, x = None for infinity."""
-    if x is None:
-        return pj.Point((1, 0, 0))
-    x = Fraction(x)
-    return pj.Point((x.numerator, x.denominator, 0))
-
-
-def test_cross_ratio_affine_example():
-    # a = -1, x = 0, y = 1/2, b = 1 gives (1.5/1) * (1/0.5) = 3
-    val = pj.cross_ratio(
-        affine_point(-1), affine_point(0), affine_point(Fraction(1, 2)), affine_point(1)
-    )
-    assert val == 3
-
-
-def test_cross_ratio_coincident_middle_pair():
-    assert pj.cross_ratio(affine_point(-1), affine_point(0), affine_point(0), affine_point(1)) == 1
-
-
-def test_cross_ratio_infinity_and_six_values():
-    # harmonic quadruple with the point at infinity in different slots
-    a, x, y, inf = affine_point(-1), affine_point(0), affine_point(1), affine_point(None)
-    v = pj.cross_ratio(a, x, y, inf)
-    assert v == 2
-    # swapping the middle pair inverts the value
-    assert pj.cross_ratio(a, y, x, inf) == Fraction(1, 2)
-    assert v * pj.cross_ratio(a, y, x, inf) == 1
-    # with infinity in the third slot the quadruple is harmonic: value -1,
-    # which sits in the same six-value orbit (1 - v maps 2 to -1)
-    assert pj.cross_ratio(a, x, inf, y) == -1
-
-
-def test_cross_ratio_not_collinear():
-    with pytest.raises(NotCollinear):
-        pj.cross_ratio(affine_point(0), affine_point(1), pj.Point((0, 0, 1)), affine_point(2))
-
-
-def test_cross_ratio_degenerate():
-    with pytest.raises(DegeneratePair):
-        pj.cross_ratio(affine_point(0), affine_point(0), affine_point(1), affine_point(2))
-    with pytest.raises(DegeneratePair):
-        pj.cross_ratio(affine_point(0), affine_point(0), affine_point(0), affine_point(0))
-
-
-@given(st.integers(0, 10**6))
-@settings(max_examples=30, deadline=None)
-def test_cross_ratio_invariance(seed):
-    rng = random.Random(seed)
-    g = rational_transformation(rng)
-    xs = []
-    while len(xs) < 4:
-        c = Fraction(rng.randint(-20, 20), rng.randint(1, 10))
-        if c not in xs:
-            xs.append(c)
-    pts = [affine_point(c) for c in xs]
-    imgs = [pj.Point(g.point_image_coords(p.coords)) for p in pts]
-    assert pj.cross_ratio(*pts) == pj.cross_ratio(*imgs)
 
 
 @given(st.integers(0, 10**6))

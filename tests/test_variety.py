@@ -10,7 +10,7 @@ from pappuslab import representation as rp
 from pappuslab import scalars as sc
 from pappuslab import variety as vy
 from pappuslab.boxes import BoxModuli, Lambda
-from pappuslab.errors import IdentityInput, OutsideRegion, SpecialBox
+from pappuslab.errors import OutsideRegion, SpecialBox
 
 M_TEST = BoxModuli(Fraction(1, 2), Fraction(1, 3))
 LAM_ZERO = Lambda(epsilon=0, delta=0)
@@ -60,16 +60,40 @@ def test_psi3_is_inverse_trace():
         assert vy.psi_eval(m, IDENTITY)[2] == tr_inv
 
 
+# Over tenths moduli in [-0.8, 0.8] and three in-region deformations, the
+# det-one generator images have |trace| and |second symmetric function| at
+# most 7.1e-15 at 53 bits (6.1e-18 at 64), two decades below TRACE_TOL, and
+# |A^3 - Id| at most 3.9e-14, far below the cube test's sqrt(TRACE_TOL).  A
+# det-one integer matrix of other order has an integer trace or second
+# symmetric function of at least 1 in absolute value.
+TRACE_TOL = mpf("1e-12")
+
+
+def order3_criteria(a, tol=TRACE_TOL):
+    """(trace criterion, cube test) of a matrix: whether its trace and
+    second symmetric function vanish, and whether its cube is the
+    identity.  For a det-one matrix other than the identity the two
+    agree."""
+    af = sc.mat_to_mpf(a)
+    by_trace = abs(af[0][0] + af[1][1] + af[2][2]) <= tol and abs(sc.second_symmetric(af)) <= tol
+    cube = sc.mat_mul(af, sc.mat_mul(af, af))
+    by_cube = sc.mat_max_abs(sc.mat_sub(cube, IDENTITY)) <= mpmath.sqrt(tol)
+    return by_trace, by_cube
+
+
 def test_order3_rotation():
     c = mpf(-1) / 2
     s = mpmath.sqrt(3) / 2
     rot = ((1, 0, 0), (0, c, -s), (0, s, c))
-    assert vy.order3_trace_check(rot)
+    assert order3_criteria(rot) == (True, True)
 
 
 def test_order3_generator_image():
-    a = sc.normalize_det_one(sc.mat_to_mpf(rp.matrix_A(M_TEST)))
-    assert vy.order3_trace_check(a)
+    for m in (M_TEST, BoxModuli(Fraction(-8, 10), Fraction(7, 10))):
+        for lam in (LAM_ZERO, bx.LAMBDA_ZERO, Lambda(epsilon=-0.2, delta=0.05)):
+            p = vy.generator_pair(m, lam)
+            assert order3_criteria(p.a) == (True, True)
+            assert order3_criteria(p.b) == (True, True)
 
 
 def test_order3_negative_and_identity():
@@ -77,9 +101,10 @@ def test_order3_negative_and_identity():
     m = random_sl3(rng)
     while m[0][0] + m[1][1] + m[2][2] == 0:
         m = random_sl3(rng)
-    assert not vy.order3_trace_check(m)
-    with pytest.raises(IdentityInput):
-        vy.order3_trace_check(IDENTITY)
+    assert order3_criteria(m) == (False, False)
+    # the identity is the one det-one cube root of Id that the trace
+    # criterion misses, which is why the criterion excludes it
+    assert order3_criteria(IDENTITY) == (False, True)
 
 
 def test_jacobian_psi_matches_fd():
