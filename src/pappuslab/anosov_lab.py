@@ -10,13 +10,11 @@ step words.  Everything here measures how fast those boxes shrink:
   sampled and so estimated from above;
 - ``limit_point``: the nested-intersection point (with its dual line)
   for a periodic word, the discrete analogue of the boundary map;
-- ``doubling_check``: crossing-counted norm doubling along sequences;
 - ``loxodromy_scan``: eigenvalue-gap survey of short words.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import cache
 
@@ -34,7 +32,6 @@ from .errors import (
     ComplexSpectrum,
     DegenerateConfiguration,
     NoConvergence,
-    PappusLabError,
     NonLoxodromic,
     NotInRegionInterior,
     NotInSubgroupO,
@@ -233,101 +230,6 @@ def limit_point(
         diameter_at_stop=diameter(depth),
         depth=depth,
     )
-
-
-# ---------------------------------------------------------------------------
-# doubling diagnostic
-
-
-def doubling_check(
-    rep: rp.Representation,
-    budget: int = 24,
-    sequences: int = 20,
-    seed: int = 0,
-    resolution: int = 8,
-    fixed_sequence=None,
-    window: int = None,
-    direction=(1, 0.3),
-) -> dict:
-    """Crossing-counted doubling of the Hilbert norm along sequences.
-
-    For each crossing sequence (random step words, or a fixed one), the
-    norm of a fixed direction at a deep interior point is measured in
-    every box of the sequence; the report records the worst observed
-    growth over a window of N steps (2N crossings), where N is the
-    smallest integer with C^N > 2 for the sampled distortion constant
-    C, and whether that growth certifies doubling.
-    """
-    if not bx.in_region(rep.lam):
-        raise NotInRegionInterior("deformation outside the admissible region")
-
-    if window is None:
-        c = constant_C(rep, resolution=resolution)
-        if c > 1:
-            window = int(mpmath.ceil(mpmath.log(2) / mpmath.log(c)))
-        else:
-            window = budget // 2
-    else:
-        c = None
-
-    box = bx.from_moduli(rep.moduli)
-    corners = [sc.vec_to_mpf(p.coords) for p in (box.p, box.q, box.r, box.s)]
-    step_mats = {w: sc.mat_to_mpf(g) for w, g in rep.step_images.items()}
-
-    rng = random.Random(seed)
-    runs = (
-        [tuple(fixed_sequence)]
-        if fixed_sequence is not None
-        else [
-            tuple(rng.choice(W_STEPS) for _ in range(budget))
-            for _ in range(sequences)
-        ]
-    )
-
-    worst = None
-    for steps in runs:
-        mats = [sc.mat_to_mpf(sc.IDENTITY)]
-        for w in steps:
-            mats.append(sc.mat_mul(mats[-1], step_mats[w]))
-        quads = []
-        for g in mats:
-            try:
-                quads.append(hb.ConvexQuad(tuple(Point(sc.mat_vec(g, cm)) for cm in corners)))
-            except PappusLabError:
-                # the box contracted below working precision; stop here
-                break
-        # base point and tangent: the chart center of the deepest usable
-        # box (interior to every box of the nested run) and a fixed
-        # nearby point defining one projective direction; each box's
-        # norm sees that same tangent through its own chart (secant
-        # pushforward)
-        t = mpf("1e-8")
-        center = offset = None
-        while quads:
-            try:
-                center = quads[-1].point_at((mpf(0), mpf(0)))
-                offset = quads[-1].point_at(
-                    (t * sc.to_mpf(direction[0]), t * sc.to_mpf(direction[1]))
-                )
-                break
-            except PappusLabError:
-                quads.pop()
-        if len(quads) <= window:
-            continue
-        norms = []
-        for quad in quads:
-            cc = tuple(sc.to_mpf(c) for c in quad.chart(center))
-            co = tuple(sc.to_mpf(c) for c in quad.chart(offset))
-            norms.append(hb.hilbert_norm(quad, center, (co[0] - cc[0], co[1] - cc[1])))
-        for n in range(len(norms) - window):
-            growth = norms[n + window] / norms[n]
-            worst = growth if worst is None else min(worst, growth)
-    return {
-        "constant": c,
-        "window": window,
-        "worst_growth": worst,
-        "certified": worst is not None and worst >= 2,
-    }
 
 
 # ---------------------------------------------------------------------------

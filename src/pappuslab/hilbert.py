@@ -119,23 +119,6 @@ def hilbert_distance(domain: ConvexQuad, x: Point, y: Point):
     return mpmath.log(ratio) / 2
 
 
-def hilbert_norm(domain: ConvexQuad, x: Point, v):
-    """Finsler norm of a chart direction v at an interior point x.
-
-    Equals (|v|/2) (1/|x-p^-| + 1/|x-p^+|) for the two boundary hits of
-    the chart line through x with direction v; infinitesimal version of
-    hilbert_distance.
-    """
-    cx = _float_chart(domain, x)
-    if max(abs(cx[0]), abs(cx[1])) >= 1:
-        raise OutsideDomain("norm is defined at interior points")
-    d = (sc.to_mpf(v[0]), sc.to_mpf(v[1]))
-    if d[0] == 0 and d[1] == 0:
-        raise OutsideDomain("zero direction")
-    t_minus, t_plus = _square_hit_times(cx, d)
-    return (1 / t_minus + 1 / t_plus) / 2
-
-
 # ---------------------------------------------------------------------------
 # distortion (sampled in float64)
 #

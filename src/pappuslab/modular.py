@@ -114,7 +114,9 @@ class GroupWord:
         return len(self.letters)
 
     def __str__(self) -> str:
-        return " ".join("Rr" if let == "RR" else let for let in self.letters) or "e"
+        """The letters separated by spaces, or 1 for the identity: the
+        spelling of words in the command line's reports."""
+        return " ".join(self.letters) or "1"
 
     def cyclic_reduction(self):
         """(conjugator u, core w) with self = u w u^-1, w cyclically reduced."""

@@ -13,18 +13,19 @@ are immutable.
 Float kernel.  An mpf operator unwraps the ``_mpf_`` tuples of its two
 operands, makes one ``mpmath.libmp`` call at the context's precision and
 rounding, and wraps the result in a new mpf.  When every entry is an
-mpf, ``mat_mul``, ``mat_vec``, ``det3``, ``second_symmetric``,
-``adjugate``, ``is_singular`` and ``mat_inverse`` make those same libmp
-calls themselves, on the raw tuples, in the order and association of
-the operator expressions that exact and mixed inputs still evaluate,
-and wrap only the entries they return.  ``normalize_det_one`` and
-``eigen_real`` work in float mode alone: the first converts any other
-input with ``mat_to_mpf``, the second every input, and both then make
-the libmp calls of their operator formulas.  Each call rounds once, as
-the operator does, so the results are bit-identical to the operator
-path, without an mpf object per intermediate value.  The dense helpers ``det_n`` and ``nullspace`` (of
-float rows) share one n x n elimination, which runs on raw values in
-the same way; it has no operator path, as it works in mpf alone.
+mpf, ``mat_mul``, ``mat_vec``, ``det3``, ``second_symmetric`` and
+``adjugate`` make those same libmp calls themselves, on the raw tuples,
+in the order and association of the operator expressions that exact and
+mixed inputs still evaluate, and wrap only the entries they return.
+``is_singular`` and ``mat_inverse`` keep an exact matrix exact and
+convert a mixed one with ``mat_to_mpf``; ``normalize_det_one`` converts
+any matrix that is not all mpf, and ``eigen_real`` every matrix.  All
+four then make the libmp calls of their operator formulas.  Each call
+rounds once, as the operator does, so the results are bit-identical to
+the operator path, without an mpf object per intermediate value.  The
+dense helpers ``det_n`` and ``nullspace`` share one n x n elimination,
+which runs on raw values in the same way; it has no operator path, as
+it works in mpf alone, whatever the entries of its rows.
 """
 
 from __future__ import annotations
@@ -379,37 +380,41 @@ def is_singular(m: Mat3, d) -> bool:
     """Whether d = det(m) counts as zero.
 
     Exactly zero in exact mode (an exact d comes only from an exact m);
-    in float mode, |d| <= float_epsilon() * max(max|m|^3, 1).
+    otherwise d is an mpf and the test is |d| <= float_epsilon() *
+    max(max|m|^3, 1), with m converted by ``mat_to_mpf`` if it is not all
+    mpf.
     """
     if is_exact(d):
         return d == 0
-    if type(d) is mpf and _is_float(m):
-        return _is_singular(_raw(m), d._mpf_, *mpmath.mp._prec_rounding)
-    return abs(to_mpf(d)) <= float_epsilon() * max(to_mpf(mat_max_abs(m)) ** 3, mpf(1))
+    if not _is_float(m):
+        m = mat_to_mpf(m)
+    return _is_singular(_raw(m), d._mpf_, *mpmath.mp._prec_rounding)
 
 
 def mat_inverse(m: Mat3) -> Mat3:
-    """Inverse via the adjugate; exact in rational mode.
+    """Inverse via the adjugate; exact in rational mode, and in float
+    mode for any other matrix, converted by ``mat_to_mpf`` if it is not
+    all mpf.
 
     Raises SingularMatrix when ``is_singular`` holds for det(m).
     """
-    if type(m[0][0]) is mpf and _is_float(m):
-        prec, rnd = mpmath.mp._prec_rounding
-        r = _raw(m)
-        d = _det3(r, prec, rnd)
-        if _is_singular(r, d, prec, rnd):
-            raise SingularMatrix("matrix determinant is zero at the working precision")
-        # mat_scale(adjugate(m), 1 / d)
-        inv = mpf_rdiv_int(1, d, prec, rnd)
-        adj = _adjugate(r, prec, rnd)
-        return tuple(tuple([_wrap(mpf_mul(x, inv, prec, rnd)) for x in row]) for row in adj)
-    d = det3(m)
-    if is_singular(m, d):
+    if not _is_float(m):
+        if mat_is_exact(m):
+            d = det3(m)
+            if d == 0:
+                raise SingularMatrix("matrix determinant is zero at the working precision")
+            dd = Fraction(d)
+            return tuple(tuple(Fraction(x) / dd for x in row) for row in adjugate(m))
+        m = mat_to_mpf(m)
+    prec, rnd = mpmath.mp._prec_rounding
+    r = _raw(m)
+    d = _det3(r, prec, rnd)
+    if _is_singular(r, d, prec, rnd):
         raise SingularMatrix("matrix determinant is zero at the working precision")
-    if is_exact(d):
-        dd = Fraction(d)
-        return tuple(tuple(Fraction(x) / dd for x in row) for row in adjugate(m))
-    return mat_scale(adjugate(m), 1 / to_mpf(d))
+    # mat_scale(adjugate(m), 1 / d)
+    inv = mpf_rdiv_int(1, d, prec, rnd)
+    adj = _adjugate(r, prec, rnd)
+    return tuple(tuple([_wrap(mpf_mul(x, inv, prec, rnd)) for x in row]) for row in adj)
 
 
 def normalize_det_one(m: Mat3) -> Mat3:
@@ -555,7 +560,7 @@ def _eigenvector(m: Mat3, lam: mpf) -> Vec3:
     return vec_scale(best, 1 / n)
 
 
-def eigen_real(m: Mat3, newton_steps: int = 2) -> EigenResult:
+def eigen_real(m: Mat3) -> EigenResult:
     """Real eigen-decomposition of a 3x3 matrix in float mode.
 
     Closed-form roots of the characteristic cubic and two Newton
@@ -575,7 +580,7 @@ def eigen_real(m: Mat3, newton_steps: int = 2) -> EigenResult:
     two_trace = mpf_mul_int(trace, 2, prec, rnd)
     polished = []
     for x in roots:
-        for _ in range(newton_steps):
+        for _ in range(2):
             # the derivative 3 * x * x - 2 * trace * x + e2
             dp = mpf_mul(mpf_mul_int(x, 3, prec, rnd), x, prec, rnd)
             dp = mpf_add(mpf_sub(dp, mpf_mul(two_trace, x, prec, rnd), prec, rnd), e2, prec, rnd)
@@ -678,40 +683,10 @@ def nullspace(rows) -> list:
     vector per free column, with 1 at that column and 0 at the other free
     columns.
 
-    Exact rows (every entry int or Fraction) give the exact rational
-    nullspace.  Otherwise the rows are reduced in mpf by ``_row_echelon``
-    with the floor NULLSPACE_REL_TOL * max(max|entry|, 1), and each
-    vector is solved for by back-substitution.
+    The rows are reduced in mpf, whatever their entries, by
+    ``_row_echelon`` with the floor NULLSPACE_REL_TOL * max(max|entry|,
+    1), and each vector is solved for by back-substitution.
     """
-    if all(is_exact(x) for row in rows for x in row):
-        a = [[Fraction(x) for x in row] for row in rows]
-        nrows, ncols = len(a), len(a[0])
-        pivots = []
-        r = 0
-        for c in range(ncols):
-            piv = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-            if piv is None:
-                continue
-            a[r], a[piv] = a[piv], a[r]
-            inv = 1 / a[r][c]
-            a[r] = [x * inv for x in a[r]]
-            for i in range(nrows):
-                if i != r and a[i][c] != 0:
-                    f = a[i][c]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-            pivots.append(c)
-            r += 1
-            if r == nrows:
-                break
-        free = [c for c in range(ncols) if c not in pivots]
-        basis = []
-        for fc in free:
-            v = [Fraction(0)] * ncols
-            v[fc] = Fraction(1)
-            for i, pc in enumerate(pivots):
-                v[pc] = -a[i][fc]
-            basis.append(tuple(v))
-        return basis
     prec, rnd = mpmath.mp._prec_rounding
     a = _raw_rows(rows)
     big = reduce(_max, (mpf_abs(x, prec, rnd) for row in a for x in row), fone)

@@ -98,12 +98,14 @@ def closed_form_psi_jacobian(m: BoxModuli, lam: Lambda) -> mpf:
     return abs(numerator / (2 * (1 - zt * zt) ** 2 * (1 - zb * zb) ** 2))
 
 
-def _fd_determinant(func, base, n, step):
+def _fd_determinant(func, base, n):
     """|det| of the central finite-difference Jacobian of func: R^n -> R^n
-    at the point base (columns indexed by input coordinates); func's
-    values are mpf.  The quotients (u - d) / (2 * step) run on the raw
-    values, with the libmp calls of those operators."""
+    at the point base (columns indexed by input coordinates), with step
+    FD_STEP at the working precision; func's values are mpf.  The
+    quotients (u - d) / (2 * step) run on the raw values, with the libmp
+    calls of those operators."""
     prec, rnd = mpmath.mp._prec_rounding
+    step = sc.to_mpf(FD_STEP)
     two_step = mpf_mul_int(step._mpf_, 2, prec, rnd)
     wrap = mpmath.mp.make_mpf
     cols = []
@@ -122,7 +124,7 @@ def _fd_determinant(func, base, n, step):
     return abs(sc.det_n(rows))
 
 
-def jacobian_check_psi(m: BoxModuli, lam: Lambda, step=FD_STEP) -> dict:
+def jacobian_check_psi(m: BoxModuli, lam: Lambda) -> dict:
     """Closed form versus finite differences for the smoothness
     certificate: the map (Ψ, off-diagonals of A, off-diagonals of B) on
     the 18 matrix entries, at the generator pair."""
@@ -140,7 +142,7 @@ def jacobian_check_psi(m: BoxModuli, lam: Lambda, step=FD_STEP) -> dict:
         half_b = psi_b if b == point.b else _psi_half(b)
         return half_a + half_b + _off_diagonal(a) + _off_diagonal(b)
 
-    fd = _fd_determinant(func, base, 18, sc.to_mpf(step))
+    fd = _fd_determinant(func, base, 18)
     closed = closed_form_psi_jacobian(m, lam)
     rel = abs(fd - closed) / max(abs(closed), mpf(1))
     return {
@@ -173,7 +175,7 @@ def _conjugate(g: tuple, a: tuple, b: tuple) -> tuple:
     return sc.mat_mul(g, sc.mat_mul(a, g_inv)), sc.mat_mul(g, sc.mat_mul(b, g_inv))
 
 
-def jacobian_check_phi(m: BoxModuli, step=FD_STEP) -> dict:
+def jacobian_check_phi(m: BoxModuli) -> dict:
     """Closed form versus finite differences for the parameterization
     certificate: the 13-variable map (moduli, deformation, conjugator)
     -> (off-diagonals of the two conjugated generators, det of the
@@ -213,7 +215,7 @@ def jacobian_check_phi(m: BoxModuli, step=FD_STEP) -> dict:
             a, b = _conjugate(g, a, b)
         return _off_diagonal(a) + _off_diagonal(b) + (sc.det3(g),)
 
-    fd = _fd_determinant(func, base, 13, sc.to_mpf(step))
+    fd = _fd_determinant(func, base, 13)
     rel = abs(fd - closed) / max(abs(closed), mpf(1))
     return {
         "closed_form": closed,

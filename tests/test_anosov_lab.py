@@ -216,36 +216,6 @@ def test_collapsed_component_extremities():
 
 
 # ---------------------------------------------------------------------------
-# doubling_check
-
-
-def test_doubling_deformed_certifies():
-    rep = rp.Representation(M_ZERO, lam(mpf("-0.3")))
-    rep = al.doubling_check(rep, budget=24, sequences=12, seed=1)
-    assert rep["constant"] > 2
-    assert rep["window"] >= 1
-    assert rep["worst_growth"] >= 2
-    assert rep["certified"]
-
-
-def test_doubling_undeformed_parabolic_fails():
-    # the constant sequence shadowing the parabolic word does not double
-    # within the budget: growth flattens as the boxes collapse onto a
-    # segment
-    w = GroupWord(("R", "I", "R", "I"))
-    rep = al.doubling_check(
-        rp.Representation(M_ZERO, LAM_ZERO), budget=32, fixed_sequence=[w] * 32
-    )
-    assert not rep["certified"]
-    assert rep["worst_growth"] < 2
-
-
-def test_doubling_outside_region():
-    with pytest.raises(NotInRegionInterior):
-        al.doubling_check(rp.Representation(M_ZERO, lam(mpf("0.5"))), budget=8)
-
-
-# ---------------------------------------------------------------------------
 # loxodromy_scan
 
 
@@ -822,3 +792,112 @@ def test_first_depth_below_with_equal_logs():
         return x if n <= 5 else x * ULP_FALL
 
     assert al._first_depth_below(diameter, x, 2, 100) == 6
+
+
+# ---------------------------------------------------------------------------
+# Birkhoff's contraction bound
+#
+# G. Birkhoff, "Extensions of Jentzsch's theorem", Trans. AMS 85 (1957)
+# 219-227: a projective map sending a convex domain onto a subset of
+# projective diameter Delta contracts the domain's Hilbert metric by at
+# least tanh(Delta / 4).  Each step word maps the base box onto its image
+# inside the box, so the constant C that constant_C samples is at least
+# coth(Delta / 4).  In the square chart the facet functionals 1 - x,
+# 1 + x, 1 - y and 1 + y are positive inside the box, and Delta = log r
+# for r the largest max_f f(a)/f(b) * max_f f(b)/f(a) over pairs (a, b)
+# of image vertices, so coth(Delta / 4) = (sqrt r + 1) / (sqrt r - 1).
+
+# the golden certify point, in float and exact lambda
+M_GOLDEN = BoxModuli(Fraction(3, 10), Fraction(-1, 5))
+
+exact_interior_lambdas = st.builds(
+    lambda u, v: Lambda(u=Fraction(u, 10), v=Fraction(v, 10)),
+    st.integers(5, 9),
+    st.integers(8, 12),
+).filter(lambda la: bx.in_region(la, strict=True))
+
+
+def facet_values(rep):
+    """Per step word, the facet functionals (1 - x, 1 + x, 1 - y, 1 + y)
+    at the chart points of the four corners of its image of the base box;
+    rational at an exact lambda."""
+    box = bx.from_moduli(rep.moduli)
+    per_step = []
+    for w in W_STEPS:
+        g = rep.step_images[w]
+        charts = [bx.chart_coords(sc.mat_vec(g, p.coords)) for p in (box.p, box.q, box.r, box.s)]
+        per_step.append([(1 - x, 1 + x, 1 - y, 1 + y) for x, y in charts])
+    return per_step
+
+
+def birkhoff_bound(rep):
+    """The least over the four step words of (sqrt r + 1) / (sqrt r - 1):
+    exactly 1 at a step whose image has a vertex on the square, where r
+    is infinite.  Raises NotNested when an image vertex leaves it."""
+    bounds = []
+    for values in facet_values(rep):
+        least = min(f for fs in values for f in fs)
+        if least < 0:
+            raise NotNested("an image vertex leaves the square")
+        if least == 0:
+            bounds.append(mpf(1))
+            continue
+        r = max(
+            max(fa / fb for fa, fb in zip(a, b)) * max(fb / fa for fa, fb in zip(a, b))
+            for a in values
+            for b in values
+        )
+        root = mpmath.sqrt(sc.to_mpf(r))
+        bounds.append((root + 1) / (root - 1))
+    return min(bounds)
+
+
+@pytest.mark.parametrize(
+    "moduli, la, expected",
+    [
+        # the sampled constant_C reads 1.9093, 1.6500 and 2.3956 at these
+        # points on its default 16 x 8 grid, and 1.8655, 1.6071 and
+        # 2.391209 on a 64 x 64 grid, falling towards the bound
+        (M_GOLDEN, lam(mpf("-0.15"), mpf("0.01")), "1.85099"),
+        (M_GOLDEN, Lambda(u=Fraction(9, 10), v=1), "1.59266"),
+        (M_TEST, lam(mpf("-0.2")), "2.39121"),
+    ],
+)
+def test_birkhoff_bound_values(moduli, la, expected):
+    assert mpmath.nstr(birkhoff_bound(rp.Representation(moduli, la)), 6) == expected
+
+
+@given(tenths_moduli, exact_interior_lambdas)
+@settings(max_examples=30, deadline=None)
+def test_birkhoff_bound_exceeds_one_inside_region(moduli, la):
+    # inside the region every image vertex lies strictly inside the
+    # square, decided on rationals; so C_B > 1, and crossing
+    # ceil(log 2 / log C_B) step words at least doubles the Hilbert norm
+    rep = rp.Representation(moduli, la)
+    values = [f for per_step in facet_values(rep) for fs in per_step for f in fs]
+    assert all(type(f) is Fraction and f > 0 for f in values)
+    c = birkhoff_bound(rep)
+    assert c > 1
+    steps = int(mpmath.ceil(mpmath.log(2) / mpmath.log(c)))
+    assert c**steps >= 2
+
+
+@given(tenths_moduli)
+@settings(max_examples=20, deadline=None)
+def test_birkhoff_bound_is_one_at_zero_deformation(moduli):
+    # rho_Theta is not Anosov: at the exact lambda = 0 an image vertex lies
+    # on the square, so the bound proves no contraction
+    rep = rp.Representation(moduli, bx.LAMBDA_ZERO)
+    values = [f for per_step in facet_values(rep) for fs in per_step for f in fs]
+    assert all(type(f) is Fraction and f >= 0 for f in values)
+    assert 0 in values
+    assert birkhoff_bound(rep) == 1
+
+
+@given(tenths_moduli, st.one_of(float_lambdas, exact_interior_lambdas))
+@settings(max_examples=15, deadline=None)
+def test_sampled_constant_is_at_least_birkhoff_bound(moduli, la):
+    # a sample minimum can only over-estimate the infimum C >= C_B; the
+    # slack covers the float64 sampling
+    rep = rp.Representation(moduli, la)
+    assert al.constant_C(rep) >= birkhoff_bound(rep) * (1 - mpf("1e-9"))

@@ -624,7 +624,6 @@ def test_every_public_name_is_referenced():
 
 # public names that neither the package nor the acceptance suite reads
 READ_ONLY_BY_MODULE_TESTS = (
-    "doubling_check",  # anosov_lab: to go once a closed-form contraction bound proves it
     "psi_eval",  # variety: the defining polynomials, which the certificates cut into halves
     "apply_symmetry",  # projective: the flag action, tested with ProjSymmetry.compose
     "SPECIAL_BOX",  # boxes: the moduli (0, 0) box, a fixture of the module tests

@@ -110,41 +110,6 @@ def test_distance_monotone_in_domain():
         assert d_big < d_small
 
 
-def test_norm_center_of_square():
-    # at the center, both boundary hits are at distance 1: norm of a
-    # unit axis direction is (1/1 + 1/1)/2 = 1
-    x = UNIT_SQUARE.point_at((mpf(0), mpf(0)))
-    assert abs(hb.hilbert_norm(UNIT_SQUARE, x, (1, 0)) - 1) < mpf("1e-30")
-    assert abs(hb.hilbert_norm(UNIT_SQUARE, x, (0, 1)) - 1) < mpf("1e-30")
-
-
-def test_norm_homogeneity():
-    rng = random.Random(5)
-    for _ in range(30):
-        x = interior_point(rng)
-        v = (rng.uniform(-1, 1), rng.uniform(-1, 1))
-        if v == (0, 0):
-            continue
-        n1 = hb.hilbert_norm(UNIT_SQUARE, x, v)
-        n2 = hb.hilbert_norm(UNIT_SQUARE, x, (2 * v[0], 2 * v[1]))
-        assert abs(n2 - 2 * n1) < mpf("1e-25")
-
-
-def test_norm_finite_difference_consistency():
-    rng = random.Random(9)
-    t = mpf("1e-6")
-    for _ in range(20):
-        cx = (mpf(rng.uniform(-0.8, 0.8)), mpf(rng.uniform(-0.8, 0.8)))
-        v = (mpf(rng.uniform(-1, 1)), mpf(rng.uniform(-1, 1)))
-        if v[0] == 0 and v[1] == 0:
-            continue
-        x = UNIT_SQUARE.point_at(cx)
-        y = UNIT_SQUARE.point_at((cx[0] + t * v[0], cx[1] + t * v[1]))
-        n = hb.hilbert_norm(UNIT_SQUARE, x, v)
-        fd = hb.hilbert_distance(UNIT_SQUARE, x, y) / t
-        assert abs(n - fd) < mpf("1e-4") * max(n, 1)
-
-
 def test_distortion_shrunk_square():
     inner = square_scaled(mpf(1) / 2)
     c = hb.distortion_estimate(inner, UNIT_SQUARE, resolution=16, directions=8)

@@ -31,6 +31,11 @@ def test_from_string():
     assert md.GroupWord.from_string("T2") == GroupWord(("I", "RR"))
     assert md.GroupWord.from_string("I I") == GroupWord.identity()
     assert md.GroupWord.from_string("R Rr") == GroupWord.identity()
+    # str spells a word as the command line's reports do, and reads back
+    assert str(GroupWord(("R", "I", "RR", "I"))) == "R I RR I"
+    assert str(GroupWord.identity()) == "1"
+    for w in md.enumerate_words(4)[1:]:
+        assert md.GroupWord.from_string(str(w)) == w
 
 
 def test_inverse_and_power():

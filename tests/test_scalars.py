@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
 from mpmath.ctx_mp_python import _mpf
@@ -133,6 +133,8 @@ def test_det_n_matches_det3():
 
 
 def test_nullspace_exact():
+    # exact rows are reduced in mpf, as any others; these pivots and
+    # back-substitutions are exact in it
     rows = [
         [1, 2, 3, 0],
         [0, 0, 1, 1],
@@ -140,8 +142,9 @@ def test_nullspace_exact():
     basis = sc.nullspace(rows)
     assert len(basis) == 2
     for v in basis:
+        assert all(type(x) is mpf for x in v)
         for row in rows:
-            assert sum(Fraction(r) * x for r, x in zip(row, v)) == 0
+            assert sum(r * x for r, x in zip(row, v)) == 0
 
 
 def test_precision_control():
@@ -217,14 +220,23 @@ def o_epsilon():
     return mpf(2) ** (8 - mpmath.mp.prec)
 
 
+def o_unmixed(m):
+    """m, converted with mat_to_mpf if it is neither all exact nor all mpf."""
+    if sc.mat_is_exact(m) or all(type(x) is mpf for row in m for x in row):
+        return m
+    return sc.mat_to_mpf(m)
+
+
 def o_is_singular(m, d):
     if sc.is_exact(d):
         return d == 0
+    m = o_unmixed(m)
     big = max(abs(x) for row in m for x in row)
     return abs(sc.to_mpf(d)) <= o_epsilon() * max(sc.to_mpf(big) ** 3, mpf(1))
 
 
 def o_mat_inverse(m):
+    m = o_unmixed(m)
     d = o_det3(m)
     if o_is_singular(m, d):
         raise SingularMatrix("singular")
@@ -436,6 +448,24 @@ def test_exact_and_mixed_inputs_keep_values_and_types(name, data):
     else:
         args = (m,)
     assert outcome(kernel, *args) == outcome(oracle, *args)
+
+
+MIXED = ((Fraction(1, 3), mpf(2), 0), (1, mpf("0.5"), Fraction(2, 7)), (0, 0, 3))
+
+
+@pytest.mark.parametrize("prec", (53, 128))
+@given(m=st.one_of(st.just(MIXED), mat_of(st.one_of(EXACT_ENTRY, MPF_ENTRY))))
+@settings(max_examples=40, deadline=None)
+def test_mixed_input_is_converted_to_mpf(prec, m):
+    # Fraction and mpf entries do not compare, and mpmath rounds a
+    # Fraction operand of mixed arithmetic down: a mixed matrix is
+    # converted to nearest mpfs first, as an all-mpf caller would
+    assume(not sc.mat_is_exact(m) and not all(type(x) is mpf for row in m for x in row))
+    with mpmath.workprec(prec):
+        f = sc.mat_to_mpf(m)
+        d = sc.det3(f)
+        assert outcome(sc.is_singular, m, d) == outcome(sc.is_singular, f, d)
+        assert outcome(sc.mat_inverse, m) == outcome(sc.mat_inverse, f)
 
 
 def test_identity_times_mpf_stays_on_the_operator_path():
