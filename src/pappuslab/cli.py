@@ -332,9 +332,7 @@ def cmd_certify(args) -> int:
             "the square of the translation word is conjugate to a "
             "non-loxodromic normal form"
         )
-        report["witness_normal_form"] = [
-            [sc.to_mpf(x) for x in row] for row in sc.mat_to_mpf(normal)
-        ]
+        report["witness_normal_form"] = sc.mat_to_mpf(normal)
         report["pass"] = True
         _emit(report, args.out)
         return 0
@@ -376,9 +374,7 @@ def cmd_curve(args) -> int:
     # raises NoSolution unless the obstruction vanishes
     s, residual, invertible = rp.extension_intertwiner(rep)
     # reported, but no gate: S[i][j] and S[j][i] are one value, so it is 0
-    sym = max(
-        abs(sc.to_mpf(s[i][j]) - sc.to_mpf(s[j][i])) for i in range(3) for j in range(3)
-    )
+    sym = max(abs(s[i][j] - s[j][i]) for i in range(3) for j in range(3))
     ok = h_residual <= mpf(args.tol) and residual <= INTERTWINER_RESIDUAL_TOL and invertible
     report = {
         "schema": SCHEMA,
@@ -387,7 +383,7 @@ def cmd_curve(args) -> int:
         "epsilon": eps,
         "delta": delta,
         "h_residual": h_residual,
-        "obstruction": abs(sc.to_mpf(obstruction)),
+        "obstruction": abs(obstruction),
         "intertwiner_symmetry_defect": sym,
         "intertwiner_residual": residual,
         "intertwiner_invertible": invertible,
@@ -414,17 +410,16 @@ def cmd_limit(args) -> int:
         except NonLoxodromic:
             skipped.append(w)
             continue
-        cx, cy = bx.chart_coords(sc.vec_to_mpf(sample.point.coords))
-        dual = sc.vec_to_mpf(sample.dual_point.coords)
-        top = sc.vec_max_abs(dual)
+        cx, cy = bx.chart_coords(sample.point.coords)
+        dual = sample.dual_point.coords
         rows.append(
             [
                 str(w),
                 float(cx),
                 float(cy),
-                float(dual[0] / top),
-                float(dual[1] / top),
-                float(dual[2] / top),
+                float(dual[0]),
+                float(dual[1]),
+                float(dual[2]),
                 float(sample.flag_residual),
                 sample.depth,
             ]

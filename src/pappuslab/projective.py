@@ -59,7 +59,7 @@ class _Element:
 
     coords: tuple
     # scalar mode, decided once here; exact coordinates are stored as
-    # coprime integers
+    # coprime integers, float ones as mpf of max |entry| 1
     exact: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -67,7 +67,12 @@ class _Element:
             raise PappusLabError("a %s needs a nonzero coordinate vector" % self._noun)
         exact = all(sc.is_exact(x) for x in self.coords)
         if exact:
-            object.__setattr__(self, "coords", sc.vec_exact_reduce(self.coords))
+            coords = sc.vec_exact_reduce(self.coords)
+        else:
+            coords = sc.vec_to_mpf(self.coords)
+            top = sc.vec_max_abs(coords)
+            coords = (coords[0] / top, coords[1] / top, coords[2] / top)
+        object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "exact", exact)
 
     def __eq__(self, other):

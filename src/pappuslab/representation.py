@@ -70,29 +70,11 @@ def matrix_D(m: BoxModuli) -> tuple:
     )
 
 
-def _lift_literals(m: tuple) -> tuple:
-    """m with its int entries 0 and +-1 as mpf, when every other entry is
-    an mpf; otherwise m itself.
-
-    The families above carry such literals beside their mpf entries at
-    mpf moduli or a float deformation, and one int entry keeps a matrix
-    off the float kernel of ``scalars``.  The literals are exact at any
-    precision, and products and sums of them are exact, so every bit
-    stays as the operator path gives it.  Other ints are left alone: one
-    with more bits than the precision would round.
-    """
-    flat = [x for row in m for x in row]
-    if not any(type(x) is mpf for x in flat) or not all(
-        type(x) is mpf or (type(x) is int and -1 <= x <= 1) for x in flat
-    ):
-        return m
-    return tuple(tuple(mpf(x) if type(x) is int else x for x in row) for row in m)
-
-
 def matrix_B0(m: BoxModuli) -> tuple:
     """Undeformed image of the conjugated generator: D^-1 tA^-1 D."""
-    a = _lift_literals(matrix_A(m))
-    d = _lift_literals(matrix_D(m))
+    a, d = matrix_A(m), matrix_D(m)
+    if not (sc.mat_is_exact(a) and sc.mat_is_exact(d)):
+        a, d = sc.mat_to_mpf(a), sc.mat_to_mpf(d)
     return sc.mat_mul(
         sc.mat_mul(sc.mat_inverse(d), sc.mat_inverse(sc.mat_transpose(a))), d
     )
@@ -100,7 +82,9 @@ def matrix_B0(m: BoxModuli) -> tuple:
 
 def sigma_conjugate(b0: tuple, lam: Lambda) -> tuple:
     """Sigma^-1 b0 Sigma, with Sigma = ``boxes.sigma_matrix(lam)``."""
-    sig = _lift_literals(bx.sigma_matrix(lam))
+    sig = bx.sigma_matrix(lam)
+    if not (sc.mat_is_exact(sig) and sc.mat_is_exact(b0)):
+        sig, b0 = sc.mat_to_mpf(sig), sc.mat_to_mpf(b0)
     return sc.mat_mul(sc.mat_mul(sc.mat_inverse(sig), b0), sig)
 
 
@@ -119,10 +103,12 @@ class Representation:
 
     The rotation generator maps to A = ``matrix_A(moduli)`` and its
     involution conjugate to B^lambda = ``matrix_B(moduli, lam)``, both
-    built once, in the scalar mode of the inputs (exact for rational
-    moduli and an exact deformation).  The letter and step-word images
-    are built on first use, so a caller that needs only A and B^lambda
-    (``obstruction``, ``extension_intertwiner``) never pays for them.
+    built once, in the scalar mode of the inputs: exact for rational
+    moduli and an exact deformation, and otherwise mpf, with A's
+    rationals rounded to nearest by ``sc.mat_to_mpf``.  The letter and
+    step-word images are built on first use, so a caller that needs only
+    A and B^lambda (``obstruction``, ``extension_intertwiner``) never pays
+    for them.
     """
 
     moduli: BoxModuli
@@ -131,28 +117,19 @@ class Representation:
     b: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "a", matrix_A(self.moduli))
-        object.__setattr__(self, "b", matrix_B(self.moduli, self.lam))
+        a, b = matrix_A(self.moduli), matrix_B(self.moduli, self.lam)
+        if not sc.mat_is_exact(b):
+            a = sc.mat_to_mpf(a)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @cached_property
     def letter_images(self) -> tuple:
         """Images of the rotation letters, indexed [parity of I letters][letter]:
-        A and A^2 at even parity, B^lambda and (B^lambda)^2 at odd.
-
-        In float mode all four are mpf, so that a product never converts
-        A's entries again.
-        """
+        A and A^2 at even parity, B^lambda and (B^lambda)^2 at odd, all
+        four in the scalar mode of ``b``."""
         a, b = self.a, self.b
-        a_images = {"R": a, "RR": sc.mat_mul(a, a)}
-        if not sc.mat_is_exact(b):
-            # mpmathify rounds a Fraction the way a mixed Fraction x mpf
-            # product does (sc.to_mpf rounds to nearest instead), so word
-            # images stay bit-identical to the mixed-mode products
-            a_images = {
-                let: tuple(tuple(mpmath.mpmathify(x) for x in row) for row in m)
-                for let, m in a_images.items()
-            }
-        return a_images, {"R": b, "RR": sc.mat_mul(b, b)}
+        return {"R": a, "RR": sc.mat_mul(a, a)}, {"R": b, "RR": sc.mat_mul(b, b)}
 
     @cached_property
     def step_images(self) -> dict:
@@ -337,8 +314,6 @@ def _sym_from_vector(vec) -> tuple:
 def _conjugation_system(c: tuple, b: tuple):
     """Rows of the 9x6 linear system c S - S b = 0 over the six
     independent entries of a symmetric matrix S."""
-    if not (sc.mat_is_exact(c) and sc.mat_is_exact(b)):
-        c, b = sc.mat_to_mpf(c), sc.mat_to_mpf(b)
     rows = []
     for i in range(3):
         for j in range(3):
@@ -351,12 +326,8 @@ def _conjugation_system(c: tuple, b: tuple):
 
 
 def _residual(c, b, s) -> mpf:
-    num = sc.mat_max_abs(
-        sc.mat_sub(sc.mat_mul(sc.mat_to_mpf(c), sc.mat_to_mpf(s)),
-                   sc.mat_mul(sc.mat_to_mpf(s), sc.mat_to_mpf(b)))
-    )
-    den = sc.mat_max_abs(sc.mat_to_mpf(s))
-    return sc.to_mpf(num) / sc.to_mpf(den)
+    c, b, s = sc.mat_to_mpf(c), sc.mat_to_mpf(b), sc.mat_to_mpf(s)
+    return sc.mat_max_abs(sc.mat_sub(sc.mat_mul(c, s), sc.mat_mul(s, b))) / sc.mat_max_abs(s)
 
 
 # |det(Id - A B)| / max(max|A B|^3, 1), measured at 53, 64 and 128 bits:
@@ -381,8 +352,8 @@ def _obstruction_vanishes(obs, ab) -> bool:
     times max(max|A B|^3, 1)."""
     if sc.is_exact(obs):
         return obs == 0
-    scale = max(sc.to_mpf(sc.mat_max_abs(ab)) ** 3, mpf(1))
-    return abs(sc.to_mpf(obs)) <= OBSTRUCTION_REL_TOL * scale
+    scale = max(sc.mat_max_abs(ab) ** 3, mpf(1))
+    return abs(obs) <= OBSTRUCTION_REL_TOL * scale
 
 
 def extension_intertwiner(rep: Representation) -> tuple:

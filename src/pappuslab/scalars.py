@@ -15,10 +15,10 @@ operands, makes one ``mpmath.libmp`` call at the context's precision and
 rounding, and wraps the result in a new mpf.  When every entry is an
 mpf, ``mat_mul``, ``mat_vec``, ``det3``, ``second_symmetric`` and
 ``adjugate`` make those same libmp calls themselves, on the raw tuples,
-in the order and association of the operator expressions that exact and
-mixed inputs still evaluate, and wrap only the entries they return.
+in the order and association of the operator expressions that other
+inputs still evaluate, and wrap only the entries they return.
 ``is_singular`` and ``mat_inverse`` keep an exact matrix exact and
-convert a mixed one with ``mat_to_mpf``; ``normalize_det_one`` converts
+convert any other with ``mat_to_mpf``; ``normalize_det_one`` converts
 any matrix that is not all mpf, and ``eigen_real`` every matrix.  All
 four then make the libmp calls of their operator formulas.  Each call
 rounds once, as the operator does, so the results are bit-identical to
@@ -26,6 +26,13 @@ the operator path, without an mpf object per intermediate value.  The
 dense helpers ``det_n`` and ``nullspace`` share one n x n elimination,
 which runs on raw values in the same way; it has no operator path, as
 it works in mpf alone, whatever the entries of its rows.
+
+Mixed input.  Float mode holds only mpf.  A ``Fraction`` enters it once,
+through ``to_mpf`` or ``mat_to_mpf``, rounded to nearest, where the
+parameter point decides the mode; an int converts exactly.  No
+``Fraction`` meets an mpf inside an operator, which would convert it
+rounding down, so that a float result depends only on its input and the
+precision.
 """
 
 from __future__ import annotations

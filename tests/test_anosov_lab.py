@@ -347,23 +347,6 @@ def reference_scan(rep, max_len):
     }
 
 
-def mixed_evaluate(rep, w, rotations):
-    """``evaluate`` with the rotation letters mapped to ``rotations``
-    (images of R and RR) and the conjugate letters to B^lambda."""
-    images = (rotations, rep.letter_images[1])
-    out, parity = sc.IDENTITY, 0
-    for let in w.letters:
-        if let == "I":
-            parity ^= 1
-        else:
-            out = sc.mat_mul(out, images[parity][let])
-    return out
-
-
-def mpmathify_matrix(m):
-    return tuple(tuple(mpmath.mpmathify(x) for x in row) for row in m)
-
-
 @given(tenths_moduli, st.one_of(float_lambdas, exact_lambdas))
 @settings(max_examples=12, deadline=None)
 def test_scan_tree_walk_images_match_evaluate(moduli, la):
@@ -483,47 +466,36 @@ def test_exact_verdicts():
 @pytest.mark.parametrize("moduli", [M_ZERO, M_TEST])
 def test_scan_matches_reference_with_non_loxodromic_words(moduli):
     # undeformed: parabolic words make the order of non_loxodromic matter
-    rep = rp.Representation(moduli, LAM_ZERO)
-    scan = al.loxodromy_scan(rep, max_len=SCAN_LEN)
-    assert scan["non_loxodromic"]
-    assert scan == reference_scan(rep, SCAN_LEN)
+    for la in (bx.LAMBDA_ZERO, LAM_ZERO):
+        rep = rp.Representation(moduli, la)
+        scan = al.loxodromy_scan(rep, max_len=SCAN_LEN)
+        ref = reference_scan(rep, SCAN_LEN)
+        assert scan["non_loxodromic"]
+        if la.exact:
+            assert scan == ref
+            continue
+        # at the float zero the least gap is a parabolic word's rounding
+        # noise (1 + 4.2e-20 for the class, 1.0 per word at M_TEST), so
+        # only its size is compared
+        assert scan["scanned"] == ref["scanned"]
+        assert scan["non_loxodromic"] == ref["non_loxodromic"]
+        assert max(scan["min_gap"], ref["min_gap"]) <= 1 + sc.MODULI_GAP_MARGIN
 
 
 @given(tenths_moduli, float_lambdas)
 @settings(max_examples=20, deadline=None)
-def test_float_letter_images_are_mpmathified_rotations(moduli, la):
+def test_float_letter_images_are_mpf(moduli, la):
+    # A's rationals enter float mode once, rounded to nearest, and every
+    # letter image is then a product of mpf matrices
     rep = rp.Representation(moduli, la)
-    a = rp.matrix_A(moduli)
-    rotations = {"R": a, "RR": sc.mat_mul(a, a)}
-    assert rep.a == a and sc.mat_is_exact(rep.a)
-    images = rep.letter_images[0]
-    for let, m in rotations.items():
-        assert images[let] == mpmathify_matrix(m)
-        assert all(type(x) is mpf for row in images[let] for x in row)
-    # word images equal the mixed Fraction x mpf products bit for bit;
-    # rounding the rotations to nearest (sc.to_mpf) would not
-    words = [w for w in md.enumerate_words(SCAN_LEN) if md.in_subgroup_o(w)]
-    for w in words:
-        assert rp.evaluate(rep, w) == mixed_evaluate(rep, w, rotations)
-    to_nearest = {let: sc.mat_to_mpf(m) for let, m in rotations.items()}
-    if to_nearest != images:
-        assert any(
-            mixed_evaluate(rep, w, to_nearest) != mixed_evaluate(rep, w, rotations)
-            for w in words
-        )
-
-
-def test_to_nearest_rotations_would_change_word_images():
-    rep = rp.Representation(M_TEST, lam(mpf("-0.15"), mpf("0.01")))
-    a = rp.matrix_A(M_TEST)
-    rotations = {"R": a, "RR": sc.mat_mul(a, a)}
-    to_nearest = {let: sc.mat_to_mpf(m) for let, m in rotations.items()}
-    assert to_nearest != rep.letter_images[0]
-    assert any(
-        mixed_evaluate(rep, w, to_nearest) != rp.evaluate(rep, w)
-        for w in md.enumerate_words(4)
-        if md.in_subgroup_o(w)
-    )
+    nearest = sc.mat_to_mpf(rp.matrix_A(moduli))
+    assert [bits(x) for row in rep.a for x in row] == [bits(x) for row in nearest for x in row]
+    rotations, conjugates = rep.letter_images
+    assert rotations == {"R": rep.a, "RR": sc.mat_mul(rep.a, rep.a)}
+    assert conjugates == {"R": rep.b, "RR": sc.mat_mul(rep.b, rep.b)}
+    for images in rep.letter_images:
+        for m in images.values():
+            assert all(type(x) is mpf for row in m for x in row)
 
 
 @given(tenths_moduli, exact_lambdas)

@@ -400,6 +400,19 @@ def test_iterate_depth_eight_count(tmp_path, capsys):
     assert out.read_text().count("<polygon") == 2**9 - 1
 
 
+@pytest.mark.parametrize("prec", ["53", "64", "128", "256"])
+def test_deformed_float_iterate_reaches_depth_eight(prec, tmp_path, capsys):
+    # float coordinates are stored at max |entry| 1; left to drift, they
+    # reached 3e8 at depth 4, and at depth 5 a well-conditioned frame was
+    # rejected as DegenerateBox
+    out = tmp_path / "boxes.svg"
+    code, report = run_json(
+        capsys, "--precision", prec, "iterate", "--eps=-0.1", "--depth", "8", "--out", str(out)
+    )
+    assert code == 0
+    assert report["boxes"] == 2**9 - 1
+
+
 def test_iterate_outside_region_warning(tmp_path, capsys):
     out = tmp_path / "boxes.svg"
     code, report = run_json(

@@ -7,17 +7,26 @@ meant to change), run from the repository root, naming the cases to
 record (all of them when none is named):
 
     PYTHONPATH=src python tests/test_golden.py [case ...]
+
+It prints each JSON field and CSV cell that the recording changed, as
+``old -> new``.
 """
 
 import contextlib
+import csv
 import io
+import json
 import os
 import sys
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from mpmath import mpf
 
 from pappuslab import cli
+from pappuslab import scalars as sc
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 POINT = ["--zt=3/10", "--zb=-2/10"]
@@ -82,6 +91,90 @@ def test_golden_output(name, tmp_path, monkeypatch):
         assert data == (GOLDEN / fname).read_bytes(), fname
 
 
+# the products and determinants of ``scalars``: a Fraction enters float
+# mode once, rounded to nearest by ``sc.to_mpf``, so none of them ever
+# sees a Fraction beside an mpf (a mixed operator would truncate it)
+KERNEL = ("mat_mul", "mat_vec", "det3", "adjugate", "second_symmetric", "dot", "cross")
+
+
+def _scalar_types(value, out: set) -> set:
+    if isinstance(value, (tuple, list)):
+        for item in value:
+            _scalar_types(item, out)
+    else:
+        out.add(type(value))
+    return out
+
+
+def test_no_kernel_call_mixes_fraction_and_mpf(tmp_path, monkeypatch):
+    monkeypatch.delenv(cli.PRECISION_ENV, raising=False)
+    mixed = Counter()
+
+    def guarded(name, func):
+        def call(*args):
+            types = _scalar_types(args, set())
+            if Fraction in types and mpf in types:
+                mixed[name] += 1
+            return func(*args)
+
+        return call
+
+    for name in KERNEL:
+        monkeypatch.setattr(sc, name, guarded(name, getattr(sc, name)))
+    for case in sorted(CASES):
+        (tmp_path / case).mkdir()
+        run_case(case, tmp_path / case)
+    assert not mixed, mixed
+
+
+def _fields(fname: str, data: bytes) -> dict:
+    """{field name: value} of one golden file: the exit line and JSON
+    fields of a stdout, the cells of a CSV (a row is named by its first
+    cell), or the lines of any other file."""
+    text = data.decode()
+    if fname.endswith(".csv"):
+        header, *rows = csv.reader(io.StringIO(text))
+        return {
+            "%s %s" % (row[0], col): cell
+            for row in rows
+            for col, cell in zip(header[1:], row[1:])
+        }
+    if not fname.endswith(".stdout"):
+        return {"line %d" % i: line for i, line in enumerate(text.splitlines(), 1)}
+    status, _, body = text.partition("\n")
+    out = {"exit": status}
+
+    def walk(path, value):
+        if isinstance(value, dict):
+            for key, item in value.items():
+                walk("%s.%s" % (path, key) if path else key, item)
+        elif isinstance(value, list):
+            for i, item in enumerate(value):
+                walk("%s[%d]" % (path, i), item)
+        else:
+            out[path] = value
+
+    try:
+        walk("", json.loads(body))
+    except ValueError:
+        out["text"] = body
+    return out
+
+
+def changed_fields(fname: str, old: bytes, new: bytes) -> list:
+    """'field: old -> new' for each field of ``_fields`` that differs."""
+    before, after = _fields(fname, old), _fields(fname, new)
+
+    def show(fields, key):
+        return repr(fields[key]) if key in fields else "(absent)"
+
+    return [
+        "%s: %s -> %s" % (key, show(before, key), show(after, key))
+        for key in list(before) + [k for k in after if k not in before]
+        if (key in before, before.get(key)) != (key in after, after.get(key))
+    ]
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -90,5 +183,10 @@ if __name__ == "__main__":
     for case in sys.argv[1:] or sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:
             for fname, data in run_case(case, Path(tmp)).items():
-                (GOLDEN / fname).write_bytes(data)
-                print("wrote", GOLDEN / fname, file=sys.stderr)
+                path = GOLDEN / fname
+                old = path.read_bytes() if path.exists() else None
+                path.write_bytes(data)
+                print("wrote", path, file=sys.stderr)
+                if old is not None:
+                    for line in changed_fields(fname, old, data):
+                        print("  %s %s" % (fname, line))

@@ -176,3 +176,26 @@ def test_float_mode_equality():
     assert p == q
     r = pj.Point((mpf("1.001"), mpf(2), mpf(3)))
     assert p != r
+
+
+@given(
+    st.lists(st.integers(-10**6, 10**6), min_size=3, max_size=3).filter(any),
+    st.sampled_from([mpf(10) ** 30, mpf(10) ** -30, mpf(2) ** 530, mpf(2) ** -530]),
+    st.sampled_from([pj.Point, pj.Line]),
+)
+@settings(max_examples=50, deadline=None)
+def test_float_coordinates_have_max_entry_one(ints, scale, kind):
+    # float coordinates are stored as mpf divided by their max |entry|, so
+    # a rescaled vector stores the same coordinates up to the rounding of
+    # the scale (none for a power of two); a Fraction among them is
+    # rounded to nearest first
+    coords = kind(tuple(mpf(x) * scale for x in ints)).coords
+    assert all(type(x) is mpf for x in coords)
+    assert sc.vec_max_abs(coords) == 1
+    unscaled = kind(tuple(mpf(x) for x in ints)).coords
+    if scale in (mpf(2) ** 530, mpf(2) ** -530):
+        assert coords == unscaled
+    assert max(abs(x - y) for x, y in zip(coords, unscaled)) <= sc.float_epsilon()
+    mixed = kind((Fraction(ints[0], 3), mpf(ints[1]), ints[2])).coords
+    assert mixed == kind(sc.vec_to_mpf((Fraction(ints[0], 3), ints[1], ints[2]))).coords
+    assert sc.vec_max_abs(mixed) == 1

@@ -315,6 +315,17 @@ def test_intertwiner_on_curve():
     assert invertible
 
 
+def test_obstruction_multiplies_two_mpf_matrices():
+    # A is rounded to nearest once, not truncated inside a mixed product
+    m = BoxModuli(Fraction(3, 10), Fraction(-1, 5))
+    eps = mpf("-0.05")
+    rep = rp.Representation(m, Lambda(epsilon=eps, delta=rp.solve_delta_h(m, eps)))
+    ab = sc.mat_mul(sc.mat_to_mpf(rp.matrix_A(m)), rep.b)
+    obs, product = rp.obstruction(rep)
+    assert _typed_bits(product) == _typed_bits(ab)
+    assert obs._mpf_ == sc.det3(sc.mat_sub(sc.IDENTITY, ab))._mpf_
+
+
 def test_intertwiner_off_curve():
     lam = Lambda(epsilon=mpf("-0.1"), delta=mpf("0.5"))
     obs, _ = rp.obstruction(rp.Representation(M_TEST, lam))
@@ -466,10 +477,19 @@ def test_nullspace_dimension_equals_svd_r_on_acceptance_07_family():
 # float deformation, with the bits of the operator formula
 
 
+def _nearest(m):
+    # m with its Fractions rounded to nearest and its ints left in place
+    return tuple(tuple(sc.to_mpf(x) if type(x) is Fraction else x for x in row) for row in m)
+
+
 def _operator_matrix_B(m, lam):
-    # matrix_B0 and matrix_B with their int literals left in place
+    # matrix_B0 and matrix_B with their int literals left in place; where
+    # the point is in float mode, every Fraction is rounded to nearest
+    # before it meets an mpf
     a, d, sig = rp.matrix_A(m), rp.matrix_D(m), bx.sigma_matrix(lam)
     b0 = sc.mat_mul(sc.mat_mul(sc.mat_inverse(d), sc.mat_inverse(sc.mat_transpose(a))), d)
+    if not (sc.mat_is_exact(b0) and sc.mat_is_exact(sig)):
+        b0, sig = _nearest(b0), _nearest(sig)
     return sc.mat_mul(sc.mat_mul(sc.mat_inverse(sig), b0), sig)
 
 
@@ -499,18 +519,6 @@ def test_matrix_B_matches_operator_bits(prec, zt, zb, eps, delta, kind):
         assert _typed_bits(rp.matrix_B0(moduli)) == _typed_bits(
             _operator_matrix_B(moduli, LAMBDA_ZERO)
         )
-
-
-def test_lift_leaves_other_ints_and_exact_matrices_alone():
-    big = 2**300 + 1
-    mixed = ((mpf(2), 0, 1), (0, big, -1), (1, 0, mpf(3)))
-    assert rp._lift_literals(mixed) is mixed
-    exact = ((1, 0, 0), (0, Fraction(1, 3), -1), (0, 1, 1))
-    assert rp._lift_literals(exact) is exact
-    literal = ((mpf(2), 0, 1), (0, mpf(5), -1), (1, 0, mpf(3)))
-    lifted = rp._lift_literals(literal)
-    assert all(type(x) is mpf for row in lifted for x in row)
-    assert _typed_bits(lifted) == _typed_bits(sc.mat_to_mpf(literal))
 
 
 # the bisection evaluates h with epsilon's cosh and sinh fixed; it must

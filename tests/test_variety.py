@@ -240,8 +240,8 @@ PINNED_BITS = {
         (0, 6948225903941715, -83, 53),
     ),
     (53, "3/10", "-7/10", "psi_deformed"): (
-        (0, 7530407162938491, -47, 53),
-        (0, 8327685221601131, -83, 53),
+        (0, 7530407162938489, -47, 53),
+        (0, 8327687790228919, -83, 53),
     ),
     (53, "3/10", "-7/10", "phi"): (
         (0, 4692521472158361, -39, 53),
@@ -252,8 +252,8 @@ PINNED_BITS = {
         (0, 2351805761848218747, -103, 62),
     ),
     (64, "-1/2", "1/2", "psi_deformed"): (
-        (0, 10252493534927766709, -58, 64),
-        (0, 2672360736839097997, -103, 62),
+        (0, 10252493534927849293, -58, 64),
+        (0, 11016193217230170955, -105, 64),
     ),
     (64, "-1/2", "1/2", "phi"): (
         (0, 11386879057904150169, -52, 64),
@@ -264,8 +264,8 @@ PINNED_BITS = {
         (0, 2925259, -63, 22),
     ),
     (64, "0", "1/2", "psi_deformed"): (
-        (0, 12886377889612705195, -59, 64),
-        (0, 1586695905896127505, -102, 61),
+        (0, 12886377889612143547, -59, 64),
+        (0, 2731391162476449203, -103, 62),
     ),
     (64, "0", "1/2", "phi"): (
         (0, 597811150539555707, -50, 60),
@@ -276,8 +276,8 @@ PINNED_BITS = {
         (0, 1954720974272910417, -102, 61),
     ),
     (64, "3/10", "-7/10", "psi_deformed"): (
-        (0, 1927784235372984057, -55, 61),
-        (0, 16578109509913920519, -105, 64),
+        (0, 7711136941491436933, -57, 63),
+        (0, 1743942917758999087, -102, 61),
     ),
     (64, "3/10", "-7/10", "phi"): (
         (0, 9610283975179349183, -50, 64),
@@ -288,8 +288,8 @@ PINNED_BITS = {
         (0, 169553000072334406457927369091710053253, -234, 127),
     ),
     (128, "-1/2", "1/2", "psi_deformed"): (
-        (0, 189125124356124435043388368872433112303, -122, 128),
-        (0, 298937072526773910945642902393415054959, -235, 128),
+        (0, 189125124356124435043388368872433214985, -122, 128),
+        (0, 268959664890686904292290156218970871805, -235, 128),
     ),
     (128, "-1/2", "1/2", "phi"): (
         (0, 210050843779413716235828484235192325983, -116, 128),
@@ -300,8 +300,8 @@ PINNED_BITS = {
         (0, 475947, -126, 19),
     ),
     (128, "0", "1/2", "psi_deformed"): (
-        (0, 237711714966720583196837834852426022719, -123, 128),
-        (0, 194553109050067094002215468851764374289, -236, 128),
+        (0, 237711714966720583196837834852425071969, -123, 128),
+        (0, 79527484926936572443373197545248139967, -233, 126),
     ),
     (128, "0", "1/2", "phi"): (
         (0, 88221354387293768612471179790108999823, -117, 127),
@@ -312,8 +312,8 @@ PINNED_BITS = {
         (0, 4594488123830634657941152621628287265, -228, 122),
     ),
     (128, "3/10", "-7/10", "psi_deformed"): (
-        (0, 284490739353942077887178779811865896273, -122, 128),
-        (0, 87844648015979611009723651655852950349, -232, 127),
+        (0, 142245369676971038943589389905932997715, -121, 127),
+        (0, 42719549421964903546532036466849981913, -231, 126),
     ),
     (128, "3/10", "-7/10", "phi"): (
         (0, 177278448965789749171514767683918298295, -114, 128),
@@ -336,8 +336,8 @@ PINNED_BITS = {
         (0, 123197, -254, 17),
     ),
     (256, "0", "1/2", "psi_deformed"): (
-        (0, 5055569063356947052488446550393557673894233118678428718056746883306420253079, -247, 252),
-        (0, 93465688960322316548468793786294108104082537316237091464537086060940565312253, -493, 256),
+        (0, 80889105013711152839815144806296922782307729898854859488907950132902724075997, -251, 256),
+        (0, 5313372537309568427980164476584279878856943544820933597773236286014332534703, -489, 252),
     ),
     (256, "0", "1/2", "phi"): (
         (0, 15010085641939621237300197808773892261770723849489771192619934207965235377771, -244, 254),
@@ -348,8 +348,8 @@ PINNED_BITS = {
         (0, 87243541801964098663435710667144032629740005936635541121580140484924031184815, -492, 256),
     ),
     (256, "3/10", "-7/10", "psi_deformed"): (
-        (0, 96807182154447186060584291125927109044526414946327831014162174572373247194857, -250, 256),
-        (0, 91692992847454907048327221195791620877514397352204225912985720277104979403781, -493, 256),
+        (0, 96807182154447186060584291125927109044526414946327831014162174572373247308287, -250, 256),
+        (0, 30414393569185378173696693112753284313746274806906321476985968597710344589761, -491, 255),
     ),
     (256, "3/10", "-7/10", "phi"): (
         (0, 30162365109075865651177133915115149248047837783439376580779769122230398542279, -241, 255),
@@ -373,6 +373,17 @@ def test_certificate_bits_are_pinned(prec):
             for name, report in reports.items():
                 bits = (report["finite_difference"]._mpf_, report["relative_error"]._mpf_)
                 assert bits == PINNED_BITS[(prec, zt, zb, name)], name
+
+
+@pytest.mark.parametrize("prec", [53, 64, 128])
+def test_float_and_exact_zero_deformations_agree(prec):
+    # B at the float zero is B0 rounded to nearest, as at the exact zero
+    # that the variety command uses: the certificate is the same, bit for bit
+    m = BoxModuli(Fraction(3, 10), Fraction(-7, 10))
+    with mpmath.workprec(prec):
+        reports = [vy.jacobian_check_psi(m, lam) for lam in (LAM_ZERO, bx.LAMBDA_ZERO)]
+    for key in ("closed_form", "finite_difference", "relative_error"):
+        assert reports[0][key]._mpf_ == reports[1][key]._mpf_, key
 
 
 def test_psi_check_reuses_the_unmoved_half(monkeypatch):
