@@ -114,6 +114,10 @@ def _chart_diameter(box_points) -> mpf:
     return mpmath.sqrt(mpmath.mp.make_mpf(best))
 
 
+def _flat(m: tuple) -> list:
+    return [x for row in m for x in row]
+
+
 def _spectrum(g: tuple) -> sc.EigenResult:
     """Eigen data of the determinant-one normalization of a word image."""
     return sc.eigen_real(sc.normalize_det_one(g))
@@ -180,14 +184,20 @@ def limit_point(
     dual boxes) and the incidence residual between the two.
 
     The boxes are nested, g_{n+1}(B) = g_n(S(B)) inside g_n(B), so d never
-    grows with n and ``_first_depth_below`` need not test every depth; the
-    products are still formed in turn, so every result is the same as the
-    linear scan's.  A tol at or below ``sc.float_epsilon()`` is rejected:
-    there d is rounding noise and no longer falls.
+    grows with n and ``_first_depth_below`` need not test every depth.
+    A tol at or below ``sc.float_epsilon()`` is rejected: there d is
+    rounding noise and no longer falls.
+
+    The products run on the scaled-integer kernel of ``scalars``, one
+    rounding per product; its error bound is stated there.  Only the
+    corner images of a probed depth, the period product P and the final
+    g are converted to mpf.  The word must be loxodromic, as P's
+    spectrum decides: the chain converges to P's attracting flag.
 
     The iteration uses the crossing normal form of w, a cyclic
-    conjugate; for words not already in that form the result is the
-    attracting flag of the conjugated word.
+    conjugate; for words not already in that form the result, and the
+    loxodromy verdict, are those of the conjugated word, whose spectrum
+    differs from w's when the conjugator is odd.
     """
     if not md.in_subgroup_o(w):
         raise NotInSubgroupO("limit points need even-involution words")
@@ -195,26 +205,32 @@ def limit_point(
         raise NotInRegionInterior("deformation outside the admissible region")
     if tol <= sc.float_epsilon():
         raise ToleranceBelowPrecision("limit tol must exceed 2^(8 - precision)")
-    loxodromic_eigen(rep, w)
 
-    step_mats = [sc.mat_to_mpf(rep.step_images[s]) for s in md.crossing_steps(w)]
+    steps = [sc.to_scaled(_flat(sc.mat_to_mpf(rep.step_images[s]))) for s in md.crossing_steps(w)]
 
     box = bx.from_moduli(rep.moduli)
-    corners = [sc.vec_to_mpf(p.coords) for p in (box.p, box.q, box.r, box.s)]
+    corners = [sc.to_scaled(sc.vec_to_mpf(p.coords)) for p in (box.p, box.q, box.r, box.s)]
     bottom = sc.vec_to_mpf(box.b.coords)
     bottom_line = sc.vec_to_mpf(box.line_B.coords)
 
-    period = len(step_mats)
-    mats = [sc.mat_to_mpf(sc.IDENTITY)]
+    period = len(steps)
+    mats = [_flat(sc.IDENTITY)]
+
+    def product(n):
+        while len(mats) <= n:
+            mats.append(sc.scaled_mul(mats[-1], steps[(len(mats) - 1) % period]))
+        return mats[n]
+
+    if not _spectrum(sc.scaled_to_mat(product(period))).loxodromic:
+        raise NonLoxodromic("word image has collapsing eigenvalue moduli")
 
     @cache
     def diameter(n):
-        while len(mats) <= n:
-            mats.append(sc.mat_mul(mats[-1], step_mats[(len(mats) - 1) % period]))
-        return _chart_diameter([sc.mat_vec(mats[n], c) for c in corners])
+        g = product(n)
+        return _chart_diameter([sc.scaled_mat_vec(g, c) for c in corners])
 
     depth = _first_depth_below(diameter, tol, period, depth_cap)
-    g = mats[depth]
+    g = sc.scaled_to_mat(mats[depth])
 
     point = Point(sc.mat_vec(g, bottom))
     # lines transform by the inverse transpose, projectively the

@@ -33,6 +33,7 @@ from pappuslab.projective import Line, Point
 
 M_ZERO = BoxModuli(0, 0)
 M_TEST = BoxModuli(Fraction(1, 2), Fraction(1, 3))
+GOLDEN_MODULI = BoxModuli(Fraction(3, 10), Fraction(-1, 5))
 LAM_ZERO = Lambda(epsilon=0, delta=0)
 
 
@@ -53,6 +54,10 @@ def attracting_vector(m, la, w):
     res = al.loxodromic_eigen(rp.Representation(m, la), w)
     _, vec = max(res.pairs, key=lambda p: abs(p[0]))
     return vec
+
+
+def flat(m):
+    return [x for row in m for x in row]
 
 
 def random_w_word(rng, blocks):
@@ -150,6 +155,28 @@ def test_limit_point_rejects_bad_inputs():
     with pytest.raises(NotInRegionInterior):
         outside = rp.Representation(M_ZERO, lam(mpf("0.5")))
         al.limit_point(outside, GroupWord(("R", "I", "RR", "I")))
+
+
+def test_limit_point_takes_loxodromy_from_the_period_product():
+    # two scan words (maxlen 10) whose crossing form is a conjugate by an
+    # odd word, so its period product P has another spectrum than the
+    # word's own image; with a gap margin between the two least gaps, the
+    # verdict is P's
+    rep = rp.Representation(GOLDEN_MODULI, lam(mpf("-0.15"), mpf("0.01")))
+    margin = mpf("9.67")
+    for letters, p_loxodromic in (("I R I R I R I RR", False), ("I R I R I RR I R", True)):
+        w = GroupWord(tuple(letters.split()))
+        p = sc.IDENTITY
+        for step in md.crossing_steps(w):
+            p = sc.mat_mul(p, rep.step_images[step])
+        gaps = [min(al._spectrum(g).gaps) for g in (rp.evaluate(rep, w), p)]
+        assert (gaps[0] > margin) != (gaps[1] > margin) == p_loxodromic
+        with mock.patch.object(sc, "MODULI_GAP_MARGIN", margin - 1):
+            if p_loxodromic:
+                assert al.limit_point(rep, w).diameter_at_stop < al.LIMIT_TOL
+            else:
+                with pytest.raises(NonLoxodromic):
+                    al.limit_point(rep, w)
 
 
 def test_limit_point_rejects_tol_below_precision():
@@ -615,29 +642,108 @@ def test_chart_diameter_matches_operator_bits(prec, seed, spread):
 
 
 # ---------------------------------------------------------------------------
+# the scaled-integer product chain of limit_point
+
+
+def golden_reps():
+    """The golden cases' DEFORMED and EXACT points, at the working precision."""
+    return (
+        rp.Representation(GOLDEN_MODULI, lam(mpf("-0.15"), mpf("0.01"))),
+        rp.Representation(GOLDEN_MODULI, Lambda(u=Fraction(9, 10), v=1)),
+    )
+
+
+DEPTH_TWO_WORDS = [s * t for s in W_STEPS for t in W_STEPS]
+
+
+def unflat(values):
+    return tuple(tuple(values[i: i + 3]) for i in (0, 3, 6))
+
+
+def projective_error(a, ref):
+    """Normwise distance of two matrices (nine entries each) as points of
+    projective space: max |a / a_k - ref / ref_k|, at the largest |ref_k|."""
+    k = max(range(9), key=lambda i: abs(ref[i]))
+    return max(abs(x / a[k] - y / ref[k]) for x, y in zip(a, ref))
+
+
+@pytest.mark.parametrize("bits", [53, 64, 128, 256])
+def test_scaled_chain_is_within_a_unit_of_the_exact_chain(bits):
+    # the chains of the 16 depth-2 words to depth 60, against the chain of
+    # the same rounded step matrices in mpf at four times the precision:
+    # at most 0.00025 units of 2^-bits, where the mpf chain at the
+    # precision itself drifts 7.9-10.1 units from its own such reference
+    worst = 0
+    with mpmath.workprec(bits):
+        reps = golden_reps()
+    for rep in reps:
+        for w in DEPTH_TWO_WORDS:
+            with mpmath.workprec(bits):
+                steps = [
+                    sc.to_scaled(flat(sc.mat_to_mpf(rep.step_images[s])))
+                    for s in md.crossing_steps(w)
+                ]
+                chain = [flat(sc.IDENTITY)]
+                for n in range(60):
+                    chain.append(sc.scaled_mul(chain[-1], steps[n % len(steps)]))
+            with mpmath.workprec(4 * bits):
+                ref = sc.mat_to_mpf(sc.IDENTITY)
+                for n, g in enumerate(chain[1:]):
+                    ref = sc.mat_mul(ref, sc.mat_to_mpf(unflat(steps[n % len(steps)])))
+                    error = projective_error([mpf(x) for x in g], flat(ref))
+                    worst = max(worst, error * mpf(2) ** bits)
+    assert worst <= 1
+
+
+@pytest.mark.parametrize("bits", [53, 64, 128, 256])
+def test_scaled_chain_ignores_the_scale_of_the_steps(bits):
+    # step images scaled by 2^530 or 2^-530 (as Fractions at the exact
+    # point) give the same scaled ints, so the same limit sample, bit for bit
+    with mpmath.workprec(bits):
+        for rep in golden_reps():
+            for w in W_STEPS:
+                expected = limit_outcome(al.limit_point, rep, w, al.LIMIT_TOL, al.LIMIT_DEPTH_CAP)
+                assert isinstance(expected, tuple)
+                for scale in (Fraction(2**530), Fraction(1, 2**530)):
+                    scaled = rp.Representation(rep.moduli, rep.lam)
+                    vars(scaled)["step_images"] = {
+                        s: sc.mat_scale(g, scale if sc.mat_is_exact(g) else sc.to_mpf(scale))
+                        for s, g in rep.step_images.items()
+                    }
+                    got = limit_outcome(al.limit_point, scaled, w, al.LIMIT_TOL, al.LIMIT_DEPTH_CAP)
+                    assert got == expected
+
+
+# ---------------------------------------------------------------------------
 # the bracketed stopping-depth search against the linear loop it replaced
 
 
 def linear_limit_point(rep, w, tol, depth_cap=al.LIMIT_DEPTH_CAP):
-    """``limit_point`` testing the chart diameter at every depth in turn."""
-    al.loxodromic_eigen(rep, w)
+    """``limit_point`` testing the chart diameter at every depth in turn,
+    on the same scaled-integer products."""
     letters = md.crossing_form(w).letters
-    step_mats = [
-        sc.mat_to_mpf(rep.step_images[GroupWord(letters[k: k + 4])])
+    steps = [
+        sc.to_scaled(flat(sc.mat_to_mpf(rep.step_images[GroupWord(letters[k: k + 4])])))
         for k in range(0, len(letters), 4)
     ]
+    period_product = flat(sc.IDENTITY)
+    for step in steps:
+        period_product = sc.scaled_mul(period_product, step)
+    if not al._spectrum(sc.scaled_to_mat(period_product)).loxodromic:
+        raise NonLoxodromic("word image has collapsing eigenvalue moduli")
     box = bx.from_moduli(rep.moduli)
-    corners = [sc.vec_to_mpf(p.coords) for p in (box.p, box.q, box.r, box.s)]
-    g = sc.mat_to_mpf(sc.IDENTITY)
+    corners = [sc.to_scaled(sc.vec_to_mpf(p.coords)) for p in (box.p, box.q, box.r, box.s)]
+    g = flat(sc.IDENTITY)
     depth = 0
     while True:
-        diameter = al._chart_diameter([sc.mat_vec(g, c) for c in corners])
+        diameter = al._chart_diameter([sc.scaled_mat_vec(g, c) for c in corners])
         if diameter < tol:
             break
         if depth >= depth_cap:
             raise NoConvergence("depth cap reached before the boxes collapsed")
-        g = sc.mat_mul(g, step_mats[depth % len(step_mats)])
+        g = sc.scaled_mul(g, steps[depth % len(steps)])
         depth += 1
+    g = sc.scaled_to_mat(g)
     point = Point(sc.mat_vec(g, sc.vec_to_mpf(box.b.coords)))
     dual = Line(sc.mat_vec(sc.mat_transpose(sc.adjugate(g)), sc.vec_to_mpf(box.line_B.coords)))
     residual = pj.incidence_residual(dual.coords, point.coords)

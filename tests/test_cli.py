@@ -274,10 +274,10 @@ def test_no_eigenvectors_built(argv, tmp_path, monkeypatch, capsys):
 
 def test_limit_searches_its_stopping_depth(tmp_path, monkeypatch, capsys):
     # the linear stopping test made 428 diameter checks here, for the same
-    # 490 products
+    # chain products (412 here)
     diameters = []
     products = []
-    chart_diameter, mat_mul = al._chart_diameter, sc.mat_mul
+    chart_diameter, scaled_mul = al._chart_diameter, sc.scaled_mul
 
     def measuring(points):
         diameters.append(1)
@@ -285,10 +285,10 @@ def test_limit_searches_its_stopping_depth(tmp_path, monkeypatch, capsys):
 
     def multiplying(a, b):
         products.append(1)
-        return mat_mul(a, b)
+        return scaled_mul(a, b)
 
     monkeypatch.setattr(al, "_chart_diameter", measuring)
-    monkeypatch.setattr(sc, "mat_mul", multiplying)
+    monkeypatch.setattr(sc, "scaled_mul", multiplying)
     monkeypatch.chdir(tmp_path)
     assert cli.main(["limit", "--depth", "2", *DEFORMED]) == 0
     capsys.readouterr()
@@ -308,6 +308,8 @@ def test_limit_evaluates_each_step_word_once(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert cli.main(["limit", "--depth", "2", *DEFORMED]) == 0
     capsys.readouterr()
+    # the step images, each once; the loxodromy checks read the chain
+    assert set(calls) <= set(md.W_STEPS)
     for w in md.W_STEPS:
         assert calls.count(w) <= 1
 

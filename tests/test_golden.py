@@ -9,7 +9,7 @@ record (all of them when none is named):
     PYTHONPATH=src python tests/test_golden.py [case ...]
 
 It prints each JSON field and CSV cell that the recording changed, as
-``old -> new``.
+``old -> new``, followed by the relative change of a number.
 """
 
 import contextlib
@@ -161,17 +161,48 @@ def _fields(fname: str, data: bytes) -> dict:
     return out
 
 
+def _relative_change(old, new) -> str:
+    """' (relative change x)' between two numbers, JSON values or CSV
+    cells, with x = (new - old) / |old|; empty for anything else."""
+    if isinstance(old, bool) or isinstance(new, bool):
+        return ""
+    try:
+        a, b = float(old), float(new)
+    except (TypeError, ValueError):
+        return ""
+    return " (relative change %s)" % ("%+.2e" % ((b - a) / abs(a)) if a else "from 0")
+
+
 def changed_fields(fname: str, old: bytes, new: bytes) -> list:
-    """'field: old -> new' for each field of ``_fields`` that differs."""
+    """'field: old -> new' for each field of ``_fields`` that differs,
+    with the relative change of a number."""
     before, after = _fields(fname, old), _fields(fname, new)
 
     def show(fields, key):
         return repr(fields[key]) if key in fields else "(absent)"
 
     return [
-        "%s: %s -> %s" % (key, show(before, key), show(after, key))
+        "%s: %s -> %s%s"
+        % (key, show(before, key), show(after, key), _relative_change(before.get(key), after.get(key)))
         for key in list(before) + [k for k in after if k not in before]
         if (key in before, before.get(key)) != (key in after, after.get(key))
+    ]
+
+
+def test_changed_fields_show_the_relative_change_of_numbers():
+    old_csv = b"word,flag_residual,depth\nR I R I,2e-28,8\n"
+    new_csv = b"word,flag_residual,depth\nR I R I,1e-28,10\n"
+    assert changed_fields("limit.csv", old_csv, new_csv) == [
+        "R I R I flag_residual: '2e-28' -> '1e-28' (relative change -5.00e-01)",
+        "R I R I depth: '8' -> '10' (relative change +2.50e-01)",
+    ]
+    old_out = b'exit 0\n{"pass": true, "gap": 0, "status": "a"}\n'
+    new_out = b'exit 1\n{"pass": false, "gap": 0.5, "status": "b"}\n'
+    assert changed_fields("certify.stdout", old_out, new_out) == [
+        "exit: 'exit 0' -> 'exit 1'",
+        "pass: True -> False",
+        "gap: 0 -> 0.5 (relative change from 0)",
+        "status: 'a' -> 'b'",
     ]
 
 
