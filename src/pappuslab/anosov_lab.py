@@ -15,12 +15,14 @@ step words.  Everything here measures how fast those boxes shrink:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache
 
 import mpmath
 from mpmath import mpf
-from mpmath.libmp import fzero, mpf_add, mpf_div, mpf_gt, mpf_mul, mpf_pos, mpf_sub
+from mpmath.libmp import from_rational, mpf_sqrt
 
 from . import boxes as bx
 from . import hilbert as hb
@@ -78,44 +80,12 @@ class LimitSample:
     depth: int
 
 
+# Stopping chart diameter, and ``limit --tol``'s default: the sample and
+# the limit point share the box at the stop, so they agree to tol, 12 of
+# the CSV's 16 digits.  It is 35 times the largest floor float_epsilon(53)
+# = 2^-45 (2.8e-14), so the default ``limit`` runs at every precision.
 LIMIT_TOL = mpf("1e-12")
 LIMIT_DEPTH_CAP = 10**4
-
-
-def _chart_diameter(box_points) -> mpf:
-    """Largest chart distance between float-mode points.
-
-    One square root, of the largest squared distance: mpmath's sqrt is
-    correctly rounded and monotone, so that is the largest distance.
-
-    The chart is ``bx.chart_coords``, x / (y + z) and (y - z) / (y + z).
-    As in the float kernel of ``scalars``, the arithmetic runs on the raw
-    ``_mpf_`` values with the libmp calls mpf's operators would make, at
-    the precision and rounding they read (``mpmath.mp._prec_rounding``),
-    so the bits are theirs.
-    """
-    prec, rnd = mpmath.mp._prec_rounding
-    coords = []
-    for x, y, z in box_points:
-        w = mpf_add(y._mpf_, z._mpf_, prec, rnd)
-        if w == fzero:
-            raise DegenerateConfiguration("point at infinity of the chart")
-        coords.append((
-            mpf_div(mpf_pos(x._mpf_, prec, rnd), w, prec, rnd),
-            mpf_div(mpf_sub(y._mpf_, z._mpf_, prec, rnd), w, prec, rnd),
-        ))
-    best = fzero
-    for i, (xi, yi) in enumerate(coords):
-        for xj, yj in coords[i + 1:]:
-            dx, dy = mpf_sub(xi, xj, prec, rnd), mpf_sub(yi, yj, prec, rnd)
-            # max(best, dx * dx + dy * dy)
-            d2 = mpf_add(mpf_mul(dx, dx, prec, rnd), mpf_mul(dy, dy, prec, rnd), prec, rnd)
-            best = d2 if mpf_gt(d2, best) else best
-    return mpmath.sqrt(mpmath.mp.make_mpf(best))
-
-
-def _flat(m: tuple) -> list:
-    return [x for row in m for x in row]
 
 
 def _spectrum(g: tuple) -> sc.EigenResult:
@@ -131,28 +101,77 @@ def loxodromic_eigen(rep: rp.Representation, w: GroupWord) -> sc.EigenResult:
     return res
 
 
-def _first_depth_below(diameter, tol, first_probe: int, depth_cap: int) -> int:
-    """First depth n <= depth_cap with diameter(n) < tol, for a diameter
-    that never grows with n (NoConvergence if none).  The bracket
-    d(lo) >= tol > d(hi) closes at hi = lo + 1, so the probes, where log d
-    taken as linear in n meets log tol, change the cost only: through d(0)
-    and d(lo), rounded down and held to [lo + 1, 2 lo + 1], until there is
-    a hi; then through d(lo) and d(hi), held inside (the midpoint without
-    a rate)."""
-    log_tol = mpmath.log(tol)  # mpf logs: d can underflow float64
+def _chain_setup(rep: rp.Representation) -> tuple:
+    """The scaled step images and base-box corners and the mpf bottom corner
+    and line, once per ``mp.prec``; NotInRegionInterior outside the region."""
+    prec = mpmath.mp.prec
+    if prec not in rep.limit_setups:
+        box = bx.from_moduli(rep.moduli)
+        rep.limit_setups[prec] = bx.in_region(rep.lam) and (
+            {s: sc.to_scaled(x for row in sc.mat_to_mpf(g) for x in row) for s, g in rep.step_images.items()},
+            [sc.to_scaled(sc.vec_to_mpf(p.coords)) for p in (box.p, box.q, box.r, box.s)],
+            sc.vec_to_mpf(box.b.coords), sc.vec_to_mpf(box.line_B.coords),
+        )
+    if not rep.limit_setups[prec]:
+        raise NotInRegionInterior("deformation outside the admissible region")
+    return rep.limit_setups[prec]
+
+
+def _chart_pairs(g: tuple, corners: list) -> list:
+    """Ints (N, D) per pair of corner images (x, y, z) = g c, whose squared
+    chart distance is N / D: with u = y - z and w = y + z (own scales
+    cancel), N = (x_i w_j - x_j w_i)^2 + (u_i w_j - u_j w_i)^2, D = (w_i w_j)^2."""
+    images = []
+    for v0, v1, v2 in corners:
+        x, y, z = (g[i] * v0 + g[i + 1] * v1 + g[i + 2] * v2 for i in (0, 3, 6))
+        if y + z == 0:
+            raise DegenerateConfiguration("point at infinity of the chart")
+        images.append((x, y - z, y + z))
+    return [
+        ((xi * wj - xj * wi) ** 2 + (ui * wj - uj * wi) ** 2, (wi * wj) ** 2)
+        for i, (xi, ui, wi) in enumerate(images)
+        for xj, uj, wj in images[i + 1:]
+    ]
+
+
+def _below(pairs: list, tol: mpf) -> bool:
+    """Whether every N / D < tol^2, in ints, as tol = man 2^exp (a tie fails)."""
+    left, right = max(-2 * tol.exp, 0), max(2 * tol.exp, 0)
+    return all(n << left < tol.man**2 * d << right for n, d in pairs)
+
+
+def _log_diameter(pairs: list) -> float:
+    """float64 log of the diameter (-inf at 0), from the ints: no underflow."""
+    return max((math.log(n) - math.log(d) for n, d in pairs if n), default=-math.inf) / 2
+
+
+def _diameter(pairs: list) -> mpf:
+    """The diameter as an mpf, rounded down: below tol where ``_below`` holds."""
+    q, prec = max(Fraction(n, d) for n, d in pairs), mpmath.mp.prec
+    return mpmath.mp.make_mpf(mpf_sqrt(from_rational(q.numerator, q.denominator, prec, "d"), prec, "d"))
+
+
+def _first_depth_below(pairs, tol: mpf, first_probe: int, depth_cap: int) -> int:
+    """First depth n <= depth_cap whose pairs(n) are ``_below`` tol, for a
+    diameter d that never grows with n (NoConvergence if none), testing
+    each depth once.  The bracket closes at hi = lo + 1, so the probes,
+    where ``_log_diameter`` taken as linear in n meets log tol, change the
+    cost only: through d(0) and d(lo), rounded down and held to [lo + 1,
+    2 lo + 1], until there is a hi; then through d(lo) and d(hi), held
+    inside (the midpoint without a rate)."""
+    log_tol = math.log(tol.man) + tol.exp * math.log(2)
 
     def crossing(a, b):
-        # None without a usable rate: d(b) is 0, or the logs do not fall
-        # (an ulp apart, diameters can have equal logs)
-        log_da, db = mpmath.log(diameter(a)), diameter(b)
-        fall = log_da - mpmath.log(db) if db > 0 else 0
-        return a + (log_da - log_tol) * (b - a) / fall if fall > 0 else None
+        # None without a usable rate: d(b) is 0, or equal logs (ulps apart)
+        log_da = _log_diameter(pairs(a))
+        fall = log_da - _log_diameter(pairs(b))
+        return a + (log_da - log_tol) * (b - a) / fall if 0 < fall < math.inf else None
 
-    lo, hi = 0, (0 if diameter(0) < tol else None)
+    lo, hi = 0, (0 if _below(pairs(0), tol) else None)
     while hi is None or hi > lo + 1:
         if hi is not None:
             x = crossing(lo, hi)
-            probe = (lo + hi) // 2 if x is None else min(max(int(mpmath.ceil(x)), lo + 1), hi - 1)
+            probe = (lo + hi) // 2 if x is None else min(max(math.ceil(x), lo + 1), hi - 1)
         elif lo >= depth_cap:
             raise NoConvergence("depth cap reached before the boxes collapsed")
         elif lo:
@@ -161,7 +180,7 @@ def _first_depth_below(diameter, tol, first_probe: int, depth_cap: int) -> int:
             probe = min(2 * lo + 1 if x is None else max(int(x), lo + 1), 2 * lo + 1, depth_cap)
         else:
             probe = min(first_probe, depth_cap)
-        if diameter(probe) < tol:
+        if _below(pairs(probe), tol):
             hi = probe
         else:
             lo = probe
@@ -188,11 +207,12 @@ def limit_point(
     A tol at or below ``sc.float_epsilon()`` is rejected: there d is
     rounding noise and no longer falls.
 
-    The products run on the scaled-integer kernel of ``scalars``, one
-    rounding per product; its error bound is stated there.  Only the
-    corner images of a probed depth, the period product P and the final
-    g are converted to mpf.  The word must be loxodromic, as P's
-    spectrum decides: the chain converges to P's attracting flag.
+    The products run on the scaled-integer kernel of ``scalars`` (its
+    error bound is stated there), set up once per point and precision
+    (``_chain_setup``); the stop test is exact on their ints (``_below``),
+    and ``diameter_at_stop`` is d(stop) rounded down.  The word must be
+    loxodromic, as the period product P's spectrum decides: the chain
+    converges to P's attracting flag.
 
     The iteration uses the crossing normal form of w, a cyclic
     conjugate; for words not already in that form the result, and the
@@ -201,20 +221,13 @@ def limit_point(
     """
     if not md.in_subgroup_o(w):
         raise NotInSubgroupO("limit points need even-involution words")
-    if not bx.in_region(rep.lam):
-        raise NotInRegionInterior("deformation outside the admissible region")
+    step_images, corners, bottom, bottom_line = _chain_setup(rep)
     if tol <= sc.float_epsilon():
         raise ToleranceBelowPrecision("limit tol must exceed 2^(8 - precision)")
-
-    steps = [sc.to_scaled(_flat(sc.mat_to_mpf(rep.step_images[s]))) for s in md.crossing_steps(w)]
-
-    box = bx.from_moduli(rep.moduli)
-    corners = [sc.to_scaled(sc.vec_to_mpf(p.coords)) for p in (box.p, box.q, box.r, box.s)]
-    bottom = sc.vec_to_mpf(box.b.coords)
-    bottom_line = sc.vec_to_mpf(box.line_B.coords)
-
+    tol = mpmath.mpmathify(tol)
+    steps = [step_images[s] for s in md.crossing_steps(w)]
     period = len(steps)
-    mats = [_flat(sc.IDENTITY)]
+    mats = [[x for row in sc.IDENTITY for x in row]]
 
     def product(n):
         while len(mats) <= n:
@@ -224,12 +237,8 @@ def limit_point(
     if not _spectrum(sc.scaled_to_mat(product(period))).loxodromic:
         raise NonLoxodromic("word image has collapsing eigenvalue moduli")
 
-    @cache
-    def diameter(n):
-        g = product(n)
-        return _chart_diameter([sc.scaled_mat_vec(g, c) for c in corners])
-
-    depth = _first_depth_below(diameter, tol, period, depth_cap)
+    pairs = cache(lambda n: _chart_pairs(product(n), corners))
+    depth = _first_depth_below(pairs, tol, period, depth_cap)
     g = sc.scaled_to_mat(mats[depth])
 
     point = Point(sc.mat_vec(g, bottom))
@@ -238,14 +247,7 @@ def limit_point(
     # long contraction product)
     dual = Line(sc.mat_vec(sc.mat_transpose(sc.adjugate(g)), bottom_line))
     residual = pj.incidence_residual(dual.coords, point.coords)
-    return LimitSample(
-        word=w,
-        point=point,
-        dual_point=dual,
-        flag_residual=residual,
-        diameter_at_stop=diameter(depth),
-        depth=depth,
-    )
+    return LimitSample(w, point, dual, residual, _diameter(pairs(depth)), depth)
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,11 @@ def _emit(report: dict, out: str = None) -> None:
         with open(out, "w") as handle:
             handle.write(text + "\n")
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:  # ``| head``: see "Note on SIGPIPE" in Python's signal docs
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            sys.exit(1)
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -590,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--depth", type=_positive, default=2, help="word length in crossing pairs, at least 1"
     )
-    p.add_argument("--tol", type=_positive_float, default=1e-12)
+    p.add_argument("--tol", type=_positive_float, default=float(al.LIMIT_TOL))
     p.add_argument("--out", default="limit.csv")
 
     p = _add_command(subs, "variety", cmd_variety, "Jacobian certificates over a moduli grid")

@@ -108,13 +108,15 @@ class Representation:
     rationals rounded to nearest by ``sc.mat_to_mpf``.  The letter and
     step-word images are built on first use, so a caller that needs only
     A and B^lambda (``obstruction``, ``extension_intertwiner``) never pays
-    for them.
+    for them; ``anosov_lab.limit_point`` keeps its setup, by ``mp.prec``,
+    in ``limit_setups``.
     """
 
     moduli: BoxModuli
     lam: Lambda
     a: tuple = field(init=False, repr=False, compare=False)
     b: tuple = field(init=False, repr=False, compare=False)
+    limit_setups: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a, b = matrix_A(self.moduli), matrix_B(self.moduli, self.lam)

@@ -32,13 +32,15 @@ of products read only projectively (``anosov_lab.limit_point``) runs on
 matrices of nine ints that share one power-of-two scale, which is not
 stored.  ``to_scaled`` converts mpf values to that form; ``scaled_mul``
 forms a product exactly and rounds it once, to ``mp.prec`` +
-``SCALED_GUARD_BITS`` bits of its largest entry; ``scaled_mat_vec`` and
-``scaled_to_mat`` convert back to mpf, one rounding per entry.  Its
-results are bounded, not bit-identical to mpf's operators: a chain of
-60 products stays within 2^-prec, normwise and projectively, of the
-exact chain of the same converted factors (measured at most 0.00025
-units of 2^-prec at 53 to 256 bits, where the mpf chain drifts 8 to 10
-units), and scaling every factor by a power of two changes no bit.
+``SCALED_GUARD_BITS`` bits of its largest entry; ``scaled_to_mat``
+converts back to mpf, one rounding per entry.  The chain's stopping
+test converts nothing: it decides on the exact ints of the corner
+images (``anosov_lab._below``).  The products are bounded, not
+bit-identical to mpf's operators: a chain of 60 products stays within
+2^-prec, normwise and projectively, of the exact chain of the same
+converted factors (measured at most 0.00025 units of 2^-prec at 53 to
+256 bits, where the mpf chain drifts 8 to 10 units), and scaling every
+factor by a power of two changes no bit.
 
 Mixed input.  Float mode holds only mpf.  A ``Fraction`` enters it once,
 through ``to_mpf`` or ``mat_to_mpf``, rounded to nearest, where the
@@ -506,16 +508,6 @@ def scaled_mul(a: tuple, b: tuple) -> tuple:
         return c
     half = 1 << (shift - 1)
     return tuple([(x + half) >> shift for x in c])
-
-
-def scaled_mat_vec(a: tuple, v: tuple) -> Vec3:
-    """Image of a scaled vector under a scaled matrix, as mpf: three exact
-    ints, each rounded once by the conversion."""
-    prec, rnd = mpmath.mp._prec_rounding
-    v0, v1, v2 = v
-    return tuple([
-        _wrap(from_int(a[i] * v0 + a[i + 1] * v1 + a[i + 2] * v2, prec, rnd)) for i in (0, 3, 6)
-    ])
 
 
 def scaled_to_mat(a: tuple) -> Mat3:

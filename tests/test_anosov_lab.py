@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, fzero, mpf_add, mpf_div, mpf_gt, mpf_mul, mpf_pos, mpf_sub
 
 from pappuslab import anosov_lab as al
 from pappuslab import boxes as bx
@@ -582,7 +582,7 @@ def test_chart_diameter_single_root():
             for b in coords[i + 1:]:
                 dx, dy = a[0] - b[0], a[1] - b[1]
                 roots.append(mpmath.sqrt(dx * dx + dy * dy))
-        assert al._chart_diameter(pts) == max(roots)
+        assert chart_diameter(pts) == max(roots)
 
 
 def test_spectrum_converts_only_exact_images():
@@ -598,7 +598,39 @@ def test_spectrum_converts_only_exact_images():
 
 
 # ---------------------------------------------------------------------------
-# the chart diameter on raw mpf values against the operator formula
+# the chart diameter on raw mpf values against the operator formula, and
+# the exact stopping test of limit_point against that mpf oracle
+
+
+def chart_diameter(box_points) -> mpf:
+    """Largest chart distance between float-mode points, the stopping
+    measure ``limit_point`` read before its test became exact.
+
+    One square root, of the largest squared distance: mpmath's sqrt is
+    correctly rounded and monotone, so that is the largest distance.
+    The chart is ``bx.chart_coords``, x / (y + z) and (y - z) / (y + z).
+    The arithmetic runs on the raw ``_mpf_`` values with the libmp calls
+    mpf's operators would make, at their precision and rounding, so the
+    bits are theirs.
+    """
+    prec, rnd = mpmath.mp._prec_rounding
+    coords = []
+    for x, y, z in box_points:
+        w = mpf_add(y._mpf_, z._mpf_, prec, rnd)
+        if w == fzero:
+            raise DegenerateConfiguration("point at infinity of the chart")
+        coords.append((
+            mpf_div(mpf_pos(x._mpf_, prec, rnd), w, prec, rnd),
+            mpf_div(mpf_sub(y._mpf_, z._mpf_, prec, rnd), w, prec, rnd),
+        ))
+    best = fzero
+    for i, (xi, yi) in enumerate(coords):
+        for xj, yj in coords[i + 1:]:
+            dx, dy = mpf_sub(xi, xj, prec, rnd), mpf_sub(yi, yj, prec, rnd)
+            # max(best, dx * dx + dy * dy)
+            d2 = mpf_add(mpf_mul(dx, dx, prec, rnd), mpf_mul(dy, dy, prec, rnd), prec, rnd)
+            best = d2 if mpf_gt(d2, best) else best
+    return mpmath.sqrt(mpmath.mp.make_mpf(best))
 
 
 def operator_chart_diameter(box_points):
@@ -638,7 +670,96 @@ def test_chart_diameter_matches_operator_bits(prec, seed, spread):
         points[1] = (x, y, -y)
     with mpmath.workprec(prec):
         expected = diameter_outcome(operator_chart_diameter, points)
-        assert diameter_outcome(al._chart_diameter, points) == expected
+        assert diameter_outcome(chart_diameter, points) == expected
+
+
+def dyadic(x) -> Fraction:
+    man, exp = x.man_exp
+    return Fraction(man) * Fraction(2) ** exp
+
+
+def oracle_margin(images, prec) -> Fraction:
+    """A bound, 16 times over, on the rounding error of ``chart_diameter``
+    on the mpf copies of int images (x, y, z) at prec bits: each chart
+    coordinate is off by a few units of 2^-prec of its size, times the
+    cancellation (|y| + |z|) / |y + z| of its denominator."""
+    total = 1
+    for x, y, z in images:
+        w = y + z
+        total += (abs(Fraction(x, w)) + abs(Fraction(y - z, w))) * (2 + Fraction(abs(y) + abs(z), abs(w)))
+    return 16 * total / 2**prec
+
+
+def scaled_images(g, corners):
+    return [
+        tuple(g[i] * v0 + g[i + 1] * v1 + g[i + 2] * v2 for i in (0, 3, 6)) for v0, v1, v2 in corners
+    ]
+
+
+@pytest.mark.parametrize("prec", [53, 128, 256])
+@given(seed=st.integers(0, 2**64), offset=st.sampled_from((0, 1, -1, 2, -2, 64, -64, 2**40)))
+@settings(max_examples=60, deadline=None)
+def test_exact_stop_test_agrees_with_the_mpf_oracle(prec, seed, offset):
+    # random int corner sets, some nearly collapsed as the chain's are,
+    # under a random scaled matrix; tol a dyadic mpf offset from the
+    # oracle's diameter by a multiple of the oracle's error bound
+    rng = random.Random(seed)
+
+    def signed(bits):
+        return rng.getrandbits(bits) * rng.choice([-1, 1])
+
+    size = rng.randint(1, 200)
+    base = [signed(size) for _ in range(3)]
+    spread = rng.randint(0, size)
+    corners = [tuple(b + signed(spread) for b in base) for _ in range(4)]
+    g = tuple(signed(rng.randint(1, 200)) for _ in range(9))
+    images = scaled_images(g, corners)
+    with mpmath.workprec(prec):
+        points = [sc.vec_to_mpf(v) for v in images]
+        if any(y + z == 0 for _, y, z in images):
+            with pytest.raises(DegenerateConfiguration):
+                al._chart_pairs(g, corners)
+            return
+        pairs = al._chart_pairs(g, corners)
+        oracle = chart_diameter(points)
+        margin = oracle_margin(images, prec)
+        tol = sc.to_mpf(max(dyadic(oracle) + offset * margin, dyadic(oracle) / 2))
+        assume(tol > 0)
+        below = al._below(pairs, tol)
+        # exactly: d^2 = max N / D against tol^2
+        square = max(Fraction(n, d) for n, d in pairs)
+        t = dyadic(tol)
+        assert below == (square < t * t)
+        # the oracle agrees wherever it is clear of tol
+        if square > (t + margin) ** 2 or (t > margin and square < (t - margin) ** 2):
+            assert below == (oracle < tol)
+        # the reported diameter is d rounded down; the log estimate is d's
+        diameter = al._diameter(pairs)
+        assert dyadic(diameter) ** 2 <= square
+        assert not below or diameter < tol
+        if dyadic(oracle) > 2 * margin:
+            error = 2 * margin / dyadic(oracle)
+            assert abs(al._log_diameter(pairs) - float(mpmath.log(oracle))) <= 1e-12 + error
+
+
+@pytest.mark.parametrize("prec", [53, 128])
+def test_exact_stop_test_does_not_stop_at_a_tie(prec):
+    # chart points (0, 0), (3t/5, 4t/5), (t/2, 0), (0, t/4) with w = 2^40:
+    # diameter exactly t = 5 2^-20, which no rounding touches
+    w = 2**40
+    chart = [(0, 0), (3 * 2**-20, 4 * 2**-20), (5 * 2**-21, 0), (0, 5 * 2**-22)]
+    corners = [
+        (int(a * w), int((1 + b) * w) // 2, int((1 - b) * w) // 2) for a, b in (map(Fraction, xy) for xy in chart)
+    ]
+    identity = flat(sc.IDENTITY)
+    with mpmath.workprec(prec):
+        tol = mpf(5) * mpf(2) ** -20
+        pairs = al._chart_pairs(identity, corners)
+        assert max(Fraction(n, d) for n, d in pairs) == dyadic(tol) ** 2
+        assert chart_diameter([sc.vec_to_mpf(c) for c in corners]) == tol
+        assert not al._below(pairs, tol)
+        assert al._below(pairs, tol + mpmath.eps * tol)
+        assert al._diameter(pairs) == tol
 
 
 # ---------------------------------------------------------------------------
@@ -720,7 +841,7 @@ def test_scaled_chain_ignores_the_scale_of_the_steps(bits):
 
 def linear_limit_point(rep, w, tol, depth_cap=al.LIMIT_DEPTH_CAP):
     """``limit_point`` testing the chart diameter at every depth in turn,
-    on the same scaled-integer products."""
+    on the same scaled-integer products and exact stopping test."""
     letters = md.crossing_form(w).letters
     steps = [
         sc.to_scaled(flat(sc.mat_to_mpf(rep.step_images[GroupWord(letters[k: k + 4])])))
@@ -736,8 +857,8 @@ def linear_limit_point(rep, w, tol, depth_cap=al.LIMIT_DEPTH_CAP):
     g = flat(sc.IDENTITY)
     depth = 0
     while True:
-        diameter = al._chart_diameter([sc.scaled_mat_vec(g, c) for c in corners])
-        if diameter < tol:
+        pairs = al._chart_pairs(g, corners)
+        if al._below(pairs, tol):
             break
         if depth >= depth_cap:
             raise NoConvergence("depth cap reached before the boxes collapsed")
@@ -747,29 +868,25 @@ def linear_limit_point(rep, w, tol, depth_cap=al.LIMIT_DEPTH_CAP):
     point = Point(sc.mat_vec(g, sc.vec_to_mpf(box.b.coords)))
     dual = Line(sc.mat_vec(sc.mat_transpose(sc.adjugate(g)), sc.vec_to_mpf(box.line_B.coords)))
     residual = pj.incidence_residual(dual.coords, point.coords)
-    return al.LimitSample(w, point, dual, residual, diameter, depth)
+    return al.LimitSample(w, point, dual, residual, al._diameter(pairs), depth)
 
 
 def limit_outcome(limit, rep, w, tol, depth_cap, max_tests=None):
     """Every field of the sample (points and lines by their coordinates,
     since their ``==`` is projective), or the type of the library error.
 
-    More than ``max_tests`` stopping tests (a diameter compared with tol)
-    fail the test: a search whose probe leaves the bracket can loop
-    without closing it, on diameters it has already computed."""
+    More than ``max_tests`` stopping tests (``_below``) fail the test: a
+    search whose probe leaves the bracket can loop without closing it, on
+    diameters it has already computed."""
     tests = []
-    diameter = al._chart_diameter
+    below = al._below
 
-    class Diameter(mpf):
-        def __lt__(self, other):
-            tests.append(other)
-            assert max_tests is None or len(tests) <= max_tests, "search does not close"
-            return super().__lt__(other)
+    def counting(pairs, tol):
+        tests.append(tol)
+        assert max_tests is None or len(tests) <= max_tests, "search does not close"
+        return below(pairs, tol)
 
-    def counting(points):
-        return Diameter(diameter(points))
-
-    with mock.patch.object(al, "_chart_diameter", counting):
+    with mock.patch.object(al, "_below", counting):
         try:
             s = limit(rep, w, tol=tol, depth_cap=depth_cap)
         except PappusLabError as exc:
@@ -801,7 +918,9 @@ def test_limit_search_matches_linear_loop(moduli, la, steps, bits, x, case):
         if isinstance(reference, tuple):
             stop, diameter_at_stop = reference[5], reference[4]
             if case == "tie" and diameter_at_stop > floor:
-                tol = diameter_at_stop  # a diameter equal to tol does not stop
+                # d(stop) rounded down: d(stop) is equal to tol or a few
+                # ulps above it, and does not stop
+                tol = diameter_at_stop
             elif case == "above_d0":
                 tol = mpf(3)  # the base box has chart diameter 2 sqrt 2
             elif case == "cap_at_stop":
@@ -826,6 +945,12 @@ def test_limit_search_matches_linear_loop(moduli, la, steps, bits, x, case):
 ULP_FALL = 1 - mpf(2) ** -126
 
 
+def diameter_pairs(d):
+    """``_chart_pairs`` of a planted diameter d, an mpf: one pair, d^2 = N / D."""
+    man, exp = d.man_exp
+    return [(man * man << max(2 * exp, 0), 1 << max(-2 * exp, 0))]
+
+
 @given(
     st.lists(st.sampled_from((0, 0.1, 0.5, 0.5, 0.9, 0.99, ULP_FALL, 1, 1)), min_size=1, max_size=60),
     st.one_of(st.integers(0, 60), st.floats(-30, 1)),
@@ -844,32 +969,31 @@ def test_first_depth_below_matches_linear_scan(ratios, tol_at, first_probe, dept
     assume(tol > 0)
     calls = []
 
-    def diameter(n):
+    def pairs(n):
         calls.append(n)
         assert len(calls) <= 3 * (depth_cap + 1) + 1, "search does not close"
-        return d[min(n, len(d) - 1)]
+        return diameter_pairs(d[min(n, len(d) - 1)])
 
-    stop = next((n for n in range(depth_cap + 1) if diameter(n) < tol), None)
+    search = (pairs, tol, first_probe, depth_cap)
+    stop = next((n for n in range(depth_cap + 1) if d[min(n, len(d) - 1)] < tol), None)
     calls.clear()
     if stop is None:
         with pytest.raises(NoConvergence):
-            al._first_depth_below(diameter, tol, first_probe, depth_cap)
+            al._first_depth_below(*search)
     else:
-        assert al._first_depth_below(diameter, tol, first_probe, depth_cap) == stop
+        assert al._first_depth_below(*search) == stop
         assert max(calls) <= max(first_probe, 2 * stop - 1)
     assert max(calls) <= depth_cap
 
 
 def test_first_depth_below_with_equal_logs():
-    # diameters an ulp apart can have equal mpf logs: that is no usable
-    # rate, so the bracket is bisected rather than divided by a zero fall
+    # diameters an ulp apart can have equal float64 logs: that is no
+    # usable rate, so the bracket is bisected rather than divided by a
+    # zero fall
     x = mpf("1e-12")
-    assert x > x * ULP_FALL and mpmath.log(x) == mpmath.log(x * ULP_FALL)
-
-    def diameter(n):
-        return x if n <= 5 else x * ULP_FALL
-
-    assert al._first_depth_below(diameter, x, 2, 100) == 6
+    near = diameter_pairs(x), diameter_pairs(x * ULP_FALL)
+    assert x > x * ULP_FALL and al._log_diameter(near[0]) == al._log_diameter(near[1])
+    assert al._first_depth_below(lambda n: near[n > 5], x, 2, 100) == 6
 
 
 # ---------------------------------------------------------------------------

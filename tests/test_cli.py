@@ -12,6 +12,7 @@ import pytest
 from mpmath import mpf
 
 from pappuslab import anosov_lab as al
+from pappuslab import boxes as bx
 from pappuslab import cli
 from pappuslab import modular as md
 from pappuslab import representation as rp
@@ -277,17 +278,17 @@ def test_limit_searches_its_stopping_depth(tmp_path, monkeypatch, capsys):
     # chain products (412 here)
     diameters = []
     products = []
-    chart_diameter, scaled_mul = al._chart_diameter, sc.scaled_mul
+    below, scaled_mul = al._below, sc.scaled_mul
 
-    def measuring(points):
+    def measuring(pairs, tol):
         diameters.append(1)
-        return chart_diameter(points)
+        return below(pairs, tol)
 
     def multiplying(a, b):
         products.append(1)
         return scaled_mul(a, b)
 
-    monkeypatch.setattr(al, "_chart_diameter", measuring)
+    monkeypatch.setattr(al, "_below", measuring)
     monkeypatch.setattr(sc, "scaled_mul", multiplying)
     monkeypatch.chdir(tmp_path)
     assert cli.main(["limit", "--depth", "2", *DEFORMED]) == 0
@@ -312,6 +313,82 @@ def test_limit_evaluates_each_step_word_once(tmp_path, monkeypatch, capsys):
     assert set(calls) <= set(md.W_STEPS)
     for w in md.W_STEPS:
         assert calls.count(w) <= 1
+
+
+def test_limit_sets_up_its_parameter_point_once(tmp_path, monkeypatch, capsys):
+    # the region verdict, the base box and the scaled step images are the
+    # point's, not the word's: one of each for the 16 words
+    calls = {"from_moduli": 0, "in_region": 0, "step": 0}
+    from_moduli, in_region, to_scaled = bx.from_moduli, bx.in_region, sc.to_scaled
+
+    def counting(name, func):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+
+        return wrapped
+
+    def scaling(values):
+        values = list(values)
+        calls["step"] += len(values) == 9
+        return to_scaled(values)
+
+    monkeypatch.setattr(bx, "from_moduli", counting("from_moduli", from_moduli))
+    monkeypatch.setattr(bx, "in_region", counting("in_region", in_region))
+    monkeypatch.setattr(sc, "to_scaled", scaling)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["limit", "--depth", "2", *DEFORMED]) == 0
+    assert json.loads(capsys.readouterr().out)["words"] == 16
+    assert calls == {"from_moduli": 1, "in_region": 1, "step": len(md.W_STEPS)}
+
+
+def test_limit_setup_is_per_precision():
+    # a point whose limit points were taken at 64 bits gives at 256 bits
+    # the bits of a point that took none: no scaled int set up at 64 bits
+    # is read again (the step images of both are the 64-bit ones)
+    moduli, lam = BoxModuli(Fraction(3, 10), Fraction(-1, 5)), Lambda(epsilon=mpf("-0.15"), delta=mpf("0.01"))
+    words = [s * t for s in md.W_STEPS for t in md.W_STEPS]
+
+    def samples(rep):
+        out = []
+        for w in words:
+            s = al.limit_point(rep, w)
+            out.append((s.point.coords, s.dual_point.coords, s.flag_residual, s.diameter_at_stop, s.depth))
+        return out
+
+    with mpmath.workprec(64):
+        reused, unused = rp.Representation(moduli, lam), rp.Representation(moduli, lam)
+        at_64 = samples(reused)
+        assert unused.step_images == reused.step_images
+    with mpmath.workprec(256):
+        at_256 = samples(unused)
+        assert samples(reused) == at_256
+    assert sorted(reused.limit_setups) == [64, 256]
+    assert at_64 != at_256
+
+
+def test_default_limit_runs_at_the_lowest_precision(tmp_path, monkeypatch, capsys):
+    # LIMIT_TOL, the --tol default, clears the 53-bit floor 2^-45
+    assert al.LIMIT_TOL > sc.float_epsilon(53)
+    assert cli.build_parser().parse_args(["limit"]).tol == float(al.LIMIT_TOL)
+    monkeypatch.chdir(tmp_path)
+    code, report = run_json(capsys, "--precision", "53", "limit", "--depth", "2")
+    assert code == 0 and report["words"] > 0
+
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    # a reader that stops early (``pappuslab limit | head -3``) closes the
+    # pipe; the report's write then fails, and no traceback follows
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    env.pop(cli.PRECISION_ENV, None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pappuslab.cli", "limit", "--depth", "1"],
+        cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=300) == 1
+    assert "Traceback" not in stderr and stderr == ""
 
 
 COMMANDS = {
