@@ -35,6 +35,7 @@ from .errors import (
     DegenerateConfiguration,
     NoConvergence,
     NonLoxodromic,
+    NotConvex,
     NotInRegionInterior,
     NotInSubgroupO,
     SingularMatrix,
@@ -103,7 +104,10 @@ def loxodromic_eigen(rep: rp.Representation, w: GroupWord) -> sc.EigenResult:
 
 def _chain_setup(rep: rp.Representation) -> tuple:
     """The scaled step images and base-box corners and the mpf bottom corner
-    and line, once per ``mp.prec``; NotInRegionInterior outside the region."""
+    and line, once per ``mp.prec``; NotConvex at non-convex moduli and
+    NotInRegionInterior outside the region."""
+    if not rep.moduli.is_convex:
+        raise NotConvex("limit points are defined for convex boxes only")
     prec = mpmath.mp.prec
     if prec not in rep.limit_setups:
         box = bx.from_moduli(rep.moduli)

@@ -16,6 +16,9 @@ basis, where the four corners sit at
 and t = [zeta_t:1:0], b = [zeta_b:0:1]; the pair (zeta_t, zeta_b) is the
 box's moduli.  The box is convex exactly when both moduli lie strictly
 between -1 and 1.
+
+Only ``OvermarkedBox(...)``, for points from outside, validates a box;
+every box derived here from a valid one is built by ``_trusted``.
 """
 
 from __future__ import annotations
@@ -210,11 +213,28 @@ class OvermarkedBox:
 
     @classmethod
     def _trusted(cls, p, q, r, s, t, b) -> "OvermarkedBox":
-        """A box built without validation.
+        """A box derived from a valid one, built without validation.
 
-        Only for images of a valid box under maps that keep every
-        condition of ``__post_init__``: the relabelings i and j, and
-        exact invertible projective transformations.
+        The conditions of ``__post_init__`` are kept by the relabelings i
+        and j and by invertible maps (``apply_matrix``), and a valid box is
+        the image of its normal form (p, q, t on z = 0, r, s, b on y = 0,
+        t = [zt:1:0], b = [zb:0:1]), where each reduces to
+        (1 +- zt)(1 +- zb) != 0, as in ``BoxModuli``.
+
+        - ``from_moduli``: the lines meet at [1:0:0], off all six points.
+        - ``tau1``/``tau2``: with a = 1 - zt zb, QR = [a : 1-zb : 1-zt],
+          PS = [a : -1-zb : -1-zt] and (pr)(qs) = [0:1:1] are distinct
+          and lie on the line [zb-zt : a : -a] (Pappus).  It meets z = 0
+          at [-a : zb-zt : 0], which is p, q or t only if (1+zt)(1-zb),
+          (1-zt)(1+zb) or zt^2 - 1 vanishes, and y = 0 at
+          [-a : 0 : zt-zb], likewise for r, s, b.  The new points have
+          z = 1-zt, -1-zt, 1 and y = 1-zb, -1-zb, 1, so miss both meets.
+        - ``apply_symmetry_to_box``: a duality sends the lines P, Q, T
+          through t (R, S, B through b) to distinct points on one line,
+          and tb, which is none of the six lines, to the lines' meet.
+
+        In float mode this holds in exact arithmetic; a box degenerate
+        to working precision fails ``theta_basis`` where it is used.
         """
         box = object.__new__(cls)
         for name, point in zip(("p", "q", "r", "s", "t", "b"), (p, q, r, s, t, b)):
@@ -279,23 +299,21 @@ class OvermarkedBox:
 
 def from_moduli(m: BoxModuli) -> OvermarkedBox:
     """The normal-form box with the given moduli."""
-    return OvermarkedBox(
-        p=STANDARD_CORNERS[0],
-        q=STANDARD_CORNERS[1],
-        r=STANDARD_CORNERS[2],
-        s=STANDARD_CORNERS[3],
-        t=Point((m.zeta_t, 1, 0)),
-        b=Point((m.zeta_b, 0, 1)),
-    )
+    return OvermarkedBox._trusted(*STANDARD_CORNERS, Point((m.zeta_t, 1, 0)), Point((m.zeta_b, 0, 1)))
 
 
 SPECIAL_BOX = from_moduli(BoxModuli(0, 0))
 
 
+def corner_basis(p: Point, q: Point, r: Point, s: Point) -> tuple:
+    """Matrix carrying four corners in general position to ``STANDARD_CORNERS``."""
+    return pj.frame_change(pj.frame_matrix(p, q, r, s), STANDARD_FRAME)
+
+
 def theta_basis(box: OvermarkedBox) -> tuple:
     """Change-of-basis matrix carrying the box corners to normal form."""
     try:
-        return pj.frame_change(pj.frame_matrix(box.p, box.q, box.r, box.s), STANDARD_FRAME)
+        return corner_basis(box.p, box.q, box.r, box.s)
     except PappusLabError as exc:
         raise DegenerateBox("box corners admit no adapted basis") from exc
 
@@ -376,34 +394,26 @@ def _pappus_points(box: OvermarkedBox):
 def tau1(box: OvermarkedBox) -> OvermarkedBox:
     """First Pappus child: (p, q, QR, PS; t, (pr)(qs))."""
     qr, ps, mid = _pappus_points(box)
-    try:
-        return OvermarkedBox(p=box.p, q=box.q, r=qr, s=ps, t=box.t, b=mid)
-    except DegenerateBox as exc:
-        raise DegenerateConfiguration(str(exc)) from exc
+    return OvermarkedBox._trusted(box.p, box.q, qr, ps, box.t, mid)
 
 
 def tau2(box: OvermarkedBox) -> OvermarkedBox:
     """Second Pappus child: (QR, PS, s, r; (pr)(qs), b)."""
     qr, ps, mid = _pappus_points(box)
-    try:
-        return OvermarkedBox(p=qr, q=ps, r=box.s, s=box.r, t=mid, b=box.b)
-    except DegenerateBox as exc:
-        raise DegenerateConfiguration(str(exc)) from exc
+    return OvermarkedBox._trusted(qr, ps, box.s, box.r, mid, box.b)
 
 
 def apply_matrix(box: OvermarkedBox, m: tuple) -> OvermarkedBox:
     """Image of a box under a projective transformation matrix.
 
-    An exact image under an invertible matrix is a valid box because
-    the box is, so only float images and singular matrices are checked.
+    The image of a valid box under an invertible matrix is valid, in
+    either scalar mode, so it is built unchecked; DegenerateConfiguration
+    only when det(m) is exactly zero.  A float matrix that is singular
+    only to working precision gives a box that ``theta_basis`` rejects.
     """
-    try:
-        images = tuple(Point(sc.mat_vec(m, x.coords)) for x in box.points)
-        if all(x.exact for x in images) and sc.det3(m) != 0:
-            return OvermarkedBox._trusted(*images)
-        return OvermarkedBox(*images)
-    except (DegenerateBox, PappusLabError) as exc:
-        raise DegenerateConfiguration(str(exc)) from exc
+    if sc.det3(m) == 0:
+        raise DegenerateConfiguration("singular transformation matrix")
+    return OvermarkedBox._trusted(*(Point(sc.mat_vec(m, x.coords)) for x in box.points))
 
 
 def apply_symmetry_to_box(g: pj.ProjSymmetry, box: OvermarkedBox) -> OvermarkedBox:
@@ -420,17 +430,7 @@ def apply_symmetry_to_box(g: pj.ProjSymmetry, box: OvermarkedBox) -> OvermarkedB
     if not g.is_duality:
         return apply_matrix(box, g.matrix)
     lp, lq, lr, ls, lt, lb = box.lines
-    try:
-        return OvermarkedBox(
-            p=Point(g.line_image_coords(lp.coords)),
-            q=Point(g.line_image_coords(lq.coords)),
-            r=Point(g.line_image_coords(ls.coords)),
-            s=Point(g.line_image_coords(lr.coords)),
-            t=Point(g.line_image_coords(lt.coords)),
-            b=Point(g.line_image_coords(lb.coords)),
-        )
-    except (DegenerateBox, PappusLabError) as exc:
-        raise DegenerateConfiguration(str(exc)) from exc
+    return OvermarkedBox._trusted(*(Point(g.line_image_coords(x.coords)) for x in (lp, lq, ls, lr, lt, lb)))
 
 
 def transform_sigma(box: OvermarkedBox, lam: Lambda) -> OvermarkedBox:

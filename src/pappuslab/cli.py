@@ -146,10 +146,7 @@ def _random_convex_box(rng):
             for _ in range(3)
         )
         if sc.det3(m) != 0:
-            try:
-                return bx.apply_matrix(box, m)
-            except PappusLabError:
-                continue
+            return bx.apply_matrix(box, m)
     return box
 
 

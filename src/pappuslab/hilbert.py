@@ -16,7 +16,6 @@ import mpmath
 from mpmath import mpf
 
 from . import boxes as bx
-from . import projective as pj
 from . import scalars as sc
 from .errors import DegenerateConfiguration, NotNested, OutsideDomain, PappusLabError
 from .projective import Point
@@ -41,7 +40,7 @@ class ConvexQuad:
         if self.basis is not None:
             return
         try:
-            m = pj.frame_change(pj.frame_matrix(*self.vertices), bx.STANDARD_FRAME)
+            m = bx.corner_basis(*self.vertices)
         except PappusLabError as exc:
             raise PappusLabError("quad vertices are not in general position") from exc
         object.__setattr__(self, "basis", m)

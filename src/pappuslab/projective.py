@@ -7,6 +7,7 @@ Coordinates are 3-tuples of scalars in either scalar mode (see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from mpmath import mpf
 
@@ -153,12 +154,13 @@ class ProjSymmetry:
     def __post_init__(self):
         if self.kind not in (TRANSFORMATION, DUALITY):
             raise ValueError("kind must be 'transformation' or 'duality'")
-        sc.mat_inverse(self.matrix)  # raises SingularMatrix when degenerate
+        self.dual_matrix  # inverts the matrix once; SingularMatrix when degenerate
 
     @property
     def is_duality(self) -> bool:
         return self.kind == DUALITY
 
+    @cached_property
     def dual_matrix(self) -> tuple:
         return sc.mat_transpose(sc.mat_inverse(self.matrix))
 
@@ -166,22 +168,19 @@ class ProjSymmetry:
         return sc.mat_vec(self.matrix, coords)
 
     def line_image_coords(self, coords):
-        return sc.mat_vec(self.dual_matrix(), coords)
+        return sc.mat_vec(self.dual_matrix, coords)
 
     def compose(self, other: "ProjSymmetry") -> "ProjSymmetry":
         """self after other (apply ``other`` first)."""
-        if not self.is_duality and not other.is_duality:
-            return ProjSymmetry(TRANSFORMATION, sc.mat_mul(self.matrix, other.matrix))
-        if self.is_duality and not other.is_duality:
-            return ProjSymmetry(DUALITY, sc.mat_mul(self.matrix, other.matrix))
-        if not self.is_duality and other.is_duality:
-            return ProjSymmetry(DUALITY, sc.mat_mul(self.dual_matrix(), other.matrix))
-        return ProjSymmetry(TRANSFORMATION, sc.mat_mul(self.dual_matrix(), other.matrix))
+        # a duality ``other`` hands self lines, on which self acts by t(M)^-1
+        left = self.dual_matrix if other.is_duality else self.matrix
+        kind = DUALITY if self.is_duality != other.is_duality else TRANSFORMATION
+        return ProjSymmetry(kind, sc.mat_mul(left, other.matrix))
 
     def inverse(self) -> "ProjSymmetry":
         if self.is_duality:
             return ProjSymmetry(DUALITY, sc.mat_transpose(self.matrix))
-        return ProjSymmetry(TRANSFORMATION, sc.mat_inverse(self.matrix))
+        return ProjSymmetry(TRANSFORMATION, sc.mat_transpose(self.dual_matrix))
 
     def is_polarity(self) -> bool:
         if not self.is_duality:

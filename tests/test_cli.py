@@ -418,6 +418,14 @@ def test_unwritable_out_is_usage_error(name, where, tmp_path, monkeypatch, capsy
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("lam", [[], ["--u", "9/10", "--v", "1"]], ids=["float", "exact"])
+def test_limit_at_nonconvex_moduli_is_not_convex(lam, tmp_path, monkeypatch, capsys):
+    # as certify and iterate: the boxes of non-convex moduli have no interior
+    monkeypatch.chdir(tmp_path)
+    code, report = run_json(capsys, "limit", "--depth", "1", "--zt=2", "--zb=1/3", *lam)
+    assert code == 1 and report["error"] == "NotConvex"
+
+
 def test_limit_skipped_words_spelled_as_in_json(tmp_path, monkeypatch, capsys):
     # undeformed special box: the two parabolic step words have no limit
     monkeypatch.chdir(tmp_path)
@@ -712,6 +720,19 @@ def test_every_public_name_is_referenced():
     referenced = _names_read([*PACKAGE_DIR.glob("*.py"), *TESTS_DIR.glob("*.py")])
     unreferenced = sorted((module, name) for name, module in _public_names().items() if name not in referenced)
     assert not unreferenced
+
+
+def test_no_package_module_calls_the_public_box_constructor():
+    # OvermarkedBox(...) validates points from outside; a box the package
+    # derives from a valid one is built by OvermarkedBox._trusted
+    calls = [
+        (path.name, node.lineno)
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and "OvermarkedBox" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert not calls
 
 
 # public names that neither the package nor the acceptance suite reads

@@ -104,8 +104,9 @@ def test_standard_frame_is_the_rational_one():
 # boxes built without validation
 
 
-def test_unvalidated_boxes_of_a_relation_run_are_valid(monkeypatch, capsys):
-    produced = {name: [] for name in ("transform_i", "transform_j", "transform_sigma", "apply_matrix")}
+def record_boxes(monkeypatch, names):
+    """The boxes each named ``boxes`` function returns, by name."""
+    produced = {name: [] for name in names}
 
     def recording(name, func):
         def wrapper(*args):
@@ -115,16 +116,62 @@ def test_unvalidated_boxes_of_a_relation_run_are_valid(monkeypatch, capsys):
 
         return wrapper
 
-    for name in produced:
+    for name in names:
         monkeypatch.setattr(bx, name, recording(name, getattr(bx, name)))
-    assert cli.main(["relations", "--trials", "2", "--pairs", "4", "--seed", "11"]) == 0
-    capsys.readouterr()
+    return produced
+
+
+def assert_publicly_valid(produced):
     for name, boxes in produced.items():
         assert boxes, name
         for box in boxes:
-            assert all(x.exact for x in box.points)
             # raises unless the public validation accepts the box
             assert bx.OvermarkedBox(*box.points) == box
+
+
+INVERTIBLE = ((2, 1, 0), (0, 1, 1), (1, 0, 3))
+SINGULAR = [
+    ((1, 0, 0), (0, 1, 0), (1, 1, 0)),
+    ((1, 2, 3), (2, 4, 6), (0, 0, 1)),
+    ((1, 0, 0), (0, 0, 0), (0, 0, 1)),
+]
+UNVALIDATED = ("from_moduli", "tau1", "tau2", "transform_i", "transform_j", "transform_sigma", "apply_matrix")
+
+
+def test_unvalidated_boxes_of_a_relation_run_are_valid(monkeypatch, capsys):
+    produced = record_boxes(monkeypatch, UNVALIDATED)
+    assert cli.main(["relations", "--trials", "2", "--pairs", "4", "--seed", "11"]) == 0
+    capsys.readouterr()
+    assert all(x.exact for boxes in produced.values() for box in boxes for x in box.points)
+    assert_publicly_valid(produced)
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["certify", "--maxlen", "4", "--zt=3/10", "--zb=-2/10", "--eps=-0.15", "--delta=0.01"],
+         ("from_moduli", "apply_matrix")),
+        (["iterate", "--eps=-0.1", "--depth", "4"], ("from_moduli", "tau1", "tau2", "transform_sigma", "apply_matrix")),
+    ],
+    ids=["certify", "iterate"],
+)
+def test_unvalidated_boxes_of_a_float_run_are_valid(argv, names, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    produced = record_boxes(monkeypatch, names)
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    images = produced["apply_matrix"]
+    assert images and not any(x.exact for box in images for x in box.points)
+    assert_publicly_valid(produced)
+
+
+@pytest.mark.parametrize("to_scalar", [lambda m: m, sc.mat_to_mpf], ids=["exact", "float"])
+def test_duality_images_are_valid(to_scalar):
+    box = bx.apply_matrix(bx.from_moduli(bx.BoxModuli(Fraction(1, 2), Fraction(-1, 3))), to_scalar(INVERTIBLE))
+    d = pj.duality(to_scalar(((2, -1, 0), (1, 3, 1), (0, 1, -2))))
+    for _ in range(4):
+        box = bx.apply_symmetry_to_box(d, box)
+        assert bx.OvermarkedBox(*box.points) == box
 
 
 def count_validations(monkeypatch):
@@ -142,31 +189,48 @@ def count_validations(monkeypatch):
 def test_exact_invertible_image_skips_validation(monkeypatch):
     box = bx.from_moduli(bx.BoxModuli(Fraction(1, 2), Fraction(-1, 3)))
     calls = count_validations(monkeypatch)
-    image = bx.apply_matrix(box, ((2, 1, 0), (0, 1, 1), (1, 0, 3)))
+    image = bx.apply_matrix(box, INVERTIBLE)
     assert not calls
     assert bx.OvermarkedBox(*image.points) == image
 
 
-@pytest.mark.parametrize(
-    "m",
-    [
-        ((1, 0, 0), (0, 1, 0), (1, 1, 0)),
-        ((1, 2, 3), (2, 4, 6), (0, 0, 1)),
-        ((1, 0, 0), (0, 0, 0), (0, 0, 1)),
-    ],
-)
+def test_float_invertible_image_skips_validation(monkeypatch):
+    box = bx.from_moduli(bx.BoxModuli(Fraction(1, 2), Fraction(-1, 3)))
+    calls = count_validations(monkeypatch)
+    image = bx.apply_matrix(box, sc.mat_to_mpf(INVERTIBLE))
+    assert not calls and not any(x.exact for x in image.points)
+    assert bx.OvermarkedBox(*image.points) == image
+
+
+@pytest.mark.parametrize("m", SINGULAR)
 def test_singular_exact_matrix_still_raises(m):
     box = bx.from_moduli(bx.BoxModuli(Fraction(1, 2), Fraction(-1, 3)))
     with pytest.raises(DegenerateConfiguration):
         bx.apply_matrix(box, m)
 
 
-def test_float_image_is_validated(monkeypatch):
+@pytest.mark.parametrize("m", SINGULAR)
+def test_singular_float_matrix_still_raises(m):
     box = bx.from_moduli(bx.BoxModuli(Fraction(1, 2), Fraction(-1, 3)))
-    calls = count_validations(monkeypatch)
-    m = sc.mat_to_mpf(((2, 1, 0), (0, 1, 1), (1, 0, 3)))
-    image = bx.apply_matrix(box, m)
-    assert len(calls) == 1 and not any(x.exact for x in image.points)
-    singular = sc.mat_to_mpf(((1, 0, 0), (0, 1, 0), (1, 1, 0)))
     with pytest.raises(DegenerateConfiguration):
-        bx.apply_matrix(box, singular)
+        bx.apply_matrix(box, sc.mat_to_mpf(m))
+
+
+rational_matrices = st.tuples(*[st.tuples(rationals, rationals, rationals)] * 3).filter(lambda m: sc.det3(m) != 0)
+
+
+@given(exact_boxes(), rational_matrices)
+@settings(max_examples=60, deadline=None)
+def test_pappus_children_and_duality_images_are_valid(box, m):
+    # exact_boxes draws moduli in [-6, 6], so non-convex boxes are included
+    children = (bx.tau1(box), bx.tau2(box), bx.transform_i(box), bx.transform_j(box))
+    for child in children + (bx.apply_symmetry_to_box(pj.duality(m), box),):
+        assert bx.OvermarkedBox(*child.points) == child
+    # in the adapted basis the Pappus points are the closed forms of
+    # OvermarkedBox._trusted's docstring
+    g, mod = bx.theta_basis(box), bx.moduli(box)
+    zt, zb = mod.zeta_t, mod.zeta_b
+    a = 1 - zt * zb
+    closed = ((a, 1 - zb, 1 - zt), (a, -1 - zb, -1 - zt), (0, 1, 1))
+    for point, form in zip(bx._pappus_points(box), closed, strict=True):
+        assert Point(sc.mat_vec(g, point.coords)) == Point(form)

@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
 
+from pappuslab import boxes as bx
 from pappuslab import projective as pj
 from pappuslab import scalars as sc
 from pappuslab.errors import (
     CoincidentLines,
     CoincidentPoints,
     PappusLabError,
+    SingularMatrix,
 )
 
 
@@ -96,6 +98,19 @@ def test_identity_polarity_swaps():
     out = pj.apply_symmetry(d, f)
     assert out.point == pj.Point((0, 0, 1))
     assert out.line == pj.Line((1, 0, 0))
+
+
+def test_symmetry_inverts_its_matrix_once(monkeypatch):
+    # at construction, where a singular matrix raises; mapping a box's six
+    # lines reads the stored inverse
+    with pytest.raises(SingularMatrix):
+        pj.duality(((1, 2, 3), (2, 4, 6), (0, 0, 1)))
+    calls = []
+    inverse = sc.mat_inverse
+    monkeypatch.setattr(sc, "mat_inverse", lambda m: calls.append(m) or inverse(m))
+    d = pj.duality(((2, -1, 0), (1, 3, 1), (0, 1, -2)))
+    bx.apply_symmetry_to_box(d, bx.SPECIAL_BOX)
+    assert len(calls) == 1
 
 
 def test_polarity_involution_on_flags():
