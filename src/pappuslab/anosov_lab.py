@@ -102,25 +102,6 @@ def loxodromic_eigen(rep: rp.Representation, w: GroupWord) -> sc.EigenResult:
     return res
 
 
-def _chain_setup(rep: rp.Representation) -> tuple:
-    """The scaled step images and base-box corners and the mpf bottom corner
-    and line, once per ``mp.prec``; NotConvex at non-convex moduli and
-    NotInRegionInterior outside the region."""
-    if not rep.moduli.is_convex:
-        raise NotConvex("limit points are defined for convex boxes only")
-    prec = mpmath.mp.prec
-    if prec not in rep.limit_setups:
-        box = bx.from_moduli(rep.moduli)
-        rep.limit_setups[prec] = bx.in_region(rep.lam) and (
-            {s: sc.to_scaled(x for row in sc.mat_to_mpf(g) for x in row) for s, g in rep.step_images.items()},
-            [sc.to_scaled(sc.vec_to_mpf(p.coords)) for p in (box.p, box.q, box.r, box.s)],
-            sc.vec_to_mpf(box.b.coords), sc.vec_to_mpf(box.line_B.coords),
-        )
-    if not rep.limit_setups[prec]:
-        raise NotInRegionInterior("deformation outside the admissible region")
-    return rep.limit_setups[prec]
-
-
 def _chart_pairs(g: tuple, corners: list) -> list:
     """Ints (N, D) per pair of corner images (x, y, z) = g c, whose squared
     chart distance is N / D: with u = y - z and w = y + z (own scales
@@ -212,11 +193,11 @@ def limit_point(
     rounding noise and no longer falls.
 
     The products run on the scaled-integer kernel of ``scalars`` (its
-    error bound is stated there), set up once per point and precision
-    (``_chain_setup``); the stop test is exact on their ints (``_below``),
-    and ``diameter_at_stop`` is d(stop) rounded down.  The word must be
-    loxodromic, as the period product P's spectrum decides: the chain
-    converges to P's attracting flag.
+    error bound is stated there), set up once per point
+    (``Representation.limit_setup``); the stop test is exact on their
+    ints (``_below``), and ``diameter_at_stop`` is d(stop) rounded down.
+    The word must be loxodromic, as the period product P's spectrum
+    decides: the chain converges to P's attracting flag.
 
     The iteration uses the crossing normal form of w, a cyclic
     conjugate; for words not already in that form the result, and the
@@ -225,7 +206,11 @@ def limit_point(
     """
     if not md.in_subgroup_o(w):
         raise NotInSubgroupO("limit points need even-involution words")
-    step_images, corners, bottom, bottom_line = _chain_setup(rep)
+    if not rep.moduli.is_convex:
+        raise NotConvex("limit points are defined for convex boxes only")
+    if not rep.limit_setup:
+        raise NotInRegionInterior("deformation outside the admissible region")
+    step_images, corners, bottom, bottom_line = rep.limit_setup
     if tol <= sc.float_epsilon():
         raise ToleranceBelowPrecision("limit tol must exceed 2^(8 - precision)")
     tol = mpmath.mpmathify(tol)

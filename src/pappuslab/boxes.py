@@ -56,14 +56,20 @@ STANDARD_FRAME = pj.frame_matrix(*STANDARD_CORNERS)
 
 
 class Lambda:
-    """Deformation parameter pair (epsilon, delta).
+    """Deformation parameter pair (epsilon, delta), with the values that
+    every object built from it reads, computed once here.
 
-    Two storage styles: float mode keeps (epsilon, delta) directly;
-    exact mode keeps rational u = e^epsilon, v = e^delta so that every
-    derived matrix entry is rational (cosh eps = (u + 1/u)/2 and so on).
+    Float mode keeps (epsilon, delta), and values of the precision it was
+    built at, ``prec``; exact mode keeps rational u = e^epsilon and
+    v = e^delta, so every value is rational (cosh eps = (u + 1/u)/2 and so
+    on), and ``prec`` is None.  ``sigma`` is the deformation matrix of the
+    normal-form coordinates, of unit determinant as cosh^2 - sinh^2 = 1;
+    in exact mode, its coprime integral positive multiple.  Every reader
+    of sigma is projective, and integral entries keep products small.
     """
 
-    __slots__ = ("epsilon", "delta", "u", "v")
+    __slots__ = ("epsilon", "delta", "u", "v", "prec", "cosh_eps", "sinh_eps",
+                 "exp_delta", "exp_minus_delta", "sigma")
 
     def __init__(self, epsilon=None, delta=None, u=None, v=None):
         if u is not None or v is not None:
@@ -73,36 +79,23 @@ class Lambda:
             if u <= 0 or v <= 0:
                 raise ValueError("u = e^epsilon and v = e^delta must be positive")
             self.u, self.v = u, v
-            self.epsilon, self.delta = None, None
+            self.epsilon = self.delta = self.prec = None
+            self.cosh_eps, self.sinh_eps = ch, sh = (u + 1 / u) / 2, (u - 1 / u) / 2
+            self.exp_delta, self.exp_minus_delta = v, 1 / v
         else:
             if epsilon is None or delta is None:
                 raise ValueError("float style takes epsilon and delta")
-            self.epsilon, self.delta = sc.to_mpf(epsilon), sc.to_mpf(delta)
-            self.u, self.v = None, None
+            self.epsilon, self.delta = eps, delta = sc.to_mpf(epsilon), sc.to_mpf(delta)
+            self.u = self.v = None
+            self.prec = mpmath.mp.prec
+            self.cosh_eps, self.sinh_eps = ch, sh = mpmath.cosh(eps), mpmath.sinh(eps)
+            self.exp_delta, self.exp_minus_delta = mpmath.exp(delta), mpmath.exp(-delta)
+        sigma = ((1, 0, 0), (0, self.exp_minus_delta * ch, -sh), (0, -sh, self.exp_delta * ch))
+        self.sigma = sc.mat_exact_reduce(sigma) if self.exact else sigma
 
     @property
     def exact(self) -> bool:
         return self.u is not None
-
-    def cosh_eps(self):
-        if self.exact:
-            return (self.u + 1 / self.u) / 2
-        return mpmath.cosh(self.epsilon)
-
-    def sinh_eps(self):
-        if self.exact:
-            return (self.u - 1 / self.u) / 2
-        return mpmath.sinh(self.epsilon)
-
-    def exp_delta(self):
-        if self.exact:
-            return self.v
-        return mpmath.exp(self.delta)
-
-    def exp_minus_delta(self):
-        if self.exact:
-            return 1 / self.v
-        return mpmath.exp(-self.delta)
 
     def eps_value(self) -> mpf:
         return mpmath.log(sc.to_mpf(self.u)) if self.exact else self.epsilon
@@ -125,50 +118,15 @@ class Lambda:
 LAMBDA_ZERO = Lambda(u=1, v=1)
 
 
-def sigma_matrix(lam: Lambda) -> tuple:
-    """The deformation matrix of the normal-form coordinates.
-
-    Unit determinant for every (epsilon, delta) since
-    cosh^2 - sinh^2 = 1.
-    """
-    ch, sh = lam.cosh_eps(), lam.sinh_eps()
-    return (
-        (1, 0, 0),
-        (0, lam.exp_minus_delta() * ch, -sh),
-        (0, -sh, lam.exp_delta() * ch),
-    )
-
-
-def _integer_sigma(lam: Lambda) -> tuple:
-    """2uv sigma_matrix(lam) with the denominators of an exact lam
-    cleared: an integral positive multiple, equal projectively."""
-    a, b = lam.u.numerator, lam.u.denominator
-    c, d = lam.v.numerator, lam.v.denominator
-    diag = a * a + b * b
-    off = c * d * (a * a - b * b)
-    return (
-        (2 * a * b * c * d, 0, 0),
-        (0, diag * d * d, -off),
-        (0, -off, diag * c * c),
-    )
-
-
-def region_f(lam: Lambda):
-    """f(epsilon, delta) = e^{-delta} cosh(eps) - sinh(eps) - 1."""
-    return lam.exp_minus_delta() * lam.cosh_eps() - lam.sinh_eps() - 1
-
-
 def in_region(lam: Lambda, strict: bool = False) -> bool:
     """Whether deformed boxes stay nested inside their parents.
 
-    The condition is f(eps, delta) >= 0 and f(eps, -delta) >= 0 (strict
+    The condition is f(eps, delta) >= 0 and f(eps, -delta) >= 0, with
+    f(eps, delta) = e^-delta cosh(eps) - sinh(eps) - 1 (strict
     inequalities for the interior of the region).
     """
-    a = region_f(lam)
-    b = region_f(Lambda(u=lam.u, v=1 / lam.v) if lam.exact else Lambda(epsilon=lam.epsilon, delta=-lam.delta))
-    if strict:
-        return a > 0 and b > 0
-    return a >= 0 and b >= 0
+    low = min(e * lam.cosh_eps - lam.sinh_eps - 1 for e in (lam.exp_minus_delta, lam.exp_delta))
+    return low > 0 if strict else low >= 0
 
 
 # ---------------------------------------------------------------------------
@@ -438,12 +396,11 @@ def transform_sigma(box: OvermarkedBox, lam: Lambda) -> OvermarkedBox:
     if lam.is_zero:
         return box
     g = theta_basis(box)
-    # the adjugate is the inverse up to the (nonzero) determinant, and
-    # _integer_sigma is sigma up to a positive scale; both scales are
+    # the adjugate is the inverse up to the (nonzero) determinant, and an
+    # exact lam.sigma is sigma up to a positive scale; both scales are
     # invisible projectively and keep exact entries integral
-    exact = lam.exact and sc.mat_is_exact(g)
-    m = sc.mat_mul(sc.mat_mul(sc.adjugate(g), _integer_sigma(lam) if exact else sigma_matrix(lam)), g)
-    return apply_matrix(box, sc.mat_exact_reduce(m) if exact else m)
+    m = sc.mat_mul(sc.mat_mul(sc.adjugate(g), lam.sigma), g)
+    return apply_matrix(box, sc.mat_exact_reduce(m) if lam.exact and sc.mat_is_exact(g) else m)
 
 
 def i_lambda(box: OvermarkedBox, lam: Lambda) -> OvermarkedBox:
@@ -510,9 +467,9 @@ def containment_check(box: OvermarkedBox, lam: Lambda, strict: bool = False) -> 
         raise NotConvex("containment is about convex interiors")
     # the deformation acts in the box's own adapted basis, where the
     # corners sit at the standard positions, so the test is the same
-    # for every convex box
-    sig = sigma_matrix(lam)
+    # for every convex box; the inequalities are homogeneous, so an exact
+    # lam.sigma's positive scale does not matter
     return all(
-        in_standard_interior(sc.mat_vec(sig, corner.coords), strict=strict)
+        in_standard_interior(sc.mat_vec(lam.sigma, corner.coords), strict=strict)
         for corner in STANDARD_CORNERS
     )

@@ -69,6 +69,10 @@ class ToleranceBelowPrecision(PappusLabError):
     """A stopping tolerance at or below the rounding noise of the working precision."""
 
 
+class PrecisionMismatch(PappusLabError):
+    """A value built at one working precision used at another."""
+
+
 class NotInRegionInterior(PappusLabError):
     pass
 

@@ -9,7 +9,7 @@ by its adapted-basis matrix.  The key families are:
 - ``matrix_D``: the symmetric polarity matrix swapping a box with its
   dual (positive definite exactly for convex moduli);
 - ``matrix_B``: the deformed conjugate Sigma^-1 D^-1 tA^-1 D Sigma, with
-  Sigma = ``boxes.sigma_matrix`` the two-parameter deformation.
+  Sigma = ``Lambda.sigma`` the two-parameter deformation.
 
 A ``Representation`` is the representation rho^lambda of the
 even-involution subgroup at one parameter point (moduli, lambda): it
@@ -39,6 +39,7 @@ from .errors import (
     NoSolution,
     NotARotation,
     NotInSubgroupO,
+    PrecisionMismatch,
     SpecialBox,
     ToleranceBelowPrecision,
 )
@@ -81,8 +82,8 @@ def matrix_B0(m: BoxModuli) -> tuple:
 
 
 def sigma_conjugate(b0: tuple, lam: Lambda) -> tuple:
-    """Sigma^-1 b0 Sigma, with Sigma = ``boxes.sigma_matrix(lam)``."""
-    sig = bx.sigma_matrix(lam)
+    """Sigma^-1 b0 Sigma, with Sigma = ``lam.sigma``, whose scale cancels."""
+    sig = lam.sigma
     if not (sc.mat_is_exact(sig) and sc.mat_is_exact(b0)):
         sig, b0 = sc.mat_to_mpf(sig), sc.mat_to_mpf(b0)
     return sc.mat_mul(sc.mat_mul(sc.mat_inverse(sig), b0), sig)
@@ -97,35 +98,53 @@ def matrix_B(m: BoxModuli, lam: Lambda) -> tuple:
 # word evaluation
 
 
+class _PointValue(cached_property):
+    """A value of a ``Representation``, built on first read and kept.  As
+    a data descriptor it sees every read, and raises PrecisionMismatch for
+    one at a precision other than the point's."""
+
+    def __get__(self, rep, owner=None):
+        if rep is not None and rep.prec != mpmath.mp.prec:
+            raise PrecisionMismatch("built at %d bits, read at %d" % (rep.prec, mpmath.mp.prec))
+        return super().__get__(rep, owner)
+
+    def __set__(self, rep, value):
+        raise AttributeError(self.attrname)
+
+
 @dataclass(frozen=True)
 class Representation:
     """The representation rho^lambda at one parameter point.
 
     The rotation generator maps to A = ``matrix_A(moduli)`` and its
-    involution conjugate to B^lambda = ``matrix_B(moduli, lam)``, both
-    built once, in the scalar mode of the inputs: exact for rational
-    moduli and an exact deformation, and otherwise mpf, with A's
-    rationals rounded to nearest by ``sc.mat_to_mpf``.  The letter and
-    step-word images are built on first use, so a caller that needs only
-    A and B^lambda (``obstruction``, ``extension_intertwiner``) never pays
-    for them; ``anosov_lab.limit_point`` keeps its setup, by ``mp.prec``,
-    in ``limit_setups``.
+    involution conjugate to B^lambda = ``matrix_B(moduli, lam)``, in the
+    scalar mode of the inputs: exact for rational moduli and an exact
+    deformation, and otherwise mpf, with A's rationals rounded to nearest
+    by ``sc.mat_to_mpf``.  B^lambda is built with the point and the rest
+    on first use, so ``obstruction`` and ``extension_intertwiner`` never
+    pay for the letter and step images.  All hold the bits of the point's
+    precision ``prec``, a float lam's own: reading one at another raises.
     """
 
     moduli: BoxModuli
     lam: Lambda
-    a: tuple = field(init=False, repr=False, compare=False)
-    b: tuple = field(init=False, repr=False, compare=False)
-    limit_setups: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    prec: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        a, b = matrix_A(self.moduli), matrix_B(self.moduli, self.lam)
-        if not sc.mat_is_exact(b):
-            a = sc.mat_to_mpf(a)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        # B^lambda is built now: at a precision not a float lam's, it raises
+        object.__setattr__(self, "prec", self.lam.prec or mpmath.mp.prec)
+        self.b
 
-    @cached_property
+    @_PointValue
+    def b(self) -> tuple:
+        return matrix_B(self.moduli, self.lam)
+
+    @_PointValue
+    def a(self) -> tuple:
+        a = matrix_A(self.moduli)
+        return a if sc.mat_is_exact(self.b) else sc.mat_to_mpf(a)
+
+    @_PointValue
     def letter_images(self) -> tuple:
         """Images of the rotation letters, indexed [parity of I letters][letter]:
         A and A^2 at even parity, B^lambda and (B^lambda)^2 at odd, all
@@ -133,11 +152,21 @@ class Representation:
         a, b = self.a, self.b
         return {"R": a, "RR": sc.mat_mul(a, a)}, {"R": b, "RR": sc.mat_mul(b, b)}
 
-    @cached_property
+    @_PointValue
     def step_images(self) -> dict:
-        """Images of the four two-crossing step words ``modular.W_STEPS``,
-        evaluated on first use."""
+        """Images of the four two-crossing step words ``modular.W_STEPS``."""
         return {w: evaluate(self, w) for w in md.W_STEPS}
+
+    @_PointValue
+    def limit_setup(self):
+        """``anosov_lab.limit_point``'s setup, False outside the region: the
+        scaled step images and base-box corners, the mpf corner b and line B."""
+        box = bx.from_moduli(self.moduli)
+        return bx.in_region(self.lam) and (
+            {s: sc.to_scaled(x for row in sc.mat_to_mpf(g) for x in row) for s, g in self.step_images.items()},
+            [sc.to_scaled(sc.vec_to_mpf(p.coords)) for p in (box.p, box.q, box.r, box.s)],
+            sc.vec_to_mpf(box.b.coords), sc.vec_to_mpf(box.line_B.coords),
+        )
 
 
 def evaluate(rep: Representation, w: GroupWord) -> tuple:
@@ -149,13 +178,14 @@ def evaluate(rep: Representation, w: GroupWord) -> tuple:
     """
     if not md.in_subgroup_o(w):
         raise NotInSubgroupO("matrix evaluation needs an even-involution word")
+    images = rep.letter_images
     out = sc.IDENTITY
     parity = 0
     for let in w.letters:
         if let == "I":
             parity ^= 1
         else:
-            out = sc.mat_mul(out, rep.letter_images[parity][let])
+            out = sc.mat_mul(out, images[parity][let])
     return out
 
 
@@ -234,15 +264,10 @@ def _h_from(zt, zb, ce, se, cd, sd):
 
 def curve_h(m: BoxModuli, lam: Lambda):
     """The obstruction curve value h(epsilon, delta)."""
-    zt, zb = m.zeta_t, m.zeta_b
-    exact = lam.exact and sc.is_exact(zt) and sc.is_exact(zb)
-    ce, se = lam.cosh_eps(), lam.sinh_eps()
-    ed, emd = lam.exp_delta(), lam.exp_minus_delta()
-    cd, sd = (ed + emd) / 2, (ed - emd) / 2
-    if not exact:
-        zt, zb = sc.to_mpf(zt), sc.to_mpf(zb)
-        ce, se = sc.to_mpf(ce), sc.to_mpf(se)
-        cd, sd = sc.to_mpf(cd), sc.to_mpf(sd)
+    zt, zb, ce, se = m.zeta_t, m.zeta_b, lam.cosh_eps, lam.sinh_eps
+    cd, sd = (lam.exp_delta + lam.exp_minus_delta) / 2, (lam.exp_delta - lam.exp_minus_delta) / 2
+    if not (lam.exact and sc.is_exact(zt) and sc.is_exact(zb)):
+        zt, zb, ce, se, cd, sd = (sc.to_mpf(x) for x in (zt, zb, ce, se, cd, sd))
     return _h_from(zt, zb, ce, se, cd, sd)
 
 
@@ -262,8 +287,8 @@ def solve_delta_h(m: BoxModuli, epsilon, tol=CURVE_TOL) -> mpf:
         raise SpecialBox("the curve is degenerate at vanishing moduli")
     # curve_h at float (epsilon, delta), with all but delta evaluated once
     zt, zb = sc.to_mpf(m.zeta_t), sc.to_mpf(m.zeta_b)
-    eps = sc.to_mpf(epsilon)
-    ce, se = mpmath.cosh(eps), mpmath.sinh(eps)
+    at_eps = Lambda(epsilon=epsilon, delta=0)
+    ce, se = at_eps.cosh_eps, at_eps.sinh_eps
 
     def h(delta):
         ed, emd = mpmath.exp(delta), mpmath.exp(-delta)
@@ -370,7 +395,7 @@ def extension_intertwiner(rep: Representation) -> tuple:
     m, b = rep.moduli, rep.b
     c = sc.mat_inverse(sc.mat_transpose(rep.a))
     if m.zeta_t == 0 and m.zeta_b == 0:
-        s = bx.sigma_matrix(rep.lam)
+        s = rep.lam.sigma
         return s, _residual(c, b, s), True
 
     obs, ab = obstruction(rep)

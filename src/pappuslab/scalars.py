@@ -289,8 +289,8 @@ def vec_exact_reduce(u) -> tuple:
     if all(type(x) is int for x in u):
         ints = u
     else:
-        scale = math.lcm(*(Fraction(x).denominator for x in u))
-        ints = [int(x * scale) for x in u]
+        scale = math.lcm(*(x.denominator for x in u))
+        ints = [x.numerator * (scale // x.denominator) for x in u]
     g = math.gcd(*ints)
     if g > 1:
         ints = [x // g for x in ints]

@@ -83,8 +83,7 @@ def closed_form_psi_jacobian(m: BoxModuli, lam: Lambda) -> mpf:
     zt = sc.to_mpf(m.zeta_t)
     zb = sc.to_mpf(m.zeta_b)
     e = lam.eps_value()
-    ed = lam.exp_delta()
-    emd = lam.exp_minus_delta()
+    ed, emd = sc.to_mpf(lam.exp_delta), sc.to_mpf(lam.exp_minus_delta)
     p = zt * zb
     numerator = (
         9
@@ -202,8 +201,7 @@ def jacobian_check_phi(m: BoxModuli) -> dict:
                 bm = BoxModuli(*moduli)
                 undeformed[moduli] = (sc.normalize_det_one(rp.matrix_A(bm)), rp.matrix_B0(bm))
             a, b0 = undeformed[moduli]
-            lam = Lambda(epsilon=key[2], delta=key[3])
-            b = b0 if lam.is_zero else rp.sigma_conjugate(b0, lam)
+            b = b0 if key[2] == key[3] == 0 else rp.sigma_conjugate(b0, Lambda(epsilon=key[2], delta=key[3]))
             pairs[key] = (a, sc.normalize_det_one(b))
         return pairs[key]
 

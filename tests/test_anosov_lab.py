@@ -305,6 +305,12 @@ exact_lambdas = st.builds(
 )
 
 
+def at_working_precision(la):
+    """la, rebuilt at the working precision if it is a float Lambda: a
+    parameter point is built at the precision of its float lambda."""
+    return la if la.exact else Lambda(epsilon=la.epsilon, delta=la.delta)
+
+
 def scanned_words(max_len):
     """Even words with an axis, in scan order."""
     words = []
@@ -429,7 +435,7 @@ SPREAD_ULPS = 2**20
 @settings(max_examples=16, deadline=None)
 def test_scan_matches_per_word_reference(moduli, la, prec):
     with mpmath.workprec(prec):
-        rep = rp.Representation(moduli, la)
+        rep = rp.Representation(moduli, at_working_precision(la))
         scan = al.loxodromy_scan(rep, max_len=SCAN_LEN)
         ref = reference_scan(rep, SCAN_LEN)
         assert scan["scanned"] == ref["scanned"]
@@ -909,7 +915,7 @@ def test_limit_search_matches_linear_loop(moduli, la, steps, bits, x, case):
     for step in steps:
         w = w * step
     with mpmath.workprec(bits):
-        rep = rp.Representation(moduli, la)
+        rep = rp.Representation(moduli, at_working_precision(la))
         floor = sc.float_epsilon()
         # tol = 10^-e, e from 1 to 1.5 digits short of the precision floor
         tol = mpf(10) ** -(1 + x * (-mpmath.log10(floor) - 2.5))

@@ -1,16 +1,18 @@
+import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from mpmath import mpf
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pappuslab import boxes as bx
 from pappuslab import hilbert as hb
 from pappuslab import projective as pj
 from pappuslab import scalars as sc
-from pappuslab.errors import DegenerateBox, InvalidModuli, NotConvex
+from pappuslab.errors import DegenerateBox, InvalidModuli, NotConvex, PappusLabError
 from pappuslab.projective import Point
 
 
@@ -242,8 +244,77 @@ def test_sigma_commutes_with_transformations(seed):
     assert a == b
 
 
+# ---------------------------------------------------------------------------
+# closed forms of the deformation parameter's values, computed here from
+# lam's own (epsilon, delta) or (u, v) on every call
+
+
+def closed_form_values(lam):
+    """(cosh eps, sinh eps, e^delta, e^-delta)."""
+    if lam.exact:
+        u, v = lam.u, lam.v
+        return (u + 1 / u) / 2, (u - 1 / u) / 2, v, 1 / v
+    eps, delta = lam.epsilon, lam.delta
+    return mpmath.cosh(eps), mpmath.sinh(eps), mpmath.exp(delta), mpmath.exp(-delta)
+
+
+def closed_form_sigma(lam):
+    """The deformation matrix of unit determinant."""
+    ch, sh, ed, emd = closed_form_values(lam)
+    return ((1, 0, 0), (0, emd * ch, -sh), (0, -sh, ed * ch))
+
+
+def region_f(lam):
+    """f(epsilon, delta) = e^-delta cosh(eps) - sinh(eps) - 1."""
+    ch, sh, _, emd = closed_form_values(lam)
+    return emd * ch - sh - 1
+
+
+def two_lambda_in_region(lam, strict=False):
+    """f(eps, delta) and f(eps, -delta), the second from a second Lambda."""
+    if lam.exact:
+        negated = bx.Lambda(u=lam.u, v=1 / lam.v)
+    else:
+        negated = bx.Lambda(epsilon=lam.epsilon, delta=-lam.delta)
+    a, b = region_f(lam), region_f(negated)
+    return a > 0 and b > 0 if strict else a >= 0 and b >= 0
+
+
+exact_lambdas = st.builds(
+    lambda u, v: bx.Lambda(u=u, v=v),
+    st.fractions(min_value=Fraction(1, 50), max_value=50, max_denominator=60),
+    st.fractions(min_value=Fraction(1, 50), max_value=50, max_denominator=60),
+)
+# (epsilon, delta), built into a Lambda at the precision under test
+float_params = st.tuples(st.floats(-3, 3), st.floats(-3, 3))
+
+
+@given(st.one_of(exact_lambdas, float_params), st.sampled_from([53, 64, 128, 256]))
+@settings(max_examples=80, deadline=None)
+def test_lambda_values_match_closed_forms(lam, prec):
+    with mpmath.workprec(prec):
+        if isinstance(lam, tuple):
+            lam = bx.Lambda(epsilon=lam[0], delta=lam[1])
+        for strict in (False, True):
+            assert bx.in_region(lam, strict) == two_lambda_in_region(lam, strict)
+        closed = closed_form_sigma(lam)
+        if not lam.exact:
+            assert lam.prec == prec
+            assert [[x._mpf_ if type(x) is mpf else x for x in row] for row in lam.sigma] == [
+                [x._mpf_ if type(x) is mpf else x for x in row] for row in closed
+            ]
+            return
+        # the coprime integral positive multiple of the det-one matrix
+        assert lam.prec is None
+        assert sc.det3(closed) == 1
+        scale = lam.sigma[0][0]
+        assert all(type(x) is int for row in lam.sigma for x in row)
+        assert scale > 0 and math.gcd(*(x for row in lam.sigma for x in row)) == 1
+        assert lam.sigma == tuple(tuple(scale * x for x in row) for row in closed)
+
+
 def test_region_membership():
-    assert bx.region_f(bx.LAMBDA_ZERO) == 0
+    assert region_f(bx.LAMBDA_ZERO) == 0
     assert bx.in_region(bx.LAMBDA_ZERO)
     assert not bx.in_region(bx.LAMBDA_ZERO, strict=True)
     lam_in = bx.Lambda(epsilon=-0.2, delta=0)
@@ -394,3 +465,60 @@ def test_chart_coords_float_branch_rounds_as_to_mpf():
         (mpf("-1e-30"), mpf("1e30"), mpf(3)),
     ]:
         assert bx.chart_coords(coords) == reference(coords)
+
+
+# ---------------------------------------------------------------------------
+# float predicates do not see the scale of homogeneous coordinates
+
+
+def _predicates(box, lam, raw):
+    """Every scale-sensitive predicate on one float box, whose points were
+    built from the coordinate vectors ``raw``."""
+    p, q, r, s = box.p, box.q, box.r, box.s
+
+    def succeeds(build):
+        try:
+            build()
+        except PappusLabError:
+            return False
+        return True
+
+    convex = bx.is_convex(box)
+    return (
+        pj.incident(box.line_T, box.t),
+        pj.incident(box.line_B, box.b),
+        pj.incident(box.line_T, r),
+        pj.incident(box.line_P, box.b),
+        tuple(pj.proj_equal(u, v) for u in raw for v in raw + [x.coords for x in box.points]),
+        succeeds(lambda: pj.frame_matrix(p, q, r, s)),
+        succeeds(lambda: pj.frame_matrix(p, q, box.t, s)),
+        convex,
+        convex and bx.containment_check(box, lam),
+        convex and bx.containment_check(box, lam, strict=True),
+        succeeds(lambda: hb.ConvexQuad((p, q, r, s))),
+        succeeds(lambda: hb.ConvexQuad((p, r, q, s))),
+    )
+
+
+SCALES = [(10, 30), (10, -30), (2, 530), (2, -530)]
+float_entries = st.integers(-20, 20).map(lambda n: Fraction(n, 10))
+
+
+@given(
+    st.tuples(st.integers(-15, 15), st.integers(-15, 15)).filter(lambda t: 10 not in map(abs, t)),
+    st.lists(float_entries, min_size=9, max_size=9),
+    st.tuples(st.integers(5, 15), st.integers(5, 15)),
+    st.lists(st.sampled_from(SCALES), min_size=6, max_size=6),
+)
+@settings(max_examples=60, deadline=None)
+def test_rescaling_coordinates_changes_no_predicate(moduli, entries, uv, scales):
+    # a float box is a box of exact moduli moved by a float map; each of
+    # its points is then rescaled by 10^+-30 or 2^+-530
+    m = tuple(tuple(sc.to_mpf(entries[3 * i + j]) for j in range(3)) for i in range(3))
+    assume(abs(sc.det3(m)) > mpf("0.01"))
+    with mpmath.workprec(128):
+        lam = bx.Lambda(epsilon=mpmath.log(mpf(uv[0]) / 10), delta=mpmath.log(mpf(uv[1]) / 10))
+        box = bx.apply_matrix(bx.from_moduli(bx.BoxModuli(*(Fraction(x, 10) for x in moduli))), m)
+        raw = [sc.vec_scale(x.coords, mpf(base) ** power) for x, (base, power) in zip(box.points, scales)]
+        scaled = bx.OvermarkedBox(*(Point(x) for x in raw))
+        assert _predicates(scaled, lam, raw) == _predicates(box, lam, [x.coords for x in box.points])

@@ -14,6 +14,7 @@ from mpmath import mpf
 from pappuslab import anosov_lab as al
 from pappuslab import boxes as bx
 from pappuslab import cli
+from pappuslab import errors
 from pappuslab import modular as md
 from pappuslab import representation as rp
 from pappuslab import scalars as sc
@@ -342,29 +343,53 @@ def test_limit_sets_up_its_parameter_point_once(tmp_path, monkeypatch, capsys):
     assert calls == {"from_moduli": 1, "in_region": 1, "step": len(md.W_STEPS)}
 
 
-def test_limit_setup_is_per_precision():
-    # a point whose limit points were taken at 64 bits gives at 256 bits
-    # the bits of a point that took none: no scaled int set up at 64 bits
-    # is read again (the step images of both are the 64-bit ones)
-    moduli, lam = BoxModuli(Fraction(3, 10), Fraction(-1, 5)), Lambda(epsilon=mpf("-0.15"), delta=mpf("0.01"))
-    words = [s * t for s in md.W_STEPS for t in md.W_STEPS]
-
-    def samples(rep):
-        out = []
-        for w in words:
-            s = al.limit_point(rep, w)
-            out.append((s.point.coords, s.dual_point.coords, s.flag_residual, s.diameter_at_stop, s.depth))
-        return out
-
+def test_point_used_at_another_precision_raises():
+    # a point holds the bits of the precision it was built at: its matrices,
+    # step images and limit setup may not be read at another, and it may
+    # not be built from a float lambda of another
+    moduli = BoxModuli(Fraction(3, 10), Fraction(-1, 5))
+    word = md.W_STEPS[0] * md.W_STEPS[1]
     with mpmath.workprec(64):
-        reused, unused = rp.Representation(moduli, lam), rp.Representation(moduli, lam)
-        at_64 = samples(reused)
-        assert unused.step_images == reused.step_images
+        lam = Lambda(epsilon=mpf("-0.15"), delta=mpf("0.01"))
+        rep, exact_rep = rp.Representation(moduli, lam), rp.Representation(moduli, Lambda(u=Fraction(9, 10), v=1))
+        for point in (rep, exact_rep):
+            al.limit_point(point, word)
     with mpmath.workprec(256):
-        at_256 = samples(unused)
-        assert samples(reused) == at_256
-    assert sorted(reused.limit_setups) == [64, 256]
-    assert at_64 != at_256
+        with pytest.raises(errors.PrecisionMismatch):
+            rp.Representation(moduli, lam)
+        for point in (rep, exact_rep):
+            for read in (lambda: point.a, lambda: point.b, lambda: point.step_images, lambda: rp.evaluate(point, word)):
+                with pytest.raises(errors.PrecisionMismatch):
+                    read()
+            with pytest.raises(errors.PrecisionMismatch):
+                al.limit_point(point, word)
+    with mpmath.workprec(64):
+        assert al.limit_point(rep, word) == al.limit_point(rp.Representation(moduli, lam), word)
+
+
+def test_deformation_values_are_computed_once_per_op(tmp_path, monkeypatch, capsys):
+    # cosh eps, sinh eps, e^delta and e^-delta are the Lambda's, built once
+    # per command, not once per box or per region test
+    calls = {"cosh": 0, "sinh": 0, "exp": 0}
+
+    def counting(name):
+        func = getattr(mpmath, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(mpmath, name, counting(name))
+    monkeypatch.chdir(tmp_path)
+    for argv in (["certify", "--maxlen", "10"], ["limit", "--depth", "2"], ["iterate", "--depth", "6"]):
+        for name in calls:
+            calls[name] = 0
+        assert cli.main([*argv, *DEFORMED]) == 0
+        capsys.readouterr()
+        assert calls == {"cosh": 1, "sinh": 1, "exp": 2}, argv
 
 
 def test_default_limit_runs_at_the_lowest_precision(tmp_path, monkeypatch, capsys):

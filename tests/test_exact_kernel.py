@@ -39,11 +39,25 @@ def ref_theta_basis(box):
     return sc.mat_exact_reduce(sc.mat_mul(f_dst, sc.adjugate(f_src)))
 
 
+def integer_sigma(lam):
+    """2uv times the det-one deformation matrix of an exact lam, with the
+    denominators of u = a/b and v = c/d cleared."""
+    a, b = lam.u.numerator, lam.u.denominator
+    c, d = lam.v.numerator, lam.v.denominator
+    diag = a * a + b * b
+    off = c * d * (a * a - b * b)
+    return (
+        (2 * a * b * c * d, 0, 0),
+        (0, diag * d * d, -off),
+        (0, -off, diag * c * c),
+    )
+
+
 def ref_transform_sigma(box, lam):
     if lam.is_zero:
         return box
     g = ref_theta_basis(box)
-    m = sc.mat_exact_reduce(sc.mat_mul(sc.mat_mul(sc.adjugate(g), bx.sigma_matrix(lam)), g))
+    m = sc.mat_exact_reduce(sc.mat_mul(sc.mat_mul(sc.adjugate(g), integer_sigma(lam)), g))
     return bx.OvermarkedBox(*(Point(sc.mat_vec(m, x.coords)) for x in box.points))
 
 
@@ -93,6 +107,7 @@ def test_frame_matrix_and_theta_basis_match_rational_formulas(box):
 @settings(max_examples=60, deadline=None)
 def test_transform_sigma_matches_rational_formula(box, u, v):
     lam = bx.Lambda(u=u, v=v)
+    assert lam.sigma == sc.mat_exact_reduce(integer_sigma(lam))
     assert coords(bx.transform_sigma(box, lam)) == coords(ref_transform_sigma(box, lam))
 
 

@@ -64,6 +64,9 @@ CASES = {
     # columns; a 256-bit curve point pins the nullspace of the conjugation system
     "variety_prec64": (["--precision", "64", "variety", "--grid", "2"], None),
     "curve_prec256": (["--precision", "256", "curve", *POINT, "--eps=-0.05"], None),
+    # float box geometry: theta_basis, transform_sigma and the Pappus
+    # steps on mpf points, 63 boxes
+    "iterate_float": (["iterate", "--depth", "5", "--eps=-0.1", "--delta=0.02", *POINT], "iterate.svg"),
 }
 
 

@@ -84,14 +84,16 @@ def test_matrix_d_examples():
 
 
 def test_matrix_sigma():
-    assert bx.sigma_matrix(LAMBDA_ZERO) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert LAMBDA_ZERO.sigma == sc.IDENTITY
+    assert Lambda(epsilon=0, delta=0).sigma == sc.IDENTITY
 
 
 @given(st.integers(1, 30), st.integers(1, 30))
 @settings(max_examples=30, deadline=None)
 def test_sigma_determinant_one(un, vn):
+    # an exact sigma is k times the det-one matrix, k its first entry
     lam = Lambda(u=Fraction(un, 7), v=Fraction(vn, 11))
-    assert sc.det3(bx.sigma_matrix(lam)) == 1
+    assert sc.det3(lam.sigma) == lam.sigma[0][0] ** 3
 
 
 def test_matrix_b_special_undeformed():
@@ -106,7 +108,7 @@ def test_matrix_b_conjugation_identity():
     rng = random.Random(3)
     for _ in range(5):
         lam = random_lambda(rng)
-        sig = bx.sigma_matrix(lam)
+        sig = lam.sigma
         lhs = rp.matrix_B(M_TEST, lam)
         rhs = sc.mat_mul(
             sc.mat_mul(sc.mat_inverse(sig), rp.matrix_B0(M_TEST)), sig
@@ -298,7 +300,7 @@ def test_intertwiner_special_moduli():
     rng = random.Random(23)
     lam = random_lambda(rng)
     s, residual, invertible = rp.extension_intertwiner(rp.Representation(BoxModuli(0, 0), lam))
-    assert s == bx.sigma_matrix(lam)
+    assert s == lam.sigma
     assert residual < mpf("1e-20")
     assert invertible
 
@@ -486,10 +488,11 @@ def _operator_matrix_B(m, lam):
     # matrix_B0 and matrix_B with their int literals left in place; where
     # the point is in float mode, every Fraction is rounded to nearest
     # before it meets an mpf
-    a, d, sig = rp.matrix_A(m), rp.matrix_D(m), bx.sigma_matrix(lam)
+    a, d, sig = rp.matrix_A(m), rp.matrix_D(m), lam.sigma
     b0 = sc.mat_mul(sc.mat_mul(sc.mat_inverse(d), sc.mat_inverse(sc.mat_transpose(a))), d)
     if not (sc.mat_is_exact(b0) and sc.mat_is_exact(sig)):
-        b0, sig = _nearest(b0), _nearest(sig)
+        # an exact lam.sigma is integral, and enters float mode whole
+        b0, sig = _nearest(b0), sc.mat_to_mpf(sig) if lam.exact else sig
     return sc.mat_mul(sc.mat_mul(sc.mat_inverse(sig), b0), sig)
 
 
@@ -596,13 +599,13 @@ def test_appendix_criterion_curve_family():
     eps = mpf("-0.05")
     delta = rp.solve_delta_h(M_TEST, eps)
     lam = Lambda(epsilon=eps, delta=delta)
-    g = sc.mat_mul(sc.mat_to_mpf(rp.matrix_D(M_TEST)), bx.sigma_matrix(lam))
+    g = sc.mat_mul(sc.mat_to_mpf(rp.matrix_D(M_TEST)), lam.sigma)
     by_det, by_s = rp.appendix_criterion(rp.matrix_A(M_TEST), g)
     assert by_det and by_s
     # off the curve both predicates are false
     g2 = sc.mat_mul(
         sc.mat_to_mpf(rp.matrix_D(M_TEST)),
-        bx.sigma_matrix(Lambda(epsilon=eps, delta=mpf("0.5"))),
+        Lambda(epsilon=eps, delta=mpf("0.5")).sigma,
     )
     by_det, by_s = rp.appendix_criterion(rp.matrix_A(M_TEST), g2)
     assert not by_det and not by_s
