@@ -306,41 +306,37 @@ def loxodromy_scan(rep: rp.Representation, max_len: int = 6) -> dict:
     from the float spectrum, or is exactly 1 where the exact cubic has
     a real spectrum with two equal moduli.
 
-    The scan walks the word tree: ``enumerate_words`` is breadth-first
-    and each word is its parent (all but the last letter) times one
-    letter, so an image costs at most one product, associated as in
-    ``evaluate``.  Only the images of parents and of the first word of
-    each class are formed.
+    Only a new class's first word asks for its image, formed on demand
+    and cached by letters: its prefix's (all but the last letter) times
+    one letter image, associated as in ``evaluate``, or no product for a
+    last I.  So the products are the distinct R- or RR-ending prefixes of
+    the classes' first words: 11 at length 10 (72 words), 31 at 12.
     """
     non_loxodromic = []
     scanned = 0
     # class key -> (loxodromic, min gap or None) of its first word
     classes = {}
-    # letters of a word -> (its image, parity of its I letters)
-    images = {(): (sc.IDENTITY, 0)}
+    # letters of a word -> its image
+    images = {(): sc.IDENTITY}
+
+    def image(letters):
+        if letters not in images:
+            g, last = image(letters[:-1]), letters[-1]
+            if last != "I":
+                g = sc.mat_mul(g, rep.letter_images[letters.count("I") % 2][last])
+            images[letters] = g
+        return images[letters]
+
     for w in md.enumerate_words(max_len):
-        letters = w.letters
-        if not letters:
-            continue
-        g, parity = images[letters[:-1]]
-        if letters[-1] == "I":
-            parity ^= 1
         # odd words are outside the subgroup, torsion words have no axis
-        scan = parity == 0 and "I" in w.cyclic_reduction()[1].letters
-        key = md.even_class_key(w) if scan else None
-        new_class = scan and key not in classes
-        is_parent = len(letters) < max_len
-        if new_class or is_parent:
-            if letters[-1] != "I":
-                g = sc.mat_mul(g, rep.letter_images[parity][letters[-1]])
-            if is_parent:
-                images[letters] = (g, parity)
-            if new_class:
-                classes[key] = _class_verdict(g)
-        if scan:
-            scanned += 1
-            if not classes[key][0]:
-                non_loxodromic.append(w)
+        if not md.in_subgroup_o(w) or "I" not in w.cyclic_reduction()[1].letters:
+            continue
+        key = md.even_class_key(w)
+        if key not in classes:
+            classes[key] = _class_verdict(image(w.letters))
+        scanned += 1
+        if not classes[key][0]:
+            non_loxodromic.append(w)
     return {
         "scanned": scanned,
         "min_gap": min((gap for _, gap in classes.values() if gap is not None), default=None),

@@ -213,7 +213,7 @@ def cmd_relations(args) -> int:
         Lambda(
             u=Fraction(rng.randint(5, 15), 10), v=Fraction(rng.randint(5, 15), 10)
         )
-        for _ in range(max(args.pairs - 1, 0))
+        for _ in range(args.pairs - 1)
     ]
     for trial in range(args.trials):
         box = _random_convex_box(rng)
@@ -562,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _add_command(subs, "relations", cmd_relations, "exact group-relation suite")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=_count, default=100)
-    p.add_argument("--pairs", type=_count, default=10)
+    p.add_argument("--pairs", type=_positive, default=10)
     p.add_argument("--mutate", action="store_true", help="negative control")
     p.add_argument("--out", default=None)
 
@@ -575,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _add_command(subs, "certify", cmd_certify, "contraction and loxodromy diagnostics")
     _add_moduli_flags(p)
     _add_lambda_flags(p)
-    p.add_argument("--maxlen", type=_count, default=4)
+    p.add_argument("--maxlen", type=_int_at_least(4), default=4)
     p.add_argument("--out", default=None)
 
     p = _add_command(subs, "curve", cmd_curve, "extension locus delta(epsilon)")

@@ -64,6 +64,13 @@ class GroupWord:
         object.__setattr__(self, "letters", _reduce(self.letters))
 
     @classmethod
+    def _trusted(cls, letters: tuple) -> "GroupWord":
+        """A word whose letters are already a normal form, not reduced again."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "letters", letters)
+        return w
+
+    @classmethod
     def identity(cls) -> "GroupWord":
         return cls(())
 
@@ -104,7 +111,7 @@ class GroupWord:
 
     @property
     def i_count(self) -> int:
-        return sum(1 for let in self.letters if let == "I")
+        return self.letters.count("I")
 
     @property
     def is_identity(self) -> bool:
@@ -119,7 +126,8 @@ class GroupWord:
         return " ".join(self.letters) or "1"
 
     def cyclic_reduction(self):
-        """(conjugator u, core w) with self = u w u^-1, w cyclically reduced."""
+        """(conjugator u, core w) with self = u w u^-1, w cyclically reduced;
+        both are slices of a normal form, so normal forms."""
         u = []
         letters = list(self.letters)
         while len(letters) >= 2:
@@ -131,7 +139,7 @@ class GroupWord:
                 break
             u.append(a)
             letters = letters[1:-1]
-        return GroupWord(tuple(u)), GroupWord(tuple(letters))
+        return GroupWord._trusted(tuple(u)), GroupWord._trusted(tuple(letters))
 
 
 def even_class_key(w: GroupWord) -> tuple:
@@ -184,19 +192,16 @@ def enumerate_words(max_len: int):
     """All normal-form words with at most max_len letters, breadth first.
 
     A normal form has exactly one parent, its prefix one letter shorter,
-    so each word is reached once.
+    so each word is reached once.  A letter extends a nonempty normal
+    form exactly when one of it and the last letter is I and the other
+    is not, so the children are normal forms as built.
     """
     frontier = [GroupWord.identity()]
-    out = [GroupWord.identity()]
+    out = list(frontier)
     for _ in range(max_len):
-        nxt = []
-        for w in frontier:
-            for let in LETTERS:
-                cand = GroupWord(w.letters + (let,))
-                if len(cand) == len(w) + 1:
-                    nxt.append(cand)
-        out.extend(nxt)
-        frontier = nxt
+        frontier = [GroupWord._trusted(w.letters + (let,)) for w in frontier for let in LETTERS
+                    if not w.letters or (let == "I") != (w.letters[-1] == "I")]
+        out.extend(frontier)
     return out
 
 

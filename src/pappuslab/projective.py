@@ -19,7 +19,11 @@ from .errors import (
     SingularMatrix,
 )
 
-# angle-based tolerance for projective equality of normalized float vectors
+# Tolerance on the cross-product norm of normalized float vectors (and on
+# incidence).  At 53-256 bits, equal vectors reach at most 7.1e-14 (53 bits;
+# 2.8e-17 at 64) in the relation suite on float copies of 20 random boxes;
+# distinct ones at least 1.7e-2 there and 6.7e-2 in the golden cases and
+# iterate_float: 1e-12 sits 1.1 decades above the one, 10 below the other.
 ANGLE_TOL = mpf("1e-12")
 
 

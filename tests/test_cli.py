@@ -64,6 +64,11 @@ def test_usage_error_exit_code(capsys):
         ["limit", "--tol", "1e-40"],
         # and so is the h residual of curve
         ["curve", "--zt=3/10", "--zb=-2/10", "--eps=-0.05", "--tol", "1e-40"],
+        # the shortest scanned word has four letters: a shorter scan is empty
+        ["certify", "--maxlen", "0"],
+        ["certify", "--maxlen", "3"],
+        # lambda = 0 is always checked, so no fewer than one pair
+        ["relations", "--pairs", "0"],
     ],
 )
 def test_invalid_values_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
@@ -178,8 +183,12 @@ def test_one_matrix_B_per_invocation(argv, tmp_path, monkeypatch, capsys):
 DEFORMED = ["--zt=3/10", "--zb=-2/10", "--eps=-0.15", "--delta=0.01"]
 
 
-def test_scan_makes_at_most_one_product_per_word(monkeypatch, capsys):
-    # the scan extends each word's parent image by one letter
+EXACT = ["--zt=3/10", "--zb=-2/10", "--u", "9/10", "--v", "1"]
+
+
+def test_scan_forms_only_the_images_its_classes_read(monkeypatch, capsys):
+    # one product per distinct prefix ending in R or RR of the classes'
+    # first words, and none for any other word
     in_scan = []
     products = []
     enumerated = []
@@ -206,11 +215,21 @@ def test_scan_makes_at_most_one_product_per_word(monkeypatch, capsys):
     monkeypatch.setattr(al, "loxodromy_scan", scanning)
     monkeypatch.setattr(sc, "mat_mul", counting)
     monkeypatch.setattr(md, "enumerate_words", recording)
-    assert cli.main(["certify", "--maxlen", "10", *DEFORMED]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["checks"]["loxodromy_scanned"] > 0
-    assert enumerated
-    assert 0 < len(products) <= len(enumerated)
+    for maxlen, point, expected in (("10", DEFORMED, 11), ("8", EXACT, 11), ("12", DEFORMED, 31)):
+        products.clear()
+        enumerated.clear()
+        assert cli.main(["certify", "--maxlen", maxlen, *point]) == 0
+        report = json.loads(capsys.readouterr().out)
+        firsts = {}
+        for w in enumerated:
+            if md.in_subgroup_o(w) and "I" in w.cyclic_reduction()[1].letters:
+                firsts.setdefault(md.even_class_key(w), w.letters)
+        assert report["checks"]["loxodromy_scanned"] > len(firsts)
+        prefixes = {
+            letters[:k] for letters in firsts.values() for k in range(1, len(letters) + 1)
+            if letters[k - 1] != "I"
+        }
+        assert len(products) == len(prefixes) == expected
 
 
 def test_scan_solves_one_spectrum_per_class(monkeypatch, capsys):

@@ -273,6 +273,16 @@ def test_enumerate_words_counts():
     # each normal form is reached once, from its one parent
     words = md.enumerate_words(10)
     assert len({w.letters for w in words}) == len(words) == 218
+    assert all(md._reduce(w.letters) == w.letters for w in words)
+    # in the breadth-first order of reducing every one-letter extension
+    frontier = reference = [GroupWord.identity()]
+    for _ in range(10):
+        frontier = [
+            child for w in frontier for let in md.LETTERS
+            if len(child := GroupWord(w.letters + (let,))) == len(w) + 1
+        ]
+        reference = reference + frontier
+    assert [w.letters for w in words] == [w.letters for w in reference]
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +290,16 @@ def test_enumerate_words_counts():
 
 letters = st.lists(st.sampled_from(md.LETTERS), max_size=12).map(lambda ls: GroupWord(tuple(ls)))
 even_words = letters.filter(md.in_subgroup_o)
+
+
+@given(letters)
+@settings(max_examples=300)
+def test_cyclic_reduction_parts_are_normal_forms(w):
+    # built unreduced, as slices of w's normal form
+    u, core = w.cyclic_reduction()
+    assert md._reduce(u.letters) == u.letters and md._reduce(core.letters) == core.letters
+    assert u * core * u.inverse() == w
+    assert len(core) < 2 or core.cyclic_reduction()[0].is_identity
 
 
 @given(letters, even_words)
