@@ -285,8 +285,7 @@ def _moduli_in_basis(box: OvermarkedBox, g: tuple) -> BoxModuli:
     """``moduli`` of a box whose ``theta_basis`` is g."""
     tc = sc.mat_vec(g, box.t.coords)
     bc = sc.mat_vec(g, box.b.coords)
-    exact = all(sc.is_exact(x) for x in tc + bc)
-    if exact:
+    if sc.vec_is_exact(tc) and sc.vec_is_exact(bc):
         if tc[1] == 0 or bc[2] == 0:
             raise DegenerateBox("t or b degenerates in the adapted basis")
         zt = Fraction(tc[0]) / Fraction(tc[1])
@@ -371,7 +370,7 @@ def apply_matrix(box: OvermarkedBox, m: tuple) -> OvermarkedBox:
     """
     if sc.det3(m) == 0:
         raise DegenerateConfiguration("singular transformation matrix")
-    return OvermarkedBox._trusted(*(Point(sc.mat_vec(m, x.coords)) for x in box.points))
+    return OvermarkedBox._trusted(*[Point(sc.mat_vec(m, x.coords)) for x in box.points])
 
 
 def apply_symmetry_to_box(g: pj.ProjSymmetry, box: OvermarkedBox) -> OvermarkedBox:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -428,16 +429,7 @@ def cmd_limit(args) -> int:
     with open(args.out, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(
-            [
-                "word",
-                "point_x",
-                "point_y",
-                "dual_1",
-                "dual_2",
-                "dual_3",
-                "flag_residual",
-                "depth",
-            ]
+            ["word", "point_x", "point_y", "dual_1", "dual_2", "dual_3", "flag_residual", "depth"]
         )
         writer.writerows(rows)
     report = {
@@ -544,7 +536,13 @@ def _check_args(args) -> None:
             args.subparser.error("cannot write --out %s: %s" % (args.out, problem))
 
 
+def _env_precision() -> str:
+    return os.environ.get(PRECISION_ENV, str(sc.DEFAULT_PRECISION_BITS))
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process; ``main`` re-reads the environment's precision."""
     parser = argparse.ArgumentParser(
         prog="pappuslab",
         description="marked-box dynamics, deformations and diagnostics",
@@ -554,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--precision",
         type=_precision_bits,
-        default=os.environ.get(PRECISION_ENV, str(sc.DEFAULT_PRECISION_BITS)),
+        default=_env_precision(),
         help="working precision in bits, at least 53 (env %s)" % PRECISION_ENV,
     )
     subs = parser.add_subparsers(dest="command", required=True)
@@ -603,6 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    parser.set_defaults(precision=_env_precision())
     try:
         args = parser.parse_args(argv)
         _check_args(args)

@@ -43,7 +43,7 @@ def proj_equal(u, v, exact=None) -> bool:
     is read off the scalars.
     """
     if exact is None:
-        exact = all(sc.is_exact(x) for x in u) and all(sc.is_exact(x) for x in v)
+        exact = sc.vec_is_exact(u) and sc.vec_is_exact(v)
     if exact:
         return sc.is_zero_vec(sc.cross(u, v))
     c = sc.cross(_normalized(u), _normalized(v))
@@ -52,7 +52,7 @@ def proj_equal(u, v, exact=None) -> bool:
 
 def incidence_residual(line_coords, point_coords):
     """|<line|point>| on normalized float vectors; exact value in exact mode."""
-    if all(sc.is_exact(x) for x in line_coords) and all(sc.is_exact(x) for x in point_coords):
+    if sc.vec_is_exact(line_coords) and sc.vec_is_exact(point_coords):
         return abs(sc.dot(line_coords, point_coords))
     return abs(sc.dot(_normalized(line_coords), _normalized(point_coords)))
 
@@ -70,7 +70,7 @@ class _Element:
     def __post_init__(self):
         if sc.is_zero_vec(self.coords):
             raise PappusLabError("a %s needs a nonzero coordinate vector" % self._noun)
-        exact = all(sc.is_exact(x) for x in self.coords)
+        exact = sc.vec_is_exact(self.coords)
         if exact:
             coords = sc.vec_exact_reduce(self.coords)
         else:
@@ -124,7 +124,8 @@ def incident(line: Line, point: Point) -> bool:
 def join(a: Point, b: Point) -> Line:
     """The line through two distinct points (cross product of coordinates)."""
     c = sc.cross(a.coords, b.coords)
-    if proj_equal(a.coords, b.coords, a.exact and b.exact):
+    # exact proj_equal would form this very cross product again
+    if (sc.is_zero_vec(c) if a.exact and b.exact else proj_equal(a.coords, b.coords, False)):
         raise CoincidentPoints("join of projectively equal points")
     return Line(c)
 
@@ -132,7 +133,7 @@ def join(a: Point, b: Point) -> Line:
 def meet(l1: Line, l2: Line) -> Point:
     """The intersection point of two distinct lines."""
     c = sc.cross(l1.coords, l2.coords)
-    if proj_equal(l1.coords, l2.coords, l1.exact and l2.exact):
+    if (sc.is_zero_vec(c) if l1.exact and l2.exact else proj_equal(l1.coords, l2.coords, False)):
         raise CoincidentLines("meet of projectively equal lines")
     return Point(c)
 
@@ -196,7 +197,7 @@ def proj_equal_mat(a, b) -> bool:
     """Projective equality of matrices (proportionality)."""
     flat_a = tuple(x for row in a for x in row)
     flat_b = tuple(x for row in b for x in row)
-    exact = all(sc.is_exact(x) for x in flat_a + flat_b)
+    exact = sc.mat_is_exact(a) and sc.mat_is_exact(b)
     if not exact:
         flat_a = tuple(sc.to_mpf(x) for x in flat_a)
         flat_b = tuple(sc.to_mpf(x) for x in flat_b)
@@ -204,13 +205,10 @@ def proj_equal_mat(a, b) -> bool:
         nb = max(abs(x) for x in flat_b)
         flat_a = tuple(x / na for x in flat_a)
         flat_b = tuple(x / nb for x in flat_b)
+    tol = 0 if exact else ANGLE_TOL
     for i in range(9):
         for k in range(9):
-            d = flat_a[i] * flat_b[k] - flat_a[k] * flat_b[i]
-            if exact:
-                if d != 0:
-                    return False
-            elif abs(d) > ANGLE_TOL:
+            if abs(flat_a[i] * flat_b[k] - flat_a[k] * flat_b[i]) > tol:
                 return False
     return True
 

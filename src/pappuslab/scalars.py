@@ -10,6 +10,13 @@ Two scalar modes are supported and threaded through the whole library:
 Vectors are 3-tuples of scalars and matrices are 3-tuples of rows; both
 are immutable.
 
+Exact kernel.  A vector's or matrix's mode is a ``type(x) is int`` test
+per entry, and ``is_exact`` decides any other entry (a bool, an int
+subclass, a ``Fraction``, an mpf); ``vec_exact_reduce`` divides three
+ints by one ``math.gcd``.  ``mat_mul`` and ``mat_vec`` unroll their
+products outside the float kernel in ``dot``'s order, so that an int
+times an mpf rounds as the operators do.
+
 Float kernel.  An mpf operator unwraps the ``_mpf_`` tuples of its two
 operands, makes one ``mpmath.libmp`` call at the context's precision and
 rounding, and wraps the result in a new mpf.  When every entry is an
@@ -104,6 +111,14 @@ set_precision()
 
 def is_exact(x) -> bool:
     return isinstance(x, (int, Fraction))
+
+
+def vec_is_exact(u) -> bool:
+    """``is_exact`` of every entry, a plain int decided by a type test."""
+    for x in u:
+        if type(x) is not int and not is_exact(x):
+            return False
+    return True
 
 
 def to_mpf(x) -> mpf:
@@ -279,22 +294,23 @@ def mat_exact_reduce(m: Mat3) -> Mat3:
     """Canonical coprime-integer representative of an exact nonzero
     matrix (up to positive scale)."""
     flat = vec_exact_reduce([x for row in m for x in row])
-    return tuple(tuple(flat[3 * i + j] for j in range(3)) for i in range(3))
+    return (flat[:3], flat[3:6], flat[6:])
 
 
 def vec_exact_reduce(u) -> tuple:
     """Canonical coprime-integer representative of an exact nonzero
     vector of any length (up to positive scale); keeps rational
     computations on small integers instead of compounding denominators."""
-    if all(type(x) is int for x in u):
-        ints = u
-    else:
+    if len(u) == 3:
+        x, y, z = u
+        if type(x) is int and type(y) is int and type(z) is int:
+            g = math.gcd(x, y, z)
+            return (x // g, y // g, z // g) if g > 1 else (x, y, z)
+    if not all(type(x) is int for x in u):
         scale = math.lcm(*(x.denominator for x in u))
-        ints = [x.numerator * (scale // x.denominator) for x in u]
-    g = math.gcd(*ints)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
+        u = [x.numerator * (scale // x.denominator) for x in u]
+    g = math.gcd(*u)
+    return tuple([x // g for x in u]) if g > 1 else tuple(u)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +322,9 @@ def mat_vec(m: Mat3, v: Vec3) -> Vec3:
         prec, rnd = mpmath.mp._prec_rounding
         rv = (v[0]._mpf_, v[1]._mpf_, v[2]._mpf_)
         return tuple([_wrap(_dot([x._mpf_ for x in row], rv, prec, rnd)) for row in m])
-    return (dot(m[0], v), dot(m[1], v), dot(m[2], v))
+    (a, b, c), (d, e, f), (g, h, i) = m
+    x, y, z = v
+    return (a * x + b * y + c * z, d * x + e * y + f * z, g * x + h * y + i * z)
 
 
 def mat_transpose(m: Mat3) -> Mat3:
@@ -326,8 +344,13 @@ def mat_mul(a: Mat3, b: Mat3) -> Mat3:
             r = [x._mpf_ for x in row]
             out.append(tuple([_wrap(_dot(r, c, prec, rnd)) for c in cols]))
         return tuple(out)
-    bt = mat_transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
+    (a0, a1, a2), (a3, a4, a5), (a6, a7, a8) = a
+    (b0, b1, b2), (b3, b4, b5), (b6, b7, b8) = b
+    return (
+        (a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7, a0 * b2 + a1 * b5 + a2 * b8),
+        (a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7, a3 * b2 + a4 * b5 + a5 * b8),
+        (a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7, a6 * b2 + a7 * b5 + a8 * b8),
+    )
 
 
 def mat_scale(m: Mat3, c) -> Mat3:
@@ -391,7 +414,7 @@ def mat_max_abs(m: Mat3):
 
 
 def mat_is_exact(m: Mat3) -> bool:
-    return all(is_exact(x) for row in m for x in row)
+    return vec_is_exact(m[0]) and vec_is_exact(m[1]) and vec_is_exact(m[2])
 
 
 def mat_to_mpf(m: Mat3) -> Mat3:

@@ -157,6 +157,18 @@ def test_invalid_precision_env_is_usage_error(value, monkeypatch, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_each_call_reads_the_precision_env(tmp_path, monkeypatch, capsys):
+    # the parser is built once per process; the environment is not
+    argv = ["limit", "--depth", "1", "--tol", "1e-16", "--eps=-0.15", "--delta=0.01"]
+    argv += ["--out", str(tmp_path / "limit.csv")]
+    monkeypatch.setenv(cli.PRECISION_ENV, "128")
+    assert cli.main(argv) == 0
+    # 1e-16 is below the 53-bit floor 2^(8 - 53)
+    monkeypatch.setenv(cli.PRECISION_ENV, "53")
+    assert cli.main(argv) == 2
+    assert "--tol must exceed" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

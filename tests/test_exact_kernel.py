@@ -1,11 +1,13 @@
 """The integer exact kernel against the rational formulas it replaced,
 and the boxes that skip validation against the public constructor."""
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from mpmath import mpf
 
 from pappuslab import boxes as bx
 from pappuslab import cli
@@ -90,6 +92,61 @@ def test_vec_exact_reduce_integer_shortcut(ints):
     via_fraction = sc.vec_exact_reduce([Fraction(x) for x in ints])
     assert sc.vec_exact_reduce(ints) == via_fraction
     assert sc.vec_exact_reduce(tuple(ints)) == via_fraction
+
+
+class Int(int):
+    """An int subclass: exact, but not a plain int."""
+
+
+# every kind of scalar the mode decision meets, plain ints and the
+# values that a bare type test would misclassify
+MODE_ENTRY = st.one_of(
+    st.integers(-10**12, 10**12),
+    st.booleans(),
+    st.integers(-9, 9).map(Int),
+    st.fractions(min_value=-9, max_value=9, max_denominator=9),
+    st.integers(-9, 9).map(mpf),
+)
+MODE_VEC = st.tuples(MODE_ENTRY, MODE_ENTRY, MODE_ENTRY)
+
+
+def ref_is_exact(values):
+    return all(isinstance(x, (int, Fraction)) for x in values)
+
+
+def ref_exact_reduce(values):
+    """Coprime ints by the Fraction lcm, up to positive scale."""
+    fractions = [Fraction(x) for x in values]
+    scale = math.lcm(*(x.denominator for x in fractions))
+    ints = [int(x * scale) for x in fractions]
+    g = math.gcd(*ints)
+    return tuple(x // g for x in ints)
+
+
+def assert_reduced(got, values):
+    assert got == ref_exact_reduce(values)
+    assert all(type(x) is int for x in got)
+
+
+@given(MODE_VEC, MODE_VEC, MODE_VEC)
+# a bool is exact: Point((True, 0, 1)) has the coordinates (1, 0, 1)
+@example((True, 0, 1), (0, Int(2), Fraction(1, 2)), (mpf(1), 0, 0))
+@settings(max_examples=300, deadline=None)
+def test_mode_decision_matches_the_isinstance_definition(u, v, w):
+    exact = ref_is_exact(u)
+    if any(u):
+        for element in (Point(u), pj.Line(u)):
+            assert element.exact is exact
+            if exact:
+                assert_reduced(element.coords, u)
+        if exact:
+            assert_reduced(sc.vec_exact_reduce(u), u)
+    m = (u, v, w)
+    flat = u + v + w
+    assert sc.mat_is_exact(m) is ref_is_exact(flat)
+    if ref_is_exact(flat) and any(flat):
+        assert_reduced(sc.vec_exact_reduce(flat), flat)
+        assert_reduced(sum(sc.mat_exact_reduce(m), ()), flat)
 
 
 @given(exact_boxes())

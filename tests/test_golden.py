@@ -40,6 +40,8 @@ CASES = {
     "curve": (["curve", *POINT, "--eps=-0.05"], None),
     "variety": (["variety", "--grid", "2"], None),
     "relations": (["relations", "--trials", "2", "--seed", "3"], None),
+    # the negative control: which relations it breaks, per trial and lambda
+    "relations_mutate": (["relations", "--trials", "2", "--seed", "3", "--mutate"], None),
     "iterate": (["iterate", "--depth", "3", "--u", "9/10", "--v", "1"], "iterate.svg"),
     # the shapes of the anosov_float benchmark op, in float and exact lambda
     "certify_maxlen10": (["certify", "--maxlen", "10", *DEFORMED], None),

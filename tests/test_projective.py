@@ -57,6 +57,30 @@ def test_join_coincident_raises():
         pj.join(pj.Point((1, 2, 3)), pj.Point((2, 4, 6)))
 
 
+@pytest.mark.parametrize(
+    "element, op, error",
+    [(pj.Point, pj.join, CoincidentPoints), (pj.Line, pj.meet, CoincidentLines)],
+    ids=["join", "meet"],
+)
+def test_exact_join_and_meet_form_one_cross_product(element, op, error, monkeypatch):
+    calls = []
+    cross = sc.cross
+
+    def counting(u, v):
+        calls.append((u, v))
+        return cross(u, v)
+
+    monkeypatch.setattr(sc, "cross", counting)
+    assert op(element((1, 0, 1)), element((0, 1, 2))).exact
+    assert len(calls) == 1
+    # proportional input of another scale and sign, after reduction too
+    for u, v in [((1, 2, 3), (-2, -4, -6)), ((Fraction(1, 2), 1, Fraction(3, 2)), (-3, -6, -9))]:
+        calls.clear()
+        with pytest.raises(error):
+            op(element(u), element(v))
+        assert len(calls) == 1
+
+
 def test_meet_examples():
     p = pj.meet(pj.Line((1, 0, -1)), pj.Line((-1, 1, 0)))
     assert p == pj.Point((1, 1, 1))
