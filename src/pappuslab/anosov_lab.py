@@ -27,7 +27,6 @@ from mpmath.libmp import from_rational, mpf_sqrt
 from . import boxes as bx
 from . import hilbert as hb
 from . import modular as md
-from . import projective as pj
 from . import representation as rp
 from . import scalars as sc
 from .errors import (
@@ -42,7 +41,6 @@ from .errors import (
     ToleranceBelowPrecision,
 )
 from .modular import GroupWord, W_STEPS
-from .projective import Line, Point
 
 
 def constant_C(rep: rp.Representation, resolution: int = 16, directions: int = 8):
@@ -71,11 +69,12 @@ def constant_C(rep: rp.Representation, resolution: int = 16, directions: int = 8
 
 @dataclass(frozen=True)
 class LimitSample:
-    """Limit of the nested boxes along the axis of a periodic word."""
+    """Limit of the nested boxes along the axis of a periodic word.  The
+    point and the dual line are mpf 3-tuples of max |entry| 1."""
 
     word: GroupWord
-    point: Point
-    dual_point: Line
+    point: tuple
+    dual_point: tuple
     flag_residual: mpf
     diameter_at_stop: mpf
     depth: int
@@ -230,13 +229,23 @@ def limit_point(
     depth = _first_depth_below(pairs, tol, period, depth_cap)
     g = sc.scaled_to_mat(mats[depth])
 
-    point = Point(sc.mat_vec(g, bottom))
+    point = _unit_max_norm(sc.mat_vec(g, bottom))
     # lines transform by the inverse transpose, projectively the
     # transposed adjugate (avoids dividing by the tiny determinant of a
     # long contraction product)
-    dual = Line(sc.mat_vec(sc.mat_transpose(sc.adjugate(g)), bottom_line))
-    residual = pj.incidence_residual(dual.coords, point.coords)
-    return LimitSample(w, point, dual, residual, _diameter(pairs(depth)), depth)
+    dual = _unit_max_norm(sc.mat_vec(sc.mat_transpose(sc.adjugate(g)), bottom_line))
+    return LimitSample(w, point, dual, incidence_residual(dual, point), _diameter(pairs(depth)), depth)
+
+
+def _unit_max_norm(v) -> tuple:
+    """The mpf vector v over its max |entry|."""
+    top = sc.vec_max_abs(v)
+    return (v[0] / top, v[1] / top, v[2] / top)
+
+
+def incidence_residual(line, point) -> mpf:
+    """|<line|point>| of the two mpf vectors scaled to unit norm."""
+    return abs(sc.dot(sc.vec_scale(line, 1 / sc.vec_norm(line)), sc.vec_scale(point, 1 / sc.vec_norm(point))))
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,9 @@ and t = [zeta_t:1:0], b = [zeta_b:0:1]; the pair (zeta_t, zeta_b) is the
 box's moduli.  The box is convex exactly when both moduli lie strictly
 between -1 and 1.
 
-Only ``OvermarkedBox(...)``, for points from outside, validates a box;
-every box derived here from a valid one is built by ``_trusted``.
+Only ``OvermarkedBox(...)``, for points from outside, validates a box,
+exactly (a box of rounded float points usually fails); every box
+derived here from a valid one is built by ``_trusted``.
 """
 
 from __future__ import annotations
@@ -191,8 +192,11 @@ class OvermarkedBox:
           through t (R, S, B through b) to distinct points on one line,
           and tb, which is none of the six lines, to the lines' meet.
 
-        In float mode this holds in exact arithmetic; a box degenerate
-        to working precision fails ``theta_basis`` where it is used.
+        A float map's image has rounded points (see ``projective``), whose
+        incidences hold only to the rounding, so ``OvermarkedBox(...)``
+        usually rejects it; its readers need only distinct corners in
+        general position.  A box degenerate to working precision fails
+        ``theta_basis`` where it is used.
         """
         box = object.__new__(cls)
         for name, point in zip(("p", "q", "r", "s", "t", "b"), (p, q, r, s, t, b)):
@@ -285,19 +289,10 @@ def _moduli_in_basis(box: OvermarkedBox, g: tuple) -> BoxModuli:
     """``moduli`` of a box whose ``theta_basis`` is g."""
     tc = sc.mat_vec(g, box.t.coords)
     bc = sc.mat_vec(g, box.b.coords)
-    if sc.vec_is_exact(tc) and sc.vec_is_exact(bc):
-        if tc[1] == 0 or bc[2] == 0:
-            raise DegenerateBox("t or b degenerates in the adapted basis")
-        zt = Fraction(tc[0]) / Fraction(tc[1])
-        zb = Fraction(bc[0]) / Fraction(bc[2])
-    else:
-        tcf, bcf = sc.vec_to_mpf(tc), sc.vec_to_mpf(bc)
-        if abs(tcf[1]) <= pj.ANGLE_TOL * sc.vec_max_abs(tcf) or abs(bcf[2]) <= pj.ANGLE_TOL * sc.vec_max_abs(bcf):
-            raise DegenerateBox("t or b degenerates in the adapted basis")
-        zt = tcf[0] / tcf[1]
-        zb = bcf[0] / bcf[2]
+    if tc[1] == 0 or bc[2] == 0:
+        raise DegenerateBox("t or b degenerates in the adapted basis")
     try:
-        return BoxModuli(zt, zb)
+        return BoxModuli(Fraction(tc[0], tc[1]), Fraction(bc[0], bc[2]))
     except InvalidModuli as exc:
         raise DegenerateBox(str(exc)) from exc
 
@@ -363,10 +358,10 @@ def tau2(box: OvermarkedBox) -> OvermarkedBox:
 def apply_matrix(box: OvermarkedBox, m: tuple) -> OvermarkedBox:
     """Image of a box under a projective transformation matrix.
 
-    The image of a valid box under an invertible matrix is valid, in
-    either scalar mode, so it is built unchecked; DegenerateConfiguration
-    only when det(m) is exactly zero.  A float matrix that is singular
-    only to working precision gives a box that ``theta_basis`` rejects.
+    The image of a valid box under an invertible matrix is valid, to the
+    rounding of its points for a float m, so it is built unchecked;
+    DegenerateConfiguration only when det(m) is exactly zero.  A float m
+    singular only to working precision gives a box ``theta_basis`` rejects.
     """
     if sc.det3(m) == 0:
         raise DegenerateConfiguration("singular transformation matrix")
@@ -399,7 +394,7 @@ def transform_sigma(box: OvermarkedBox, lam: Lambda) -> OvermarkedBox:
     # exact lam.sigma is sigma up to a positive scale; both scales are
     # invisible projectively and keep exact entries integral
     m = sc.mat_mul(sc.mat_mul(sc.adjugate(g), lam.sigma), g)
-    return apply_matrix(box, sc.mat_exact_reduce(m) if lam.exact and sc.mat_is_exact(g) else m)
+    return apply_matrix(box, sc.mat_exact_reduce(m) if lam.exact else m)
 
 
 def i_lambda(box: OvermarkedBox, lam: Lambda) -> OvermarkedBox:

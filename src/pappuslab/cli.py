@@ -221,7 +221,8 @@ def cmd_relations(args) -> int:
         for lam in lambdas:
             for name in _relation_suite(box, lam, mutate=args.mutate):
                 report["failures"].append(
-                    {"trial": trial, "relation": name, "exact_lambda": lam.exact}
+                    {"trial": trial, "relation": name, "exact_lambda": lam.exact,
+                     "u": str(lam.u), "v": str(lam.v)}
                 )
     report["pass"] = not report["failures"]
     _emit(report, args.out)
@@ -412,8 +413,8 @@ def cmd_limit(args) -> int:
         except NonLoxodromic:
             skipped.append(w)
             continue
-        cx, cy = bx.chart_coords(sample.point.coords)
-        dual = sample.dual_point.coords
+        cx, cy = bx.chart_coords(sample.point)
+        dual = sample.dual_point
         rows.append(
             [
                 str(w),

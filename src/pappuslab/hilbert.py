@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache
 
 import mpmath
 from mpmath import mpf
@@ -25,7 +25,7 @@ from .projective import Point
 class ConvexQuad:
     """An ordered projective quadrilateral with its adapted chart.
 
-    vertices must be in cyclic order; the cached basis matrix maps them
+    vertices must be in cyclic order; the integral basis matrix maps them
     to the box normal-form corners, so that ``boxes.chart_coords`` sends
     them to (-1,1), (1,1), (1,-1), (-1,-1).  A caller that holds that
     basis already (``convex_interior``) passes it; it is not checked.
@@ -48,12 +48,9 @@ class ConvexQuad:
     def chart(self, x: Point):
         return _chart_of(sc.mat_vec(self.basis, x.coords))
 
-    @cached_property
-    def _inverse_basis(self) -> tuple:
-        return sc.mat_inverse(self.basis)
-
     def point_at(self, chart_xy) -> Point:
-        return Point(sc.mat_vec(self._inverse_basis, bx.chart_point(chart_xy)))
+        # the integral adjugate: the inverse up to scale, exact next to mpf
+        return Point(sc.mat_vec(sc.adjugate(self.basis), bx.chart_point(chart_xy)))
 
 
 def convex_interior(box: bx.OvermarkedBox) -> ConvexQuad:
@@ -75,13 +72,10 @@ def _chart_of(vec):
 
 
 def _float_chart(domain: ConvexQuad, x: Point):
-    """``domain.chart(x)`` in float mode.  An exact chart vector is
+    """``domain.chart(x)`` in float mode.  The exact chart vector is
     converted to mpf first, so its two quotients are mpf divisions, not
     Fraction divisions converted afterwards."""
-    vec = sc.mat_vec(domain.basis, x.coords)
-    if x.exact:
-        vec = sc.vec_to_mpf(vec)
-    return _chart_of(vec)
+    return _chart_of(sc.vec_to_mpf(sc.mat_vec(domain.basis, x.coords)))
 
 
 def _square_hit_times(x, d):

@@ -1,12 +1,17 @@
 """Points, lines, flags, dualities and frames of the projective plane.
 
-Coordinates are 3-tuples of scalars in either scalar mode (see
-``scalars``); all values are immutable and all functions are pure.
+A point or line stores its coordinates as three coprime ints, whatever
+its input: exact input is reduced, and any other is converted to mpf and
+rounded once by the scaled kernel's rule (``scalars.to_scaled``).  Every
+geometric test is exact on those ints, so ``Point(v) == Point(2**k * v)``
+holds, but ``Point(v) == Point(c * v)`` for another scale c need not.
+Matrices (``ProjSymmetry``) keep their scalar mode; all values are
+immutable and all functions are pure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from mpmath import mpf
@@ -19,71 +24,36 @@ from .errors import (
     SingularMatrix,
 )
 
-# Tolerance on the cross-product norm of normalized float vectors (and on
-# incidence).  At 53-256 bits, equal vectors reach at most 7.1e-14 (53 bits;
-# 2.8e-17 at 64) in the relation suite on float copies of 20 random boxes;
-# distinct ones at least 1.7e-2 there and 6.7e-2 in the golden cases and
-# iterate_float: 1e-12 sits 1.1 decades above the one, 10 below the other.
+# Tolerance of ``proj_equal_mat`` on float matrices (2x2 minors of unit
+# max-norm entries).  It is kept, unmeasured, from the float point geometry
+# it served (equal vectors reached 7.1e-14, distinct ones 1.7e-2): no caller
+# in the library or the tests passes a float matrix today.
 ANGLE_TOL = mpf("1e-12")
 
 
-def _normalized(v):
-    v = sc.vec_to_mpf(v)
-    n = sc.vec_norm(v)
-    if n == 0:
-        raise PappusLabError("zero vector has no projective class")
-    return sc.vec_scale(v, 1 / n)
-
-
-def proj_equal(u, v, exact=None) -> bool:
-    """Projective equality of coordinate vectors (proportionality).
-
-    ``exact`` is whether both vectors are in exact mode, for callers
-    that already know it (``Point.exact``, ``Line.exact``); when None it
-    is read off the scalars.
-    """
-    if exact is None:
-        exact = sc.vec_is_exact(u) and sc.vec_is_exact(v)
-    if exact:
-        return sc.is_zero_vec(sc.cross(u, v))
-    c = sc.cross(_normalized(u), _normalized(v))
-    return sc.vec_norm(c) <= ANGLE_TOL
-
-
-def incidence_residual(line_coords, point_coords):
-    """|<line|point>| on normalized float vectors; exact value in exact mode."""
-    if sc.vec_is_exact(line_coords) and sc.vec_is_exact(point_coords):
-        return abs(sc.dot(line_coords, point_coords))
-    return abs(sc.dot(_normalized(line_coords), _normalized(point_coords)))
+def proj_equal(u, v) -> bool:
+    """Projective equality of exact coordinate vectors (proportionality):
+    their cross product is zero."""
+    return sc.is_zero_vec(sc.cross(u, v))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
 class _Element:
     """Body shared by ``Point`` and ``Line``: a nonzero coordinate vector
-    up to scale."""
+    up to scale, stored as coprime ints (see the module docstring)."""
 
     coords: tuple
-    # scalar mode, decided once here; exact coordinates are stored as
-    # coprime integers, float ones as mpf of max |entry| 1
-    exact: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if sc.is_zero_vec(self.coords):
+        coords = self.coords
+        if sc.is_zero_vec(coords):
             raise PappusLabError("a %s needs a nonzero coordinate vector" % self._noun)
-        exact = sc.vec_is_exact(self.coords)
-        if exact:
-            coords = sc.vec_exact_reduce(self.coords)
-        else:
-            coords = sc.vec_to_mpf(self.coords)
-            top = sc.vec_max_abs(coords)
-            coords = (coords[0] / top, coords[1] / top, coords[2] / top)
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "exact", exact)
+        if not sc.vec_is_exact(coords):
+            coords = sc.to_scaled(sc.vec_to_mpf(coords))
+        object.__setattr__(self, "coords", sc.vec_exact_reduce(coords))
 
     def __eq__(self, other):
-        return type(other) is type(self) and proj_equal(
-            self.coords, other.coords, self.exact and other.exact
-        )
+        return type(other) is type(self) and proj_equal(self.coords, other.coords)
 
     def __hash__(self):
         raise TypeError(
@@ -116,16 +86,13 @@ class Flag:
 
 
 def incident(line: Line, point: Point) -> bool:
-    if line.exact and point.exact:
-        return sc.dot(line.coords, point.coords) == 0
-    return incidence_residual(line.coords, point.coords) <= ANGLE_TOL
+    return sc.dot(line.coords, point.coords) == 0
 
 
 def join(a: Point, b: Point) -> Line:
     """The line through two distinct points (cross product of coordinates)."""
     c = sc.cross(a.coords, b.coords)
-    # exact proj_equal would form this very cross product again
-    if (sc.is_zero_vec(c) if a.exact and b.exact else proj_equal(a.coords, b.coords, False)):
+    if sc.is_zero_vec(c):
         raise CoincidentPoints("join of projectively equal points")
     return Line(c)
 
@@ -133,7 +100,7 @@ def join(a: Point, b: Point) -> Line:
 def meet(l1: Line, l2: Line) -> Point:
     """The intersection point of two distinct lines."""
     c = sc.cross(l1.coords, l2.coords)
-    if (sc.is_zero_vec(c) if l1.exact and l2.exact else proj_equal(l1.coords, l2.coords, False)):
+    if sc.is_zero_vec(c):
         raise CoincidentLines("meet of projectively equal lines")
     return Point(c)
 
@@ -217,26 +184,18 @@ def frame_matrix(a: Point, b: Point, c: Point, d: Point) -> tuple:
     """Matrix sending e1, e2, e3, e1+e2+e3 to the four given points.
 
     The four points must be in general position (no three collinear);
-    this is the standard projective frame construction.  In exact mode
-    the matrix is integral, a positive multiple of the one a rational
-    solve would give.
+    this is the standard projective frame construction.  The matrix is
+    integral, a positive multiple of the one a rational solve would give.
     """
     cols = sc.mat_transpose((a.coords, b.coords, c.coords))
-    exact = a.exact and b.exact and c.exact and d.exact
-    if exact:
-        # adj(cols) d = det(cols) cols^-1 d; the sign of det keeps the
-        # scale positive
-        det = sc.det3(cols)
-        if det == 0:
-            raise SingularMatrix("matrix determinant is zero at the working precision")
-        coeffs = sc.mat_vec(sc.adjugate(cols), d.coords)
-        coeffs = sc.vec_exact_reduce(coeffs if det > 0 else sc.vec_scale(coeffs, -1))
-    else:
-        coeffs = sc.mat_vec(sc.mat_inverse(cols), d.coords)
-    if any(x == 0 for x in coeffs) or (
-        not exact
-        and min(abs(sc.to_mpf(x)) for x in coeffs) <= ANGLE_TOL * max(abs(sc.to_mpf(x)) for x in coeffs)
-    ):
+    # adj(cols) d = det(cols) cols^-1 d; the sign of det keeps the scale
+    # positive
+    det = sc.det3(cols)
+    if det == 0:
+        raise SingularMatrix("matrix determinant is zero at the working precision")
+    coeffs = sc.mat_vec(sc.adjugate(cols), d.coords)
+    coeffs = sc.vec_exact_reduce(coeffs if det > 0 else sc.vec_scale(coeffs, -1))
+    if any(x == 0 for x in coeffs):
         raise PappusLabError("frame points are not in general position")
     return sc.mat_transpose(
         (
@@ -250,12 +209,9 @@ def frame_matrix(a: Point, b: Point, c: Point, d: Point) -> tuple:
 def frame_change(f_src: tuple, f_dst: tuple) -> tuple:
     """The matrix sending the frame with ``frame_matrix`` f_src to the
     frame with ``frame_matrix`` f_dst; callers that map to one fixed
-    frame build its matrix once."""
-    if sc.mat_is_exact(f_src) and sc.mat_is_exact(f_dst):
-        # the adjugate is the inverse up to the determinant, invisible
-        # projectively; staying integral keeps exact arithmetic cheap
-        return sc.mat_exact_reduce(sc.mat_mul(f_dst, sc.adjugate(f_src)))
-    return sc.mat_mul(f_dst, sc.mat_inverse(f_src))
+    frame build its matrix once.  The adjugate is the inverse up to the
+    determinant, invisible projectively, so the result stays integral."""
+    return sc.mat_exact_reduce(sc.mat_mul(f_dst, sc.adjugate(f_src)))
 
 
 def transformation(matrix) -> ProjSymmetry:

@@ -47,7 +47,9 @@ bit-identical to mpf's operators: a chain of 60 products stays within
 2^-prec, normwise and projectively, of the exact chain of the same
 converted factors (measured at most 0.00025 units of 2^-prec at 53 to
 256 bits, where the mpf chain drifts 8 to 10 units), and scaling every
-factor by a power of two changes no bit.
+factor by a power of two changes no bit.  The same rounding, by
+``to_scaled``, turns float coordinates into the coprime ints of every
+``projective`` point and line.
 
 Mixed input.  Float mode holds only mpf.  A ``Fraction`` enters it once,
 through ``to_mpf`` or ``mat_to_mpf``, rounded to nearest, where the

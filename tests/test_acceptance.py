@@ -219,7 +219,7 @@ def test_acceptance_05_interior_diagnostics():
         seen.add(key)
         sample = al.limit_point(rp.Representation(m, lam), w)
         target = _attracting_point(m, lam, w)
-        limit_ok = limit_ok and _chart_distance(sample.point, target) <= mpf("1e-9")
+        limit_ok = limit_ok and _chart_distance(Point(sample.point), target) <= mpf("1e-9")
         residual_ok = residual_ok and sample.flag_residual <= mpf("1e-9")
         checked += 1
 
@@ -453,7 +453,7 @@ def test_acceptance_10_special_limit_geometry():
             sample = al.limit_point(rp.Representation(M_ZERO, LAMBDA_ZERO), w)
         except NonLoxodromic:
             continue
-        pt = sc.vec_to_mpf(sample.point.coords)
+        pt = sc.vec_to_mpf(sample.point)
         if abs(pt[0]) <= mpf("1e-9") * sc.vec_max_abs(pt):
             on_line += 1
         sampled += 1

@@ -12,7 +12,6 @@ from mpmath.libmp import from_man_exp, fzero, mpf_add, mpf_div, mpf_gt, mpf_mul,
 from pappuslab import anosov_lab as al
 from pappuslab import boxes as bx
 from pappuslab import modular as md
-from pappuslab import projective as pj
 from pappuslab import representation as rp
 from pappuslab import scalars as sc
 from pappuslab.boxes import BoxModuli, Lambda
@@ -29,7 +28,7 @@ from pappuslab.errors import (
     ToleranceBelowPrecision,
 )
 from pappuslab.modular import W_STEPS, GroupWord
-from pappuslab.projective import Line, Point
+from pappuslab.projective import Point
 
 M_ZERO = BoxModuli(0, 0)
 M_TEST = BoxModuli(Fraction(1, 2), Fraction(1, 3))
@@ -102,7 +101,7 @@ def test_limit_point_special_moduli_on_line():
         ("R", "I", "RR", "I", "RR", "I", "RR", "I"),
     ):
         s = al.limit_point(rp.Representation(M_ZERO, LAM_ZERO), GroupWord(letters))
-        pt = sc.vec_to_mpf(s.point.coords)
+        pt = sc.vec_to_mpf(s.point)
         assert abs(pt[0]) <= mpf("1e-9") * sc.vec_max_abs(pt)
 
 
@@ -113,7 +112,7 @@ def test_limit_point_matches_attracting_eigenvector():
     vec = attracting_vector(M_TEST, la, w)
     from pappuslab.projective import Point
 
-    assert chart_distance(s.point, Point(vec)) < mpf("1e-9")
+    assert chart_distance(Point(s.point), Point(vec)) < mpf("1e-9")
 
 
 def test_limit_point_flag_residual():
@@ -142,7 +141,7 @@ def test_limit_point_random_words_eigen_oracle():
         seen.add(w.letters)
         s = al.limit_point(rp.Representation(M_ZERO, la), w)
         vec = attracting_vector(M_ZERO, la, w)
-        assert chart_distance(s.point, Point(vec)) < 10 * al.LIMIT_TOL
+        assert chart_distance(Point(s.point), Point(vec)) < 10 * al.LIMIT_TOL
         checked += 1
 
 
@@ -200,7 +199,7 @@ def test_limit_map_injectivity_deformed():
         GroupWord(("RR", "I", "RR", "I")),
         GroupWord(("R", "I", "R", "I", "RR", "I", "RR", "I")),
     ]
-    pts = [al.limit_point(rp.Representation(M_ZERO, la), w).point for w in words]
+    pts = [Point(al.limit_point(rp.Representation(M_ZERO, la), w).point) for w in words]
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             assert chart_distance(pts[i], pts[j]) > 10 * al.LIMIT_TOL
@@ -871,10 +870,15 @@ def linear_limit_point(rep, w, tol, depth_cap=al.LIMIT_DEPTH_CAP):
         g = sc.scaled_mul(g, steps[depth % len(steps)])
         depth += 1
     g = sc.scaled_to_mat(g)
-    point = Point(sc.mat_vec(g, sc.vec_to_mpf(box.b.coords)))
-    dual = Line(sc.mat_vec(sc.mat_transpose(sc.adjugate(g)), sc.vec_to_mpf(box.line_B.coords)))
-    residual = pj.incidence_residual(dual.coords, point.coords)
+    point = unit_max_norm(sc.mat_vec(g, sc.vec_to_mpf(box.b.coords)))
+    dual = unit_max_norm(sc.mat_vec(sc.mat_transpose(sc.adjugate(g)), sc.vec_to_mpf(box.line_B.coords)))
+    residual = al.incidence_residual(dual, point)
     return al.LimitSample(w, point, dual, residual, al._diameter(pairs), depth)
+
+
+def unit_max_norm(v):
+    top = sc.vec_max_abs(v)
+    return tuple(x / top for x in v)
 
 
 def limit_outcome(limit, rep, w, tol, depth_cap, max_tests=None):
@@ -897,7 +901,7 @@ def limit_outcome(limit, rep, w, tol, depth_cap, max_tests=None):
             s = limit(rep, w, tol=tol, depth_cap=depth_cap)
         except PappusLabError as exc:
             return type(exc)
-    return (s.word, s.point.coords, s.dual_point.coords, s.flag_residual, s.diameter_at_stop, s.depth)
+    return (s.word, s.point, s.dual_point, s.flag_residual, s.diameter_at_stop, s.depth)
 
 
 @given(

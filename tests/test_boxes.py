@@ -471,9 +471,9 @@ def test_chart_coords_float_branch_rounds_as_to_mpf():
 # float predicates do not see the scale of homogeneous coordinates
 
 
-def _predicates(box, lam, raw):
-    """Every scale-sensitive predicate on one float box, whose points were
-    built from the coordinate vectors ``raw``."""
+def _predicates(box, lam):
+    """Every scale-sensitive predicate on one box of rounded float points:
+    (those that a valid box fixes, the others)."""
     p, q, r, s = box.p, box.q, box.r, box.s
 
     def succeeds(build):
@@ -484,23 +484,27 @@ def _predicates(box, lam, raw):
         return True
 
     convex = bx.is_convex(box)
-    return (
-        pj.incident(box.line_T, box.t),
-        pj.incident(box.line_B, box.b),
-        pj.incident(box.line_T, r),
-        pj.incident(box.line_P, box.b),
-        tuple(pj.proj_equal(u, v) for u in raw for v in raw + [x.coords for x in box.points]),
+    fixed = (
+        tuple(x == y for x in box.points for y in box.points),
         succeeds(lambda: pj.frame_matrix(p, q, r, s)),
-        succeeds(lambda: pj.frame_matrix(p, q, box.t, s)),
         convex,
         convex and bx.containment_check(box, lam),
         convex and bx.containment_check(box, lam, strict=True),
         succeeds(lambda: hb.ConvexQuad((p, q, r, s))),
         succeeds(lambda: hb.ConvexQuad((p, r, q, s))),
     )
+    others = (
+        pj.incident(box.line_T, box.t),
+        pj.incident(box.line_B, box.b),
+        pj.incident(box.line_T, r),
+        pj.incident(box.line_P, box.b),
+        succeeds(lambda: pj.frame_matrix(p, q, box.t, s)),
+    )
+    return fixed, others
 
 
-SCALES = [(10, 30), (10, -30), (2, 530), (2, -530)]
+POWER_OF_TWO_SCALES = [mpf(2) ** 530, mpf(2) ** -530]
+OTHER_SCALES = [mpf(10) ** 30, mpf(10) ** -30]
 float_entries = st.integers(-20, 20).map(lambda n: Fraction(n, 10))
 
 
@@ -508,17 +512,31 @@ float_entries = st.integers(-20, 20).map(lambda n: Fraction(n, 10))
     st.tuples(st.integers(-15, 15), st.integers(-15, 15)).filter(lambda t: 10 not in map(abs, t)),
     st.lists(float_entries, min_size=9, max_size=9),
     st.tuples(st.integers(5, 15), st.integers(5, 15)),
-    st.lists(st.sampled_from(SCALES), min_size=6, max_size=6),
+    st.lists(st.sampled_from(POWER_OF_TWO_SCALES), min_size=6, max_size=6),
+    st.lists(st.sampled_from(OTHER_SCALES), min_size=6, max_size=6),
 )
 @settings(max_examples=60, deadline=None)
-def test_rescaling_coordinates_changes_no_predicate(moduli, entries, uv, scales):
-    # a float box is a box of exact moduli moved by a float map; each of
-    # its points is then rescaled by 10^+-30 or 2^+-530
-    m = tuple(tuple(sc.to_mpf(entries[3 * i + j]) for j in range(3)) for i in range(3))
+def test_rescaling_coordinates_changes_no_predicate(moduli, entries, uv, powers_of_two, others):
+    # a float box is a box of exact moduli moved by a float map, its points
+    # rounded; each image vector is rescaled before the rounding
+    exact_m = tuple(tuple(entries[3 * i + j] for j in range(3)) for i in range(3))
+    m = sc.mat_to_mpf(exact_m)
     assume(abs(sc.det3(m)) > mpf("0.01"))
     with mpmath.workprec(128):
         lam = bx.Lambda(epsilon=mpmath.log(mpf(uv[0]) / 10), delta=mpmath.log(mpf(uv[1]) / 10))
-        box = bx.apply_matrix(bx.from_moduli(bx.BoxModuli(*(Fraction(x, 10) for x in moduli))), m)
-        raw = [sc.vec_scale(x.coords, mpf(base) ** power) for x, (base, power) in zip(box.points, scales)]
-        scaled = bx.OvermarkedBox(*(Point(x) for x in raw))
-        assert _predicates(scaled, lam, raw) == _predicates(box, lam, [x.coords for x in box.points])
+        normal = bx.from_moduli(bx.BoxModuli(*(Fraction(x, 10) for x in moduli)))
+        box = bx.apply_matrix(normal, m)
+        expected = _predicates(box, lam)
+        # the exact image is a valid box, whose predicates the rounding keeps
+        assert expected[0] == _predicates(bx.apply_matrix(normal, exact_m), lam)[0]
+        images = [sc.mat_vec(m, x.coords) for x in normal.points]
+
+        def rescaled(scales):
+            return bx.OvermarkedBox._trusted(*(Point(sc.vec_scale(v, c)) for v, c in zip(images, scales)))
+
+        # a power of two changes no int, so no predicate
+        scaled = rescaled(powers_of_two)
+        assert [x.coords for x in scaled.points] == [x.coords for x in box.points]
+        assert _predicates(scaled, lam) == expected
+        # another scale moves the rounding, but none of a valid box's predicates
+        assert _predicates(rescaled(others), lam)[0] == expected[0]

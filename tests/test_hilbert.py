@@ -44,6 +44,24 @@ def random_transformation(rng):
             return m
 
 
+def test_point_at_mixes_no_fraction_with_mpf(monkeypatch):
+    # scalars: no Fraction meets an mpf inside an operator
+    quad = hb.convex_interior(bx.from_moduli(bx.BoxModuli(Fraction(3, 10), Fraction(-1, 5))))
+    calls = []
+    mat_vec = sc.mat_vec
+
+    def spying(m, v):
+        calls.append({type(x) for row in m for x in row} | {type(x) for x in v})
+        return mat_vec(m, v)
+
+    monkeypatch.setattr(sc, "mat_vec", spying)
+    xy = (mpf("0.25"), mpf("-0.5"))
+    point = quad.point_at(xy)
+    assert calls and not any(Fraction in types and mpf in types for types in calls)
+    monkeypatch.undo()
+    assert all(abs(sc.to_mpf(c) - x) <= sc.float_epsilon() for c, x in zip(quad.chart(point), xy))
+
+
 def test_distance_zero_iff_equal():
     x = UNIT_SQUARE.point_at((mpf("0.3"), mpf("-0.2")))
     assert hb.hilbert_distance(UNIT_SQUARE, x, x) == 0
@@ -182,7 +200,10 @@ def ref_distortion_estimate(inner, outer, resolution, directions):
         if abs(cx) > slack or abs(cy) > slack:
             raise NotNested("inner quad closure must sit inside the outer quad")
     m = sc.mat_mul(sc.mat_to_mpf(outer.basis), sc.mat_inverse(sc.mat_to_mpf(inner.basis)))
-    mf = np.array([[float(x) for x in row] for row in m])
+    # the power-of-two scale of distortion_estimate, without which integral
+    # frames underflow float64; it commutes with every float64 step
+    top = mpmath.frexp(sc.mat_max_abs(m))[1]
+    mf = np.array([[float(mpmath.ldexp(x, -top)) for x in row] for row in m])
     ax = mf[:, 0]
     ay = (mf[:, 1] - mf[:, 2]) / 2
     c0 = (mf[:, 1] + mf[:, 2]) / 2

@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import mpmath
 from mpmath import mpf
 
 from pappuslab import boxes as bx
@@ -71,7 +73,7 @@ def test_exact_join_and_meet_form_one_cross_product(element, op, error, monkeypa
         return cross(u, v)
 
     monkeypatch.setattr(sc, "cross", counting)
-    assert op(element((1, 0, 1)), element((0, 1, 2))).exact
+    assert all(type(x) is int for x in op(element((1, 0, 1)), element((0, 1, 2))).coords)
     assert len(calls) == 1
     # proportional input of another scale and sign, after reduction too
     for u, v in [((1, 2, 3), (-2, -4, -6)), ((Fraction(1, 2), 1, Fraction(3, 2)), (-3, -6, -9))]:
@@ -166,7 +168,7 @@ def test_flags_stay_flags_under_symmetry():
     for _ in range(20):
         g = rational_transformation(rng)
         out = pj.apply_symmetry(g, f)  # Flag constructor re-validates incidence
-        assert pj.incidence_residual(out.line.coords, out.point.coords) == 0
+        assert pj.incident(out.line, out.point)
 
 
 def test_composition_kinds():
@@ -209,32 +211,35 @@ def test_inverse():
         assert round_trip.point == f.point and round_trip.line == f.line
 
 
-def test_float_mode_equality():
-    p = pj.Point((mpf(1), mpf(2), mpf(3)))
-    q = pj.Point((mpf("2.0000000000000000001") / 2, mpf(2), mpf(3)))
-    assert p == q
-    r = pj.Point((mpf("1.001"), mpf(2), mpf(3)))
-    assert p != r
-
-
 @given(
     st.lists(st.integers(-10**6, 10**6), min_size=3, max_size=3).filter(any),
-    st.sampled_from([mpf(10) ** 30, mpf(10) ** -30, mpf(2) ** 530, mpf(2) ** -530]),
+    st.sampled_from([53, 64, 128, 256]),
     st.sampled_from([pj.Point, pj.Line]),
 )
-@settings(max_examples=50, deadline=None)
-def test_float_coordinates_have_max_entry_one(ints, scale, kind):
-    # float coordinates are stored as mpf divided by their max |entry|, so
-    # a rescaled vector stores the same coordinates up to the rounding of
-    # the scale (none for a power of two); a Fraction among them is
-    # rounded to nearest first
-    coords = kind(tuple(mpf(x) * scale for x in ints)).coords
-    assert all(type(x) is mpf for x in coords)
-    assert sc.vec_max_abs(coords) == 1
-    unscaled = kind(tuple(mpf(x) for x in ints)).coords
-    if scale in (mpf(2) ** 530, mpf(2) ** -530):
-        assert coords == unscaled
-    assert max(abs(x - y) for x, y in zip(coords, unscaled)) <= sc.float_epsilon()
-    mixed = kind((Fraction(ints[0], 3), mpf(ints[1]), ints[2])).coords
-    assert mixed == kind(sc.vec_to_mpf((Fraction(ints[0], 3), ints[1], ints[2]))).coords
-    assert sc.vec_max_abs(mixed) == 1
+@settings(max_examples=80, deadline=None)
+def test_float_coordinates_are_rounded_once(ints, bits, kind):
+    # float input is rounded once, as the scaled kernel rounds, to coprime
+    # ints of at most P + 16 bits
+    with mpmath.workprec(bits):
+        values = tuple(mpf(x) / 7 for x in ints)
+        coords = kind(values).coords
+        assert all(type(x) is int for x in coords)
+        assert math.gcd(*coords) == 1
+        assert max(abs(x) for x in coords).bit_length() <= bits + sc.SCALED_GUARD_BITS
+        assert coords == sc.vec_exact_reduce(sc.to_scaled(values))
+        # a power-of-two scale changes no int
+        for scale in (mpf(2) ** 530, mpf(2) ** -530):
+            assert kind(sc.vec_scale(values, scale)).coords == coords
+        # another scale rounds each scaled entry by at most 2^-P relative,
+        # so the vector over its max entry moves by at most 2 units of 2^-P
+        # and the P + 16-bit rounding (1.82 measured in 12000 draws); 4
+        # units leave room
+        for scale in (mpf(10) ** 30, mpf(10) ** -30):
+            moved = kind(sc.vec_scale(values, scale)).coords
+            top, moved_top = sc.vec_max_abs(coords), sc.vec_max_abs(moved)
+            assert max(abs(Fraction(x, top) - Fraction(y, moved_top)) for x, y in zip(coords, moved)) <= Fraction(1, 2 ** (bits - 2))
+        # a Fraction among the mpf values is rounded to nearest first
+        mixed = kind((Fraction(ints[0], 3), values[1], ints[2])).coords
+        nearest = mpmath.mpf(ints[0]) / 3
+        assert mixed == kind((nearest, values[1], mpf(ints[2]))).coords
+        assert kind((mpf(1), mpf(2), mpf(3))) != kind((mpf("1.001"), mpf(2), mpf(3)))
