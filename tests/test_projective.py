@@ -211,6 +211,46 @@ def test_inverse():
         assert round_trip.point == f.point and round_trip.line == f.line
 
 
+def test_float_mode_equality():
+    # float points are equal when their coordinates round to the same ints:
+    # a change below the unit of the P + 16-bit rounding vanishes, one of
+    # 1e-3 does not
+    p = pj.Point((mpf(1), mpf(2), mpf(3)))
+    tiny = mpf(2) ** -(mpmath.mp.prec + 20)
+    with mpmath.workprec(mpmath.mp.prec + 40):
+        nudged = 1 + tiny
+    assert nudged != 1
+    q = pj.Point((nudged, mpf(2), mpf(3)))
+    assert p == q
+    r = pj.Point((mpf("1.001"), mpf(2), mpf(3)))
+    assert p != r
+
+
+@given(
+    st.lists(st.integers(-10**6, 10**6), min_size=3, max_size=3).filter(any),
+    st.sampled_from([mpf(10) ** 30, mpf(10) ** -30, mpf(2) ** 530, mpf(2) ** -530]),
+    st.sampled_from([pj.Point, pj.Line]),
+)
+@settings(max_examples=50, deadline=None)
+def test_float_coordinates_have_max_entry_one(ints, scale, kind):
+    # float coordinates are rounded to ints which, over their max |entry|,
+    # have max entry one and give the input over its max |entry| up to the
+    # rounding of the scale (none for a power of two); a Fraction among
+    # them is rounded to nearest first
+    coords = kind(tuple(mpf(x) * scale for x in ints)).coords
+    top = sc.vec_max_abs(coords)
+    unit = [Fraction(x, top) for x in coords]
+    assert max(abs(x) for x in unit) == 1
+    ints_top = max(abs(x) for x in ints)
+    epsilon = Fraction(1, 2 ** (mpmath.mp.prec - 8))  # sc.float_epsilon()
+    assert max(abs(x - Fraction(y, ints_top)) for x, y in zip(unit, ints)) <= epsilon
+    unscaled = kind(tuple(mpf(x) for x in ints)).coords
+    if scale in (mpf(2) ** 530, mpf(2) ** -530):
+        assert coords == unscaled
+    mixed = kind((Fraction(ints[0], 3), mpf(ints[1]), ints[2])).coords
+    assert mixed == kind(sc.vec_to_mpf((Fraction(ints[0], 3), ints[1], ints[2]))).coords
+
+
 @given(
     st.lists(st.integers(-10**6, 10**6), min_size=3, max_size=3).filter(any),
     st.sampled_from([53, 64, 128, 256]),
