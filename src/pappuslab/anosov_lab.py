@@ -15,10 +15,8 @@ step words.  Everything here measures how fast those boxes shrink:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 
 import mpmath
 from mpmath import mpf
@@ -118,57 +116,21 @@ def _chart_pairs(g: tuple, corners: list) -> list:
     ]
 
 
-def _below(pairs: list, tol: mpf) -> bool:
-    """Whether every N / D < tol^2, in ints, as tol = man 2^exp (a tie fails)."""
-    left, right = max(-2 * tol.exp, 0), max(2 * tol.exp, 0)
-    return all(n << left < tol.man**2 * d << right for n, d in pairs)
+def _square_bound(tol: mpf) -> tuple:
+    """tol^2 = man^2 2^(2 exp) as ints (man^2, left, right), for ``_below``."""
+    return tol.man**2, max(-2 * tol.exp, 0), max(2 * tol.exp, 0)
 
 
-def _log_diameter(pairs: list) -> float:
-    """float64 log of the diameter (-inf at 0), from the ints: no underflow."""
-    return max((math.log(n) - math.log(d) for n, d in pairs if n), default=-math.inf) / 2
+def _below(pairs: list, bound: tuple) -> bool:
+    """Whether every N / D < tol^2, for tol's ``_square_bound`` (a tie fails)."""
+    square, left, right = bound
+    return all(n << left < square * d << right for n, d in pairs)
 
 
 def _diameter(pairs: list) -> mpf:
     """The diameter as an mpf, rounded down: below tol where ``_below`` holds."""
     q, prec = max(Fraction(n, d) for n, d in pairs), mpmath.mp.prec
     return mpmath.mp.make_mpf(mpf_sqrt(from_rational(q.numerator, q.denominator, prec, "d"), prec, "d"))
-
-
-def _first_depth_below(pairs, tol: mpf, first_probe: int, depth_cap: int) -> int:
-    """First depth n <= depth_cap whose pairs(n) are ``_below`` tol, for a
-    diameter d that never grows with n (NoConvergence if none), testing
-    each depth once.  The bracket closes at hi = lo + 1, so the probes,
-    where ``_log_diameter`` taken as linear in n meets log tol, change the
-    cost only: through d(0) and d(lo), rounded down and held to [lo + 1,
-    2 lo + 1], until there is a hi; then through d(lo) and d(hi), held
-    inside (the midpoint without a rate)."""
-    log_tol = math.log(tol.man) + tol.exp * math.log(2)
-
-    def crossing(a, b):
-        # None without a usable rate: d(b) is 0, or equal logs (ulps apart)
-        log_da = _log_diameter(pairs(a))
-        fall = log_da - _log_diameter(pairs(b))
-        return a + (log_da - log_tol) * (b - a) / fall if 0 < fall < math.inf else None
-
-    lo, hi = 0, (0 if _below(pairs(0), tol) else None)
-    while hi is None or hi > lo + 1:
-        if hi is not None:
-            x = crossing(lo, hi)
-            probe = (lo + hi) // 2 if x is None else min(max(math.ceil(x), lo + 1), hi - 1)
-        elif lo >= depth_cap:
-            raise NoConvergence("depth cap reached before the boxes collapsed")
-        elif lo:
-            # rounded down: each depth probed past the stop costs a product
-            x = crossing(0, lo)
-            probe = min(2 * lo + 1 if x is None else max(int(x), lo + 1), 2 * lo + 1, depth_cap)
-        else:
-            probe = min(first_probe, depth_cap)
-        if _below(pairs(probe), tol):
-            hi = probe
-        else:
-            lo = probe
-    return hi
 
 
 def limit_point(
@@ -186,10 +148,12 @@ def limit_point(
     line (bottom lines, which are the tops of the reversed-orientation
     dual boxes) and the incidence residual between the two.
 
-    The boxes are nested, g_{n+1}(B) = g_n(S(B)) inside g_n(B), so d never
-    grows with n and ``_first_depth_below`` need not test every depth.
-    A tol at or below ``sc.float_epsilon()`` is rejected: there d is
-    rounding noise and no longer falls.
+    The depths are walked in turn, and no product past the stop (or past
+    P, formed first) is formed.  A depth is first tested on the diagonal
+    (p, r) alone, whose chart length is at most d(n), and only then on
+    all six corner pairs, which alone decide the stop.  A tol at or below
+    ``sc.float_epsilon()`` is rejected: there d is rounding noise and no
+    longer falls.
 
     The products run on the scaled-integer kernel of ``scalars`` (its
     error bound is stated there), set up once per point
@@ -225,16 +189,25 @@ def limit_point(
     if not _spectrum(sc.scaled_to_mat(product(period))).loxodromic:
         raise NonLoxodromic("word image has collapsing eigenvalue moduli")
 
-    pairs = cache(lambda n: _chart_pairs(product(n), corners))
-    depth = _first_depth_below(pairs, tol, period, depth_cap)
-    g = sc.scaled_to_mat(mats[depth])
+    bound = _square_bound(tol)
+    depth = 0
+    while True:
+        g = product(depth)
+        if _below(_chart_pairs(g, corners[::2]), bound):
+            pairs = _chart_pairs(g, corners)
+            if _below(pairs, bound):
+                break
+        if depth >= depth_cap:
+            raise NoConvergence("depth cap reached before the boxes collapsed")
+        depth += 1
+    g = sc.scaled_to_mat(g)
 
     point = _unit_max_norm(sc.mat_vec(g, bottom))
     # lines transform by the inverse transpose, projectively the
     # transposed adjugate (avoids dividing by the tiny determinant of a
     # long contraction product)
     dual = _unit_max_norm(sc.mat_vec(sc.mat_transpose(sc.adjugate(g)), bottom_line))
-    return LimitSample(w, point, dual, incidence_residual(dual, point), _diameter(pairs(depth)), depth)
+    return LimitSample(w, point, dual, incidence_residual(dual, point), _diameter(pairs), depth)
 
 
 def _unit_max_norm(v) -> tuple:

@@ -71,13 +71,6 @@ def _chart_of(vec):
         raise OutsideDomain(str(exc)) from exc
 
 
-def _float_chart(domain: ConvexQuad, x: Point):
-    """``domain.chart(x)`` in float mode.  The exact chart vector is
-    converted to mpf first, so its two quotients are mpf divisions, not
-    Fraction divisions converted afterwards."""
-    return _chart_of(sc.vec_to_mpf(sc.mat_vec(domain.basis, x.coords)))
-
-
 def _square_hit_times(x, d):
     """Forward and backward parameter times at which the ray x + t d
     leaves the open unit square.  Returns (t_minus, t_plus), both > 0,
@@ -99,8 +92,8 @@ def _square_hit_times(x, d):
 
 def hilbert_distance(domain: ConvexQuad, x: Point, y: Point):
     """Hilbert distance: half the log of the boundary cross-ratio."""
-    cx = _float_chart(domain, x)
-    cy = _float_chart(domain, y)
+    # the exact chart, each quotient rounded once
+    cx, cy = (tuple(sc.to_mpf(c) for c in domain.chart(v)) for v in (x, y))
     if max(abs(cx[0]), abs(cx[1])) >= 1 or max(abs(cy[0]), abs(cy[1])) >= 1:
         raise OutsideDomain("both points must be interior")
     d = (cy[0] - cx[0], cy[1] - cx[1])

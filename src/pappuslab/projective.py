@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from mpmath import mpf
-
 from . import scalars as sc
 from .errors import (
     CoincidentLines,
@@ -23,12 +21,6 @@ from .errors import (
     PappusLabError,
     SingularMatrix,
 )
-
-# Tolerance of ``proj_equal_mat`` on float matrices (2x2 minors of unit
-# max-norm entries).  It is kept, unmeasured, from the float point geometry
-# it served (equal vectors reached 7.1e-14, distinct ones 1.7e-2): no caller
-# in the library or the tests passes a float matrix today.
-ANGLE_TOL = mpf("1e-12")
 
 
 def proj_equal(u, v) -> bool:
@@ -161,23 +153,13 @@ class ProjSymmetry:
 
 
 def proj_equal_mat(a, b) -> bool:
-    """Projective equality of matrices (proportionality)."""
-    flat_a = tuple(x for row in a for x in row)
-    flat_b = tuple(x for row in b for x in row)
-    exact = sc.mat_is_exact(a) and sc.mat_is_exact(b)
-    if not exact:
-        flat_a = tuple(sc.to_mpf(x) for x in flat_a)
-        flat_b = tuple(sc.to_mpf(x) for x in flat_b)
-        na = max(abs(x) for x in flat_a)
-        nb = max(abs(x) for x in flat_b)
-        flat_a = tuple(x / na for x in flat_a)
-        flat_b = tuple(x / nb for x in flat_b)
-    tol = 0 if exact else ANGLE_TOL
-    for i in range(9):
-        for k in range(9):
-            if abs(flat_a[i] * flat_b[k] - flat_a[k] * flat_b[i]) > tol:
-                return False
-    return True
+    """Projective equality of exact matrices (proportionality): their
+    flattened coprime-int representatives agree up to sign."""
+    if not (sc.mat_is_exact(a) and sc.mat_is_exact(b)):
+        raise TypeError("projective equality of matrices is exact only")
+    flat_a = sc.vec_exact_reduce([x for row in a for x in row])
+    flat_b = sc.vec_exact_reduce([x for row in b for x in row])
+    return flat_a == flat_b or flat_a == tuple(-x for x in flat_b)
 
 
 def frame_matrix(a: Point, b: Point, c: Point, d: Point) -> tuple:

@@ -160,11 +160,11 @@ class Representation:
     @_PointValue
     def limit_setup(self):
         """``anosov_lab.limit_point``'s setup, False outside the region: the
-        scaled step images and base-box corners, the mpf corner b and line B."""
+        scaled step images, the base box's own corner ints and its mpf b and B."""
         box = bx.from_moduli(self.moduli)
         return bx.in_region(self.lam) and (
             {s: sc.to_scaled(x for row in sc.mat_to_mpf(g) for x in row) for s, g in self.step_images.items()},
-            [sc.to_scaled(sc.vec_to_mpf(p.coords)) for p in (box.p, box.q, box.r, box.s)],
+            [p.coords for p in (box.p, box.q, box.r, box.s)],
             sc.vec_to_mpf(box.b.coords), sc.vec_to_mpf(box.line_B.coords),
         )
 

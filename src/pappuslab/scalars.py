@@ -71,6 +71,7 @@ from mpmath import mpf
 from mpmath.libmp import (
     fone,
     from_int,
+    from_rational,
     from_str,
     fzero,
     mpf_abs,
@@ -124,8 +125,9 @@ def vec_is_exact(u) -> bool:
 
 
 def to_mpf(x) -> mpf:
+    """x in float mode; a ``Fraction`` is rounded once, to nearest."""
     if isinstance(x, Fraction):
-        return mpf(x.numerator) / mpf(x.denominator)
+        return _wrap(from_rational(x.numerator, x.denominator, *mpmath.mp._prec_rounding))
     return mpf(x)
 
 

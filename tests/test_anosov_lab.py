@@ -730,7 +730,7 @@ def test_exact_stop_test_agrees_with_the_mpf_oracle(prec, seed, offset):
         margin = oracle_margin(images, prec)
         tol = sc.to_mpf(max(dyadic(oracle) + offset * margin, dyadic(oracle) / 2))
         assume(tol > 0)
-        below = al._below(pairs, tol)
+        below = al._below(pairs, al._square_bound(tol))
         # exactly: d^2 = max N / D against tol^2
         square = max(Fraction(n, d) for n, d in pairs)
         t = dyadic(tol)
@@ -738,13 +738,10 @@ def test_exact_stop_test_agrees_with_the_mpf_oracle(prec, seed, offset):
         # the oracle agrees wherever it is clear of tol
         if square > (t + margin) ** 2 or (t > margin and square < (t - margin) ** 2):
             assert below == (oracle < tol)
-        # the reported diameter is d rounded down; the log estimate is d's
+        # the reported diameter is d rounded down
         diameter = al._diameter(pairs)
         assert dyadic(diameter) ** 2 <= square
         assert not below or diameter < tol
-        if dyadic(oracle) > 2 * margin:
-            error = 2 * margin / dyadic(oracle)
-            assert abs(al._log_diameter(pairs) - float(mpmath.log(oracle))) <= 1e-12 + error
 
 
 @pytest.mark.parametrize("prec", [53, 128])
@@ -762,8 +759,8 @@ def test_exact_stop_test_does_not_stop_at_a_tie(prec):
         pairs = al._chart_pairs(identity, corners)
         assert max(Fraction(n, d) for n, d in pairs) == dyadic(tol) ** 2
         assert chart_diameter([sc.vec_to_mpf(c) for c in corners]) == tol
-        assert not al._below(pairs, tol)
-        assert al._below(pairs, tol + mpmath.eps * tol)
+        assert not al._below(pairs, al._square_bound(tol))
+        assert al._below(pairs, al._square_bound(tol + mpmath.eps * tol))
         assert al._diameter(pairs) == tol
 
 
@@ -841,12 +838,13 @@ def test_scaled_chain_ignores_the_scale_of_the_steps(bits):
 
 
 # ---------------------------------------------------------------------------
-# the bracketed stopping-depth search against the linear loop it replaced
+# limit_point's walk against a plain linear loop
 
 
 def linear_limit_point(rep, w, tol, depth_cap=al.LIMIT_DEPTH_CAP):
     """``limit_point`` testing the chart diameter at every depth in turn,
-    on the same scaled-integer products and exact stopping test."""
+    on the same scaled-integer products and exact stopping test, with the
+    six pairs of the scaled corners and no diagonal pre-test."""
     letters = md.crossing_form(w).letters
     steps = [
         sc.to_scaled(flat(sc.mat_to_mpf(rep.step_images[GroupWord(letters[k: k + 4])])))
@@ -863,7 +861,7 @@ def linear_limit_point(rep, w, tol, depth_cap=al.LIMIT_DEPTH_CAP):
     depth = 0
     while True:
         pairs = al._chart_pairs(g, corners)
-        if al._below(pairs, tol):
+        if al._below(pairs, al._square_bound(tol)):
             break
         if depth >= depth_cap:
             raise NoConvergence("depth cap reached before the boxes collapsed")
@@ -885,16 +883,14 @@ def limit_outcome(limit, rep, w, tol, depth_cap, max_tests=None):
     """Every field of the sample (points and lines by their coordinates,
     since their ``==`` is projective), or the type of the library error.
 
-    More than ``max_tests`` stopping tests (``_below``) fail the test: a
-    search whose probe leaves the bracket can loop without closing it, on
-    diameters it has already computed."""
+    More than ``max_tests`` stopping tests (``_below``) fail the test."""
     tests = []
     below = al._below
 
-    def counting(pairs, tol):
-        tests.append(tol)
-        assert max_tests is None or len(tests) <= max_tests, "search does not close"
-        return below(pairs, tol)
+    def counting(pairs, bound):
+        tests.append(bound)
+        assert max_tests is None or len(tests) <= max_tests, "too many stopping tests"
+        return below(pairs, bound)
 
     with mock.patch.object(al, "_below", counting):
         try:
@@ -938,72 +934,15 @@ def test_limit_search_matches_linear_loop(moduli, la, steps, bits, x, case):
             elif case == "cap_below_stop" and stop:
                 depth_cap = stop - 1
             reference = limit_outcome(linear_limit_point, rep, w, tol, depth_cap)
-        # each test is at a new depth, at most max(period, 2 stop - 1) and
-        # at most the cap
-        period = len(md.crossing_form(w).letters) // 4
-        max_tests = depth_cap + 1
-        if isinstance(reference, tuple):
-            max_tests = min(max_tests, max(period, 2 * reference[5]) + 1)
-        searched = limit_outcome(al.limit_point, rep, w, tol, depth_cap, max_tests)
-    assert searched == reference
+        # at most two tests (the diagonal, then the six pairs) per depth
+        # walked: to the stop, or to the cap
+        max_tests = 2 * ((reference[5] if isinstance(reference, tuple) else depth_cap) + 1)
+        walked = limit_outcome(al.limit_point, rep, w, tol, depth_cap, max_tests)
+    assert walked == reference
     if case == "above_d0" and isinstance(reference, tuple):
         assert reference[5] == 0
     if case == "cap_below_stop" and depth_cap < al.LIMIT_DEPTH_CAP:
         assert reference is NoConvergence
-
-
-ULP_FALL = 1 - mpf(2) ** -126
-
-
-def diameter_pairs(d):
-    """``_chart_pairs`` of a planted diameter d, an mpf: one pair, d^2 = N / D."""
-    man, exp = d.man_exp
-    return [(man * man << max(2 * exp, 0), 1 << max(-2 * exp, 0))]
-
-
-@given(
-    st.lists(st.sampled_from((0, 0.1, 0.5, 0.5, 0.9, 0.99, ULP_FALL, 1, 1)), min_size=1, max_size=60),
-    st.one_of(st.integers(0, 60), st.floats(-30, 1)),
-    st.integers(1, 8),
-    st.integers(0, 80),
-)
-@settings(max_examples=300, deadline=None)
-def test_first_depth_below_matches_linear_scan(ratios, tol_at, first_probe, depth_cap):
-    # a planted non-increasing diameter with plateaus (ratio 1), falls of
-    # about an ulp, whose logs can be equal, and drops to 0, constant past
-    # its end; tol is one of its values (a tie) or a power of ten
-    d = [mpf(3)]
-    for r in ratios:
-        d.append(d[-1] * r)
-    tol = d[min(tol_at, len(d) - 1)] if isinstance(tol_at, int) else mpf(10) ** tol_at
-    assume(tol > 0)
-    calls = []
-
-    def pairs(n):
-        calls.append(n)
-        assert len(calls) <= 3 * (depth_cap + 1) + 1, "search does not close"
-        return diameter_pairs(d[min(n, len(d) - 1)])
-
-    search = (pairs, tol, first_probe, depth_cap)
-    stop = next((n for n in range(depth_cap + 1) if d[min(n, len(d) - 1)] < tol), None)
-    calls.clear()
-    if stop is None:
-        with pytest.raises(NoConvergence):
-            al._first_depth_below(*search)
-    else:
-        assert al._first_depth_below(*search) == stop
-        assert max(calls) <= max(first_probe, 2 * stop - 1)
-    assert max(calls) <= depth_cap
-
-
-def test_first_depth_below_with_equal_logs():
-    # diameters an ulp apart can have equal float64 logs: that is no
-    # usable rate, so the bracket is bisected rather than divided by a
-    # zero fall
-    x = mpf("1e-12")
-    near = diameter_pairs(x), diameter_pairs(x * ULP_FALL)
-    assert x > x * ULP_FALL and al._log_diameter(near[0]) == al._log_diameter(near[1])
-    assert al._first_depth_below(lambda n: near[n > 5], x, 2, 100) == 6
 
 
 # ---------------------------------------------------------------------------

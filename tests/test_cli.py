@@ -306,15 +306,16 @@ def test_no_eigenvectors_built(argv, tmp_path, monkeypatch, capsys):
 
 
 def test_limit_searches_its_stopping_depth(tmp_path, monkeypatch, capsys):
-    # the linear stopping test made 428 diameter checks here, for the same
-    # chain products (412 here)
-    diameters = []
+    # the walk forms each depth's product once and no product past the
+    # stop; every depth it reaches tests the diagonal pair, and only a
+    # depth whose diagonal passes tests the six pairs
+    tests = {1: 0, 6: 0}
     products = []
     below, scaled_mul = al._below, sc.scaled_mul
 
-    def measuring(pairs, tol):
-        diameters.append(1)
-        return below(pairs, tol)
+    def measuring(pairs, bound):
+        tests[len(pairs)] += 1
+        return below(pairs, bound)
 
     def multiplying(a, b):
         products.append(1)
@@ -323,10 +324,14 @@ def test_limit_searches_its_stopping_depth(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(al, "_below", measuring)
     monkeypatch.setattr(sc, "scaled_mul", multiplying)
     monkeypatch.chdir(tmp_path)
-    assert cli.main(["limit", "--depth", "2", *DEFORMED]) == 0
-    capsys.readouterr()
-    assert 0 < len(diameters) <= 128
-    assert 0 < len(products) <= 490
+    code, report = run_json(capsys, "limit", "--depth", "2", *DEFORMED)
+    assert code == 0
+    with open(tmp_path / "limit.csv") as handle:
+        depths = [int(row["depth"]) for row in csv.DictReader(handle)]
+    assert len(depths) == report["words"] == 16
+    assert len(products) == sum(depths) == 412
+    assert tests[1] == len(products) + len(depths)
+    assert len(depths) <= tests[6] <= 2 * len(depths)
 
 
 def test_limit_evaluates_each_step_word_once(tmp_path, monkeypatch, capsys):

@@ -1,7 +1,9 @@
-"""Every name that a module of ``src/pappuslab`` imports is used in it.
+"""Every name that a module of ``src/pappuslab`` imports is used in it,
+and every private module-level name it defines is read in the package.
 
 No linter is part of the test run, and deleting code tends to leave its
-imports behind; this is the one lint rule the suite enforces.
+imports and helpers behind; these are the lint rules the suite enforces.
+A private helper that only the tests still read is dead code too.
 """
 
 import ast
@@ -32,3 +34,36 @@ def test_no_unused_imports(path):
         name for name in imported_names(tree) if name not in used and (path.name, name) not in RE_EXPORTS
     ]
     assert not unused, "%s imports %s and never uses it" % (path.name, ", ".join(unused))
+
+
+def defined_names(tree):
+    """Names bound by the module's top-level statements."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id
+
+
+def read_names(tree):
+    """Names the module reads, bare or as an attribute (``sc._wrap``)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def test_no_unread_private_names():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))}
+    read = {name for tree in trees.values() for name in read_names(tree)}
+    unread = [
+        "%s: %s" % (module, name)
+        for module, tree in trees.items()
+        for name in defined_names(tree)
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    ]
+    assert not unread, "private names that no module of the package reads: " + ", ".join(unread)

@@ -157,6 +157,17 @@ def test_polarity_involution_on_flags():
         assert back.point == f.point and back.line == f.line
 
 
+def test_proj_equal_mat_is_exact_up_to_sign_and_scale():
+    m = ((1, Fraction(-1, 2), 0), (2, 3, Fraction(1, 3)), (0, 0, 5))
+    assert pj.proj_equal_mat(m, sc.mat_scale(m, Fraction(-6, 7)))
+    assert not pj.proj_equal_mat(m, sc.IDENTITY)
+    assert not pj.proj_equal_mat(m, sc.mat_transpose(m))
+    with pytest.raises(TypeError):
+        pj.proj_equal_mat(sc.mat_to_mpf(m), m)
+    with pytest.raises(TypeError):
+        pj.proj_equal_mat(sc.IDENTITY, sc.mat_to_mpf(sc.IDENTITY))
+
+
 def test_flag_incidence_enforced():
     with pytest.raises(PappusLabError):
         pj.Flag(pj.Point((1, 0, 0)), pj.Line((1, 0, 0)))

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
 from mpmath.ctx_mp_python import _mpf
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, from_rational
 
 from pappuslab import scalars as sc
 from pappuslab.errors import ComplexSpectrum, SingularMatrix
@@ -466,6 +466,23 @@ def test_mixed_input_is_converted_to_mpf(prec, m):
         d = sc.det3(f)
         assert outcome(sc.is_singular, m, d) == outcome(sc.is_singular, f, d)
         assert outcome(sc.mat_inverse, m) == outcome(sc.mat_inverse, f)
+
+
+@pytest.mark.parametrize("prec", (53, 64, 128, 256))
+@given(seed=st.integers(0, 2**64))
+@settings(max_examples=100, deadline=None)
+def test_fraction_enters_float_mode_rounded_once(prec, seed):
+    # each integer wider than the precision, rounded before the division,
+    # would round the quotient two or three times
+    rng = random.Random(seed)
+
+    def wide():
+        bits = rng.randint(prec + 1, prec + 300)
+        return rng.getrandbits(bits) | 1 << (bits - 1)
+
+    num, den = wide() * rng.choice((1, -1)), wide()
+    with mpmath.workprec(prec):
+        assert sc.to_mpf(Fraction(num, den))._mpf_ == from_rational(num, den, prec, "n")
 
 
 def test_identity_times_mpf_stays_on_the_operator_path():
