@@ -21,7 +21,9 @@ point/duality symmetries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 
 import mpmath
@@ -40,6 +42,7 @@ from .errors import (
     NotARotation,
     NotInSubgroupO,
     PrecisionMismatch,
+    SingularMatrix,
     SpecialBox,
     ToleranceBelowPrecision,
 )
@@ -71,14 +74,31 @@ def matrix_D(m: BoxModuli) -> tuple:
     )
 
 
+def _cleared(m: tuple) -> tuple:
+    """(n, n m) for an exact m, with n the lcm of its denominators."""
+    n = math.lcm(*(x.denominator for row in m for x in row))
+    return n, tuple(tuple(x.numerator * (n // x.denominator) for x in row) for row in m)
+
+
 def matrix_B0(m: BoxModuli) -> tuple:
-    """Undeformed image of the conjugated generator: D^-1 tA^-1 D."""
+    """Undeformed image of the conjugated generator: D^-1 tA^-1 D.
+
+    At rational moduli, with A = A'/n and D = D'/n' integral, it is
+    n adj(D') t(adj A') D' / (det D' det A'): integer products, and one
+    division per entry."""
     a, d = matrix_A(m), matrix_D(m)
     if not (sc.mat_is_exact(a) and sc.mat_is_exact(d)):
         a, d = sc.mat_to_mpf(a), sc.mat_to_mpf(d)
-    return sc.mat_mul(
-        sc.mat_mul(sc.mat_inverse(d), sc.mat_inverse(sc.mat_transpose(a))), d
-    )
+        return sc.mat_mul(
+            sc.mat_mul(sc.mat_inverse(d), sc.mat_inverse(sc.mat_transpose(a))), d
+        )
+    (n, a), (_, d) = _cleared(a), _cleared(d)
+    det_d, det_a = sc.det3(d), sc.det3(a)
+    if det_d == 0 or det_a == 0:
+        raise SingularMatrix("matrix determinant is zero at the working precision")
+    num = sc.mat_mul(sc.mat_mul(sc.adjugate(d), sc.mat_transpose(sc.adjugate(a))), d)
+    den = det_d * det_a
+    return tuple(tuple(Fraction(n * x, den) for x in row) for row in num)
 
 
 def sigma_conjugate(b0: tuple, lam: Lambda) -> tuple:
@@ -122,8 +142,9 @@ class Representation:
     deformation, and otherwise mpf, with A's rationals rounded to nearest
     by ``sc.mat_to_mpf``.  B^lambda is built with the point and the rest
     on first use, so ``obstruction`` and ``extension_intertwiner`` never
-    pay for the letter and step images.  All hold the bits of the point's
-    precision ``prec``, a float lam's own: reading one at another raises.
+    pay for the letter and step images, and share one A B^lambda.  All
+    hold the bits of the point's precision ``prec``, a float lam's own:
+    reading one at another raises.
     """
 
     moduli: BoxModuli
@@ -151,6 +172,12 @@ class Representation:
         four in the scalar mode of ``b``."""
         a, b = self.a, self.b
         return {"R": a, "RR": sc.mat_mul(a, a)}, {"R": b, "RR": sc.mat_mul(b, b)}
+
+    @_PointValue
+    def obstruction(self) -> tuple:
+        """(det(Id - A B^lambda), A B^lambda), as ``obstruction`` returns them."""
+        ab = sc.mat_mul(self.a, self.b)
+        return sc.det3(sc.mat_sub(sc.IDENTITY, ab)), ab
 
     @_PointValue
     def step_images(self) -> dict:
@@ -272,10 +299,28 @@ def curve_h(m: BoxModuli, lam: Lambda):
 
 
 # Fixed, not tied to float_epsilon(), so the bisection stops at the same
-# step at every precision (40-41 h calls, |h| <= 2.8e-13 at both golden
-# curve points, 53-256 bits; 2 float_epsilon() takes 43-45 at 53 bits, 247-248
-# at 256); 35 times float_epsilon(53) = 2^-45, so it runs at every precision.
+# step at every precision (40-41 decisions, none of which evaluates h in
+# mpf, and |h| <= 2.8e-13 at both golden curve points, 53-256 bits; 2
+# float_epsilon() takes 43-45 decisions at 53 bits, 247-248 at 256, where
+# those past delta's 53rd bit evaluate h in mpf); 35 times
+# float_epsilon(53) = 2^-45, so it runs at every precision.
 CURVE_TOL = mpf("1e-12")
+
+# The float64 filter of solve_delta_h.  cosh delta and sinh delta are
+# (e^d +- e^-d)/2 from an exp within one ulp: cosh delta carries 3
+# roundings, and sinh delta an absolute error of 3 roundings of cosh delta,
+# as the difference cancels.  Along each monomial of _h_from act at most 22
+# roundings in float64 (6 of the inputs zt, zb, ce, se, 10 operations, 3 in
+# cd and 3 in sd) and 16 in mpf, so the two values of h differ by at most
+# gamma_22(2^-53) M + gamma_22(2^-prec) M <= 23 (2^-53 + 2^-prec) M (Higham,
+# Accuracy and Stability of Numerical Algorithms, 2002, 3.1), where M is the
+# sum of the monomials' magnitudes with cosh delta in place of |sinh delta|.
+# _FILTER_C is twice 23 and more, for the float rounding of M and of the
+# comparisons; 2^-51 tol more covers tol's own rounding.  Inputs of
+# magnitude within 2^+-_FILTER_EXP (or zero), and a tol within 2^+-1000,
+# keep every float value clear of overflow and underflow.
+_FILTER_C = 64
+_FILTER_EXP = 100
 
 
 def solve_delta_h(m: BoxModuli, epsilon, tol=CURVE_TOL) -> mpf:
@@ -284,6 +329,13 @@ def solve_delta_h(m: BoxModuli, epsilon, tol=CURVE_TOL) -> mpf:
     The starting bracket is [-1, 1]; if h does not change sign there,
     the bracket is doubled twice before giving up.  A tol at or below
     ``sc.float_epsilon()`` is rejected: h is rounding noise there.
+
+    Each decision (the sign of h, |h| <= tol) is the one that h in mpf
+    gives.  It is read from h in float64 where that is certain: delta is a
+    double and the float value lies farther than the bound
+    ``_FILTER_C`` (2^-53 + 2^-prec) M from 0 and from tol.  Otherwise h is
+    evaluated in mpf.  So the bisection and its delta are those of h in
+    mpf, bit for bit.
     """
     if tol <= sc.float_epsilon():
         raise ToleranceBelowPrecision("curve tol must exceed 2^(8 - precision)")
@@ -293,33 +345,56 @@ def solve_delta_h(m: BoxModuli, epsilon, tol=CURVE_TOL) -> mpf:
     zt, zb = sc.to_mpf(m.zeta_t), sc.to_mpf(m.zeta_b)
     at_eps = Lambda(epsilon=epsilon, delta=0)
     ce, se = at_eps.cosh_eps, at_eps.sinh_eps
+    filtered = 2.0 ** -1000 < tol < 2.0 ** 1000 and all(
+        not x or 2.0 ** -_FILTER_EXP < abs(x) < 2.0 ** _FILTER_EXP for x in (zt, zb, ce, se)
+    )
+    if filtered:
+        ztf, zbf, cef, sef, tolf = (float(x) for x in (zt, zb, ce, se, tol))
+        # M = (m2 cd + m1) cd + m0 with cd = cosh delta
+        k1 = ztf * ztf + zbf * zbf + 2 * ztf * ztf * zbf * zbf
+        k2 = abs(ztf * zbf) * (ztf * ztf + zbf * zbf)
+        m2, m1, m0 = 2 * k1 * cef * cef, (k1 + k2) * cef * abs(sef), k2 * (sef * sef + abs(sef))
+        scale = _FILTER_C * (2.0 ** -53 + 2.0 ** -mpmath.mp.prec)
+        tol_slack = tolf * 2.0 ** -51
 
-    def h(delta):
+    def decide(delta) -> tuple:
+        """(sign of h, |h| <= tol) at delta."""
+        _, _, exp, bc = delta._mpf_
+        if filtered and bc <= 53 and exp >= -1074:
+            d = float(delta)
+            ed, emd = math.exp(d), math.exp(-d)
+            cd = (ed + emd) / 2
+            hf = _h_from(ztf, zbf, cef, sef, cd, (ed - emd) / 2)
+            bound = scale * ((m2 * cd + m1) * cd + m0)
+            a = abs(hf)
+            if a > bound and abs(a - tolf) > bound + tol_slack:
+                return (1 if hf > 0 else -1), a <= tolf
         ed, emd = mpmath.exp(delta), mpmath.exp(-delta)
-        return _h_from(zt, zb, ce, se, (ed + emd) / 2, (ed - emd) / 2)
+        h = _h_from(zt, zb, ce, se, (ed + emd) / 2, (ed - emd) / 2)
+        return (h > 0) - (h < 0), abs(h) <= tol
 
     lo, hi = mpf(-1), mpf(1)
-    flo, fhi = h(lo), h(hi)
+    slo, shi = decide(lo)[0], decide(hi)[0]
     expansions = 0
-    while flo * fhi > 0:
+    while slo * shi > 0:
         if expansions >= 2:
             raise NoBracket("no sign change of h on the search interval")
         lo, hi = 2 * lo, 2 * hi
-        flo, fhi = h(lo), h(hi)
+        slo, shi = decide(lo)[0], decide(hi)[0]
         expansions += 1
-    if flo == 0:
+    if slo == 0:
         return lo
-    if fhi == 0:
+    if shi == 0:
         return hi
     for _ in range(mpmath.mp.prec + 60):
         mid = (lo + hi) / 2
-        fmid = h(mid)
-        if abs(fmid) <= tol:
+        smid, within = decide(mid)
+        if within:
             return mid
-        if flo * fmid < 0:
-            hi, fhi = mid, fmid
+        if slo * smid < 0:
+            hi = mid
         else:
-            lo, flo = mid, fmid
+            lo, slo = mid, smid
     return (lo + hi) / 2
 
 
@@ -373,9 +448,8 @@ OBSTRUCTION_REL_TOL = mpf("1e-10")
 
 def obstruction(rep: Representation):
     """det(Id - A B) whose vanishing permits a symmetric intertwiner,
-    together with the product A B."""
-    ab = sc.mat_mul(rep.a, rep.b)
-    return sc.det3(sc.mat_sub(sc.IDENTITY, ab)), ab
+    together with the product A B, formed once per point."""
+    return rep.obstruction
 
 
 def _obstruction_vanishes(obs, ab) -> bool:

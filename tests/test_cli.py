@@ -624,6 +624,19 @@ def test_curve_obstruction_verdict_is_the_library_one(capsys):
     assert rp._obstruction_vanishes(obstruction, ab)
 
 
+def test_curve_forms_the_obstruction_product_once(capsys, monkeypatch):
+    # the reported obstruction and the intertwiner's gate read one A B^lambda
+    moduli, eps = BoxModuli(Fraction(3, 10), Fraction(-1, 5)), mpf(-0.05)
+    rep = rp.Representation(moduli, Lambda(epsilon=eps, delta=rp.solve_delta_h(moduli, eps)))
+    a, b = rep.a, rep.b
+    products = []
+    mat_mul = sc.mat_mul
+    monkeypatch.setattr(sc, "mat_mul", lambda x, y: products.append((x, y)) or mat_mul(x, y))
+    code, report = run_json(capsys, "curve", "--zt=3/10", "--zb=-2/10", "--eps=-0.05")
+    assert code == 0 and report["pass"]
+    assert sum(x == a and y == b for x, y in products) == 1
+
+
 def test_curve_special_box_error(capsys):
     code, report = run_json(
         capsys, "curve", "--zt", "0", "--zb", "0", "--eps", "-0.05"

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
 from mpmath.libmp import from_man_exp
@@ -549,13 +549,61 @@ def _solve_with_curve_h(m, eps, tol=rp.CURVE_TOL):
     return (lo + hi) / 2
 
 
-@pytest.mark.parametrize("prec", [64, 128, 256])
-@given(nonspecial_tenths, st.integers(-100, -10))
+# moduli with zt close to zb or to -zb, where K2 = zt zb (zt^2 - zb^2) nearly
+# vanishes
+near_diagonal = st.tuples(
+    st.integers(-8, 8).filter(bool), st.sampled_from([1, -1]), st.integers(3, 12)
+).map(lambda t: BoxModuli(Fraction(t[0], 10), Fraction(t[1] * t[0], 10) + Fraction(1, 10 ** t[2])))
+
+
+@pytest.mark.parametrize("prec", [53, 64, 128, 256])
+@given(
+    st.one_of(nonspecial_tenths, near_diagonal),
+    st.one_of(
+        st.integers(-100, -10).map(lambda k: "%d/1000" % k),
+        st.sampled_from(["-1e-6", "-8", "0", "0.05"]),
+    ),
+)
+# cases whose decisions a bound scaled by |sinh delta|, not cosh delta, gets
+# wrong: tiny epsilon, zt close to +-zb, and tol at the floor
+@example(BoxModuli(Fraction(3, 10), Fraction(301, 1000)), "-1e-6")
+@example(BoxModuli(Fraction(1, 2), Fraction(-499, 1000)), "-1e-6")
+@example(BoxModuli(Fraction(7, 10), Fraction(3, 10)), "-1e-6")
+@example(BoxModuli(Fraction(-7, 10), Fraction(-1, 10)), "0.05")
+@example(BoxModuli(Fraction(1, 10 ** 6), Fraction(3, 10)), "-8")
 @settings(max_examples=6, deadline=None)
-def test_solve_delta_h_matches_curve_h_search(prec, moduli, eps_thousandths):
+def test_solve_delta_h_matches_curve_h_search(prec, moduli, eps):
     with mpmath.workprec(prec):
-        eps = mpf(eps_thousandths) / 1000
-        assert rp.solve_delta_h(moduli, eps)._mpf_ == _solve_with_curve_h(moduli, eps)._mpf_
+        eps = mpf(eps)
+        for tol in (rp.CURVE_TOL, 2 * sc.float_epsilon(), mpf("1e-6")):
+            found = rp.solve_delta_h(moduli, eps, tol=tol)
+            assert found._mpf_ == _solve_with_curve_h(moduli, eps, tol=tol)._mpf_
+
+
+GOLDEN_CURVE_POINTS = [
+    (BoxModuli(Fraction(3, 10), Fraction(-1, 5)), "-0.05"),
+    (BoxModuli(Fraction(-7, 10), Fraction(1, 2)), "-0.09"),
+]
+
+
+@pytest.mark.parametrize("prec", [53, 64, 128, 256])
+@pytest.mark.parametrize("moduli, eps", GOLDEN_CURVE_POINTS)
+def test_solve_delta_h_decides_in_float64(monkeypatch, prec, moduli, eps):
+    # every decision reads h in float64 once, and h in mpf only where the
+    # float value is too close to 0 or tol to be certain
+    curve_h, h_from = rp.curve_h, rp._h_from
+    oracle, kinds = [], []
+    monkeypatch.setattr(rp, "curve_h", lambda *args: oracle.append(1) or curve_h(*args))
+    with mpmath.workprec(prec):
+        eps = mpf(eps)
+        expected = _solve_with_curve_h(moduli, eps)
+        monkeypatch.setattr(rp, "_h_from", lambda *args: kinds.append(type(args[0])) or h_from(*args))
+        delta = rp.solve_delta_h(moduli, eps)
+    assert type(delta) is mpf and delta._mpf_ == expected._mpf_
+    assert 40 <= len(oracle) <= 41
+    assert kinds.count(float) == len(oracle)
+    assert kinds.count(mpf) <= 5
+    assert len(kinds) == kinds.count(float) + kinds.count(mpf)
 
 
 # ---------------------------------------------------------------------------
