@@ -88,7 +88,7 @@ def matrix_B0(m: BoxModuli) -> tuple:
     division per entry."""
     a, d = matrix_A(m), matrix_D(m)
     if not (sc.mat_is_exact(a) and sc.mat_is_exact(d)):
-        a, d = sc.mat_to_mpf(a), sc.mat_to_mpf(d)
+        a, d = sc.mat_as_mpf(a), sc.mat_as_mpf(d)
         return sc.mat_mul(
             sc.mat_mul(sc.mat_inverse(d), sc.mat_inverse(sc.mat_transpose(a))), d
         )
@@ -105,7 +105,7 @@ def sigma_conjugate(b0: tuple, lam: Lambda) -> tuple:
     """Sigma^-1 b0 Sigma, with Sigma = ``lam.sigma``, whose scale cancels."""
     sig = lam.sigma
     if not (sc.mat_is_exact(sig) and sc.mat_is_exact(b0)):
-        sig, b0 = sc.mat_to_mpf(sig), sc.mat_to_mpf(b0)
+        sig, b0 = sc.mat_as_mpf(sig), sc.mat_as_mpf(b0)
     return sc.mat_mul(sc.mat_mul(sc.mat_inverse(sig), b0), sig)
 
 
@@ -432,7 +432,7 @@ def _conjugation_system(c: tuple, b: tuple):
 
 
 def _residual(c, b, s) -> mpf:
-    c, b, s = sc.mat_to_mpf(c), sc.mat_to_mpf(b), sc.mat_to_mpf(s)
+    c, b, s = sc.mat_as_mpf(c), sc.mat_as_mpf(b), sc.mat_as_mpf(s)
     return sc.mat_max_abs(sc.mat_sub(sc.mat_mul(c, s), sc.mat_mul(s, b))) / sc.mat_max_abs(s)
 
 

@@ -425,6 +425,11 @@ def mat_to_mpf(m: Mat3) -> Mat3:
     return tuple(tuple(to_mpf(x) for x in row) for row in m)
 
 
+def mat_as_mpf(m: Mat3) -> Mat3:
+    """m itself when every entry is an mpf, else ``mat_to_mpf(m)``."""
+    return m if _is_float(m) else mat_to_mpf(m)
+
+
 def is_singular(m: Mat3, d) -> bool:
     """Whether d = det(m) counts as zero.
 
@@ -435,9 +440,7 @@ def is_singular(m: Mat3, d) -> bool:
     """
     if is_exact(d):
         return d == 0
-    if not _is_float(m):
-        m = mat_to_mpf(m)
-    return _is_singular(_raw(m), d._mpf_, *mpmath.mp._prec_rounding)
+    return _is_singular(_raw(mat_as_mpf(m)), d._mpf_, *mpmath.mp._prec_rounding)
 
 
 def mat_inverse(m: Mat3) -> Mat3:
@@ -473,10 +476,8 @@ def normalize_det_one(m: Mat3) -> Mat3:
     mpf is converted with ``mat_to_mpf`` first.  Raises SingularMatrix
     when ``is_singular`` holds for det(m).
     """
-    if not _is_float(m):
-        m = mat_to_mpf(m)
     prec, rnd = mpmath.mp._prec_rounding
-    r = _raw(m)
+    r = _raw(mat_as_mpf(m))
     d = _det3(r, prec, rnd)
     if _is_singular(r, d, prec, rnd):
         raise SingularMatrix("matrix determinant is zero at the working precision")

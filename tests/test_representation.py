@@ -317,6 +317,24 @@ def test_intertwiner_on_curve():
     assert invertible
 
 
+def test_residual_copies_no_matrix_that_is_all_mpf(monkeypatch):
+    # at a float point c, B^λ and S are already mpf: the residual rounds
+    # none of them again, and an exact matrix is still rounded to nearest
+    eps = mpf("-0.1")
+    rep = rp.Representation(M_TEST, Lambda(epsilon=eps, delta=rp.solve_delta_h(M_TEST, eps)))
+    s, residual, _ = rp.extension_intertwiner(rep)
+    c = sc.mat_inverse(sc.mat_transpose(rep.a))
+    exact_s = sc.mat_transpose(rp.matrix_D(M_TEST))
+    mixed = rp._residual(c, rep.b, sc.mat_to_mpf(exact_s))
+    rounded = []
+    inner = sc.to_mpf
+    monkeypatch.setattr(sc, "to_mpf", lambda x: rounded.append(x) or inner(x))
+    assert rp._residual(c, rep.b, s)._mpf_ == residual._mpf_
+    assert rounded == []
+    assert rp._residual(c, rep.b, exact_s)._mpf_ == mixed._mpf_
+    assert len(rounded) == 9
+
+
 def test_obstruction_multiplies_two_mpf_matrices():
     # A is rounded to nearest once, not truncated inside a mixed product
     m = BoxModuli(Fraction(3, 10), Fraction(-1, 5))

@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mpf
+from mpmath.libmp import fone, from_man_exp, fzero, mpf_div, mpf_mul_int, mpf_sub
 
 from pappuslab import boxes as bx
 from pappuslab import representation as rp
@@ -160,10 +163,10 @@ def test_jacobian_phi_symmetric_in_moduli():
 
 def test_phi_check_builds_each_generator_piece_once(monkeypatch):
     # 26 finite-difference evaluations at 9 distinct (moduli, deformation)
-    # keys: B0 once per each of the 5 distinct moduli, the Σ-conjugation
-    # only at the 4 keys that move the deformation, and the conjugation
-    # by g at the 18 evaluations that move the conjugator
-    calls = {"matrix_B0": [], "sigma_conjugate": [], "_conjugate": []}
+    # points: B0 once per each of the 5 distinct moduli, the Σ-conjugation
+    # only at the 4 steps of the deformation, and the conjugation by g at
+    # the 18 steps of the conjugator, where g is Id with entry (p, q) moved
+    calls = {"matrix_B0": [], "sigma_conjugate": [], "_elementary_conjugate": []}
 
     def counting(module, name):
         inner = getattr(module, name)
@@ -176,14 +179,14 @@ def test_phi_check_builds_each_generator_piece_once(monkeypatch):
 
     counting(rp, "matrix_B0")
     counting(rp, "sigma_conjugate")
-    counting(vy, "_conjugate")
+    counting(vy, "_elementary_conjugate")
     assert vy.jacobian_check_phi(M_TEST)["match"]
     assert len(calls["matrix_B0"]) == 5
     assert len({(m.zeta_t, m.zeta_b) for (m,) in calls["matrix_B0"]}) == 5
     assert len(calls["sigma_conjugate"]) == 4
     assert not any(lam.is_zero for _, lam in calls["sigma_conjugate"])
-    assert len(calls["_conjugate"]) == 18
-    assert not any(g == IDENTITY for g, _, _ in calls["_conjugate"])
+    assert len(calls["_elementary_conjugate"]) == 18
+    assert not any(v == (fone if p == q else fzero) for p, q, v, _, _ in calls["_elementary_conjugate"])
 
 
 @pytest.mark.parametrize("prec", [53, 64, 128, 256])
@@ -388,7 +391,8 @@ def test_float_and_exact_zero_deformations_agree(prec):
 
 def test_psi_check_reuses_the_unmoved_half(monkeypatch):
     # 36 finite-difference evaluations each move one entry of A or of B:
-    # the other matrix's half of Ψ is the base one, evaluated once
+    # each evaluates the half of Ψ of the matrix it moves, and none the
+    # other matrix's half, whose outputs it cannot move
     calls = []
     half = vy._psi_half
 
@@ -401,4 +405,193 @@ def test_psi_check_reuses_the_unmoved_half(monkeypatch):
     for lam in (Lambda(epsilon=mpf("-0.1"), delta=mpf("0.01")), bx.LAMBDA_ZERO):
         calls.clear()
         assert vy.jacobian_check_psi(M_TEST, lam)["match"]
-        assert len(calls) == 2 + 36
+        assert len(calls) == 36
+
+
+# ---------------------------------------------------------------------------
+# The closed-form conjugation and the column-aware differences against the
+# dense evaluation that they replace
+
+
+def _raw_rows(m):
+    return [[x._mpf_ for x in row] for row in m]
+
+
+# entries rounded to the working precision: the mantissa is rounded once,
+# to nearest, so that x + 0 and x * 1 are exact, as for every matrix the
+# parameterization check conjugates
+ROUNDED_ENTRY = st.one_of(
+    st.just(0), st.integers(-(2**300), 2**300), st.integers(-(2**40), 2**40)
+)
+
+
+@given(
+    p=st.integers(0, 2),
+    q=st.integers(0, 2),
+    sign=st.sampled_from((1, -1)),
+    prec=st.sampled_from((53, 64, 128, 256)),
+    mantissas=st.lists(ROUNDED_ENTRY, min_size=9, max_size=9),
+    exponent=st.integers(-310, 10),
+    step=st.one_of(st.just(None), st.integers(1, 2**200)),
+)
+@settings(max_examples=200, deadline=None)
+def test_elementary_conjugate_matches_the_generic_product(p, q, sign, prec, mantissas, exponent, step):
+    # g x g^-1 in closed form equals mat_mul(g, mat_mul(x, mat_inverse(g))),
+    # bit for bit, for g the identity with entry (p, q) moved by a step of
+    # either sign: FD_STEP, or a drawn one below 1/4
+    with mpmath.workprec(prec):
+        rnd = mpmath.mp._prec_rounding[1]
+        x = tuple(
+            tuple(mpmath.mp.make_mpf(from_man_exp(mantissas[3 * i + j], exponent, prec, rnd)) for j in range(3))
+            for i in range(3)
+        )
+        h = sc.to_mpf(vy.FD_STEP) if step is None else mpmath.ldexp(step, -203)
+        v = mpf(1 if p == q else 0) + h if sign > 0 else mpf(1 if p == q else 0) - h
+        g = tuple(tuple(v if (i, j) == (p, q) else mpf(1 if i == j else 0) for j in range(3)) for i in range(3))
+        generic = _raw_rows(sc.mat_mul(g, sc.mat_mul(x, sc.mat_inverse(g))))
+        closed = vy._elementary_conjugate(p, q, v._mpf_, _raw_rows(x))
+    assert closed == [generic]
+
+
+def dense_fd_determinant(func, base):
+    """The dense finite-difference determinant: every output of func at
+    both ends of every step, and every quotient formed."""
+    prec, rnd = mpmath.mp._prec_rounding
+    step = sc.to_mpf(vy.FD_STEP)
+    two_step = mpf_mul_int(step._mpf_, 2, prec, rnd)
+    cols = []
+    for k in range(len(base)):
+        up, dn = list(base), list(base)
+        up[k] = up[k] + step
+        dn[k] = dn[k] - step
+        cols.append([
+            mpmath.mp.make_mpf(mpf_div(mpf_sub(u._mpf_, d._mpf_, prec, rnd), two_step, prec, rnd))
+            for u, d in zip(func(up), func(dn))
+        ])
+    return abs(sc.det_n([list(row) for row in zip(*cols)]))
+
+
+def off_diagonal(m):
+    return tuple(m[i][j] for i, j in vy._OFF_DIAGONAL)
+
+
+def dense_psi(m, lam):
+    point = vy.generator_pair(m, lam)
+    base = [x for g in (point.a, point.b) for row in g for x in row]
+
+    def func(entries):
+        a = tuple(tuple(entries[3 * i + j] for j in range(3)) for i in range(3))
+        b = tuple(tuple(entries[9 + 3 * i + j] for j in range(3)) for i in range(3))
+        return vy.psi_eval(a, b) + off_diagonal(a) + off_diagonal(b)
+
+    return dense_fd_determinant(func, base), vy.closed_form_psi_jacobian(m, lam)
+
+
+def dense_phi(m):
+    closed = vy.closed_form_phi_jacobian(m)
+    base = [sc.to_mpf(m.zeta_t), sc.to_mpf(m.zeta_b), mpf(0), mpf(0)] + [
+        mpf(1 if i == j else 0) for i in range(3) for j in range(3)
+    ]
+
+    def func(x):
+        # every evaluation builds both generators, conjugates B0 by Σ and
+        # the pair by g, even where Σ or g is the identity
+        bm = BoxModuli(x[0], x[1])
+        a = sc.normalize_det_one(rp.matrix_A(bm))
+        b = sc.normalize_det_one(rp.sigma_conjugate(rp.matrix_B0(bm), Lambda(epsilon=x[2], delta=x[3])))
+        g = tuple(tuple(x[4 + 3 * i + j] for j in range(3)) for i in range(3))
+        g_inv = sc.mat_inverse(g)
+        a, b = (sc.mat_mul(g, sc.mat_mul(y, g_inv)) for y in (a, b))
+        return off_diagonal(a) + off_diagonal(b) + (sc.det3(g),)
+
+    return dense_fd_determinant(func, base), closed
+
+
+def recorded_det_n(monkeypatch):
+    """The rows of every sc.det_n call, as raw values."""
+    calls = []
+    inner = sc.det_n
+
+    def wrapper(rows):
+        calls.append([[x._mpf_ for x in row] for row in rows])
+        return inner(rows)
+
+    monkeypatch.setattr(sc, "det_n", wrapper)
+    return calls
+
+
+TENTHS = st.integers(-9, 9).map(lambda n: Fraction(n, 10))
+DEFORMATIONS = st.sampled_from((None, (Fraction(-1, 10), Fraction(1, 50)), (Fraction(-3, 10), Fraction(1, 10))))
+
+
+@given(zt=TENTHS, zb=TENTHS, deformation=DEFORMATIONS, prec=st.sampled_from((53, 128)))
+@settings(max_examples=24, deadline=None)
+def test_certificates_equal_the_dense_differences(zt, zb, deformation, prec):
+    # every quotient, the determinant and the relative error of both checks
+    # equal those of the dense evaluation, bit for bit; deformation None is
+    # the exact zero that the variety command uses
+    m = BoxModuli(zt, zb)
+    with pytest.MonkeyPatch.context() as monkeypatch, mpmath.workprec(prec):
+        rows = recorded_det_n(monkeypatch)
+        lam = bx.LAMBDA_ZERO if deformation is None else Lambda(*deformation)
+        checks = [(vy.jacobian_check_psi(m, lam), dense_psi(m, lam))]
+        if (zt, zb) != (0, 0):
+            checks.append((vy.jacobian_check_phi(m), dense_phi(m)))
+        for report, (fd, closed) in checks:
+            rel = abs(fd - closed) / max(abs(closed), mpf(1))
+            assert report["finite_difference"]._mpf_ == fd._mpf_
+            assert report["relative_error"]._mpf_ == rel._mpf_
+    # the det_n calls alternate between the two evaluations of each check
+    for column_aware, dense in zip(rows[::2], rows[1::2]):
+        assert column_aware == dense
+
+
+def test_differences_form_only_the_moved_quotients(monkeypatch):
+    # Ψ: each of the 18 entries moves 3 outputs, 54 quotients of 324.
+    # Φ: the moduli move 12 outputs, the deformation 6, an off-diagonal
+    # conjugator entry 6 and a diagonal one 13: 24 + 12 + 36 + 39 = 111 of
+    # 169.  The 18 conjugator steps make no 3x3 inverse or product: the only
+    # ones are those that build B0 and conjugate it by Σ.
+    quotients = []
+    inner_div = vy.mpf_div
+
+    def counting_div(*args):
+        quotients.append(args)
+        return inner_div(*args)
+
+    monkeypatch.setattr(vy, "mpf_div", counting_div)
+    assert vy.jacobian_check_psi(M_TEST, bx.LAMBDA_ZERO)["match"]
+    assert len(quotients) == 54
+    quotients.clear()
+
+    building, inside, outside = [], [], []
+
+    def building_piece(name):
+        inner = getattr(rp, name)
+
+        def wrapper(*args):
+            building.append(name)
+            try:
+                return inner(*args)
+            finally:
+                building.pop()
+
+        monkeypatch.setattr(rp, name, wrapper)
+
+    def kernel(name):
+        inner = getattr(sc, name)
+
+        def wrapper(*args):
+            (outside if not building else inside).append(name)
+            return inner(*args)
+
+        monkeypatch.setattr(sc, name, wrapper)
+
+    building_piece("matrix_B0")
+    building_piece("sigma_conjugate")
+    kernel("mat_inverse")
+    kernel("mat_mul")
+    assert vy.jacobian_check_phi(M_TEST)["match"]
+    assert len(quotients) == 111
+    assert outside == []
+    assert sorted(set(inside)) == ["mat_inverse", "mat_mul"]
