@@ -15,8 +15,9 @@ step words.  Everything here measures how fast those boxes shrink:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cmp_to_key
 
 import mpmath
 from mpmath import mpf
@@ -91,6 +92,15 @@ def _spectrum(g: tuple) -> sc.EigenResult:
     return sc.eigen_real(sc.normalize_det_one(g))
 
 
+def _least_gap_bounds(v) -> tuple | None:
+    """Bounds (lo, hi) on the least gap of ``_spectrum`` of the nine ints v
+    (row by row), where ``sc.gap_bounds`` proves that spectrum loxodromic."""
+    gaps = sc.gap_bounds(*sc.char_cubic((v[0:3], v[3:6], v[6:9])), max(max(v), -min(v)))
+    if gaps and min(gaps)[0] > (1 + float(sc.MODULI_GAP_MARGIN)) * (1 + sc.GAP_FILTER_BOUND):
+        return min(gaps)[0], min(gaps[0][1], gaps[1][1])
+    return None
+
+
 def loxodromic_eigen(rep: rp.Representation, w: GroupWord) -> sc.EigenResult:
     """Eigen data of the word image; raises for non-loxodromic images."""
     res = _spectrum(rp.evaluate(rep, w))
@@ -128,9 +138,11 @@ def _below(pairs: list, bound: tuple) -> bool:
 
 
 def _diameter(pairs: list) -> mpf:
-    """The diameter as an mpf, rounded down: below tol where ``_below`` holds."""
-    q, prec = max(Fraction(n, d) for n, d in pairs), mpmath.mp.prec
-    return mpmath.mp.make_mpf(mpf_sqrt(from_rational(q.numerator, q.denominator, prec, "d"), prec, "d"))
+    """The diameter as an mpf, rounded down: below tol where ``_below`` holds.
+    The largest N / D, found by cross-multiplying, is rounded unreduced."""
+    n, d = max(pairs, key=cmp_to_key(lambda x, y: x[0] * y[1] - y[0] * x[1]))
+    prec = mpmath.mp.prec
+    return mpmath.mp.make_mpf(mpf_sqrt(from_rational(n, d, prec, "d"), prec, "d"))
 
 
 def limit_point(
@@ -160,7 +172,8 @@ def limit_point(
     (``Representation.limit_setup``); the stop test is exact on their
     ints (``_below``), and ``diameter_at_stop`` is d(stop) rounded down.
     The word must be loxodromic, as the period product P's spectrum
-    decides: the chain converges to P's attracting flag.
+    decides (the chain converges to P's attracting flag): from the gap
+    filter on P's ints where it decides, else in mpf, to the same verdict.
 
     The iteration uses the crossing normal form of w, a cyclic
     conjugate; for words not already in that form the result, and the
@@ -186,7 +199,8 @@ def limit_point(
             mats.append(sc.scaled_mul(mats[-1], steps[(len(mats) - 1) % period]))
         return mats[n]
 
-    if not _spectrum(sc.scaled_to_mat(product(period))).loxodromic:
+    p = product(period)
+    if not _least_gap_bounds(p) and not _spectrum(sc.scaled_to_mat(p)).loxodromic:
         raise NonLoxodromic("word image has collapsing eigenvalue moduli")
 
     bound = _square_bound(tol)
@@ -240,12 +254,19 @@ def _exact_verdict(g: tuple) -> tuple:
     spectrum (None).  A singular image (d = 0) has no det-one
     normalization; it counts as non-loxodromic, as in the float path.
     """
-    t = g[0][0] + g[1][1] + g[2][2]
-    s = sc.second_symmetric(g)
-    d = sc.det3(g)
+    t, s, d = sc.char_cubic(g)
     disc = 18 * t * s * d - 4 * t**3 * d + t * t * s * s - 4 * s**3 - 27 * d * d
     tied = d != 0 and (disc == 0 or (disc > 0 and d == t * s and s < 0))
     return d != 0 and disc > 0 and not tied, (mpf(1) if tied else None)
+
+
+def _float_image_bounds(g: tuple) -> tuple | None:
+    """``_least_gap_bounds`` of an mpf image's entries as ints at their least
+    exponent, exactly; None where max|g| < 1 (``is_singular`` reads its scale)."""
+    v, low = sc.to_exact_scaled(x for row in g for x in row)
+    if max(max(v), -min(v)).bit_length() + low > 0:
+        return _least_gap_bounds(v)
+    return None
 
 
 def _class_verdict(g: tuple) -> tuple:
@@ -278,26 +299,28 @@ def loxodromy_scan(rep: rp.Representation, max_len: int = 6) -> dict:
 
     Spectra are class functions: conjugating w by an even word
     conjugates its image, and w^-1 has the inverse image, whose gaps are
-    those of w in reverse order.  So one spectrum is solved per class of
-    {w, w^-1} under even conjugation (``modular.even_class_key``), at the
-    class's first word in scan order, a shortest one; every later word
-    of the class shares its verdict and gap.  Conjugation by an odd word
+    those of w in reverse order.  So each class of {w, w^-1} under even
+    conjugation (``modular.even_class_key``) takes one verdict, at its
+    first word in scan order, a shortest one.  Conjugation by an odd word
     (a rotation of w by a single I) swaps A and B^lambda and is not
-    inner, so it does not merge classes.  At an exact parameter point
-    the verdict is the exact one of ``_exact_verdict`` and the gap comes
-    from the float spectrum, or is exactly 1 where the exact cubic has
-    a real spectrum with two equal moduli.
+    inner, so it does not merge classes.
 
-    Only a new class's first word asks for its image, formed on demand
-    and cached by letters: its prefix's (all but the last letter) times
-    one letter image, associated as in ``evaluate``, or no product for a
-    last I.  So the products are the distinct R- or RR-ending prefixes of
-    the classes' first words: 11 at length 10 (72 words), 31 at 12.
+    At a float point a class's verdict comes from the gap filter
+    (``_float_image_bounds``) where it decides; after the walk, in scan
+    order, only the other classes and those whose least gap may be the
+    least of all (by the brackets, widened) are solved in mpf, so
+    ``min_gap`` keeps its bits.  At an exact point the verdict is
+    ``_exact_verdict``'s and the gap the mpf spectrum's, or exactly 1
+    where the exact cubic has two equal moduli; no brackets choose these
+    gaps, as the mpf spectrum is that of the image rounded.
+
+    Images are formed on demand and cached by letters: a prefix's image
+    times one letter image (associated as in ``evaluate``; none for a
+    last I), 11 products at length 10 (72 words), 31 at 12.
     """
-    non_loxodromic = []
-    scanned = 0
-    # class key -> (loxodromic, min gap or None) of its first word
-    classes = {}
+    words = []
+    # class key -> (image, bounds on its least gap or None) of its first word
+    firsts = {}
     # letters of a word -> its image
     images = {(): sc.IDENTITY}
 
@@ -314,13 +337,20 @@ def loxodromy_scan(rep: rp.Representation, max_len: int = 6) -> dict:
         if not md.in_subgroup_o(w) or "I" not in w.cyclic_reduction()[1].letters:
             continue
         key = md.even_class_key(w)
-        if key not in classes:
-            classes[key] = _class_verdict(image(w.letters))
-        scanned += 1
-        if not classes[key][0]:
-            non_loxodromic.append(w)
+        if key not in firsts:
+            g = image(w.letters)
+            firsts[key] = g, (None if sc.mat_is_exact(g) else _float_image_bounds(g))
+        words.append((w, key))
+    # a closure that calls itself is a reference cycle: drop it, so its
+    # images are freed now and not by the cyclic collector
+    del image
+    # a class bounded below by more than this does not hold min_gap: some
+    # decided class's mpf gap is smaller
+    least = min((b[1] for _, b in firsts.values() if b), default=math.inf) * (1 + 4 * sc.GAP_FILTER_BOUND)
+    # class key -> (loxodromic, min gap or None) of its first word
+    classes = {key: (True, None) if b and b[0] > least else _class_verdict(g) for key, (g, b) in firsts.items()}
     return {
-        "scanned": scanned,
+        "scanned": len(words),
         "min_gap": min((gap for _, gap in classes.values() if gap is not None), default=None),
-        "non_loxodromic": non_loxodromic,
+        "non_loxodromic": [w for w, key in words if not classes[key][0]],
     }

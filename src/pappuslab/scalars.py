@@ -51,6 +51,13 @@ factor by a power of two changes no bit.  The same rounding, by
 ``to_scaled``, turns float coordinates into the coprime ints of every
 ``projective`` point and line.
 
+Gap filter (Shewchuk 1997).  ``gap_bounds`` brackets both moduli gaps of
+a matrix by float64 roots of its exact integer cubic, each root proved by
+the cubic's exact signs; under a conditioning requirement, derived at
+``GAP_FILTER_BOUND``, mpf's gaps lie in those brackets widened by it.
+Callers take only verdicts and minimum candidates from them, and solve
+in mpf where they do not decide, so no output bit changes.
+
 Mixed input.  Float mode holds only mpf.  A ``Fraction`` enters it once,
 through ``to_mpf`` or ``mat_to_mpf``, rounded to nearest, where the
 parameter point decides the mode; an int converts exactly.  No
@@ -380,6 +387,12 @@ def second_symmetric(m: Mat3):
     )
 
 
+def char_cubic(m: Mat3) -> tuple:
+    """(t, s, d) of the characteristic cubic x^3 - t x^2 + s x - d of m: its
+    trace, ``second_symmetric`` and determinant."""
+    return m[0][0] + m[1][1] + m[2][2], second_symmetric(m), det3(m)
+
+
 def det3(m: Mat3):
     if type(m[0][0]) is mpf and _is_float(m):
         return _wrap(_det3(_raw(m), *mpmath.mp._prec_rounding))
@@ -513,6 +526,14 @@ def to_scaled(values) -> tuple:
     return tuple(out)
 
 
+def to_exact_scaled(values) -> tuple:
+    """(ints, e) for a sequence of mpf: each value is its int times 2^e,
+    exactly, with e the least exponent among them."""
+    raw = [x._mpf_ for x in values]
+    low = min((exp for _, man, exp, _ in raw if man), default=0)
+    return [(-man if sign else man) << (exp - low) if man else 0 for sign, man, exp, _ in raw], low
+
+
 def scaled_mul(a: tuple, b: tuple) -> tuple:
     """Product of two scaled matrices, formed exactly and rounded once to
     ``mp.prec`` + ``SCALED_GUARD_BITS`` bits of its largest entry: every
@@ -554,12 +575,13 @@ def scaled_to_mat(a: tuple) -> Mat3:
 # of long words' spectra: the float gaps of the words of one class of
 # loxodromy_scan differ by a relative 1.3e-9 at 53 bits and 3.7e-10 at 64
 # bits (7.2e-30 at 128, 1.5e-70 at 256) on 30 drawn points at maxlen 10,
-# which is why the scan solves each class once, at a shortest word.  At
-# an exact deformation the scan's verdict comes from the exact cubic and
-# never reads this margin.  A float deformation on the region boundary,
-# where parabolic words have gap 1, is a known limit below 128 bits:
-# at lambda = 0, moduli (3/10, -1/5) and maxlen 12, 53 bits flag 24 of
-# the 28 non-loxodromic words.
+# which is why the scan solves each class once, at a shortest word.  The
+# gap filter decides only past this margin times 1 + GAP_FILTER_BOUND, so
+# as mpf does.  At an exact deformation the scan's verdict comes from the
+# exact cubic and never reads this margin.  A float deformation on the
+# region boundary, where parabolic words have gap 1, is a known limit
+# below 128 bits: at lambda = 0, moduli (3/10, -1/5) and maxlen 12, 53
+# bits flag 24 of the 28 non-loxodromic words.
 MODULI_GAP_MARGIN = mpf("1e-9")
 
 
@@ -710,6 +732,71 @@ def eigen_real(m: Mat3) -> EigenResult:
     )
     roots = tuple(_wrap(x) for x in polished)
     return EigenResult(matrix=m, roots=roots, moduli=tuple(moduli), gaps=gaps)
+
+
+# The gap filter.  For an int matrix g (times a power of two) of max |entry|
+# M and det d, normalize_det_one forms n = g / c of max |entry| N, with
+# N^3 = M^3 / |d|.  Let u = 2^-prec, m0 < m1 < m2 the moduli of n's roots l_i
+# (product 1, m2 <= 3N) and D = (1 - m0/m1)(1 - m1/m2): |l_i - l_j| >= m_i D.
+# - eigen_real's coefficients of p, and its values of p in the Newton steps,
+#   sum terms of at most 2^7.2 N^3 on |x| <= 4N, with at most 10 roundings
+#   each (an entry's own, the division by c, which scales n and moves no
+#   gap, the operations'): p moves by at most 2^11 u N^3 (Higham 2002, 3.1).
+# - By Rouche's theorem such a cubic keeps one root, real, within relative
+#   theta = 2^12 u N^3 / D of each l_i if theta <= D/4, and the last Newton
+#   step lands within 2 theta.  The discriminant errs by at most 2^14 u m2^6,
+#   below its value m1^2 m2^4 D^3 if D^3 > 2^19 u N^3 (as (m2/m1)^2 <= 27 N^3):
+#   the three-root branch is taken, and Newton's |p'| >= D / 3N > 2^(8-prec).
+# So |d| >= 2^(c-prec) M^3 / slack, with slack = D^3 and c = 52 (51, and one
+# for its float test), puts each mpf gap within 2^-38 + u of the exact one;
+# the rest of GAP_FILTER_BOUND = 2^-36 covers the float rounding of the
+# bounds.  As |d| >> 2^(8-prec) M^3, is_singular fails where max|g| >= 1.
+GAP_FILTER_BOUND = 2.0**-36
+_BRACKET = 2.0**-30
+
+
+def _cubic_sign(t, s, d, x, k):
+    """Sign of X^3 - t X^2 + s X - d at X = 2^k x, exactly, for a double x."""
+    n, den = x.as_integer_ratio()
+    a = n << k
+    v = ((a - t * den) * a + s * den * den) * a - d * den**3
+    return (v > 0) - (v < 0)
+
+
+def gap_bounds(t: int, s: int, d: int, big: int):
+    """Bounds ((lo, hi), (lo, hi)) on both moduli gaps of x^3 - t x^2 + s x - d,
+    the cubic of an int matrix g of max |entry| big, or None.  Each gap of
+    ``eigen_real(normalize_det_one(g))``, or of g rounded once per entry,
+    lies in its bracket widened by ``GAP_FILTER_BOUND`` (derived above)."""
+    k, prec = big.bit_length(), mpmath.mp.prec
+    tf, sf, df = t / (1 << k), s / (1 << 2 * k), d / (1 << 3 * k)
+    # float roots of the cubic in x / 2^k: closed form and two Newton steps
+    b = tf / 3
+    p, q = sf - tf * b, b * (sf - 2 * b * b) - df
+    # beyond 1000 bits 2^-prec underflows a double
+    if p >= 0 or prec > 1000:
+        return None
+    r = 2 * math.sqrt(-p / 3)
+    third = math.acos(max(-1.0, min(1.0, 3 * q / (p * r)))) / 3
+    mods = []
+    for i in range(3):
+        x = r * math.cos(third - 2 * math.pi * i / 3) + b
+        for _ in range(2):
+            x -= (((x - tf) * x + sf) * x - df) / (((3 * x - 2 * tf) * x + sf) or math.inf)
+        # a sign change of the exact cubic puts a root in [lo, hi]
+        lo, hi = x - abs(x) * _BRACKET, x + abs(x) * _BRACKET
+        if _cubic_sign(t, s, d, lo, k) * _cubic_sign(t, s, d, hi, k) >= 0:
+            return None
+        mods.append(tuple(sorted((abs(lo), abs(hi)))))
+    # disjoint modulus brackets: three simple roots of distinct moduli
+    (a0, b0), (a1, b1), (a2, b2) = sorted(mods)
+    if not (b0 < a1 and b1 < a2 and a0 > b2 * 2.0 ** (9 - prec)):
+        return None
+    gaps = (a1 / b0, b1 / a0), (a2 / b1, b2 / a1)
+    slack = ((1 - 1 / gaps[0][0]) * (1 - 1 / gaps[1][0])) ** 3
+    if abs(df) * slack < 2.0 ** (52 - prec) * (big / (1 << k)) ** 3:
+        return None
+    return gaps
 
 
 # ---------------------------------------------------------------------------

@@ -244,20 +244,41 @@ def test_scan_forms_only_the_images_its_classes_read(monkeypatch, capsys):
         assert len(products) == len(prefixes) == expected
 
 
-def test_scan_solves_one_spectrum_per_class(monkeypatch, capsys):
-    # 72 scanned words, 7 classes of {w, w^-1} under even conjugation
+def counting_calls(monkeypatch, module, name) -> list:
+    """The arguments of every call of module.name, which still runs."""
     calls = []
-    spectrum = al._spectrum
+    func = getattr(module, name)
 
-    def counting(g):
-        calls.append(g)
-        return spectrum(g)
+    def counting(*args):
+        calls.append(args)
+        return func(*args)
 
-    monkeypatch.setattr(al, "_spectrum", counting)
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_scan_filters_each_class_once_and_solves_one_spectrum(monkeypatch, capsys):
+    # 72 scanned words, 7 classes of {w, w^-1} under even conjugation: the
+    # gap filter decides all 7, and only the class of the least gap is
+    # solved in mpf
+    filtered = counting_calls(monkeypatch, al, "_float_image_bounds")
+    solved = counting_calls(monkeypatch, al, "_spectrum")
     assert cli.main(["certify", "--maxlen", "10", *DEFORMED]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["checks"]["loxodromy_scanned"] == 72
-    assert len(calls) == 7
+    assert len(filtered) == 7
+    assert len(solved) == 1
+
+
+def test_limit_solves_no_spectrum_where_the_filter_decides(tmp_path, monkeypatch, capsys):
+    # the gap filter decides each of the 16 period products at this point
+    monkeypatch.chdir(tmp_path)
+    filtered = counting_calls(monkeypatch, al, "_least_gap_bounds")
+    solved = counting_calls(monkeypatch, al, "_spectrum")
+    assert cli.main(["limit", "--depth", "2", *DEFORMED]) == 0
+    assert json.loads(capsys.readouterr().out)["words"] == 16
+    assert len(filtered) == 16
+    assert solved == []
 
 
 # the 18 non-loxodromic words of length <= 10 at the exact zero

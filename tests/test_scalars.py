@@ -649,3 +649,12 @@ def test_dense_helpers_make_no_operator_calls(prec, operator_calls):
         sc.nullspace(system)
         sc.nullspace(with_zero_row)
         assert operator_calls == []
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=9))
+@settings(max_examples=50, deadline=None)
+def test_to_exact_scaled_is_exact(values):
+    # each mpf is its int times 2^e, with e the least exponent: some int is odd
+    ints, e = sc.to_exact_scaled(mpf(v) for v in values)
+    assert [Fraction(n) * Fraction(2) ** e for n in ints] == [Fraction(v) for v in values]
+    assert all(n == 0 for n in ints) or any(n % 2 for n in ints)
