@@ -49,14 +49,16 @@ def constant_C(rep: rp.Representation, resolution: int = 16, directions: int = 8
     step-word box image inside the base box.  A sample minimum can only
     over-estimate the true constant, and it falls as the grid is
     refined.  Raises NotNested when the nesting fails (deformation
-    outside the admissible region).
+    outside the admissible region).  Only the base box is tested for
+    convexity: a projective image keeps the moduli (to the rounding of its
+    points at a float point), so an image quad takes ``bx.theta_basis``.
     """
     box = bx.from_moduli(rep.moduli)
     outer = hb.convex_interior(box)
     best = None
     for w in W_STEPS:
-        g = rep.step_images[w]
-        inner = hb.convex_interior(bx.apply_matrix(box, g))
+        image = bx.apply_matrix(box, rep.step_images[w])
+        inner = hb.ConvexQuad((image.p, image.q, image.r, image.s), basis=bx.theta_basis(image))
         c = hb.distortion_estimate(inner, outer, resolution=resolution, directions=directions)
         best = c if best is None else min(best, c)
     return best
@@ -109,13 +111,22 @@ def loxodromic_eigen(rep: rp.Representation, w: GroupWord) -> sc.EigenResult:
     return res
 
 
-def _chart_pairs(g: tuple, corners: list) -> list:
-    """Ints (N, D) per pair of corner images (x, y, z) = g c, whose squared
-    chart distance is N / D: with u = y - z and w = y + z (own scales
-    cancel), N = (x_i w_j - x_j w_i)^2 + (u_i w_j - u_j w_i)^2, D = (w_i w_j)^2."""
+def _square_bound(tol: mpf) -> tuple:
+    """tol^2 = man^2 2^(2 exp) as ints (man^2, left, right), for ``_stop_pairs``."""
+    return tol.man**2, max(-2 * tol.exp, 0), max(2 * tol.exp, 0)
+
+
+def _chart_pairs(g: tuple) -> list:
+    """Ints (N, D) per pair of base corner images (x, y, z) under g (nine ints),
+    whose squared chart distance is N / D: with u = y - z and w = y + z (own
+    scales cancel), N = (x_i w_j - x_j w_i)^2 + (u_i w_j - u_j w_i)^2, D = (w_i w_j)^2.
+    The corners are ``bx.STANDARD_CORNERS``, p = (-1, 1, 0), q = (1, 1, 0),
+    r = (1, 0, 1), s = (-1, 0, 1), so the images are sums and differences of
+    g's columns: g p = c1 - c0, g q = c0 + c1, g r = c0 + c2, g s = c2 - c0."""
+    g0, g1, g2, g3, g4, g5, g6, g7, g8 = g
     images = []
-    for v0, v1, v2 in corners:
-        x, y, z = (g[i] * v0 + g[i + 1] * v1 + g[i + 2] * v2 for i in (0, 3, 6))
+    for x, y, z in ((g1 - g0, g4 - g3, g7 - g6), (g0 + g1, g3 + g4, g6 + g7),
+                    (g0 + g2, g3 + g5, g6 + g8), (g2 - g0, g5 - g3, g8 - g6)):
         if y + z == 0:
             raise DegenerateConfiguration("point at infinity of the chart")
         images.append((x, y - z, y + z))
@@ -126,19 +137,24 @@ def _chart_pairs(g: tuple, corners: list) -> list:
     ]
 
 
-def _square_bound(tol: mpf) -> tuple:
-    """tol^2 = man^2 2^(2 exp) as ints (man^2, left, right), for ``_below``."""
-    return tol.man**2, max(-2 * tol.exp, 0), max(2 * tol.exp, 0)
-
-
-def _below(pairs: list, bound: tuple) -> bool:
-    """Whether every N / D < tol^2, for tol's ``_square_bound`` (a tie fails)."""
+def _stop_pairs(g: tuple, bound: tuple):
+    """``_chart_pairs(g)`` if every N / D < tol^2 (a tie fails), else None.
+    The diagonal (p, r), whose chart length is at most the diameter, is
+    tested first, inline: a depth where it fails forms no other pair."""
     square, left, right = bound
-    return all(n << left < square * d << right for n, d in pairs)
+    g0, g1, g2, g3, g4, g5, g6, g7, g8 = g
+    wp, wr = g4 - g3 + g7 - g6, g3 + g5 + g6 + g8
+    if wp == 0 or wr == 0:
+        raise DegenerateConfiguration("point at infinity of the chart")
+    xp, xr, up, ur = g1 - g0, g0 + g2, g4 - g3 - g7 + g6, g3 + g5 - g6 - g8
+    if not ((xp * wr - xr * wp) ** 2 + (up * wr - ur * wp) ** 2) << left < square * (wp * wr) ** 2 << right:
+        return None
+    pairs = _chart_pairs(g)
+    return pairs if all(n << left < square * d << right for n, d in pairs) else None
 
 
 def _diameter(pairs: list) -> mpf:
-    """The diameter as an mpf, rounded down: below tol where ``_below`` holds.
+    """The diameter as an mpf, rounded down: below tol where ``_stop_pairs`` stops.
     The largest N / D, found by cross-multiplying, is rounded unreduced."""
     n, d = max(pairs, key=cmp_to_key(lambda x, y: x[0] * y[1] - y[0] * x[1]))
     prec = mpmath.mp.prec
@@ -163,14 +179,15 @@ def limit_point(
     The depths are walked in turn, and no product past the stop (or past
     P, formed first) is formed.  A depth is first tested on the diagonal
     (p, r) alone, whose chart length is at most d(n), and only then on
-    all six corner pairs, which alone decide the stop.  A tol at or below
+    all six corner pairs, which alone decide the stop (``_stop_pairs``, on
+    column sums of g_n: the corners are constants).  A tol at or below
     ``sc.float_epsilon()`` is rejected: there d is rounding noise and no
     longer falls.
 
     The products run on the scaled-integer kernel of ``scalars`` (its
     error bound is stated there), set up once per point
     (``Representation.limit_setup``); the stop test is exact on their
-    ints (``_below``), and ``diameter_at_stop`` is d(stop) rounded down.
+    ints, and ``diameter_at_stop`` is d(stop) rounded down.
     The word must be loxodromic, as the period product P's spectrum
     decides (the chain converges to P's attracting flag): from the gap
     filter on P's ints where it decides, else in mpf, to the same verdict.
@@ -186,7 +203,7 @@ def limit_point(
         raise NotConvex("limit points are defined for convex boxes only")
     if not rep.limit_setup:
         raise NotInRegionInterior("deformation outside the admissible region")
-    step_images, corners, bottom, bottom_line = rep.limit_setup
+    step_images, bottom, bottom_line = rep.limit_setup
     if tol <= sc.float_epsilon():
         raise ToleranceBelowPrecision("limit tol must exceed 2^(8 - precision)")
     tol = mpmath.mpmathify(tol)
@@ -205,16 +222,11 @@ def limit_point(
 
     bound = _square_bound(tol)
     depth = 0
-    while True:
-        g = product(depth)
-        if _below(_chart_pairs(g, corners[::2]), bound):
-            pairs = _chart_pairs(g, corners)
-            if _below(pairs, bound):
-                break
+    while not (pairs := _stop_pairs(product(depth), bound)):
         if depth >= depth_cap:
             raise NoConvergence("depth cap reached before the boxes collapsed")
         depth += 1
-    g = sc.scaled_to_mat(g)
+    g = sc.scaled_to_mat(product(depth))
 
     point = _unit_max_norm(sc.mat_vec(g, bottom))
     # lines transform by the inverse transpose, projectively the
@@ -314,13 +326,12 @@ def loxodromy_scan(rep: rp.Representation, max_len: int = 6) -> dict:
     where the exact cubic has two equal moduli; no brackets choose these
     gaps, as the mpf spectrum is that of the image rounded.
 
-    Images are formed on demand and cached by letters: a prefix's image
-    times one letter image (associated as in ``evaluate``; none for a
-    last I), 11 products at length 10 (72 words), 31 at 12.
+    Words and classes are ``modular.scan_plan(max_len)``'s.  Images are
+    formed for the classes' first words and cached by letters: a prefix's
+    image times one letter image (as in ``evaluate``; none for a last I or
+    a first rotation letter), 10 products at length 10 (72 words), 30 at 12.
     """
-    words = []
-    # class key -> (image, bounds on its least gap or None) of its first word
-    firsts = {}
+    words, first_words = md.scan_plan(max_len)
     # letters of a word -> its image
     images = {(): sc.IDENTITY}
 
@@ -328,19 +339,16 @@ def loxodromy_scan(rep: rp.Representation, max_len: int = 6) -> dict:
         if letters not in images:
             g, last = image(letters[:-1]), letters[-1]
             if last != "I":
-                g = sc.mat_mul(g, rep.letter_images[letters.count("I") % 2][last])
+                h = rep.letter_images[letters.count("I") % 2][last]
+                g = h if g is sc.IDENTITY else sc.mat_mul(g, h)
             images[letters] = g
         return images[letters]
 
-    for w in md.enumerate_words(max_len):
-        # odd words are outside the subgroup, torsion words have no axis
-        if not md.in_subgroup_o(w) or "I" not in w.cyclic_reduction()[1].letters:
-            continue
-        key = md.even_class_key(w)
-        if key not in firsts:
-            g = image(w.letters)
-            firsts[key] = g, (None if sc.mat_is_exact(g) else _float_image_bounds(g))
-        words.append((w, key))
+    # class key -> (image, bounds on its least gap or None) of its first word
+    firsts = {}
+    for key, letters in first_words:
+        g = image(letters)
+        firsts[key] = g, (None if sc.mat_is_exact(g) else _float_image_bounds(g))
     # a closure that calls itself is a reference cycle: drop it, so its
     # images are freed now and not by the cyclic collector
     del image

@@ -28,7 +28,7 @@ class ConvexQuad:
     vertices must be in cyclic order; the integral basis matrix maps them
     to the box normal-form corners, so that ``boxes.chart_coords`` sends
     them to (-1,1), (1,1), (1,-1), (-1,-1).  A caller that holds that
-    basis already (``convex_interior``) passes it; it is not checked.
+    basis already (``convex_interior``, ``constant_C``) passes it unchecked.
     """
 
     vertices: tuple

@@ -10,6 +10,7 @@ usual translation z -> z + 1 up to sign.  The index-2 subgroup written
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import gcd
 
 from .errors import (
@@ -203,6 +204,22 @@ def enumerate_words(max_len: int):
                     if not w.letters or (let == "I") != (w.letters[-1] == "I")]
         out.extend(frontier)
     return out
+
+
+@cache
+def scan_plan(max_len: int) -> tuple:
+    """(words, firsts) of a loxodromy scan: the even words of
+    ``enumerate_words(max_len)`` with an axis (an I in the cyclic core), in
+    order, each with its ``even_class_key``; and (key, letters) of each
+    class's first word.  Letters and keys only, kept per process: a one-shot
+    command builds it once, as before; a process scanning many points, once."""
+    words, firsts = [], {}
+    for w in enumerate_words(max_len):
+        if in_subgroup_o(w) and "I" in w.cyclic_reduction()[1].letters:
+            key = even_class_key(w)
+            firsts.setdefault(key, w.letters)
+            words.append((w, key))
+    return tuple(words), tuple(firsts.items())
 
 
 # ---------------------------------------------------------------------------

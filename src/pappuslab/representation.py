@@ -187,11 +187,11 @@ class Representation:
     @_PointValue
     def limit_setup(self):
         """``anosov_lab.limit_point``'s setup, False outside the region: the
-        scaled step images, the base box's own corner ints and its mpf b and B."""
+        scaled step images and the base box's mpf b and B (its corners are
+        the constant ``bx.STANDARD_CORNERS``)."""
         box = bx.from_moduli(self.moduli)
         return bx.in_region(self.lam) and (
             {s: sc.to_scaled(x for row in sc.mat_to_mpf(g) for x in row) for s, g in self.step_images.items()},
-            [p.coords for p in (box.p, box.q, box.r, box.s)],
             sc.vec_to_mpf(box.b.coords), sc.vec_to_mpf(box.line_B.coords),
         )
 
@@ -201,7 +201,8 @@ def evaluate(rep: Representation, w: GroupWord) -> tuple:
 
     The involution letters only toggle which of A and B^lambda the
     rotation letters use, so the result is a plain matrix (no duality
-    needed).
+    needed).  It starts at the first rotation letter's image, which the
+    identity times it is exactly, in both scalar modes.
     """
     if not md.in_subgroup_o(w):
         raise NotInSubgroupO("matrix evaluation needs an even-involution word")
@@ -212,7 +213,7 @@ def evaluate(rep: Representation, w: GroupWord) -> tuple:
         if let == "I":
             parity ^= 1
         else:
-            out = sc.mat_mul(out, images[parity][let])
+            out = images[parity][let] if out is sc.IDENTITY else sc.mat_mul(out, images[parity][let])
     return out
 
 

@@ -379,6 +379,20 @@ def reference_scan(rep, max_len):
     }
 
 
+@pytest.mark.parametrize("bits", [53, 128])
+def test_scan_reports_do_not_depend_on_the_kept_plan(bits):
+    # the plan is kept per process: two scans in one process, of the same
+    # point and of a new point equal to it, and one after the plan is
+    # dropped, give equal reports
+    with mpmath.workprec(bits):
+        for rep in golden_reps():
+            first = al.loxodromy_scan(rep, 10)
+            assert al.loxodromy_scan(rep, 10) == first
+            assert al.loxodromy_scan(rp.Representation(rep.moduli, rep.lam), 10) == first
+            md.scan_plan.cache_clear()
+            assert al.loxodromy_scan(rep, 10) == first
+
+
 @given(tenths_moduli, st.one_of(float_lambdas, exact_lambdas))
 @settings(max_examples=12, deadline=None)
 def test_scan_tree_walk_images_match_evaluate(moduli, la):
@@ -764,14 +778,14 @@ def test_exact_stop_test_agrees_with_the_mpf_oracle(prec, seed, offset):
         points = [sc.vec_to_mpf(v) for v in images]
         if any(y + z == 0 for _, y, z in images):
             with pytest.raises(DegenerateConfiguration):
-                al._chart_pairs(g, corners)
+                chart_pairs(g, corners)
             return
-        pairs = al._chart_pairs(g, corners)
+        pairs = chart_pairs(g, corners)
         oracle = chart_diameter(points)
         margin = oracle_margin(images, prec)
         tol = sc.to_mpf(max(dyadic(oracle) + offset * margin, dyadic(oracle) / 2))
         assume(tol > 0)
-        below = al._below(pairs, al._square_bound(tol))
+        below = all_below(pairs, al._square_bound(tol))
         # exactly: d^2 = max N / D against tol^2
         square = max(Fraction(n, d) for n, d in pairs)
         t = dyadic(tol)
@@ -797,11 +811,11 @@ def test_exact_stop_test_does_not_stop_at_a_tie(prec):
     identity = flat(sc.IDENTITY)
     with mpmath.workprec(prec):
         tol = mpf(5) * mpf(2) ** -20
-        pairs = al._chart_pairs(identity, corners)
+        pairs = chart_pairs(identity, corners)
         assert max(Fraction(n, d) for n, d in pairs) == dyadic(tol) ** 2
         assert chart_diameter([sc.vec_to_mpf(c) for c in corners]) == tol
-        assert not al._below(pairs, al._square_bound(tol))
-        assert al._below(pairs, al._square_bound(tol + mpmath.eps * tol))
+        assert not all_below(pairs, al._square_bound(tol))
+        assert all_below(pairs, al._square_bound(tol + mpmath.eps * tol))
         assert al._diameter(pairs) == tol
 
 
@@ -882,6 +896,51 @@ def test_scaled_chain_ignores_the_scale_of_the_steps(bits):
 # limit_point's walk against a plain linear loop
 
 
+def chart_pairs(g: tuple, corners: list) -> list:
+    """Ints (N, D) per pair of corner images (x, y, z) = g c, whose squared
+    chart distance is N / D: with u = y - z and w = y + z (own scales
+    cancel), N = (x_i w_j - x_j w_i)^2 + (u_i w_j - u_j w_i)^2, D = (w_i w_j)^2.
+    The generic form, for any corner ints: the oracle of ``al._chart_pairs``
+    and ``al._stop_pairs``, which read the standard corners' images as
+    sums and differences of g's columns."""
+    images = []
+    for v0, v1, v2 in corners:
+        x, y, z = (g[i] * v0 + g[i + 1] * v1 + g[i + 2] * v2 for i in (0, 3, 6))
+        if y + z == 0:
+            raise DegenerateConfiguration("point at infinity of the chart")
+        images.append((x, y - z, y + z))
+    return [
+        ((xi * wj - xj * wi) ** 2 + (ui * wj - uj * wi) ** 2, (wi * wj) ** 2)
+        for i, (xi, ui, wi) in enumerate(images)
+        for xj, uj, wj in images[i + 1:]
+    ]
+
+
+def all_below(pairs: list, bound: tuple) -> bool:
+    """Whether every N / D < tol^2, for tol's ``al._square_bound`` (a tie fails)."""
+    square, left, right = bound
+    return all(n << left < square * d << right for n, d in pairs)
+
+
+STANDARD = [c.coords for c in bx.STANDARD_CORNERS]
+
+
+def oracle_stop_pairs(g, bound):
+    """``al._stop_pairs`` from the generic pairs: the diagonal (p, r), then
+    the six pairs only where the diagonal passes."""
+    if not all_below(chart_pairs(g, STANDARD[::2]), bound):
+        return None
+    pairs = chart_pairs(g, STANDARD)
+    return pairs if all_below(pairs, bound) else None
+
+
+def stop_outcome(stop, g, bound):
+    try:
+        return stop(g, bound)
+    except DegenerateConfiguration as exc:
+        return type(exc)
+
+
 def linear_limit_point(rep, w, tol, depth_cap=al.LIMIT_DEPTH_CAP):
     """``limit_point`` testing the chart diameter at every depth in turn,
     on the same scaled-integer products and exact stopping test, with the
@@ -901,8 +960,8 @@ def linear_limit_point(rep, w, tol, depth_cap=al.LIMIT_DEPTH_CAP):
     g = flat(sc.IDENTITY)
     depth = 0
     while True:
-        pairs = al._chart_pairs(g, corners)
-        if al._below(pairs, al._square_bound(tol)):
+        pairs = chart_pairs(g, corners)
+        if all_below(pairs, al._square_bound(tol)):
             break
         if depth >= depth_cap:
             raise NoConvergence("depth cap reached before the boxes collapsed")
@@ -924,16 +983,16 @@ def limit_outcome(limit, rep, w, tol, depth_cap, max_tests=None):
     """Every field of the sample (points and lines by their coordinates,
     since their ``==`` is projective), or the type of the library error.
 
-    More than ``max_tests`` stopping tests (``_below``) fail the test."""
+    More than ``max_tests`` stopping tests (``_stop_pairs``) fail the test."""
     tests = []
-    below = al._below
+    stop_pairs = al._stop_pairs
 
-    def counting(pairs, bound):
+    def counting(g, bound):
         tests.append(bound)
         assert max_tests is None or len(tests) <= max_tests, "too many stopping tests"
-        return below(pairs, bound)
+        return stop_pairs(g, bound)
 
-    with mock.patch.object(al, "_below", counting):
+    with mock.patch.object(al, "_stop_pairs", counting):
         try:
             s = limit(rep, w, tol=tol, depth_cap=depth_cap)
         except PappusLabError as exc:
@@ -975,15 +1034,129 @@ def test_limit_search_matches_linear_loop(moduli, la, steps, bits, x, case):
             elif case == "cap_below_stop" and stop:
                 depth_cap = stop - 1
             reference = limit_outcome(linear_limit_point, rep, w, tol, depth_cap)
-        # at most two tests (the diagonal, then the six pairs) per depth
-        # walked: to the stop, or to the cap
-        max_tests = 2 * ((reference[5] if isinstance(reference, tuple) else depth_cap) + 1)
+        # one stopping test per depth walked: to the stop, or to the cap
+        max_tests = (reference[5] if isinstance(reference, tuple) else depth_cap) + 1
         walked = limit_outcome(al.limit_point, rep, w, tol, depth_cap, max_tests)
     assert walked == reference
     if case == "above_d0" and isinstance(reference, tuple):
         assert reference[5] == 0
     if case == "cap_below_stop" and depth_cap < al.LIMIT_DEPTH_CAP:
         assert reference is NoConvergence
+
+
+# ---------------------------------------------------------------------------
+# the stopping test on the standard corners against the generic oracle
+
+
+def chart_affine_matrix(a, b, c, d, x0, y0):
+    """Ints g whose chart map is (X, Y) -> (a X + b Y + x0, c X + d Y + y0),
+    for dyadic Fractions: g = T^-1 M T on (x, u, w) = (x, y - z, y + z),
+    cleared of its denominators."""
+    t = ((1, 0, 0), (0, 1, -1), (0, 1, 1))
+    t_inv = ((1, 0, 0), (0, Fraction(1, 2), Fraction(1, 2)), (0, Fraction(-1, 2), Fraction(1, 2)))
+    m = ((a, b, x0), (c, d, y0), (0, 0, 1))
+    g = flat(sc.mat_mul(sc.mat_mul(t_inv, m), t))
+    scale = max(Fraction(x).denominator for x in g)
+    return tuple(int(x * scale) for x in g)
+
+
+def drawn_scaled_matrix(rng):
+    """Nine ints as a chain's product may hold them: a rank-one part v f^T of
+    random size plus noise of random size, so some boxes nearly collapse."""
+
+    def signed(bits):
+        return rng.getrandbits(bits) * rng.choice([-1, 1])
+
+    size = rng.randint(1, 200)
+    v, f = [signed(size) for _ in range(3)], [signed(size) for _ in range(3)]
+    noise = rng.randint(0, 2 * size)
+    return tuple(v[i] * f[j] + signed(noise) for i in range(3) for j in range(3))
+
+
+def tol_candidates(g):
+    """Dyadic tols at and about the diagonal's length and the diameter of
+    g's corner images, where either is defined, and two far from both."""
+    out = [mpf(2) ** -200, mpf(2) ** 200]
+    try:
+        pairs = chart_pairs(g, STANDARD)
+    except DegenerateConfiguration:
+        return out
+    for pair in (pairs[1:2], pairs):
+        d = al._diameter(pair)
+        out += [d, d + mpmath.eps * d, d - mpmath.eps * d]
+    return [t for t in out if t > 0]
+
+
+@given(seed=st.integers(0, 2**64), at_infinity=st.sampled_from((None, 0, 1, 2, 3)), pick=st.integers(0, 7))
+@settings(max_examples=150, deadline=None)
+def test_corner_stop_test_matches_the_generic_oracle(seed, at_infinity, pick):
+    # drawn scaled-int matrices; with at_infinity, one corner's image moved
+    # onto the chart's line at infinity (y + z = 0) by one entry of g's last row
+    rng = random.Random(seed)
+    g = list(drawn_scaled_matrix(rng))
+    if at_infinity is not None:
+        corner = STANDARD[at_infinity]
+        j = next(k for k in range(3) if corner[k])
+        rest = sum((g[3 + k] + g[6 + k]) * corner[k] for k in range(3) if k != j)
+        g[6 + j] = -(rest + g[3 + j] * corner[j]) // corner[j]
+        assert sum((g[3 + k] + g[6 + k]) * corner[k] for k in range(3)) == 0
+    g = tuple(g)
+    assert stop_outcome(lambda g, _: al._chart_pairs(g), g, None) == stop_outcome(
+        lambda g, _: chart_pairs(g, STANDARD), g, None
+    )
+    with mpmath.workprec(128):
+        tols = tol_candidates(g)
+        bound = al._square_bound(tols[pick % len(tols)])
+    assert stop_outcome(al._stop_pairs, g, bound) == stop_outcome(oracle_stop_pairs, g, bound)
+
+
+@pytest.mark.parametrize("shape", ["rectangle", "parallelogram"])
+def test_corner_stop_test_does_not_stop_at_a_tie(shape):
+    # chart images of the standard corners with diameter exactly
+    # t = 5 2^-20: a 6k by 8k rectangle, whose diagonal ties too, and a
+    # parallelogram whose diagonal (p, r) has length 2k and passes, while
+    # (q, s) ties; k = 2^-21, and each is shifted off the chart's origin
+    k = Fraction(1, 2**21)
+    a, b, c, d = (3 * k, 0, 0, 4 * k) if shape == "rectangle" else (k, 2 * k, 2 * k, 2 * k)
+    g = chart_affine_matrix(a, b, c, d, Fraction(1, 8), Fraction(-3, 16))
+    calls = []
+    pairs_of = al._chart_pairs
+
+    def counting(g):
+        calls.append(g)
+        return pairs_of(g)
+
+    with mpmath.workprec(128), mock.patch.object(al, "_chart_pairs", counting):
+        tol = mpf(5) * mpf(2) ** -20
+        assert max(Fraction(n, d) for n, d in chart_pairs(g, STANDARD)) == dyadic(tol) ** 2
+        bound = al._square_bound(tol)
+        assert al._stop_pairs(g, bound) is None
+        assert oracle_stop_pairs(g, bound) is None
+        # only the parallelogram's diagonal passes at the tie
+        assert len(calls) == (shape == "parallelogram")
+        bound = al._square_bound(tol + mpmath.eps * tol)
+        pairs = al._stop_pairs(g, bound)
+        assert pairs == oracle_stop_pairs(g, bound) == chart_pairs(g, STANDARD)
+        assert al._diameter(pairs) == tol
+
+
+@pytest.mark.parametrize("bits", [53, 128])
+def test_corner_stop_test_matches_the_oracle_along_the_limit_chains(bits):
+    # every depth of the 16 chains of ``limit --depth 2`` at the golden
+    # deformed point, to two depths past each stop
+    with mpmath.workprec(bits):
+        rep = golden_reps()[0]
+        bound = al._square_bound(al.LIMIT_TOL)
+        for w in DEPTH_TWO_WORDS:
+            stop = al.limit_point(rep, w).depth
+            steps = [sc.to_scaled(flat(sc.mat_to_mpf(rep.step_images[s]))) for s in md.crossing_steps(w)]
+            g = flat(sc.IDENTITY)
+            for depth in range(stop + 3):
+                got = al._stop_pairs(g, bound)
+                assert got == oracle_stop_pairs(g, bound)
+                assert al._chart_pairs(g) == chart_pairs(g, STANDARD)
+                assert (got is not None) == (depth >= stop) or depth > stop
+                g = sc.scaled_mul(g, steps[depth % len(steps)])
 
 
 # ---------------------------------------------------------------------------

@@ -200,11 +200,11 @@ EXACT = ["--zt=3/10", "--zb=-2/10", "--u", "9/10", "--v", "1"]
 
 def test_scan_forms_only_the_images_its_classes_read(monkeypatch, capsys):
     # one product per distinct prefix ending in R or RR of the classes'
-    # first words, and none for any other word
+    # first words, but the shortest (its image is one letter's), and none
+    # for any other word; the classes are those of the per-word keys
     in_scan = []
     products = []
-    enumerated = []
-    scan, mat_mul, enumerate_words = al.loxodromy_scan, sc.mat_mul, md.enumerate_words
+    scan, mat_mul = al.loxodromy_scan, sc.mat_mul
 
     def scanning(*args, **kwargs):
         in_scan.append(True)
@@ -218,28 +218,21 @@ def test_scan_forms_only_the_images_its_classes_read(monkeypatch, capsys):
             products.append(1)
         return mat_mul(a, b)
 
-    def recording(*args, **kwargs):
-        words = enumerate_words(*args, **kwargs)
-        if in_scan:
-            enumerated.extend(words)
-        return words
-
     monkeypatch.setattr(al, "loxodromy_scan", scanning)
     monkeypatch.setattr(sc, "mat_mul", counting)
-    monkeypatch.setattr(md, "enumerate_words", recording)
-    for maxlen, point, expected in (("10", DEFORMED, 11), ("8", EXACT, 11), ("12", DEFORMED, 31)):
+    for maxlen, point, expected in (("10", DEFORMED, 10), ("8", EXACT, 10), ("12", DEFORMED, 30)):
         products.clear()
-        enumerated.clear()
         assert cli.main(["certify", "--maxlen", maxlen, *point]) == 0
         report = json.loads(capsys.readouterr().out)
         firsts = {}
-        for w in enumerated:
+        for w in md.enumerate_words(int(maxlen)):
             if md.in_subgroup_o(w) and "I" in w.cyclic_reduction()[1].letters:
                 firsts.setdefault(md.even_class_key(w), w.letters)
+        assert dict(md.scan_plan(int(maxlen))[1]) == firsts
         assert report["checks"]["loxodromy_scanned"] > len(firsts)
         prefixes = {
             letters[:k] for letters in firsts.values() for k in range(1, len(letters) + 1)
-            if letters[k - 1] != "I"
+            if letters[k - 1] != "I" and any(x != "I" for x in letters[:k - 1])
         }
         assert len(products) == len(prefixes) == expected
 
@@ -330,19 +323,25 @@ def test_limit_searches_its_stopping_depth(tmp_path, monkeypatch, capsys):
     # the walk forms each depth's product once and no product past the
     # stop; every depth it reaches tests the diagonal pair, and only a
     # depth whose diagonal passes tests the six pairs
-    tests = {1: 0, 6: 0}
+    tested = []
+    six = []
     products = []
-    below, scaled_mul = al._below, sc.scaled_mul
+    stop_pairs, chart_pairs, scaled_mul = al._stop_pairs, al._chart_pairs, sc.scaled_mul
 
-    def measuring(pairs, bound):
-        tests[len(pairs)] += 1
-        return below(pairs, bound)
+    def stopping(g, bound):
+        tested.append((g, bound))
+        return stop_pairs(g, bound)
+
+    def pairing(g):
+        six.append(g)
+        return chart_pairs(g)
 
     def multiplying(a, b):
         products.append(1)
         return scaled_mul(a, b)
 
-    monkeypatch.setattr(al, "_below", measuring)
+    monkeypatch.setattr(al, "_stop_pairs", stopping)
+    monkeypatch.setattr(al, "_chart_pairs", pairing)
     monkeypatch.setattr(sc, "scaled_mul", multiplying)
     monkeypatch.chdir(tmp_path)
     code, report = run_json(capsys, "limit", "--depth", "2", *DEFORMED)
@@ -351,8 +350,14 @@ def test_limit_searches_its_stopping_depth(tmp_path, monkeypatch, capsys):
         depths = [int(row["depth"]) for row in csv.DictReader(handle)]
     assert len(depths) == report["words"] == 16
     assert len(products) == sum(depths) == 412
-    assert tests[1] == len(products) + len(depths)
-    assert len(depths) <= tests[6] <= 2 * len(depths)
+    assert len(tested) == len(products) + len(depths)
+    # the diagonal (p, r) is the second of the six pairs, (p, q) the first
+    diagonal_passed = [
+        g for g, (square, left, right) in tested
+        for n, d in chart_pairs(g)[1:2] if n << left < square * d << right
+    ]
+    assert six == diagonal_passed
+    assert len(depths) <= len(six) <= 2 * len(depths)
 
 
 def test_limit_evaluates_each_step_word_once(tmp_path, monkeypatch, capsys):

@@ -368,3 +368,28 @@ def test_even_class_key_matches_brute_force_classes():
         keyed.setdefault(md.even_class_key(w), set()).add(w.letters)
     assert sorted(map(sorted, keyed.values())) == brute_force_classes(words, with_inverse=True)
     assert len(keyed) == 7
+
+
+def has_axis(w):
+    """An even word of infinite order: not the identity, and its matrix not
+    elliptic (a finite-order element of PSL(2, Z) has |trace| < 2)."""
+    m = md.word_matrix(w)
+    return bool(w.letters) and abs(m[0][0] + m[1][1]) >= 2
+
+
+@pytest.mark.parametrize("max_len", range(4, 13))
+def test_scan_plan_is_the_per_word_class_grouping(max_len):
+    # the words of the scan in enumeration order, each with its own key, and
+    # each class's first word: letters and keys only
+    words, firsts = md.scan_plan(max_len)
+    expected = [
+        (w, md.even_class_key(w)) for w in md.enumerate_words(max_len) if md.in_subgroup_o(w) and has_axis(w)
+    ]
+    assert list(words) == expected
+    grouped = {}
+    for w, key in expected:
+        grouped.setdefault(key, w.letters)
+    assert list(firsts) == list(grouped.items())
+    assert all(type(w) is GroupWord for w, _ in words)
+    assert all(type(x) is str for key, letters in firsts for x in key + letters)
+    assert md.scan_plan(max_len) is md.scan_plan(max_len)

@@ -96,6 +96,33 @@ def test_sigma_determinant_one(un, vn):
     assert sc.det3(lam.sigma) == lam.sigma[0][0] ** 3
 
 
+# rational moduli of a convex box, not both 0, and exact deformations
+convex_moduli = st.tuples(
+    st.fractions(-1, 1, max_denominator=60), st.fractions(-1, 1, max_denominator=60)
+).filter(lambda t: abs(t[0]) < 1 and abs(t[1]) < 1 and t != (0, 0)).map(lambda t: BoxModuli(*t))
+exact_lambdas = st.builds(
+    lambda u, v: Lambda(u=u, v=v),
+    st.fractions(Fraction(1, 50), 50, max_denominator=60).filter(lambda x: x > 0),
+    st.fractions(Fraction(1, 50), 50, max_denominator=60).filter(lambda x: x > 0),
+)
+
+
+@given(convex_moduli, exact_lambdas)
+@settings(max_examples=60, deadline=None)
+def test_generator_cubes_are_exact_scalars(m, lam):
+    # A^3 = det A Id and (B^lambda)^3 = Id / det A, as exact Fractions: the
+    # letters' determinants that a characteristic cubic built from traces
+    # would read
+    a, b = rp.matrix_A(m), rp.matrix_B(m, lam)
+    det_a = sc.det3(a)
+    assert det_a != 0
+    scalar = tuple(tuple(det_a if i == j else 0 for j in range(3)) for i in range(3))
+    assert sc.mat_mul(sc.mat_mul(a, a), a) == scalar
+    cube = sc.mat_mul(sc.mat_mul(b, b), b)
+    assert sc.mat_is_exact(cube)
+    assert cube == tuple(tuple(1 / det_a if i == j else 0 for j in range(3)) for i in range(3))
+
+
 def test_matrix_b_special_undeformed():
     b = rp.matrix_B(BoxModuli(0, 0), LAMBDA_ZERO)
     a = rp.matrix_A(BoxModuli(0, 0))
