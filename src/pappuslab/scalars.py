@@ -25,14 +25,17 @@ mpf, ``mat_mul``, ``mat_vec``, ``det3``, ``second_symmetric`` and
 in the order and association of the operator expressions that other
 inputs still evaluate, and wrap only the entries they return.
 ``is_singular`` and ``mat_inverse`` keep an exact matrix exact and
-convert any other with ``mat_to_mpf``; ``normalize_det_one`` converts
-any matrix that is not all mpf, and ``eigen_real`` every matrix.  All
-four then make the libmp calls of their operator formulas.  Each call
-rounds once, as the operator does, so the results are bit-identical to
-the operator path, without an mpf object per intermediate value.  The
-dense helpers ``det_n`` and ``nullspace`` share one n x n elimination,
-which runs on raw values in the same way; it has no operator path, as
-it works in mpf alone, whatever the entries of its rows.
+convert any other with ``mat_to_mpf``, and ``normalize_det_one`` converts
+any matrix that is not all mpf; all three then make the libmp calls of
+their operator formulas.  Each call rounds once, as the operator does,
+so the results are bit-identical to the operator path, without an mpf
+object per intermediate value.  ``det_n`` and ``nullspace`` share one
+raw n x n elimination, in mpf whatever their rows hold.  A function keeps
+a raw path where a benchmark workload calls it on mpf input 4 to 82
+times per op at 128 bits, or shares its raw core with one that does
+(``is_singular``, ``nullspace``).  ``eigen_real`` runs about once per
+``anosov_float`` op, as the gap filter decides the other verdicts: it is
+written with the operators.
 
 Scaled-integer kernel, the one exception to bit identity.  A long chain
 of products read only projectively (``anosov_lab.limit_point``) runs on
@@ -70,7 +73,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property, reduce
+from functools import cached_property, reduce
 from fractions import Fraction
 
 import mpmath
@@ -79,20 +82,15 @@ from mpmath.libmp import (
     fone,
     from_int,
     from_rational,
-    from_str,
     fzero,
     mpf_abs,
     mpf_add,
     mpf_div,
     mpf_eq,
-    mpf_ge,
     mpf_gt,
     mpf_le,
-    mpf_lt,
     mpf_mul,
-    mpf_mul_int,
     mpf_neg,
-    mpf_pi,
     mpf_pow_int,
     mpf_rdiv_int,
     mpf_shift,
@@ -156,7 +154,6 @@ def float_epsilon(bits: int | None = None) -> mpf:
 # it in place, so the kernel rounds as they do at any precision.
 
 _new = object.__new__
-_MINUS_ONE, _TWO, _THREE, _TWENTY_SEVEN = from_int(-1), from_int(2), from_int(3), from_int(27)
 
 
 def _epsilon(prec):
@@ -256,13 +253,6 @@ def _is_singular(r, d, prec, rnd) -> bool:
             big = x if big is None else _max(big, x)
     bound = mpf_mul(_epsilon(prec), _max(mpf_pow_int(big, 3, prec, rnd), fone), prec, rnd)
     return mpf_le(mpf_abs(d, prec, rnd), bound)
-
-
-def _real_cbrt(x, prec, rnd):
-    # mpmath.cbrt(x) if x >= 0 else -mpmath.cbrt(-x)
-    if mpf_ge(x, fzero):
-        return mpmath.cbrt(_wrap(x))._mpf_
-    return mpf_neg(mpmath.cbrt(_wrap(mpf_neg(x, prec, rnd)))._mpf_, prec, rnd)
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +484,9 @@ def normalize_det_one(m: Mat3) -> Mat3:
     d = _det3(r, prec, rnd)
     if _is_singular(r, d, prec, rnd):
         raise SingularMatrix("matrix determinant is zero at the working precision")
-    c = _real_cbrt(d, prec, rnd)
+    # c = mpmath.cbrt(d) if d >= 0 else -mpmath.cbrt(-d); d[0] is its sign
+    c = mpmath.cbrt(_wrap(mpf_abs(d)))._mpf_
+    c = mpf_neg(c) if d[0] else c
     return tuple(tuple([_wrap(mpf_div(x, c, prec, rnd)) for x in row]) for row in r)
 
 
@@ -612,67 +604,35 @@ class EigenResult:
         return [(lam, _eigenvector(self.matrix, lam)) for lam in self.roots]
 
 
-@cache
-def _complex_margin(prec, rnd):
-    # -mpf("1e-24"), parsed once per precision
-    return mpf_neg(from_str("1e-24", prec, rnd), prec, rnd)
-
-
-def _cubic_real_roots(c2, c1, c0, eps, prec, rnd):
-    """All real roots of x^3 + c2 x^2 + c1 x + c0, with multiplicity, on
-    raw values; eps is float_epsilon().
-
-    Depressed-cubic closed form; raises ComplexSpectrum when the cubic
-    has a genuinely complex pair.
-    """
-    shift = mpf_div(c2, _THREE, prec, rnd)
-    # p = c1 - c2 * c2 / 3
-    p = mpf_sub(c1, mpf_div(mpf_mul(c2, c2, prec, rnd), _THREE, prec, rnd), prec, rnd)
-    # q = c0 - c1 * c2 / 3 + 2 * c2**3 / 27
-    q = mpf_add(
-        mpf_sub(c0, mpf_div(mpf_mul(c1, c2, prec, rnd), _THREE, prec, rnd), prec, rnd),
-        mpf_div(mpf_mul_int(mpf_pow_int(c2, 3, prec, rnd), 2, prec, rnd), _TWENTY_SEVEN, prec, rnd),
-        prec,
-        rnd,
-    )
-    # disc = -4 * p**3 - 27 * q * q
-    disc = mpf_sub(
-        mpf_mul_int(mpf_pow_int(p, 3, prec, rnd), -4, prec, rnd),
-        mpf_mul(mpf_mul_int(q, 27, prec, rnd), q, prec, rnd),
-        prec,
-        rnd,
-    )
-    abs_p, abs_q = mpf_abs(p, prec, rnd), mpf_abs(q, prec, rnd)
-    # scale = max(abs(p) ** 3, q * q, mpf(1))
-    scale = _max(_max(mpf_pow_int(abs_p, 3, prec, rnd), mpf_mul(q, q, prec, rnd)), fone)
-    if mpf_lt(disc, mpf_mul(_complex_margin(prec, rnd), scale, prec, rnd)):
+def _cubic_real_roots(c2, c1, c0):
+    """All real roots of x^3 + c2 x^2 + c1 x + c0, with multiplicity, by the
+    depressed-cubic closed form; ComplexSpectrum for a complex pair."""
+    shift = c2 / 3
+    p = c1 - c2 * c2 / 3
+    q = c0 - c1 * c2 / 3 + 2 * c2**3 / 27
+    disc = -4 * p**3 - 27 * q * q
+    scale = max(abs(p) ** 3, q * q, mpf(1))
+    # The complex-pair margin.  A repeated real root has disc = 0, which
+    # rounding leaves of either sign: at lambda = 0 (float), moduli (3/10,
+    # -1/5), the 224 scan words of maxlen 12 reach disc/scale -4.0e-13 at 53
+    # bits, -1.4e-16 at 64 and -6.9e-36 at 128.  So 10 words at 53 bits and
+    # 11 at 64, each of exact disc 0 (at u = v = 1), raise ComplexSpectrum:
+    # a known limit below 128 bits (ROADMAP item 8).
+    if disc < -mpf("1e-24") * scale:
         raise ComplexSpectrum("characteristic cubic has non-real roots")
-    # abs(p) <= eps * max(abs(q) ** 2 / 3, mpf(1)) and abs(q) <= eps
-    flat = _max(mpf_div(mpf_pow_int(abs_q, 2, prec, rnd), _THREE, prec, rnd), fone)
-    if mpf_le(abs_p, mpf_mul(eps, flat, prec, rnd)) and mpf_le(abs_q, eps):
-        roots = [fzero] * 3
-    elif mpf_le(disc, fzero):
+    eps = float_epsilon()
+    if abs(p) <= eps * max(abs(q) ** 2 / 3, mpf(1)) and abs(q) <= eps:
+        roots = [mpf(0)] * 3
+    elif disc <= 0:
         # borderline: a repeated root
-        u = _real_cbrt(mpf_div(mpf_neg(q, prec, rnd), _TWO, prec, rnd), prec, rnd)
-        neg_u = mpf_neg(u, prec, rnd)
-        roots = [mpf_mul_int(u, 2, prec, rnd), neg_u, neg_u]
+        u = -q / 2
+        u = mpmath.cbrt(u) if u >= 0 else -mpmath.cbrt(-u)
+        roots = [2 * u, -u, -u]
     else:
-        # r = 2 * sqrt(-p / 3)
-        r = mpmath.sqrt(_wrap(mpf_div(mpf_neg(p, prec, rnd), _THREE, prec, rnd)))._mpf_
-        r = mpf_mul_int(r, 2, prec, rnd)
-        # theta = acos(min(max(3 * q / (p * r), -1), 1))
-        c = mpf_div(mpf_mul_int(q, 3, prec, rnd), mpf_mul(p, r, prec, rnd), prec, rnd)
-        c = _max(c, _MINUS_ONE)
-        c = fone if mpf_lt(fone, c) else c
-        third = mpf_div(mpmath.acos(_wrap(c))._mpf_, _THREE, prec, rnd)
-        two_pi = mpf_mul_int(mpf_pi(prec, rnd), 2, prec, rnd)
-        # r * cos(theta / 3 - 2 * pi * k / 3)
-        roots = []
-        for k in range(3):
-            angle = mpf_div(mpf_mul_int(two_pi, k, prec, rnd), _THREE, prec, rnd)
-            angle = mpf_sub(third, angle, prec, rnd)
-            roots.append(mpf_mul(r, mpmath.cos(_wrap(angle))._mpf_, prec, rnd))
-    return [mpf_sub(x, shift, prec, rnd) for x in roots]
+        r = 2 * mpmath.sqrt(-p / 3)
+        theta = mpmath.acos(min(max(3 * q / (p * r), mpf(-1)), mpf(1)))
+        roots = [r * mpmath.cos(theta / 3 - 2 * mpmath.pi * k / 3) for k in range(3)]
+    return [x - shift for x in roots]
 
 
 def _eigenvector(m: Mat3, lam: mpf) -> Vec3:
@@ -699,39 +659,22 @@ def eigen_real(m: Mat3) -> EigenResult:
     cross products of rows of (m - lam I) when first read.
     """
     m = mat_to_mpf(m)
-    prec, rnd = mpmath.mp._prec_rounding
-    r = _raw(m)
-    eps = _epsilon(prec)
-    trace = mpf_add(mpf_add(r[0][0], r[1][1], prec, rnd), r[2][2], prec, rnd)
-    e2 = _second_symmetric(r, prec, rnd)
-    d = _det3(r, prec, rnd)
-    # characteristic polynomial: x^3 - tr x^2 + e2 x - det
-    roots = _cubic_real_roots(mpf_neg(trace, prec, rnd), e2, mpf_neg(d, prec, rnd), eps, prec, rnd)
+    trace, e2, d = char_cubic(m)
+    roots = _cubic_real_roots(-trace, e2, -d)
 
-    two_trace = mpf_mul_int(trace, 2, prec, rnd)
+    eps = float_epsilon()
     polished = []
     for x in roots:
         for _ in range(2):
-            # the derivative 3 * x * x - 2 * trace * x + e2
-            dp = mpf_mul(mpf_mul_int(x, 3, prec, rnd), x, prec, rnd)
-            dp = mpf_add(mpf_sub(dp, mpf_mul(two_trace, x, prec, rnd), prec, rnd), e2, prec, rnd)
-            if mpf_gt(mpf_abs(dp, prec, rnd), eps):
-                # x - (x**3 - trace * x * x + e2 * x - d) / dp
-                px = mpf_mul(mpf_mul(trace, x, prec, rnd), x, prec, rnd)
-                px = mpf_sub(mpf_pow_int(x, 3, prec, rnd), px, prec, rnd)
-                px = mpf_sub(mpf_add(px, mpf_mul(e2, x, prec, rnd), prec, rnd), d, prec, rnd)
-                x = mpf_sub(x, mpf_div(px, dp, prec, rnd), prec, rnd)
+            dp = 3 * x * x - 2 * trace * x + e2
+            if abs(dp) > eps:
+                x = x - (x**3 - trace * x * x + e2 * x - d) / dp
         polished.append(x)
 
-    moduli = sorted(_wrap(mpf_abs(x, prec, rnd)) for x in polished)
-    m0, m1, m2 = (x._mpf_ for x in moduli)
-    floor = _max(mpf_mul(m2, eps, prec, rnd), eps)
-    gaps = (
-        _wrap(mpf_div(m1, _max(m0, floor), prec, rnd)),
-        _wrap(mpf_div(m2, _max(m1, floor), prec, rnd)),
-    )
-    roots = tuple(_wrap(x) for x in polished)
-    return EigenResult(matrix=m, roots=roots, moduli=tuple(moduli), gaps=gaps)
+    moduli = tuple(sorted(abs(x) for x in polished))
+    floor = max(moduli[2] * eps, eps)
+    gaps = (moduli[1] / max(moduli[0], floor), moduli[2] / max(moduli[1], floor))
+    return EigenResult(matrix=m, roots=tuple(polished), moduli=moduli, gaps=gaps)
 
 
 # The gap filter.  For an int matrix g (times a power of two) of max |entry|

@@ -468,13 +468,13 @@ def test_closed_stdout_exits_quietly(tmp_path):
     # pipe; the report's write then fails, and no traceback follows
     env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
     env.pop(cli.PRECISION_ENV, None)
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "pappuslab.cli", "limit", "--depth", "1"],
         cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-    )
-    proc.stdout.close()
-    stderr = proc.stderr.read()
-    assert proc.wait(timeout=300) == 1
+    ) as proc:
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=300) == 1
     assert "Traceback" not in stderr and stderr == ""
 
 

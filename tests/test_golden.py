@@ -61,6 +61,16 @@ CASES = {
     # the other scalar precisions: the scan at 256 bits (48 words), and a
     # curve point whose rounding-level residuals pin every bit at 64 bits
     "certify_prec256": (["--precision", "256", "certify", "--maxlen", "8", *DEFORMED], None),
+    # at 53 bits the gap filter declines every class, so the mpf eigen
+    # solver runs on each: 7 solves in certify and 16 in limit
+    "certify_prec53": (["--precision", "53", "certify", "--maxlen", "10", *DEFORMED], None),
+    "limit_prec53": (["--precision", "53", "limit", "--depth", "2", *DEFORMED], "limit.csv"),
+    # a boundary point (lambda = 0) at 53 bits pins ROADMAP item 8's known
+    # limit, parabolic words flagged by rounding: a fix re-records it
+    "certify_boundary_prec53": (
+        ["--precision", "53", "certify", "--maxlen", "8", *POINT, "--eps=0", "--delta=0"],
+        None,
+    ),
     "curve_prec64": (["--precision", "64", "curve", *POINT, "--eps=-0.05"], None),
     # finite differences that show 64-bit rounding pin det_n and the Jacobian
     # columns; a 256-bit curve point pins the nullspace of the conjugation system

@@ -616,9 +616,10 @@ def test_operator_guard_counts_operators(operator_calls):
 @pytest.mark.parametrize("prec", [64, 128])
 def test_float_kernel_makes_no_operator_calls(prec, operator_calls):
     with mpmath.workprec(prec):
-        # three real roots, well separated; and a double root
+        # eigen_real is the one deliberate exception: the gap filter leaves
+        # it about one solve per benchmark op, so it evaluates o_eigen_real's
+        # operator formulas itself
         m = sc.mat_to_mpf(((3, 1, 0), (1, 5, 2), (0, 2, 7)))
-        double = sc.mat_to_mpf(((2, 0, 0), (0, 2, 0), (0, 0, 5)))
         negative = sc.mat_to_mpf(((-3, 1, 0), (1, -5, 2), (0, 2, -7)))
         v = m[1]
         del operator_calls[:]
@@ -631,9 +632,6 @@ def test_float_kernel_makes_no_operator_calls(prec, operator_calls):
         sc.mat_inverse(m)
         sc.normalize_det_one(m)
         sc.normalize_det_one(negative)
-        sc.eigen_real(m)
-        sc.eigen_real(double)
-        sc.eigen_real(sc.mat_to_mpf(sc.IDENTITY))
         assert operator_calls == []
 
 
