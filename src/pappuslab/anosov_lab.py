@@ -272,13 +272,18 @@ def _exact_verdict(g: tuple) -> tuple:
     return d != 0 and disc > 0 and not tied, (mpf(1) if tied else None)
 
 
-def _float_image_bounds(g: tuple) -> tuple | None:
-    """``_least_gap_bounds`` of an mpf image's entries as ints at their least
-    exponent, exactly; None where max|g| < 1 (``is_singular`` reads its scale)."""
-    v, low = sc.to_exact_scaled(x for row in g for x in row)
-    if max(max(v), -min(v)).bit_length() + low > 0:
-        return _least_gap_bounds(v)
-    return None
+def _image_bounds(g: tuple) -> tuple | None:
+    """``_least_gap_bounds`` of a word image's entries as the ints n g, exactly:
+    n is an exact image's common denominator (``rp._cleared``), or 2^-e for
+    an mpf image's least exponent e.  None where max|n g| < n, that is
+    max|g| < 1 (``is_singular`` reads its scale)."""
+    if sc.mat_is_exact(g):
+        n, g = rp._cleared(g)
+        v = [x for row in g for x in row]
+    else:
+        v, low = sc.to_exact_scaled(x for row in g for x in row)
+        n = 2**-low
+    return _least_gap_bounds(v) if max(max(v), -min(v)) >= n else None
 
 
 def _class_verdict(g: tuple) -> tuple:
@@ -317,14 +322,14 @@ def loxodromy_scan(rep: rp.Representation, max_len: int = 6) -> dict:
     (a rotation of w by a single I) swaps A and B^lambda and is not
     inner, so it does not merge classes.
 
-    At a float point a class's verdict comes from the gap filter
-    (``_float_image_bounds``) where it decides; after the walk, in scan
-    order, only the other classes and those whose least gap may be the
-    least of all (by the brackets, widened) are solved in mpf, so
-    ``min_gap`` keeps its bits.  At an exact point the verdict is
-    ``_exact_verdict``'s and the gap the mpf spectrum's, or exactly 1
-    where the exact cubic has two equal moduli; no brackets choose these
-    gaps, as the mpf spectrum is that of the image rounded.
+    A class's verdict comes from the gap filter (``_image_bounds``) where
+    it decides; after the walk, in scan order, only the other classes and
+    those whose least gap may be the least of all (by the brackets,
+    widened) are solved in mpf, so ``min_gap`` keeps its bits.  The
+    brackets hold for an exact image too, whose mpf spectrum is that of
+    the image rounded once per entry.  There the other classes take
+    ``_exact_verdict``'s verdict and the mpf spectrum's gap, or exactly 1
+    where the exact cubic has two equal moduli.
 
     Words and classes are ``modular.scan_plan(max_len)``'s.  Images are
     formed for the classes' first words and cached by letters: a prefix's
@@ -348,7 +353,7 @@ def loxodromy_scan(rep: rp.Representation, max_len: int = 6) -> dict:
     firsts = {}
     for key, letters in first_words:
         g = image(letters)
-        firsts[key] = g, (None if sc.mat_is_exact(g) else _float_image_bounds(g))
+        firsts[key] = g, _image_bounds(g)
     # a closure that calls itself is a reference cycle: drop it, so its
     # images are freed now and not by the cyclic collector
     del image

@@ -9,6 +9,10 @@ Subcommands:
 - ``limit``: CSV of limit points for periodic words;
 - ``variety``: Jacobian certificates over a moduli grid.
 
+Each ``cmd_*`` returns its report; ``main`` alone adds ``schema`` and
+``command``, writes it to stdout or the report's ``--out`` (an error
+report always to stdout) and maps it to the exit code.
+
 Exit codes: 0 all checks pass, 1 a check fails or a computation
 errors, 2 usage error (including invalid values: a precision below 53
 bits, a negative count, a zero grid or ``limit`` depth, a non-finite
@@ -57,7 +61,7 @@ def _jsonify(value):
     raise TypeError("not JSON serializable: %r" % (value,))
 
 
-def _emit(report: dict, out: str = None) -> None:
+def _emit(report: dict, out: str | None) -> None:
     text = json.dumps(report, indent=2, default=_jsonify)
     if out:
         with open(out, "w") as handle:
@@ -194,11 +198,9 @@ def _relation_suite(box, lam, mutate=False):
     return failures
 
 
-def cmd_relations(args) -> int:
+def cmd_relations(args) -> dict:
     rng = random.Random(args.seed)
     report = {
-        "schema": SCHEMA,
-        "command": "relations",
         "seed": args.seed,
         "trials": args.trials,
         "pairs": args.pairs,
@@ -208,8 +210,7 @@ def cmd_relations(args) -> int:
     if args.trials == 0:
         report["warning"] = "zero trials requested: vacuous pass"
         report["pass"] = True
-        _emit(report, args.out)
-        return 0
+        return report
     lambdas = [bx.LAMBDA_ZERO] + [
         Lambda(
             u=Fraction(rng.randint(5, 15), 10), v=Fraction(rng.randint(5, 15), 10)
@@ -225,8 +226,7 @@ def cmd_relations(args) -> int:
                      "u": str(lam.u), "v": str(lam.v)}
                 )
     report["pass"] = not report["failures"]
-    _emit(report, args.out)
-    return 0 if report["pass"] else 1
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +243,7 @@ def _svg_polygon(points, depth, max_depth):
     )
 
 
-def cmd_iterate(args) -> int:
+def cmd_iterate(args) -> dict:
     moduli = _moduli_from_args(args)
     lam = _lambda_from_args(args)
     box = bx.from_moduli(moduli)
@@ -274,32 +274,23 @@ def cmd_iterate(args) -> int:
         + body
         + "\n</svg>\n"
     )
-    with open(args.out, "w") as handle:
+    with open(args.artifact, "w") as handle:
         handle.write(svg)
-    report = {
-        "schema": SCHEMA,
-        "command": "iterate",
-        "boxes": count,
-        "depth": args.depth,
-        "out": args.out,
-    }
+    report = {"boxes": count, "depth": args.depth, "out": args.artifact}
     if warning:
         report["warning"] = warning
-    _emit(report)
-    return 0
+    return report
 
 
 # ---------------------------------------------------------------------------
 # certify
 
 
-def cmd_certify(args) -> int:
+def cmd_certify(args) -> dict:
     moduli = _moduli_from_args(args)
     lam = _lambda_from_args(args)
     box = bx.from_moduli(moduli)
     report = {
-        "schema": SCHEMA,
-        "command": "certify",
         "moduli": [moduli.zeta_t, moduli.zeta_b],
         "lambda": [lam.eps_value(), lam.delta_value()],
         "checks": {},
@@ -311,8 +302,7 @@ def cmd_certify(args) -> int:
     if not in_r:
         report["status"] = "outside-region"
         report["pass"] = False
-        _emit(report, args.out)
-        return 1
+        return report
     report["checks"]["nesting"] = bx.containment_check(box, lam)
     rep = rp.Representation(moduli, lam)
     try:
@@ -337,8 +327,7 @@ def cmd_certify(args) -> int:
         )
         report["witness_normal_form"] = sc.mat_to_mpf(normal)
         report["pass"] = True
-        _emit(report, args.out)
-        return 0
+        return report
     anosov_like = (
         in_r_strict
         and report["checks"]["contraction"]
@@ -348,8 +337,7 @@ def cmd_certify(args) -> int:
     )
     report["status"] = "anosov-certified" if anosov_like else "diagnostics-failed"
     report["pass"] = bool(anosov_like)
-    _emit(report, args.out)
-    return 0 if report["pass"] else 1
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +352,7 @@ def cmd_certify(args) -> int:
 INTERTWINER_RESIDUAL_TOL = mpf("1e-9")
 
 
-def cmd_curve(args) -> int:
+def cmd_curve(args) -> dict:
     moduli = _moduli_from_args(args)
     eps = mpf(args.eps)
     # raises SpecialBox at vanishing moduli, where extension_intertwiner
@@ -379,9 +367,7 @@ def cmd_curve(args) -> int:
     # reported, but no gate: S[i][j] and S[j][i] are one value, so it is 0
     sym = max(abs(s[i][j] - s[j][i]) for i in range(3) for j in range(3))
     ok = h_residual <= mpf(args.tol) and residual <= INTERTWINER_RESIDUAL_TOL and invertible
-    report = {
-        "schema": SCHEMA,
-        "command": "curve",
+    return {
         "moduli": [moduli.zeta_t, moduli.zeta_b],
         "epsilon": eps,
         "delta": delta,
@@ -392,15 +378,13 @@ def cmd_curve(args) -> int:
         "intertwiner_invertible": invertible,
         "pass": ok,
     }
-    _emit(report, args.out)
-    return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
 # limit
 
 
-def cmd_limit(args) -> int:
+def cmd_limit(args) -> dict:
     rep = rp.Representation(_moduli_from_args(args), _lambda_from_args(args))
     words = [md.GroupWord.identity()]
     for _ in range(args.depth):
@@ -427,28 +411,20 @@ def cmd_limit(args) -> int:
                 sample.depth,
             ]
         )
-    with open(args.out, "w", newline="") as handle:
+    with open(args.artifact, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(
             ["word", "point_x", "point_y", "dual_1", "dual_2", "dual_3", "flag_residual", "depth"]
         )
         writer.writerows(rows)
-    report = {
-        "schema": SCHEMA,
-        "command": "limit",
-        "words": len(rows),
-        "skipped_non_loxodromic": skipped,
-        "out": args.out,
-    }
-    _emit(report)
-    return 0
+    return {"words": len(rows), "skipped_non_loxodromic": skipped, "out": args.artifact}
 
 
 # ---------------------------------------------------------------------------
 # variety
 
 
-def cmd_variety(args) -> int:
+def cmd_variety(args) -> dict:
     n = args.grid
     ticks = [Fraction(2 * k + 1 - n, n + 1) for k in range(n)]
     lam0 = bx.LAMBDA_ZERO
@@ -473,15 +449,7 @@ def cmd_variety(args) -> int:
                 entry["phi_special_box"] = True
             entries.append(entry)
             all_ok = all_ok and ok
-    report = {
-        "schema": SCHEMA,
-        "command": "variety",
-        "grid": n,
-        "entries": entries,
-        "pass": all_ok,
-    }
-    _emit(report, args.out)
-    return 0 if all_ok else 1
+    return {"grid": n, "entries": entries, "pass": all_ok}
 
 
 # ---------------------------------------------------------------------------
@@ -502,9 +470,12 @@ def _add_lambda_flags(sub):
 
 def _add_command(subs, name, func, help):
     """A subcommand parser; it is kept in ``args.subparser``, whose usage
-    ``_check_args`` prints."""
+    ``_check_args`` prints.  Its ``--out`` is either the file ``main``
+    writes the report to (``args.out``; stdout when None) or, as
+    ``args.artifact``, the file the command writes itself, while the report
+    goes to stdout."""
     p = subs.add_parser(name, help=help)
-    p.set_defaults(func=func, subparser=p)
+    p.set_defaults(func=func, subparser=p, out=None, artifact=None)
     return p
 
 
@@ -531,10 +502,10 @@ def _check_args(args) -> None:
     floor = sc.float_epsilon(args.precision)
     if args.command in ("curve", "limit") and args.tol <= floor:
         args.subparser.error("--tol must exceed 2^(8 - precision) = %s" % mpmath.nstr(floor, 3))
-    if args.out is not None:
-        problem = _unwritable(args.out)
+    for path in (args.out, args.artifact):
+        problem = path is not None and _unwritable(path)
         if problem:
-            args.subparser.error("cannot write --out %s: %s" % (args.out, problem))
+            args.subparser.error("cannot write --out %s: %s" % (path, problem))
 
 
 def _env_precision() -> str:
@@ -563,25 +534,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_count, default=100)
     p.add_argument("--pairs", type=_positive, default=10)
     p.add_argument("--mutate", action="store_true", help="negative control")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out")
 
     p = _add_command(subs, "iterate", cmd_iterate, "render the nested box orbit as SVG")
     _add_moduli_flags(p, "0", "0")
     _add_lambda_flags(p)
     p.add_argument("--depth", type=_count, default=6)
-    p.add_argument("--out", default="iterate.svg")
+    p.add_argument("--out", dest="artifact", metavar="OUT", default="iterate.svg")
 
     p = _add_command(subs, "certify", cmd_certify, "contraction and loxodromy diagnostics")
     _add_moduli_flags(p)
     _add_lambda_flags(p)
     p.add_argument("--maxlen", type=_int_at_least(4), default=4)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out")
 
     p = _add_command(subs, "curve", cmd_curve, "extension locus delta(epsilon)")
     _add_moduli_flags(p)
     p.add_argument("--eps", type=_finite_float, required=True)
     p.add_argument("--tol", type=_positive_float, default=1e-12)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out")
 
     p = _add_command(subs, "limit", cmd_limit, "CSV of periodic-word limit points")
     _add_moduli_flags(p)
@@ -591,11 +562,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--depth", type=_positive, default=2, help="word length in crossing pairs, at least 1"
     )
     p.add_argument("--tol", type=_positive_float, default=float(al.LIMIT_TOL))
-    p.add_argument("--out", default="limit.csv")
+    p.add_argument("--out", dest="artifact", metavar="OUT", default="limit.csv")
 
     p = _add_command(subs, "variety", cmd_variety, "Jacobian certificates over a moduli grid")
     p.add_argument("--grid", type=_positive, default=4)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out")
 
     return parser
 
@@ -611,17 +582,15 @@ def main(argv=None) -> int:
     # the caller's precision comes back on every return path
     with mpmath.workprec(args.precision):
         try:
-            return args.func(args)
+            report, out = args.func(args), args.out
         except PappusLabError as exc:
-            _emit(
-                {
-                    "schema": SCHEMA,
-                    "command": args.command,
-                    "error": type(exc).__name__,
-                    "message": str(exc),
-                }
-            )
-            return 1
+            # an error report goes to stdout, whatever --out names
+            report, out = {"error": type(exc).__name__, "message": str(exc)}, None
+    # float(mpf) rounds the stored mantissa, so writing after the block
+    # reads no precision
+    _emit({"schema": SCHEMA, "command": args.command, **report}, out)
+    # a report without "pass" passes unless it is an error
+    return 0 if report.get("pass", "error" not in report) else 1
 
 
 if __name__ == "__main__":

@@ -137,7 +137,7 @@ def _over_zero(x: float) -> float:
     return math.nan if x != x or x == 0 else math.copysign(math.inf, x)
 
 
-def distortion_estimate(inner: ConvexQuad, outer: ConvexQuad, resolution: int = 32, directions: int = 16):
+def distortion_estimate(inner: ConvexQuad, outer: ConvexQuad, resolution: int, directions: int):
     """Sampled distortion constant C(inner, outer), an estimate from above.
 
     Minimum over an interior grid and a direction fan of the Finsler

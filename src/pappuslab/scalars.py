@@ -33,7 +33,12 @@ object per intermediate value.  ``det_n`` and ``nullspace`` share one
 raw n x n elimination, in mpf whatever their rows hold.  A function keeps
 a raw path where a benchmark workload calls it on mpf input 4 to 82
 times per op at 128 bits, or shares its raw core with one that does
-(``is_singular``, ``nullspace``).  ``eigen_real`` runs about once per
+(``is_singular``, ``nullspace``).  Per call at 128 bits the raw path is
+1.1-1.25 times as fast as the operators for the products, ``det3``,
+``adjugate`` and ``second_symmetric``, 1.3 for ``normalize_det_one``, 1.45
+for ``mat_inverse`` and 2.5 for ``det_n``; ``variety``'s inverses and
+normalizations are why it stays: ``variety --grid 3`` takes 46-49 ms, and
+51-54 ms with every 3x3 function on the operators.  ``eigen_real`` runs about once per
 ``anosov_float`` op, as the gap filter decides the other verdicts: it is
 written with the operators.
 
@@ -677,14 +682,18 @@ def eigen_real(m: Mat3) -> EigenResult:
     return EigenResult(matrix=m, roots=tuple(polished), moduli=moduli, gaps=gaps)
 
 
-# The gap filter.  For an int matrix g (times a power of two) of max |entry|
-# M and det d, normalize_det_one forms n = g / c of max |entry| N, with
-# N^3 = M^3 / |d|.  Let u = 2^-prec, m0 < m1 < m2 the moduli of n's roots l_i
-# (product 1, m2 <= 3N) and D = (1 - m0/m1)(1 - m1/m2): |l_i - l_j| >= m_i D.
+# The gap filter.  For an int matrix g times a positive scale (a power of two
+# for an mpf image, one over the common denominator for an exact one; only
+# is_singular reads it, below) of max |entry| M and det d, normalize_det_one
+# forms n = g / c of max |entry| N, with N^3 = M^3 / |d|.  Let u = 2^-prec,
+# m0 < m1 < m2 the moduli of n's roots l_i (product 1, m2 <= 3N) and
+# D = (1 - m0/m1)(1 - m1/m2): |l_i - l_j| >= m_i D.
 # - eigen_real's coefficients of p, and its values of p in the Newton steps,
 #   sum terms of at most 2^7.2 N^3 on |x| <= 4N, with at most 10 roundings
 #   each (an entry's own, the division by c, which scales n and moves no
 #   gap, the operations'): p moves by at most 2^11 u N^3 (Higham 2002, 3.1).
+#   An exact image's rationals, rounded to nearest by mat_to_mpf, take that
+#   first rounding, of relative size at most u, so they are covered too.
 # - By Rouche's theorem such a cubic keeps one root, real, within relative
 #   theta = 2^12 u N^3 / D of each l_i if theta <= D/4, and the last Newton
 #   step lands within 2 theta.  The discriminant errs by at most 2^14 u m2^6,

@@ -398,7 +398,8 @@ def test_scan_reports_do_not_depend_on_the_kept_plan(bits):
 def test_scan_tree_walk_images_match_evaluate(moduli, la):
     # at most one spectrum per class, solved on the image of the class's
     # first word in scan order, which is that word's ``evaluate`` bit for
-    # bit; at a float point only the classes the gap filter leaves open
+    # bit; at float and exact points alike only the classes the gap filter
+    # leaves open
     max_len = 8
     rep = rp.Representation(moduli, la)
     seen = []
@@ -415,10 +416,6 @@ def test_scan_tree_walk_images_match_evaluate(moduli, la):
         al._spectrum = spectrum
     words = class_representatives(max_len)
     assert len(words) == 7
-    if sc.mat_is_exact(rep.b):
-        # every class, except where the exact cubic fixes the least gap (at 1)
-        words = [w for w in words if al._exact_verdict(rp.evaluate(rep, w))[1] is None]
-        assert len(seen) == len(words)
     # a subsequence of the representatives' images, in scan order
     reps = iter(words)
     for g in seen:
@@ -481,18 +478,33 @@ def check_gap_filter(v, g):
 
 @given(
     tenths_moduli,
-    st.floats(-3, 3),
-    st.floats(-3, 3),
+    # (eps, delta) of a float point, or an exact point
+    st.one_of(
+        st.tuples(st.floats(-3, 3), st.floats(-3, 3)),
+        st.builds(
+            lambda u, v: Lambda(u=Fraction(u, 10), v=Fraction(v, 10)),
+            st.integers(1, 30),
+            st.integers(1, 30),
+        ),
+    ),
     st.sampled_from([53, 64, 128, 256]),
     st.sampled_from(scanned_words(10)),
 )
 # at 64 bits |det|/M^3 = 2.7e-15 here: without the conditioning requirement
 # the filter decides, and an mpf gap falls outside its widened bracket
-@example(BoxModuli(Fraction(-1, 2), Fraction(2, 5)), -1.5774, -1.3459, 64, GroupWord.from_string("RR I R I RR I R I R"))
+@example(BoxModuli(Fraction(-1, 2), Fraction(2, 5)), (-1.5774, -1.3459), 64, GroupWord.from_string("RR I R I RR I R I R"))
 @settings(max_examples=150, deadline=None)
-def test_gap_filter_agrees_with_the_mpf_spectrum(moduli, eps, delta, prec, w):
+def test_gap_filter_agrees_with_the_mpf_spectrum(moduli, point, prec, w):
     with mpmath.workprec(prec):
-        g = rp.evaluate(rp.Representation(moduli, lam(mpf(eps), mpf(delta))), w)
+        la = point if isinstance(point, Lambda) else lam(mpf(point[0]), mpf(point[1]))
+        g = rp.evaluate(rp.Representation(moduli, la), w)
+        if la.exact:
+            # the scan's cleared ints (where max|g| >= 1), against g rounded
+            # once per entry
+            n, cleared = rp._cleared(g)
+            if sc.mat_max_abs(cleared) >= n:
+                check_gap_filter(flat(cleared), sc.mat_to_mpf(g))
+            return
         # the scan's exact ints (where max|g| >= 1), and the limit chain's
         # rounded ones
         if sc.mat_max_abs(g) >= 1:

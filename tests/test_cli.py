@@ -18,7 +18,9 @@ from pappuslab import errors
 from pappuslab import modular as md
 from pappuslab import representation as rp
 from pappuslab import scalars as sc
+from pappuslab import variety as vy
 from pappuslab.boxes import BoxModuli, Lambda
+from test_golden import CASES as GOLDEN_CASES
 
 
 def run(capsys, *argv):
@@ -254,11 +256,23 @@ def test_scan_filters_each_class_once_and_solves_one_spectrum(monkeypatch, capsy
     # 72 scanned words, 7 classes of {w, w^-1} under even conjugation: the
     # gap filter decides all 7, and only the class of the least gap is
     # solved in mpf
-    filtered = counting_calls(monkeypatch, al, "_float_image_bounds")
+    filtered = counting_calls(monkeypatch, al, "_image_bounds")
     solved = counting_calls(monkeypatch, al, "_spectrum")
     assert cli.main(["certify", "--maxlen", "10", *DEFORMED]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["checks"]["loxodromy_scanned"] == 72
+    assert len(filtered) == 7
+    assert len(solved) == 1
+
+
+def test_scan_filters_exact_images_and_solves_one_spectrum(monkeypatch, capsys):
+    # an exact image's entries over their common denominator are an exact
+    # integer cubic too: the filter decides all 7 classes here, where each
+    # took an mpf solve before it read exact images
+    filtered = counting_calls(monkeypatch, al, "_image_bounds")
+    solved = counting_calls(monkeypatch, al, "_spectrum")
+    assert cli.main(["certify", "--maxlen", "10", *EXACT]) == 0
+    assert json.loads(capsys.readouterr().out)["checks"]["loxodromy_scanned"] == 72
     assert len(filtered) == 7
     assert len(solved) == 1
 
@@ -486,6 +500,53 @@ COMMANDS = {
     "limit": ["limit", "--depth", "1"],
     "variety": ["variety", "--grid", "1"],
 }
+
+
+# name -> argv on which the command raises a PappusLabError, and the library
+# function made to raise it where no argument does
+FAILING = {
+    "relations": (COMMANDS["relations"], (bx, "from_moduli")),
+    "iterate": (["iterate", "--zt=2", "--zb=1/3"], None),
+    "certify": (["certify", "--zt=2", "--zb=1/3"], None),
+    "curve": (["curve", "--zt=0", "--zb=0", "--eps=-0.05"], None),
+    "limit": (["limit", "--depth", "1", "--zt=2", "--zb=1/3"], None),
+    "variety": (COMMANDS["variety"], (vy, "jacobian_check_psi")),
+}
+
+
+def _raise_special_box(*args):
+    raise errors.SpecialBox("made to fail")
+
+
+@pytest.mark.parametrize(
+    "argv, failing",
+    [(list(argv), None) for argv, _ in GOLDEN_CASES.values()]
+    + [(argv, None) for argv in COMMANDS.values()]
+    + [(argv, name) for name, (argv, _) in FAILING.items()],
+    ids=["golden-" + name for name in GOLDEN_CASES]
+    + ["ok-" + name for name in COMMANDS]
+    + ["error-" + name for name in FAILING],
+)
+def test_main_stamps_every_report_and_maps_it_to_the_exit_code(
+    argv, failing, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.PRECISION_ENV, raising=False)
+    if failing:
+        if FAILING[failing][1]:
+            monkeypatch.setattr(*FAILING[failing][1], _raise_special_box)
+        # an error report goes to stdout, and no --out file is made
+        argv = argv + ["--out", "report.out"]
+    code, report = run_json(capsys, *argv)
+    assert list(report)[:2] == ["schema", "command"]
+    assert report["schema"] == cli.SCHEMA
+    assert report["command"] == next(a for a in argv if a in COMMANDS)
+    if failing:
+        assert code == 1 and "error" in report
+        assert not (tmp_path / "report.out").exists()
+    else:
+        assert "error" not in report
+        assert code == (0 if report.get("pass", True) else 1)
 
 
 @pytest.mark.parametrize("where", ["missing/out.txt", "."])

@@ -324,13 +324,14 @@ def test_distortion_matches_reference_squares(name):
 @pytest.mark.parametrize("power", [-530, 530])
 def test_distortion_bit_equal_under_power_of_two_scaling(power):
     # the outer basis is scaled directly, so the power of two reaches the
-    # transition matrix with either sign (coordinates scaled down would
-    # first trip the scale-dependent singularity test of frame_matrix)
+    # transition matrix with either sign; scaled coordinates round to the
+    # same coprime ints, so that quad has the original vertices and basis
     inner, outer = _reference_cases()["scaled_0"]
     s = mpf(2) ** power
-    outers = [ConvexQuad(outer.vertices, basis=sc.mat_scale(sc.mat_to_mpf(outer.basis), s))]
-    if power > 0:
-        outers.append(_scaled(outer, s))
+    outers = [
+        ConvexQuad(outer.vertices, basis=sc.mat_scale(sc.mat_to_mpf(outer.basis), s)),
+        _scaled(outer, s),
+    ]
     for shape in SHAPES:
         c = hb.distortion_estimate(inner, outer, *shape)
         for scaled in outers:
