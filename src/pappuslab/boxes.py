@@ -67,10 +67,11 @@ class Lambda:
     normal-form coordinates, of unit determinant as cosh^2 - sinh^2 = 1;
     in exact mode, its coprime integral positive multiple.  Every reader
     of sigma is projective, and integral entries keep products small.
+    ``frame_sigma`` is sigma in the standard frame's coordinates.
     """
 
     __slots__ = ("epsilon", "delta", "u", "v", "prec", "cosh_eps", "sinh_eps",
-                 "exp_delta", "exp_minus_delta", "sigma")
+                 "exp_delta", "exp_minus_delta", "sigma", "_frame_sigma")
 
     def __init__(self, epsilon=None, delta=None, u=None, v=None):
         if u is not None or v is not None:
@@ -93,6 +94,19 @@ class Lambda:
             self.exp_delta, self.exp_minus_delta = mpmath.exp(delta), mpmath.exp(-delta)
         sigma = ((1, 0, 0), (0, self.exp_minus_delta * ch, -sh), (0, -sh, self.exp_delta * ch))
         self.sigma = sc.mat_exact_reduce(sigma) if self.exact else sigma
+        self._frame_sigma = None
+
+    @property
+    def frame_sigma(self) -> tuple:
+        """K = adj(F0) sigma F0, for the standard frame F0 =
+        ``STANDARD_FRAME``: the deformation in the coordinates where the
+        corners p, q, r are e1, e2, e3 and s is e1 + e2 + e3, up to the
+        positive scale det F0^2 (an exact K is reduced further).  Formed
+        on first use, as most Lambdas (``variety``'s) deform no box."""
+        if self._frame_sigma is None:
+            k = sc.mat_mul(sc.mat_mul(sc.adjugate(STANDARD_FRAME), self.sigma), STANDARD_FRAME)
+            self._frame_sigma = sc.mat_exact_reduce(k) if self.exact else k
+        return self._frame_sigma
 
     @property
     def exact(self) -> bool:
@@ -181,13 +195,17 @@ class OvermarkedBox:
         (1 +- zt)(1 +- zb) != 0, as in ``BoxModuli``.
 
         - ``from_moduli``: the lines meet at [1:0:0], off all six points.
-        - ``tau1``/``tau2``: with a = 1 - zt zb, QR = [a : 1-zb : 1-zt],
-          PS = [a : -1-zb : -1-zt] and (pr)(qs) = [0:1:1] are distinct
-          and lie on the line [zb-zt : a : -a] (Pappus).  It meets z = 0
-          at [-a : zb-zt : 0], which is p, q or t only if (1+zt)(1-zb),
-          (1-zt)(1+zb) or zt^2 - 1 vanishes, and y = 0 at
-          [-a : 0 : zt-zb], likewise for r, s, b.  The new points have
-          z = 1-zt, -1-zt, 1 and y = 1-zb, -1-zb, 1, so miss both meets.
+        - ``pappus_children`` (``tau1``, ``tau2``): with a = 1 - zt zb,
+          QR = [a : 1-zb : 1-zt], PS = [a : -1-zb : -1-zt] and
+          (pr)(qs) = [0:1:1] are distinct and lie on the line
+          [zb-zt : a : -a] (Pappus).  It meets z = 0 at [-a : zb-zt : 0],
+          which is p, q or t only if (1+zt)(1-zb), (1-zt)(1+zb) or
+          zt^2 - 1 vanishes, and y = 0 at [-a : 0 : zt-zb], likewise for
+          r, s, b.  The new points have z = 1-zt, -1-zt, 1 and
+          y = 1-zb, -1-zb, 1, so miss both meets.
+        - ``transform_sigma``: the image under the invertible map
+          F K adj(F) of its docstring, each point formed from the box's
+          frame F as a positive multiple of what ``apply_matrix`` forms.
         - ``apply_symmetry_to_box``: a duality sends the lines P, Q, T
           through t (R, S, B through b) to distinct points on one line,
           and tb, which is none of the six lines, to the lines' meet.
@@ -196,7 +214,7 @@ class OvermarkedBox:
         incidences hold only to the rounding, so ``OvermarkedBox(...)``
         usually rejects it; its readers need only distinct corners in
         general position.  A box degenerate to working precision fails
-        ``theta_basis`` where it is used.
+        where its frame is built (``theta_basis``, ``transform_sigma``).
         """
         box = object.__new__(cls)
         for name, point in zip(("p", "q", "r", "s", "t", "b"), (p, q, r, s, t, b)):
@@ -343,16 +361,24 @@ def _pappus_points(box: OvermarkedBox):
     return qr, ps, mid
 
 
+def pappus_children(box: OvermarkedBox) -> tuple:
+    """(tau1(box), tau2(box)), from one construction of the Pappus points:
+    (p, q, QR, PS; t, (pr)(qs)) and (QR, PS, s, r; (pr)(qs), b)."""
+    qr, ps, mid = _pappus_points(box)
+    return (
+        OvermarkedBox._trusted(box.p, box.q, qr, ps, box.t, mid),
+        OvermarkedBox._trusted(qr, ps, box.s, box.r, mid, box.b),
+    )
+
+
 def tau1(box: OvermarkedBox) -> OvermarkedBox:
     """First Pappus child: (p, q, QR, PS; t, (pr)(qs))."""
-    qr, ps, mid = _pappus_points(box)
-    return OvermarkedBox._trusted(box.p, box.q, qr, ps, box.t, mid)
+    return pappus_children(box)[0]
 
 
 def tau2(box: OvermarkedBox) -> OvermarkedBox:
     """Second Pappus child: (QR, PS, s, r; (pr)(qs), b)."""
-    qr, ps, mid = _pappus_points(box)
-    return OvermarkedBox._trusted(qr, ps, box.s, box.r, mid, box.b)
+    return pappus_children(box)[1]
 
 
 def apply_matrix(box: OvermarkedBox, m: tuple) -> OvermarkedBox:
@@ -386,15 +412,44 @@ def apply_symmetry_to_box(g: pj.ProjSymmetry, box: OvermarkedBox) -> OvermarkedB
 
 
 def transform_sigma(box: OvermarkedBox, lam: Lambda) -> OvermarkedBox:
-    """The deformation, applied in the box's own adapted basis."""
+    """The deformation, applied in the box's own adapted basis.
+
+    That is the map adj(g) sigma g, for the adapted basis g =
+    ``theta_basis(box)``, on all six points.  It is formed here on the
+    box's frame F = ``frame_matrix(p, q, r, s)``, with columns k0 p, k1 q,
+    k2 r and F (1, 1, 1) = k s for some k > 0.  g is c F0 adj(F) with
+    c > 0 (``frame_change`` divides by a positive gcd), and
+    adj(adj F) = det(F) F, so
+
+        adj(g) sigma g = c^3 det(F) F K adj(F),   K = adj(F0) sigma F0,
+
+    with K = ``lam.frame_sigma``.  So each point x goes to a positive
+    multiple of sign(det F) F K adj(F) x, and adj(F) F = det(F) I gives
+
+    - p = F e1 / k0 goes to |det F| / k0 times F K e1: p' is sign(k0)
+      times column 1 of F K, and likewise q' and r';
+    - s = F (1, 1, 1) / k goes to |det F| / k times F K (1, 1, 1): s' is
+      the row sums of F K;
+    - t' is sign(det F) F K (adj(F) t), and b' likewise.
+
+    An exact K (and the reduced sigma) is a positive multiple too, so the
+    coprime coordinates are those of adj(g) sigma g x, signs included.
+    The image of a valid box under the invertible F K adj(F) is valid, as
+    for ``apply_matrix``; DegenerateBox where the corners admit no frame.
+    """
     if lam.is_zero:
         return box
-    g = theta_basis(box)
-    # the adjugate is the inverse up to the (nonzero) determinant, and an
-    # exact lam.sigma is sigma up to a positive scale; both scales are
-    # invisible projectively and keep exact entries integral
-    m = sc.mat_mul(sc.mat_mul(sc.adjugate(g), lam.sigma), g)
-    return apply_matrix(box, sc.mat_exact_reduce(m) if lam.exact else m)
+    try:
+        f, k, det_sign = pj.frame(box.p, box.q, box.r, box.s)
+    except PappusLabError as exc:
+        raise DegenerateBox("box corners admit no adapted basis") from exc
+    fk = sc.mat_mul(f, lam.frame_sigma)
+    signed_adj = sc.adjugate(f) if det_sign > 0 else sc.mat_scale(sc.adjugate(f), -1)
+    return OvermarkedBox._trusted(
+        *[Point(col if ki > 0 else (-col[0], -col[1], -col[2])) for col, ki in zip(sc.mat_transpose(fk), k)],
+        Point(tuple([row[0] + row[1] + row[2] for row in fk])),
+        *[Point(sc.mat_vec(fk, sc.mat_vec(signed_adj, x.coords))) for x in (box.t, box.b)],
+    )
 
 
 def i_lambda(box: OvermarkedBox, lam: Lambda) -> OvermarkedBox:
@@ -403,10 +458,6 @@ def i_lambda(box: OvermarkedBox, lam: Lambda) -> OvermarkedBox:
 
 def tau1_lambda(box: OvermarkedBox, lam: Lambda) -> OvermarkedBox:
     return transform_sigma(tau1(box), lam)
-
-
-def tau2_lambda(box: OvermarkedBox, lam: Lambda) -> OvermarkedBox:
-    return transform_sigma(tau2(box), lam)
 
 
 # ---------------------------------------------------------------------------

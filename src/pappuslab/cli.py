@@ -166,33 +166,34 @@ def _relation_suite(box, lam, mutate=False):
     def op_i(b):
         return bx.i_lambda(b, lam)
 
-    def op_t1(b):
-        return bx.tau1_lambda(b, lam)
-
-    def op_t2(b):
-        return bx.tau1_lambda(b, lam) if mutate else bx.tau2_lambda(b, lam)
+    def op_t12(b):
+        # (t1 b, t2 b), both children from one Pappus construction
+        c1, c2 = bx.pappus_children(b)
+        d1 = bx.transform_sigma(c1, lam)
+        return d1, d1 if mutate else bx.transform_sigma(c2, lam)
 
     eq = bx.marked_equal
-    # shared subexpressions (each box operation is exact but costly)
+    # shared subexpressions (each box operation is exact but costly): the
+    # seven t-steps act on four boxes
     i_box = op_i(box)
-    t1_box = op_t1(box)
-    t2_box = op_t2(box)
+    t1_box, t2_box = op_t12(box)
     i_t1 = op_i(t1_box)
     i_t2 = op_i(t2_box)
-    t1_i_t1 = op_t1(i_t1)
+    t1_i_t1, t2_i_t1 = op_t12(i_t1)
+    t1_i_t2, t2_i_t2 = op_t12(i_t2)
     failures = []
     if not eq(op_i(i_box), box):
         failures.append("i i = 1")
-    if not eq(op_t1(i_t2), i_box):
+    if not eq(t1_i_t2, i_box):
         failures.append("t1 i t2 = i")
-    if not eq(op_t2(i_t1), i_box):
+    if not eq(t2_i_t1, i_box):
         failures.append("t2 i t1 = i")
     if not eq(t1_i_t1, t2_box):
         failures.append("t1 i t1 = t2")
-    if not eq(op_t2(i_t2), t1_box):
+    if not eq(t2_i_t2, t1_box):
         failures.append("t2 i t2 = t1")
     # (i t1)^3 applied to the box: continue from i t1 (i t1 (box))
-    cube = op_i(op_t1(op_i(t1_i_t1)))
+    cube = op_i(bx.tau1_lambda(op_i(t1_i_t1), lam))
     if not eq(cube, box):
         failures.append("(i t1)^3 = 1")
     return failures
@@ -256,8 +257,7 @@ def cmd_iterate(args) -> dict:
     for _ in range(args.depth):
         level = []
         for parent in levels[-1]:
-            level.append(bx.tau1_lambda(parent, lam))
-            level.append(bx.tau2_lambda(parent, lam))
+            level.extend(bx.transform_sigma(child, lam) for child in bx.pappus_children(parent))
         levels.append(level)
     polygons = []
     count = 0

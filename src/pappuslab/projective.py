@@ -162,13 +162,10 @@ def proj_equal_mat(a, b) -> bool:
     return flat_a == flat_b or flat_a == tuple(-x for x in flat_b)
 
 
-def frame_matrix(a: Point, b: Point, c: Point, d: Point) -> tuple:
-    """Matrix sending e1, e2, e3, e1+e2+e3 to the four given points.
-
-    The four points must be in general position (no three collinear);
-    this is the standard projective frame construction.  The matrix is
-    integral, a positive multiple of the one a rational solve would give.
-    """
+def frame(a: Point, b: Point, c: Point, d: Point) -> tuple:
+    """(F, k, sign): the ``frame_matrix`` F of the four points, the
+    coprime ints k with columns k0 a, k1 b, k2 c of F, and the sign of
+    det F = k0 k1 k2 det(a, b, c)."""
     cols = sc.mat_transpose((a.coords, b.coords, c.coords))
     # adj(cols) d = det(cols) cols^-1 d; the sign of det keeps the scale
     # positive
@@ -179,13 +176,24 @@ def frame_matrix(a: Point, b: Point, c: Point, d: Point) -> tuple:
     coeffs = sc.vec_exact_reduce(coeffs if det > 0 else sc.vec_scale(coeffs, -1))
     if any(x == 0 for x in coeffs):
         raise PappusLabError("frame points are not in general position")
-    return sc.mat_transpose(
+    matrix = sc.mat_transpose(
         (
             sc.vec_scale(a.coords, coeffs[0]),
             sc.vec_scale(b.coords, coeffs[1]),
             sc.vec_scale(c.coords, coeffs[2]),
         )
     )
+    return matrix, coeffs, 1 if (coeffs[0] * coeffs[1] * coeffs[2] > 0) == (det > 0) else -1
+
+
+def frame_matrix(a: Point, b: Point, c: Point, d: Point) -> tuple:
+    """Matrix sending e1, e2, e3, e1+e2+e3 to the four given points.
+
+    The four points must be in general position (no three collinear);
+    this is the standard projective frame construction.  The matrix is
+    integral, a positive multiple of the one a rational solve would give.
+    """
+    return frame(a, b, c, d)[0]
 
 
 def frame_change(f_src: tuple, f_dst: tuple) -> tuple:

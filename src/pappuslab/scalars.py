@@ -50,7 +50,7 @@ forms a product exactly and rounds it once, to ``mp.prec`` +
 ``SCALED_GUARD_BITS`` bits of its largest entry; ``scaled_to_mat``
 converts back to mpf, one rounding per entry.  The chain's stopping
 test converts nothing: it decides on the exact ints of the corner
-images (``anosov_lab._below``).  The products are bounded, not
+images (``anosov_lab._stop_pairs``).  The products are bounded, not
 bit-identical to mpf's operators: a chain of 60 products stays within
 2^-prec, normwise and projectively, of the exact chain of the same
 converted factors (measured at most 0.00025 units of 2^-prec at 53 to

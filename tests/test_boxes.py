@@ -185,7 +185,7 @@ def test_relations_deformed(seed):
         return bx.tau1_lambda(b, lam)
 
     def t2l(b):
-        return bx.tau2_lambda(b, lam)
+        return bx.transform_sigma(bx.tau2(b), lam)
 
     eq = bx.marked_equal
     assert eq(il(il(box)), box)
@@ -367,7 +367,7 @@ def test_strict_nesting_deformed():
     box = bx.from_moduli(bx.BoxModuli(Fraction(1, 2), Fraction(1, 3)))
     lam = bx.Lambda(u=Fraction(8, 10), v=Fraction(1, 1))  # eps < 0, interior of R
     assert bx.in_region(lam, strict=True)
-    for child in (bx.tau1_lambda(box, lam), bx.tau2_lambda(box, lam)):
+    for child in (bx.transform_sigma(c, lam) for c in bx.pappus_children(box)):
         assert all(inside(box, v) for v in child.points[:4])
 
 

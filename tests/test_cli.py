@@ -902,6 +902,7 @@ READ_ONLY_BY_MODULE_TESTS = (
     "apply_symmetry",  # projective: the flag action, tested with ProjSymmetry.compose
     "SPECIAL_BOX",  # boxes: the moduli (0, 0) box, a fixture of the module tests
     "T2_WORD",  # modular: the second click generator, beside T1_WORD
+    "tau2",  # boxes: the second Pappus child, beside tau1 (the package takes both from pappus_children)
 )
 
 

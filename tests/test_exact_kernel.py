@@ -14,7 +14,7 @@ from pappuslab import boxes as bx
 from pappuslab import cli
 from pappuslab import projective as pj
 from pappuslab import scalars as sc
-from pappuslab.errors import DegenerateConfiguration, PappusLabError
+from pappuslab.errors import DegenerateBox, DegenerateConfiguration, PappusLabError
 from pappuslab.projective import Point
 
 # ---------------------------------------------------------------------------
@@ -176,19 +176,95 @@ def test_standard_frame_is_the_rational_one():
     assert bx.STANDARD_FRAME == ref_frame_matrix(*bx.STANDARD_CORNERS)
 
 
+def ref_float_transform_sigma(box, lam):
+    """The float deformation before it was formed on the box's frame."""
+    g = bx.theta_basis(box)
+    return bx.apply_matrix(box, sc.mat_mul(sc.mat_mul(sc.adjugate(g), lam.sigma), g))
+
+
+def frobenius(m):
+    return math.sqrt(sum(float(x) ** 2 for row in m for x in row))
+
+
+def vec_norm(v):
+    return math.sqrt(sum(float(x) ** 2 for x in v))
+
+
+# Both float deformations read the same mpf sigma, and round different
+# products: F K and F K (adj(F) x), with K = adj(F0) sigma F0 rounded too,
+# against m = adj(g) sigma g and m x.  To first order, with u = 2^-P and
+# |.| entrywise, the first is within 12 u |F| |adj F0| |sigma| |F0| |adj F| |x|
+# of the exact image F K adj(F) x (6 u for K, 3 u for F K, 3 u for the
+# product with the exact ints adj(F) x), and the second within 9 u of the
+# same bound, as g and adj(g) are positive multiples of F0 adj(F) and
+# det(F) F adj(F0).  So the images' projective distance is at most 21 units
+# of 2^-P times kappa, the Frobenius norms' bound over |F K adj(F) x|; 24
+# leave room for the second order and the rounding of each point to
+# P + 16 bits.  Measured at most 0.18 over 4000 draws of these strategies.
+SIGMA_ORACLE_UNITS = 24
+
+
+@given(exact_boxes(), st.tuples(st.floats(-3, 3), st.floats(-3, 3)), st.sampled_from([53, 64, 128, 256]))
+@settings(max_examples=80, deadline=None)
+def test_float_transform_sigma_matches_the_formula_it_replaced(box, eps_delta, bits):
+    with mpmath.workprec(bits):
+        lam = bx.Lambda(epsilon=eps_delta[0], delta=eps_delta[1])
+        got, ref = bx.transform_sigma(box, lam), ref_float_transform_sigma(box, lam)
+        sigma_norm = frobenius(sc.adjugate(bx.STANDARD_FRAME)) * frobenius(lam.sigma) * frobenius(bx.STANDARD_FRAME)
+    f = pj.frame_matrix(box.p, box.q, box.r, box.s)
+    with mpmath.workprec(4 * bits):
+        exact_map = sc.mat_mul(sc.mat_mul(f, lam.frame_sigma), sc.adjugate(f))
+    for x, a, b in zip(box.points, got.points, ref.points, strict=True):
+        kappa = frobenius(f) * sigma_norm * frobenius(sc.adjugate(f)) * vec_norm(x.coords)
+        kappa /= vec_norm(sc.mat_vec(exact_map, x.coords))
+        c = sc.cross(a.coords, b.coords)
+        # |a x b| / (|a| |b|) in units of 2^-P, formed exactly before the root
+        distance = math.sqrt(Fraction(sc.dot(c, c) * 4**bits, sc.dot(a.coords, a.coords) * sc.dot(b.coords, b.coords)))
+        assert distance <= SIGMA_ORACLE_UNITS * kappa
+
+
+@given(exact_boxes())
+@settings(max_examples=40, deadline=None)
+def test_pappus_children_are_tau1_and_tau2(box):
+    children = tuple(coords(child) for child in bx.pappus_children(box))
+    assert children == (coords(bx.tau1(box)), coords(bx.tau2(box)))
+    # the children's slots: (p, q, QR, PS; t, (pr)(qs)) and (QR, PS, s, r; (pr)(qs), b)
+    qr, ps, mid = (x.coords for x in bx._pappus_points(box))
+    p, q, r, s, t, b = coords(box)
+    assert children == ((p, q, qr, ps, t, mid), (qr, ps, s, r, mid, b))
+
+
+# corners with no frame: p, q, r collinear, and q, r, s collinear
+FRAMELESS = [
+    ((-1, 1, 0), (1, 1, 0), (0, 1, 0), (-1, 0, 1)),
+    ((-1, 1, 0), (1, 1, 0), (1, 0, 1), (1, 2, -1)),
+]
+
+
+@pytest.mark.parametrize("corners", FRAMELESS)
+@pytest.mark.parametrize(
+    "lam", [bx.Lambda(u=Fraction(3, 2), v=Fraction(4, 5)), bx.Lambda(epsilon=-0.2, delta=0.1)], ids=["exact", "float"]
+)
+def test_transform_sigma_of_frameless_corners_raises(corners, lam):
+    box = bx.OvermarkedBox._trusted(*(Point(c) for c in corners), Point((0, 1, 1)), Point((2, 0, 1)))
+    with pytest.raises(DegenerateBox):
+        bx.transform_sigma(box, lam)
+
+
 # ---------------------------------------------------------------------------
 # boxes built without validation
 
 
 def record_boxes(monkeypatch, names):
-    """The boxes each named ``boxes`` function returns, by name."""
+    """The boxes each named ``boxes`` function returns, by name; both of
+    ``pappus_children``'s."""
     produced = {name: [] for name in names}
 
     def recording(name, func):
         def wrapper(*args):
-            box = func(*args)
-            produced[name].append(box)
-            return box
+            result = func(*args)
+            produced[name].extend(result if isinstance(result, tuple) else (result,))
+            return result
 
         return wrapper
 
@@ -218,11 +294,14 @@ def assert_publicly_valid(produced):
 # image m x is rounded at P bits, then to P + 16 bits, and the Pappus
 # children of a rounded box inherit its residuals, scaled by the box's
 # shape.  Over the float runs below at 53 to 256 bits, |det(p, q, t)| /
-# (|p| |q| |t|) and its bottom twin reach 0.98 units of 2^-P (iterate, 128
-# bits; certify 0.70), and 1.17 at another certify point (moduli
-# (-7/10, 1/2), eps -0.09, 53 bits); 4 units leave room.  Deeper iterates
-# compound further (13.3 units at depth 7, 256 bits), so the bound is for
-# these runs only.
+# (|p| |q| |t|) and its bottom twin reach 1.28 units of 2^-P (iterate at
+# depth 9, 256 bits; 1.11 at depth 4; certify 0.70), and 1.17 at another
+# certify point (moduli (-7/10, 1/2), eps -0.09, 53 bits); 4 units leave
+# room.  A deformed box's six points come from one rounded matrix F K
+# (its columns and row sums, and its products with exact ints; see
+# ``boxes.transform_sigma``), so the residual does not grow with the
+# depth, as it did, about 2.5-fold per level, when each point was
+# multiplied by a rounded adj(g) sigma g: the depth-9 run holds it.
 ROUNDED_INCIDENCE_UNITS = 4
 
 
@@ -246,7 +325,8 @@ SINGULAR = [
     ((1, 2, 3), (2, 4, 6), (0, 0, 1)),
     ((1, 0, 0), (0, 0, 0), (0, 0, 1)),
 ]
-UNVALIDATED = ("from_moduli", "tau1", "tau2", "transform_i", "transform_j", "transform_sigma", "apply_matrix")
+# every function of ``boxes`` that builds the boxes of a relations run
+UNVALIDATED = ("from_moduli", "pappus_children", "transform_i", "transform_j", "transform_sigma", "apply_matrix")
 
 
 def test_unvalidated_boxes_of_a_relation_run_are_valid(monkeypatch, capsys):
@@ -257,16 +337,21 @@ def test_unvalidated_boxes_of_a_relation_run_are_valid(monkeypatch, capsys):
     assert_publicly_valid(produced)
 
 
+# every function of ``boxes`` that builds the run's boxes, and the one
+# whose images are rounded float points
 @pytest.mark.parametrize(
-    "argv, names",
+    "argv, names, rounded",
     [
         (["certify", "--maxlen", "4", "--zt=3/10", "--zb=-2/10", "--eps=-0.15", "--delta=0.01"],
-         ("from_moduli", "apply_matrix")),
-        (["iterate", "--eps=-0.1", "--depth", "4"], ("from_moduli", "tau1", "tau2", "transform_sigma", "apply_matrix")),
+         ("from_moduli", "apply_matrix"), "apply_matrix"),
+        (["iterate", "--eps=-0.1", "--depth", "4"], ("from_moduli", "pappus_children", "transform_sigma"),
+         "transform_sigma"),
+        (["iterate", "--eps=-0.1", "--delta=0.02", "--zt=3/10", "--zb=-2/10", "--depth", "9"],
+         ("pappus_children", "transform_sigma"), "transform_sigma"),
     ],
-    ids=["certify", "iterate"],
+    ids=["certify", "iterate", "iterate_depth9"],
 )
-def test_unvalidated_boxes_of_a_float_run_are_valid(argv, names, tmp_path, monkeypatch, capsys):
+def test_unvalidated_boxes_of_a_float_run_are_valid(argv, names, rounded, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     produced = record_boxes(monkeypatch, names)
     for bits in (53, 64, 128, 256):
@@ -275,7 +360,7 @@ def test_unvalidated_boxes_of_a_float_run_are_valid(argv, names, tmp_path, monke
         assert cli.main(["--precision", str(bits), *argv]) == 0
         capsys.readouterr()
         # the float map's images are rounded: the exact validation rejects some
-        assert any(not publicly_valid(box) for box in produced["apply_matrix"])
+        assert any(not publicly_valid(box) for box in produced[rounded])
         for name, boxes in produced.items():
             assert boxes, name
             for box in boxes:
