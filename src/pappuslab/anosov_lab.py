@@ -23,7 +23,6 @@ import mpmath
 from mpmath import mpf
 from mpmath.libmp import from_rational, mpf_sqrt
 
-from . import boxes as bx
 from . import hilbert as hb
 from . import modular as md
 from . import representation as rp
@@ -45,23 +44,24 @@ from .modular import GroupWord, W_STEPS
 def constant_C(rep: rp.Representation, resolution: int = 16, directions: int = 8):
     """Sampled minimal distortion gained by crossing two edges.
 
-    Minimum over the four step words of the sampled distortion of the
-    step-word box image inside the base box.  A sample minimum can only
-    over-estimate the true constant, and it falls as the grid is
-    refined.  Raises NotNested when the nesting fails (deformation
-    outside the admissible region).  Only the base box is tested for
-    convexity: a projective image keeps the moduli (to the rounding of its
-    points at a float point), so an image quad takes ``bx.theta_basis``.
+    Minimum over the four step words w of the sampled distortion of the
+    base box's image under S_w = ``rep.step_images[w]`` inside the base box.
+    A sample minimum can only over-estimate the true constant, and it falls
+    as the grid is refined.  Raises NotNested when the nesting fails
+    (deformation outside the admissible region).  The chart transition is
+    S_w itself: the base box is the normal form, of adapted basis Id, and
+    the image's is S_w^-1 up to scale.  So each step tests its corner images
+    (column sums of S_w) for nesting, and sweeps S_w pruned by the least
+    ratio of the steps before it (``hilbert.distortion_minimum``).
     """
-    box = bx.from_moduli(rep.moduli)
-    outer = hb.convex_interior(box)
-    best = None
+    if not rep.moduli.is_convex:
+        raise NotConvex("interior is only defined for convex boxes")
+    best = math.inf
     for w in W_STEPS:
-        image = bx.apply_matrix(box, rep.step_images[w])
-        inner = hb.ConvexQuad((image.p, image.q, image.r, image.s), basis=bx.theta_basis(image))
-        c = hb.distortion_estimate(inner, outer, resolution=resolution, directions=directions)
-        best = c if best is None else min(best, c)
-    return best
+        g = rep.step_images[w]
+        hb.require_nested(_corner_images([x for row in g for x in row]))
+        best = hb.distortion_minimum(g, resolution, directions, best)
+    return mpf(best)
 
 
 # ---------------------------------------------------------------------------
@@ -116,17 +116,21 @@ def _square_bound(tol: mpf) -> tuple:
     return tol.man**2, max(-2 * tol.exp, 0), max(2 * tol.exp, 0)
 
 
-def _chart_pairs(g: tuple) -> list:
-    """Ints (N, D) per pair of base corner images (x, y, z) under g (nine ints),
-    whose squared chart distance is N / D: with u = y - z and w = y + z (own
-    scales cancel), N = (x_i w_j - x_j w_i)^2 + (u_i w_j - u_j w_i)^2, D = (w_i w_j)^2.
-    The corners are ``bx.STANDARD_CORNERS``, p = (-1, 1, 0), q = (1, 1, 0),
-    r = (1, 0, 1), s = (-1, 0, 1), so the images are sums and differences of
-    g's columns: g p = c1 - c0, g q = c0 + c1, g r = c0 + c2, g s = c2 - c0."""
+def _corner_images(g: tuple) -> tuple:
+    """Images (x, y, z) of the corners ``boxes.STANDARD_CORNERS`` under g (nine
+    entries), p = (-1, 1, 0), q = (1, 1, 0), r = (1, 0, 1), s = (-1, 0, 1): sums
+    of g's columns, g p = c1 - c0, g q = c0 + c1, g r = c0 + c2, g s = c2 - c0."""
     g0, g1, g2, g3, g4, g5, g6, g7, g8 = g
+    return ((g1 - g0, g4 - g3, g7 - g6), (g0 + g1, g3 + g4, g6 + g7),
+            (g0 + g2, g3 + g5, g6 + g8), (g2 - g0, g5 - g3, g8 - g6))
+
+
+def _chart_pairs(g: tuple) -> list:
+    """Ints (N, D) per pair of ``_corner_images`` (x, y, z) of g (nine ints),
+    whose squared chart distance is N / D: with u = y - z and w = y + z (own
+    scales cancel), N = (x_i w_j - x_j w_i)^2 + (u_i w_j - u_j w_i)^2, D = (w_i w_j)^2."""
     images = []
-    for x, y, z in ((g1 - g0, g4 - g3, g7 - g6), (g0 + g1, g3 + g4, g6 + g7),
-                    (g0 + g2, g3 + g5, g6 + g8), (g2 - g0, g5 - g3, g8 - g6)):
+    for x, y, z in _corner_images(g):
         if y + z == 0:
             raise DegenerateConfiguration("point at infinity of the chart")
         images.append((x, y - z, y + z))

@@ -28,7 +28,7 @@ class ConvexQuad:
     vertices must be in cyclic order; the integral basis matrix maps them
     to the box normal-form corners, so that ``boxes.chart_coords`` sends
     them to (-1,1), (1,1), (1,-1), (-1,-1).  A caller that holds that
-    basis already (``convex_interior``, ``constant_C``) passes it unchecked.
+    basis already (``convex_interior``) passes it unchecked.
     """
 
     vertices: tuple
@@ -117,9 +117,9 @@ def hilbert_distance(domain: ConvexQuad, x: Point, y: Point):
 
 @cache
 def _sampling(resolution: int, directions: int) -> tuple:
-    """Grid points (row by row), direction fan and the unit-square norm
-    at each (direction, point) of one sampling shape.  The ticks are
-    those of ``np.linspace``: ``i*step + start``, the last one ``stop``."""
+    """Grid points (row by row), direction fan, and per point the fan's
+    unit-square norms and their least.  The ticks are those of
+    ``np.linspace``: ``i*step + start``, the last one ``stop``."""
     if resolution < 1 or directions < 1:
         raise ValueError("resolution and directions must be positive")
     start, stop = -1 + 1.0 / resolution, 1 - 1.0 / resolution
@@ -128,13 +128,23 @@ def _sampling(resolution: int, directions: int) -> tuple:
     points = tuple((px, py) for py in ticks for px in ticks)
     angles = [k * math.pi / directions for k in range(directions)]
     fan = tuple((math.cos(a), math.sin(a)) for a in angles)
-    hits = [[_square_hit_times(p, d) for p in points] for d in fan]
-    return points, fan, tuple(tuple((1 / tm + 1 / tp) / 2 for tm, tp in row) for row in hits)
+    norms = tuple(tuple((1 / tm + 1 / tp) / 2 for tm, tp in (_square_hit_times(p, d) for d in fan)) for p in points)
+    return points, fan, norms, tuple(map(min, norms))
 
 
 def _over_zero(x: float) -> float:
     """x / +0.0 in IEEE arithmetic."""
     return math.nan if x != x or x == 0 else math.copysign(math.inf, x)
+
+
+def require_nested(vectors) -> None:
+    """NotNested unless the chart point of each homogeneous vector lies in
+    the closed unit square, to a slack of sqrt(``sc.float_epsilon()``)."""
+    slack = 1 + mpmath.sqrt(sc.float_epsilon())
+    for v in vectors:
+        cx, cy = (sc.to_mpf(c) for c in _chart_of(v))
+        if abs(cx) > slack or abs(cy) > slack:
+            raise NotNested("inner quad closure must sit inside the outer quad")
 
 
 def distortion_estimate(inner: ConvexQuad, outer: ConvexQuad, resolution: int, directions: int):
@@ -148,47 +158,89 @@ def distortion_estimate(inner: ConvexQuad, outer: ConvexQuad, resolution: int, d
     outer quad (corners may touch the boundary; the sampled grid itself
     must stay strictly interior).
     """
-    slack = 1 + mpmath.sqrt(sc.float_epsilon())
-    for v in inner.vertices:
-        cx, cy = (sc.to_mpf(c) for c in outer.chart(v))
-        if abs(cx) > slack or abs(cy) > slack:
-            raise NotNested("inner quad closure must sit inside the outer quad")
-    points, fan, inner_norms = _sampling(resolution, directions)
-
+    require_nested(sc.mat_vec(outer.basis, v.coords) for v in inner.vertices)
     # transition from inner chart to outer chart: affine in homogeneous form
     m = sc.mat_mul(sc.mat_to_mpf(outer.basis), sc.mat_inverse(sc.mat_to_mpf(inner.basis)))
-    # scaled by a power of two to max |entry| in [1/2, 1), which commutes
-    # with every float64 step below, so the scale of the quads' coordinates
-    # cannot overflow or underflow them
+    return mpf(distortion_minimum(m, resolution, directions))
+
+
+# The pruning bound.  A point's sweep reads the doubles h0, h12, w, ww =
+# fl(w w) and its side distances.  A direction's outer norm is
+# fl((fl(1/tm) + fl(1/tp)) / 2), each exit time the least over the axes of
+# fl(d / |fl(n / ww)|), for d a side distance and n = fl(fl(dh w) - fl(h dw)).
+# That is monotone in |n| and d, so from a double N >= |n| over the fan and
+# the nearer side's d = fl(1 - |q|), the same operations give t below every
+# exit time and V = fl(1 / t) above every outer norm: each ratio fl(ni / no)
+# is at least the point's key fl(least / V).
+#
+# N, with u = 2^-53.  The fan's directions have norm at most 1 + 2u, and the
+# scaled a, b lie in [-1, 1].  Exactly, n = J . (dx, dy) for the Jacobian row
+# J = (a0 w - h0 (a1 + a2), b0 w - h0 (b1 + b2)) in x, and with a1 - a2,
+# b1 - b2 and h = h12 in y.  The sweep's dh0 is within 4.02u of a0 dx + b0 dy,
+# its dw and dh12 within 12.1u (Higham 2002, 3.1), so its n is within
+# 20.3u (|w| + |h|) of J . (dx, dy).  The row formed here is within
+# 6.1u (|w| + |h|) of J per entry, so its hypot R (to one ulp) gives
+# |n| <= R (1 + 4.1u) + 29.1u (|w| + |h|).  A swept point has |q| < 1, so
+# |h| < |w| (1 + u), and N = R (1 + 2^-50) + 2^-45 |w| covers that through
+# its own roundings; the second term is absolute because n cancels.  It
+# covers underflow too, 2^-1075 per operation, where ww is normal
+# (|w| > 2^-512); any other point takes the key -inf and is always swept,
+# which keeps ``_over_zero``'s nan at ww = 0.  Where V may overflow
+# (t <= 2^-1000) the key is 0.
+
+
+def distortion_minimum(m, resolution: int, directions: int, bound: float = math.inf) -> float:
+    """The smaller of bound and the sampled distortion of the chart
+    transition m (on ``bx.chart_point``'s coordinates): nan if a ratio or
+    bound is.  Points are swept in increasing order of their keys (above),
+    up to the first key that reaches the running minimum, which starts at
+    bound; a ratio replaces it only when strictly smaller, so the result is
+    the full sweep's, bit for bit."""
+    points, fan, norms, least = _sampling(resolution, directions)
+    m = sc.mat_as_mpf(m)
+    # scaled by a power of two to max |entry| in [1/2, 1), which commutes with
+    # every float64 step below: m's scale can neither overflow nor underflow them
     top = mpmath.frexp(sc.mat_max_abs(m))[1]
-    m = [[mpmath.ldexp(x, -top) for x in row] for row in m]
     # chart_point is affine: h = M @ (X, (1+Y)/2, (1-Y)/2) = ax X + ay Y + c0
     (a0, b0, e0), (a1, b1, e1), (a2, b2, e2) = (
-        (r[0], (r[1] - r[2]) / 2, (r[1] + r[2]) / 2) for r in ([float(x) for x in row] for row in m)
+        (r[0], (r[1] - r[2]) / 2, (r[1] + r[2]) / 2) for r in ([float(mpmath.ldexp(x, -top)) for x in row] for row in m)
     )
+    aw, bw, a12, b12 = a1 + a2, b1 + b2, a1 - a2, b1 - b2
     samples = []  # per point: h0, h1 - h2, w = h1 + h2, w*w, numerators of the exit times
-    qs = []
-    for px, py in points:
+    keys, qs = [], []  # per point: its key; its image (qx, qy)
+    for (px, py), low in zip(points, least):
         h1, h2 = a1 * px + b1 * py + e1, a2 * px + b2 * py + e2
         h0, h12, w = a0 * px + b0 * py + e0, h1 - h2, h1 + h2
         if w == 0:
             raise NotNested("image grid touches the chart horizon")
         qx, qy = h0 / w, h12 / w
         qs.append((qx, qy))
-        samples.append((h0, h12, w, w * w, 1 - qx, -1 - qx, 1 - qy, -1 - qy))
+        ww = w * w
+        samples.append((h0, h12, w, ww, 1 - qx, -1 - qx, 1 - qy, -1 - qy))
+        if not ww >= 2.0**-1022:
+            keys.append(-math.inf)
+            continue
+        slack = 2.0**-45 * abs(w)
+        tx = (1 - abs(qx)) / ((math.hypot(a0 * w - h0 * aw, b0 * w - h0 * bw) * (1 + 2.0**-50) + slack) / ww)
+        ty = (1 - abs(qy)) / ((math.hypot(a12 * w - h12 * aw, b12 * w - h12 * bw) * (1 + 2.0**-50) + slack) / ww)
+        t = tx if tx < ty else ty
+        keys.append(low / (1 / t) if t > 2.0**-1000 else 0.0)
     qx, qy = zip(*qs)
     # a nan makes np.max nan, never >= 1, and then the minimum nan
     if any(not any(map(math.isnan, q)) and max(map(abs, q)) >= 1 for q in (qx, qy)):
         raise NotNested("sampled interior point escapes the outer quad")
     if any(map(math.isnan, qx + qy)):
-        return mpf(math.nan)
+        return math.nan
 
-    inf = best = math.inf
-    for (dx, dy), norms in zip(fan, inner_norms):
-        # pushforward of the direction through the chart transition
-        dh0, dh1, dh2 = a0 * dx + b0 * dy, a1 * dx + b1 * dy, a2 * dx + b2 * dy
-        dh12, dw = dh1 - dh2, dh1 + dh2
-        for (h0, h12, w, ww, ux, lx, uy, ly), ni in zip(samples, norms):
+    # pushforward of each direction through the chart transition: dh0, dh1 - dh2, dh1 + dh2
+    dh = [(a0 * dx + b0 * dy, a1 * dx + b1 * dy, a2 * dx + b2 * dy) for dx, dy in fan]
+    pushed = [(dh0, dh1 - dh2, dh1 + dh2) for dh0, dh1, dh2 in dh]
+    inf, best = math.inf, bound
+    for i in sorted(range(len(keys)), key=keys.__getitem__):
+        if keys[i] >= best:
+            break
+        h0, h12, w, ww, ux, lx, uy, ly = samples[i]
+        for (dh0, dh12, dw), ni in zip(pushed, norms[i]):
             nx, ny = dh0 * w - h0 * dw, dh12 * w - h12 * dw
             jx = nx / ww if ww else _over_zero(nx)
             jy = ny / ww if ww else _over_zero(ny)
@@ -200,7 +252,7 @@ def distortion_estimate(inner: ConvexQuad, outer: ConvexQuad, resolution: int, d
             elif jx == 0:
                 tpx = tmx = inf
             else:
-                return mpf(math.nan)
+                return math.nan
             if jy > 0:
                 tpy, tmy = uy / jy, ly / -jy
             elif jy < 0:
@@ -208,9 +260,9 @@ def distortion_estimate(inner: ConvexQuad, outer: ConvexQuad, resolution: int, d
             elif jy == 0:
                 tpy = tmy = inf
             else:
-                return mpf(math.nan)
+                return math.nan
             tp, tm = (tpx if tpx < tpy else tpy), (tmx if tmx < tmy else tmy)
             no = ((1 / tm if tm else inf) + (1 / tp if tp else inf)) / 2
             if no and ni / no < best:  # a zero norm gives an inf ratio
                 best = ni / no
-    return mpf(best)
+    return best

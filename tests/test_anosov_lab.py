@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from unittest import mock
@@ -11,6 +12,7 @@ from mpmath.libmp import from_man_exp, fzero, mpf_add, mpf_div, mpf_gt, mpf_mul,
 
 from pappuslab import anosov_lab as al
 from pappuslab import boxes as bx
+from pappuslab import cli
 from pappuslab import modular as md
 from pappuslab import representation as rp
 from pappuslab import scalars as sc
@@ -29,6 +31,7 @@ from pappuslab.errors import (
 )
 from pappuslab.modular import W_STEPS, GroupWord
 from pappuslab.projective import Point
+from test_hilbert import exhaustive_minimum
 
 M_ZERO = BoxModuli(0, 0)
 M_TEST = BoxModuli(Fraction(1, 2), Fraction(1, 3))
@@ -1278,3 +1281,25 @@ def test_sampled_constant_is_at_least_birkhoff_bound(moduli, la):
     # slack covers the float64 sampling
     rep = rp.Representation(moduli, la)
     assert al.constant_C(rep) >= birkhoff_bound(rep) * (1 - mpf("1e-9"))
+
+
+@given(
+    tenths_moduli,
+    st.one_of(float_lambdas, exact_interior_lambdas, st.builds(lambda d: lam(mpf(-1), mpf(d)), st.sampled_from([7, 15]))),
+)
+@settings(max_examples=20, deadline=None)
+def test_pruned_constant_is_the_least_exhaustive_sweep(moduli, la):
+    # the base box's adapted basis is the identity, so each step's chart
+    # transition is its step image S_w: four full sweeps of S_w, unpruned
+    rep = rp.Representation(moduli, la)
+    assert al.constant_C(rep) == min(exhaustive_minimum(rep.step_images[w], 16, 8) for w in W_STEPS)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 7: certify's contraction reads the sampled constant_C, "
+                   "1.0108 here, where Birkhoff's bound is exactly 1")
+def test_certify_claims_no_contraction_at_exact_zero_deformation(capsys):
+    # at the exact lambda = 0 an image vertex lies on the square
+    # (test_birkhoff_bound_is_one_at_zero_deformation), so nothing proves
+    # a contraction
+    cli.main(["certify", "--zt=1/2", "--zb=1/3", "--u", "1", "--v", "1"])
+    assert json.loads(capsys.readouterr().out)["checks"]["contraction"] is False

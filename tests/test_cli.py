@@ -1,6 +1,7 @@
 import ast
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -685,6 +686,27 @@ def test_certify_outside_region(capsys):
     assert report["status"] == "outside-region"
 
 
+@pytest.mark.parametrize("delta", ["15", "20"])
+def test_strongly_deformed_certify_reports_its_constant(capsys, monkeypatch, delta):
+    # constant_C sweeps each step image itself and inverts no image basis,
+    # which mat_inverse reads as singular at these points
+    monkeypatch.delenv(cli.PRECISION_ENV, raising=False)
+    _, report = run_json(capsys, "--precision", "128", "certify", "--eps=-1", "--delta=" + delta)
+    assert "error" not in report
+    assert math.isfinite(report["checks"]["constant_C"])
+
+
+def test_certify_constant_is_one_double_at_every_precision(capsys, monkeypatch):
+    # from 64 bits up the step images round to the same doubles; at 53 bits
+    # half of them move by their own rounding, and the least ratio does not
+    monkeypatch.delenv(cli.PRECISION_ENV, raising=False)
+    constants = {
+        run_json(capsys, "--precision", bits, "certify", "--maxlen", "4", *DEFORMED)[1]["checks"]["constant_C"]
+        for bits in ("53", "64", "128", "256")
+    }
+    assert len(constants) == 1
+
+
 def test_curve_command(capsys):
     code, report = run_json(
         capsys, "curve", "--zt", "1/2", "--zb", "1/3", "--eps", "-0.05"
@@ -903,6 +925,7 @@ READ_ONLY_BY_MODULE_TESTS = (
     "SPECIAL_BOX",  # boxes: the moduli (0, 0) box, a fixture of the module tests
     "T2_WORD",  # modular: the second click generator, beside T1_WORD
     "tau2",  # boxes: the second Pappus child, beside tau1 (the package takes both from pappus_children)
+    "convex_interior",  # hilbert: a box as a Hilbert domain (constant_C reads the normal form's chart directly)
 )
 
 

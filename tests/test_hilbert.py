@@ -345,3 +345,126 @@ def test_distortion_is_scale_invariant(exponent):
         c = hb.distortion_estimate(inner, outer, *shape)
         scaled = hb.distortion_estimate(inner, _scaled(outer, mpf(10) ** exponent), *shape)
         assert abs(scaled - c) <= mpf("1e-12") * c, shape
+
+
+# ---------------------------------------------------------------------------
+# the pruned sweep against an exhaustive one
+
+
+def exhaustive_minimum(m, resolution, directions, bound=math.inf):
+    """``hb.distortion_minimum`` without its pruning: every direction at
+    every grid point, direction by direction, in the kernel's float64
+    operations."""
+    points, fan, norms, _ = hb._sampling(resolution, directions)
+    m = sc.mat_as_mpf(m)
+    top = mpmath.frexp(sc.mat_max_abs(m))[1]
+    (a0, b0, e0), (a1, b1, e1), (a2, b2, e2) = (
+        (r[0], (r[1] - r[2]) / 2, (r[1] + r[2]) / 2)
+        for r in ([float(mpmath.ldexp(x, -top)) for x in row] for row in m)
+    )
+    samples, qs = [], []
+    for px, py in points:
+        h1, h2 = a1 * px + b1 * py + e1, a2 * px + b2 * py + e2
+        h0, h12, w = a0 * px + b0 * py + e0, h1 - h2, h1 + h2
+        if w == 0:
+            raise NotNested("image grid touches the chart horizon")
+        qx, qy = h0 / w, h12 / w
+        qs.append((qx, qy))
+        samples.append((h0, h12, w, w * w, 1 - qx, -1 - qx, 1 - qy, -1 - qy))
+    qx, qy = zip(*qs)
+    if any(not any(map(math.isnan, q)) and max(map(abs, q)) >= 1 for q in (qx, qy)):
+        raise NotNested("sampled interior point escapes the outer quad")
+    if any(map(math.isnan, qx + qy)):
+        return math.nan
+
+    def exit_times(j, u, lo):
+        if j > 0:
+            return u / j, lo / -j
+        if j < 0:
+            return lo / j, u / -j
+        return math.inf, math.inf
+
+    best = bound
+    for k, (dx, dy) in enumerate(fan):
+        dh0, dh1, dh2 = a0 * dx + b0 * dy, a1 * dx + b1 * dy, a2 * dx + b2 * dy
+        dh12, dw = dh1 - dh2, dh1 + dh2
+        for (h0, h12, w, ww, ux, lx, uy, ly), ni in zip(samples, (row[k] for row in norms)):
+            nx, ny = dh0 * w - h0 * dw, dh12 * w - h12 * dw
+            jx = nx / ww if ww else hb._over_zero(nx)
+            jy = ny / ww if ww else hb._over_zero(ny)
+            if math.isnan(jx) or math.isnan(jy):
+                return math.nan
+            (tpx, tmx), (tpy, tmy) = exit_times(jx, ux, lx), exit_times(jy, uy, ly)
+            tp, tm = min(tpx, tpy), min(tmx, tmy)
+            no = ((1 / tm if tm else math.inf) + (1 / tp if tp else math.inf)) / 2
+            if no and ni / no < best:
+                best = ni / no
+    return best
+
+
+def _sweep_outcome(sweep, m, shape, bound):
+    try:
+        c = sweep(m, *shape, bound)
+    except NotNested:
+        return "NotNested"
+    return "nan" if math.isnan(c) else c
+
+
+# the chart_point coordinates (X, (1+Y)/2, (1-Y)/2) of (X, Y, 1), and back
+TO_CHART_POINT = ((1, 0, 0), (0, Fraction(1, 2), Fraction(1, 2)), (0, Fraction(-1, 2), Fraction(1, 2)))
+FROM_CHART_POINT = ((1, 0, 0), (0, 1, -1), (0, 1, 1))
+
+
+@st.composite
+def near_square_transitions(draw):
+    """Transitions that carry the grid to within 2^-k of the outer square
+    along one or both axes (X -> s X + c, tilted projectively), at a
+    power-of-two scale."""
+    resolution = 16
+    tick = Fraction(resolution - 1, resolution)
+    k = draw(st.integers(1, 45))
+    sx = (1 - Fraction(1, 2**k)) / tick
+    sy = draw(st.sampled_from([sx, Fraction(1, 2)]))
+    cx = draw(st.sampled_from([0, Fraction(1, 2**(k + 2))]))
+    tilt = [Fraction(draw(st.integers(-8, 8)), 2 ** draw(st.integers(50, 70))) for _ in range(2)]
+    chart_map = ((sx, 0, cx), (0, sy, 0), (tilt[0], tilt[1], 1))
+    m = sc.mat_mul(TO_CHART_POINT, sc.mat_mul(chart_map, FROM_CHART_POINT))
+    return sc.mat_scale(sc.mat_to_mpf(m), mpf(2) ** draw(st.integers(-600, 600)))
+
+
+@st.composite
+def strong_step_transitions(draw):
+    """A step image S_w at eps -1 and delta 7 or 15, at 53 or 128 bits."""
+    moduli = draw(tenths_moduli)
+    delta = draw(st.sampled_from([7, 15]))
+    w = draw(st.sampled_from(W_STEPS))
+    with mpmath.workprec(draw(st.sampled_from([53, 128]))):
+        try:
+            return rp.Representation(moduli, bx.Lambda(epsilon=mpf(-1), delta=mpf(delta))).step_images[w]
+        except PappusLabError:
+            assume(False)
+
+
+# a one-point grid with one direction has a key within about 2^-44 of its
+# ratio where the transition is diagonal: there a key above the ratio skips
+# the only point
+PRUNED_SHAPES = SHAPES + ((16, 16), (1, 1), (2, 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(near_square_transitions(), strong_step_transitions()),
+    st.sampled_from(PRUNED_SHAPES),
+    st.sampled_from(["inf", "least", "above", "two"]),
+)
+def test_pruned_sweep_equals_the_exhaustive_sweep(m, shape, bound):
+    # the bound is none, the least ratio itself, the next double above it,
+    # or a fixed 2: each must leave every bit of the minimum
+    least = _sweep_outcome(exhaustive_minimum, m, shape, math.inf)
+    if bound == "inf" or isinstance(least, str):
+        bound = math.inf
+    else:
+        bound = {"least": least, "above": math.nextafter(least, math.inf), "two": 2.0}[bound]
+    expected = _sweep_outcome(exhaustive_minimum, m, shape, bound)
+    assert _sweep_outcome(hb.distortion_minimum, m, shape, bound) == expected
+
